@@ -16,6 +16,7 @@ from .legendre import (
     GeneratorSpec,
     WeightedParamSet,
     bregman_div,
+    check_weights,
     dual_generator,
     energy_grad_residual,
     jeffreys_loss,

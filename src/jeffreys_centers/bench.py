@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -79,7 +79,6 @@ class RunConfig:
     trials: int = 1000
     dims: Sequence[int] = (16,)
     epsilon: float = 1e-10
-    output_path: Optional[str] = None
 
     def __post_init__(self):
         if self.trials < 1:

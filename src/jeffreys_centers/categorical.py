@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .legendre import CenterDiagnostics, GeneratorSpec, Stopwatch
+from .legendre import CenterDiagnostics, GeneratorSpec, Stopwatch, check_weights
 from .special_functions import lambert_w0
 
 __all__ = [
@@ -52,6 +52,23 @@ GB_CAT_EPSILON = 0.1
 _DEGENERATE_GAP = 1e-14
 
 
+def _check_simplex(p: np.ndarray, what: str) -> None:
+    """Require a vector, or every row of a matrix, to lie on the open simplex.
+
+    Whole-array reductions keep the valid path cheap; the offending row is
+    located only on the error path.
+    """
+    if np.isfinite(p).all() and (p > 0.0).all() and np.abs(p.sum(-1) - 1.0).max() <= 1e-12:
+        return
+    rows = np.atleast_2d(p)
+    bad_bin = ~(np.isfinite(rows) & (rows > 0.0)).all(axis=-1)
+    i = int(np.argmax(bad_bin | (np.abs(rows.sum(-1) - 1.0) > 1e-12)))
+    where = what if p.ndim == 1 else f"{what} row {i}"
+    if bad_bin[i]:
+        raise DomainError(f"{where} has a non-finite or non-positive bin")
+    raise DomainError(f"{where} mass {rows[i].sum()!r} differs from 1")
+
+
 @dataclass(frozen=True)
 class SimplexPoint:
     """A point of the open probability simplex."""
@@ -62,10 +79,7 @@ class SimplexPoint:
         p = np.atleast_1d(np.asarray(self.probs, dtype=float))
         if p.ndim != 1 or p.size < 2:
             raise DomainError("SimplexPoint needs a vector of at least 2 bins")
-        if np.any(~np.isfinite(p)) or np.any(p <= 0.0):
-            raise DomainError("SimplexPoint components must be finite and > 0")
-        if abs(p.sum() - 1.0) > 1e-12:
-            raise DomainError(f"SimplexPoint mass {p.sum()!r} differs from 1")
+        _check_simplex(p, "SimplexPoint")
         object.__setattr__(self, "probs", p)
 
     @property
@@ -78,43 +92,24 @@ class HistogramSet:
     """Rows of same-dimension simplex points with open-simplex weights."""
 
     rows: np.ndarray
-    weights: np.ndarray
+    weights: Optional[np.ndarray]
 
     def __post_init__(self):
         rows = np.atleast_2d(np.asarray(self.rows, dtype=float))
-        weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        if rows.shape[0] == 0:
-            raise DomainError("empty histogram set")
-        if rows.shape[0] != weights.shape[0]:
-            raise DomainError(
-                f"{rows.shape[0]} histograms but {weights.shape[0]} weights"
-            )
-        for i, row in enumerate(rows):
-            if np.any(~np.isfinite(row)) or np.any(row <= 0.0):
-                raise DomainError(f"histogram row {i} has a non-positive bin")
-            if abs(row.sum() - 1.0) > 1e-12:
-                raise DomainError(f"histogram row {i} mass {row.sum()!r} differs from 1")
-        if np.any(weights <= 0.0):
-            raise DomainError("weights must be strictly positive")
-        if abs(weights.sum() - 1.0) > 1e-12:
-            raise DomainError(f"weights sum to {weights.sum()!r}, expected 1")
+        weights = check_weights(self.weights, rows.shape[0])
+        _check_simplex(rows, "histogram")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "weights", weights)
 
     @classmethod
     def uniform(cls, rows) -> "HistogramSet":
-        rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        n = rows.shape[0]
-        return cls(rows, np.full(n, 1.0 / n))
+        return cls(rows, None)
 
     @classmethod
     def from_points(
         cls, points: Sequence[SimplexPoint], weights: Optional[Sequence] = None
     ) -> "HistogramSet":
-        rows = np.array([p.probs for p in points])
-        if weights is None:
-            return cls.uniform(rows)
-        return cls(rows, np.asarray(weights, dtype=float))
+        return cls(np.array([p.probs for p in points]), weights)
 
     @property
     def n(self) -> int:
@@ -177,7 +172,6 @@ def cat_generator(dim: int) -> GeneratorSpec:
         eval_grad=eval_grad,
         eval_grad_inv=eval_grad_inv,
         in_domain=lambda th: bool(np.all(np.isfinite(th))),
-        is_separable=(dim == 2),
         name=f"categorical(d={dim})",
     )
 
@@ -210,7 +204,7 @@ def c_of_lambda(a: SimplexPoint, g: SimplexPoint, lam: float) -> np.ndarray:
 
 
 def _mass(a: np.ndarray, g: np.ndarray, lam: float) -> float:
-    return float(np.sum(a / lambert_w0((a / g) * np.exp(1.0 + lam))))
+    return float(c_of_lambda(a, g, lam).sum())
 
 
 def kl_cat(p: SimplexPoint, q: SimplexPoint) -> float:
@@ -273,7 +267,7 @@ def jeffreys_centroid_cat(
             lam_hi = lam
         iterations += 1
     lam = 0.5 * (lam_lo + lam_hi)
-    c_raw = a / lambert_w0((a / g) * np.exp(1.0 + lam))
+    c_raw = c_of_lambda(a, g, lam)
     s = float(c_raw.sum())
     center = SimplexPoint(c_raw / s)
     fixed_point_residual = abs(lam + float(np.sum(center.probs * np.log(center.probs / g))))
@@ -345,7 +339,7 @@ def gb_center_cat(
 def unnormalized_center(hset: HistogramSet) -> Tuple[np.ndarray, float]:
     """The lambda = 0 candidate c(0) and its mass s(0) <= 1 + slack."""
     a, g = _means(hset)
-    c0 = a / lambert_w0((a / g) * np.e)
+    c0 = c_of_lambda(a, g, 0.0)
     return c0, float(c0.sum())
 
 

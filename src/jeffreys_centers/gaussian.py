@@ -23,15 +23,29 @@ from scipy.optimize import root
 
 from .errors import DomainError, NumericalError
 from .gauss_bregman import GB_TOL, gb_center
-from .legendre import CenterDiagnostics, GeneratorSpec, WeightedParamSet
+from .legendre import (
+    CenterDiagnostics,
+    GeneratorSpec,
+    WeightedParamSet,
+    check_weights,
+    quasi_arithmetic_center,
+    right_bregman_centroid,
+)
 from .special_functions import ToleranceConfig
-from .spd import SPDMatrix, geometric_mean, trace_metric_distance
+from .spd import (
+    SPDMatrix,
+    _log_eigs,
+    _spectral,
+    _sqrt_pair,
+    geometric_mean,
+    sld_centroid,
+    trace_metric_distance,
+)
 
 __all__ = [
     "GaussianParam",
     "MvnNatural",
     "MvnMoment",
-    "EmbeddedSPD2d1",
     "mvn_to_natural",
     "mvn_from_natural",
     "mvn_to_moment",
@@ -117,13 +131,6 @@ class MvnMoment:
     @property
     def dim(self) -> int:
         return self.eta_v.size
-
-
-@dataclass(frozen=True)
-class EmbeddedSPD2d1:
-    """The (2d+1)-dimensional SPD lift of a d-variate normal."""
-
-    G: SPDMatrix
 
 
 def mvn_to_natural(p: GaussianParam) -> MvnNatural:
@@ -229,7 +236,6 @@ def mvn_generator(dim: int) -> GeneratorSpec:
         eval_grad=eval_grad,
         eval_grad_inv=eval_grad_inv,
         in_domain=in_domain,
-        is_separable=False,
         name=f"mvn(d={d})",
     )
 
@@ -279,24 +285,16 @@ def jeffreys_mvn(p: GaussianParam, q: GaussianParam) -> float:
     )
 
 
-def _weighted_gaussians(
+def _natural_set(
     gaussians: Sequence[GaussianParam], weights: Optional[Sequence]
-) -> Tuple[list, np.ndarray]:
-    if len(gaussians) == 0:
-        raise DomainError("empty Gaussian set")
+) -> Tuple[int, WeightedParamSet]:
+    """The dimension and the weighted flattened natural parameters of a set."""
+    w = check_weights(weights, len(gaussians))  # also rejects an empty set
     d = gaussians[0].dim
-    for g in gaussians[1:]:
-        if g.dim != d:
-            raise DomainError("mixed dimensions in Gaussian set")
-    if weights is None:
-        w = np.full(len(gaussians), 1.0 / len(gaussians))
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (len(gaussians),):
-            raise DomainError("weights length mismatch")
-        if np.any(w <= 0.0) or abs(w.sum() - 1.0) > 1e-12:
-            raise DomainError("weights must be strictly positive and sum to 1")
-    return list(gaussians), w
+    if any(g.dim != d for g in gaussians):
+        raise DomainError("mixed dimensions in Gaussian set")
+    thetas = np.array([natural_to_flat(mvn_to_natural(g)) for g in gaussians])
+    return d, WeightedParamSet(thetas, w)
 
 
 def jeffreys_loss_mvn(
@@ -305,8 +303,8 @@ def jeffreys_loss_mvn(
     query: GaussianParam,
 ) -> float:
     """Weighted Jeffreys loss sum_i w_i D_J(p_i, query)."""
-    gs, w = _weighted_gaussians(gaussians, weights)
-    return float(sum(wi * jeffreys_mvn(g, query) for wi, g in zip(w, gs)))
+    w = check_weights(weights, len(gaussians))
+    return float(sum(wi * jeffreys_mvn(g, query) for wi, g in zip(w, gaussians)))
 
 
 def sided_kl_centroids_mvn(
@@ -317,14 +315,9 @@ def sided_kl_centroids_mvn(
     Returns (right Bregman centroid, left Bregman centroid) as natural
     parameters.
     """
-    gs, w = _weighted_gaussians(gaussians, weights)
-    d = gs[0].dim
-    gen = mvn_generator(d)
-    thetas = np.array([natural_to_flat(mvn_to_natural(g)) for g in gs])
-    right = w @ thetas
-    etas = np.array([gen.eval_grad(t) for t in thetas])
-    left = gen.eval_grad_inv(w @ etas)
-    return flat_to_natural(right, d), flat_to_natural(left, d)
+    d, pset = _natural_set(gaussians, weights)
+    left = quasi_arithmetic_center(mvn_generator(d), pset)
+    return flat_to_natural(right_bregman_centroid(pset), d), flat_to_natural(left, d)
 
 
 # --- Fisher-Rao midpoint through the (2d+1) SPD embedding --------------------
@@ -344,9 +337,9 @@ def _embed_array(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
     return 0.5 * (G + G.T)
 
 
-def embed_gaussian(p: GaussianParam) -> EmbeddedSPD2d1:
+def embed_gaussian(p: GaussianParam) -> SPDMatrix:
     """Lift a normal to its (2d+1)-dimensional SPD representative."""
-    return EmbeddedSPD2d1(SPDMatrix(_embed_array(p.mean, p.cov.entries)))
+    return SPDMatrix(_embed_array(p.mean, p.cov.entries))
 
 
 def _fiber_move(G: np.ndarray, k: np.ndarray, d: int) -> np.ndarray:
@@ -361,18 +354,6 @@ def _fiber_move(G: np.ndarray, k: np.ndarray, d: int) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def _logm_spd(m: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(m)
-    if w[0] <= 0.0:
-        raise NumericalError("matrix log of a non-SPD argument")
-    return (v * np.log(w)) @ v.T
-
-
-def _powm(m: np.ndarray, p: float) -> np.ndarray:
-    w, v = np.linalg.eigh(m)
-    return (v * w**p) @ v.T
-
-
 def _align_fiber(G0: np.ndarray, G1: np.ndarray, d: int) -> np.ndarray:
     """Gauge-align G1 to G0 so the connecting trace-metric geodesic is horizontal.
 
@@ -385,10 +366,8 @@ def _align_fiber(G0: np.ndarray, G1: np.ndarray, d: int) -> np.ndarray:
         return G1
 
     def residual(k: np.ndarray) -> np.ndarray:
-        G1k = _fiber_move(G1, k, d)
-        g1h = _powm(G1k, 0.5)
-        g1mh = _powm(G1k, -0.5)
-        L = _logm_spd(g1mh @ G0 @ g1mh)
+        g1h, g1mh = _sqrt_pair(_fiber_move(G1, k, d))
+        (L,) = _spectral(g1mh @ G0 @ g1mh, _log_eigs)
         B = g1h @ L @ g1mh
         blk = B[:d, d + 1 :]
         skew = 0.5 * (blk - blk.T)
@@ -420,25 +399,21 @@ def fisher_rao_midpoint_mvn(
     d = p0.dim
     G0 = _embed_array(p0.mean, p0.cov.entries)
     G1 = _align_fiber(G0, _embed_array(p1.mean, p1.cov.entries), d)
-    G = geometric_mean(SPDMatrix(G0), SPDMatrix(G1)).entries
+    E0, E1 = SPDMatrix(G0), SPDMatrix(G1)
+    E = geometric_mean(E0, E1)
+    G = E.entries
     cov = np.linalg.inv(G[:d, :d])
     cov = 0.5 * (cov + cov.T)
     mid = GaussianParam(cov @ G[:d, d], SPDMatrix(cov))
     if return_embedding:
-        return mid, (
-            EmbeddedSPD2d1(SPDMatrix(G0)),
-            EmbeddedSPD2d1(SPDMatrix(G)),
-            EmbeddedSPD2d1(SPDMatrix(G1)),
-        )
+        return mid, (E0, E, E1)
     return mid
 
 
 def embedded_equidistance_residual(p0: GaussianParam, p1: GaussianParam) -> float:
     """|rho(G0, G) - rho(G, G1)| for the aligned midpoint construction."""
     _, (e0, emid, e1) = fisher_rao_midpoint_mvn(p0, p1, return_embedding=True)
-    return abs(
-        trace_metric_distance(e0.G, emid.G) - trace_metric_distance(emid.G, e1.G)
-    )
+    return abs(trace_metric_distance(e0, emid) - trace_metric_distance(emid, e1))
 
 
 def jfr_center_mvn(
@@ -460,11 +435,8 @@ def gb_center_mvn(
     diagnostics ``status`` field reports 'max_iter' when the gap target was
     not met.
     """
-    gs, w = _weighted_gaussians(gaussians, weights)
-    d = gs[0].dim
-    gen = mvn_generator(d)
-    thetas = np.array([natural_to_flat(mvn_to_natural(g)) for g in gs])
-    result = gb_center(gen, WeightedParamSet(thetas, w), tol)
+    d, pset = _natural_set(gaussians, weights)
+    result = gb_center(mvn_generator(d), pset, tol)
     return mvn_from_natural(flat_to_natural(result.center, d)), result.diagnostics
 
 
@@ -478,18 +450,6 @@ def jeffreys_centroid_centered(
     Covariance is the geometric mean of the weighted arithmetic covariance
     mean and the weighted harmonic covariance mean; the common mean is kept.
     """
-    if len(covs) == 0:
-        raise DomainError("empty covariance set")
-    arrays = [c.entries if isinstance(c, SPDMatrix) else np.asarray(c, float) for c in covs]
-    d = arrays[0].shape[0]
-    if weights is None:
-        w = np.full(len(arrays), 1.0 / len(arrays))
-    else:
-        w = np.asarray(weights, dtype=float)
-        if np.any(w <= 0.0) or abs(w.sum() - 1.0) > 1e-12:
-            raise DomainError("weights must be strictly positive and sum to 1")
-    mu = np.zeros(d) if mean is None else np.atleast_1d(np.asarray(mean, dtype=float))
-    a = sum(wi * c for wi, c in zip(w, arrays))
-    h = np.linalg.inv(sum(wi * np.linalg.inv(c) for wi, c in zip(w, arrays)))
-    cov = geometric_mean(SPDMatrix(a), SPDMatrix(0.5 * (h + h.T)))
+    cov = sld_centroid(covs, weights)
+    mu = np.zeros(cov.dim) if mean is None else np.atleast_1d(np.asarray(mean, dtype=float))
     return GaussianParam(mu, cov)

@@ -37,7 +37,6 @@ def make_separable_generator(
         eval_grad=lambda th: np.asarray(f_prime(th), dtype=float),
         eval_grad_inv=lambda eta: np.asarray(f_prime_inv(eta), dtype=float),
         in_domain=lambda th: bool(np.all(in_domain_scalar(th))),
-        is_separable=True,
         name=name,
     )
 

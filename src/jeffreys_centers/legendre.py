@@ -21,6 +21,7 @@ __all__ = [
     "GeneratorSpec",
     "WeightedParamSet",
     "CenterDiagnostics",
+    "check_weights",
     "bregman_div",
     "symmetrized_bregman",
     "quasi_arithmetic_center",
@@ -51,8 +52,6 @@ class GeneratorSpec:
         eta -> (grad F)^{-1}(eta), a vector of length ``dim``.
     in_domain : callable
         theta -> bool, membership in the open natural parameter domain.
-    is_separable : bool
-        True when F(theta) = sum_i f_i(theta_i).
     name : str
         Informal label used in error messages.
     """
@@ -62,7 +61,6 @@ class GeneratorSpec:
     eval_grad: Callable[[np.ndarray], np.ndarray]
     eval_grad_inv: Callable[[np.ndarray], np.ndarray]
     in_domain: Callable[[np.ndarray], bool]
-    is_separable: bool = False
     name: str = "generator"
 
     def require_domain(self, theta: np.ndarray, what: str = "parameter") -> np.ndarray:
@@ -76,37 +74,43 @@ class GeneratorSpec:
         return theta
 
 
+def check_weights(weights: Optional[Sequence], n: int) -> np.ndarray:
+    """Weights of an n-point set: uniform for None, else validated.
+
+    Given weights must have shape (n,), be finite and strictly positive, and
+    sum to 1 within 1e-12.  Every failure, and an empty set, raises
+    :class:`DomainError`.
+    """
+    if n == 0:
+        raise DomainError("empty set")
+    if weights is None:
+        return np.full(n, 1.0 / n)
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (n,):
+        raise DomainError(f"weights of shape {w.shape} for {n} points")
+    if not (np.isfinite(w).all() and (w > 0.0).all()):
+        raise DomainError("weights must be finite and strictly positive")
+    if abs(w.sum() - 1.0) > 1e-12:
+        raise DomainError(f"weights sum to {w.sum()!r}, expected 1")
+    return w
+
+
 @dataclass(frozen=True)
 class WeightedParamSet:
     """Parameter vectors with strictly positive weights summing to one."""
 
     points: np.ndarray
-    weights: np.ndarray
+    weights: Optional[np.ndarray]
 
     def __post_init__(self):
         points = np.atleast_2d(np.asarray(self.points, dtype=float))
-        weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        if points.shape[0] != weights.shape[0]:
-            raise ValueError(
-                f"{points.shape[0]} points but {weights.shape[0]} weights"
-            )
-        if points.shape[0] == 0:
-            raise ValueError("empty parameter set")
-        if np.any(weights <= 0.0):
-            raise ValueError("weights must be strictly positive (open simplex)")
-        if abs(weights.sum() - 1.0) > 1e-12:
-            raise ValueError(f"weights sum to {weights.sum()!r}, expected 1")
+        object.__setattr__(self, "weights", check_weights(self.weights, points.shape[0]))
         object.__setattr__(self, "points", points)
-        object.__setattr__(self, "weights", weights)
 
     @classmethod
     def of(cls, points: Sequence, weights: Optional[Sequence] = None) -> "WeightedParamSet":
         """Build a set; uniform weights when none are given."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        if weights is None:
-            n = points.shape[0]
-            weights = np.full(n, 1.0 / n)
-        return cls(points, np.asarray(weights, dtype=float))
+        return cls(points, weights)
 
     @property
     def n(self) -> int:
@@ -236,6 +240,5 @@ def dual_generator(gen: GeneratorSpec) -> GeneratorSpec:
         eval_grad=gen.eval_grad_inv,
         eval_grad_inv=gen.eval_grad,
         in_domain=in_dual_domain,
-        is_separable=gen.is_separable,
         name=f"{gen.name}*",
     )

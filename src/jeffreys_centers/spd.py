@@ -5,18 +5,19 @@ the affine-invariant (trace metric) geodesic distance, log-det Bregman
 divergences, the arithmetic-harmonic double sequence converging to X#Y, and
 the closed-form symmetrized log-det centroid A#H.
 
-All matrix functions go through the symmetric eigendecomposition.
+All matrix functions go through one symmetric-eigendecomposition kernel,
+which turns a failed decomposition into a NumericalError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .legendre import CenterDiagnostics, Stopwatch
+from .legendre import _FD_STEP, CenterDiagnostics, Stopwatch, check_weights
 from .special_functions import ToleranceConfig
 
 __all__ = [
@@ -37,7 +38,6 @@ __all__ = [
 NAKAMURA_TOL = ToleranceConfig(rel_tol=1e-10, max_iter=200)
 
 _MAX_CONDITION = 1e12
-_FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
 
 @dataclass(frozen=True)
@@ -84,13 +84,40 @@ def _check_same_dim(x: np.ndarray, y: np.ndarray) -> None:
         raise DomainError(f"dimension mismatch: {x.shape} vs {y.shape}")
 
 
-def _power(m: np.ndarray, p: float) -> np.ndarray:
+def _spectral(m: np.ndarray, *fns: Callable[[np.ndarray], np.ndarray]) -> List[np.ndarray]:
+    """Spectral functions V f(w) V^T of a symmetric matrix, one per ``fns``,
+    from a single eigendecomposition; each output is symmetrized.
+
+    A failed decomposition (e.g. non-finite entries) is a NumericalError.
+    """
     try:
         w, v = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
+    except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-    out = (v * w**p) @ v.T
-    return 0.5 * (out + out.T)
+    outs = []
+    for f in fns:
+        out = (v * f(w)) @ v.T
+        outs.append(0.5 * (out + out.T))
+    return outs
+
+
+def _positive(w: np.ndarray) -> np.ndarray:
+    if w[0] <= 0.0:
+        raise NumericalError("matrix function of a non-positive-definite argument")
+    return w
+
+
+def _log_eigs(w: np.ndarray) -> np.ndarray:
+    return np.log(_positive(w))
+
+
+def _sqrt_pair(m: np.ndarray) -> List[np.ndarray]:
+    """M^{1/2} and M^{-1/2} of a positive-definite M from one eigendecomposition."""
+    return _spectral(m, lambda w: _positive(w) ** 0.5, lambda w: w**-0.5)
+
+
+def _power(m: np.ndarray, p: float) -> np.ndarray:
+    return _spectral(m, lambda w: w**p)[0]
 
 
 def spd_power(x: SPDMatrix, p: float) -> SPDMatrix:
@@ -104,8 +131,7 @@ def spd_sqrt(x: SPDMatrix) -> SPDMatrix:
 
 
 def _geomean(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    xh = _power(x, 0.5)
-    xmh = _power(x, -0.5)
+    xh, xmh = _sqrt_pair(x)
     mid = _power(xmh @ y @ xmh, 0.5)
     out = xh @ mid @ xh
     return 0.5 * (out + out.T)
@@ -153,21 +179,11 @@ def symmetrized_logdet(x: SPDMatrix, y: SPDMatrix) -> float:
     return float(np.trace(np.linalg.solve(xa, ya)) + np.trace(np.linalg.solve(ya, xa)) - 2 * d)
 
 
-def _weighted(mats: Sequence[SPDMatrix], weights: Optional[Sequence]) -> Tuple[list, np.ndarray]:
-    if len(mats) == 0:
-        raise DomainError("empty matrix set")
+def _same_dim_arrays(mats: Sequence[SPDMatrix]) -> list:
     arrays = [_as_array(m) for m in mats]
     for m in arrays[1:]:
         _check_same_dim(arrays[0], m)
-    if weights is None:
-        w = np.full(len(arrays), 1.0 / len(arrays))
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (len(arrays),):
-            raise DomainError("weights length mismatch")
-        if np.any(w <= 0.0) or abs(w.sum() - 1.0) > 1e-12:
-            raise DomainError("weights must be strictly positive and sum to 1")
-    return arrays, w
+    return arrays
 
 
 def sld_centroid(mats: Sequence[SPDMatrix], weights: Optional[Sequence] = None) -> SPDMatrix:
@@ -175,7 +191,8 @@ def sld_centroid(mats: Sequence[SPDMatrix], weights: Optional[Sequence] = None) 
 
     A is the weighted arithmetic mean and H the weighted harmonic mean.
     """
-    arrays, w = _weighted(mats, weights)
+    w = check_weights(weights, len(mats))
+    arrays = _same_dim_arrays(mats)
     a = sum(wi * m for wi, m in zip(w, arrays))
     h = np.linalg.inv(sum(wi * np.linalg.inv(m) for wi, m in zip(w, arrays)))
     return SPDMatrix(_geomean(a, 0.5 * (h + h.T)))
@@ -189,7 +206,8 @@ def sld_grad_residual(
     Perturbs the independent entries of X symmetrically with centered
     differences; near zero exactly at the symmetrized log-det centroid.
     """
-    arrays, w = _weighted(mats, weights)
+    w = check_weights(weights, len(mats))
+    arrays = _same_dim_arrays(mats)
     xa = _as_array(x)
     d = xa.shape[0]
 

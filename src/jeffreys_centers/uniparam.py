@@ -16,6 +16,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from .errors import DomainError, NumericalError
+from .legendre import check_weights
 
 __all__ = ["ScalarGenerator", "h_of", "h_inverse", "jfr_center_1d"]
 
@@ -122,16 +123,9 @@ def jfr_center_1d(
     h^{-1}((h(theta_bar) + h(theta_under)) / 2), which lies between the two.
     """
     ts = np.atleast_1d(np.asarray(thetas, dtype=float))
-    if ts.size == 0:
-        raise DomainError("empty parameter set")
+    w = check_weights(weights, ts.size)
     for t in ts:
         gen.require(float(t))
-    if weights is None:
-        w = np.full(ts.size, 1.0 / ts.size)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if np.any(w <= 0.0) or abs(w.sum() - 1.0) > 1e-12:
-            raise DomainError("weights must be strictly positive and sum to 1")
     theta_bar = float(w @ ts)
     hull = (float(ts.min()), float(ts.max()))
     theta_under = _f_prime_inverse(gen, float(w @ np.array([gen.f_prime(t) for t in ts])), hull)

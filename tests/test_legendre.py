@@ -91,7 +91,6 @@ class TestBregman:
             eval_grad=lambda t: 2.0 * t,
             eval_grad_inv=lambda e: 0.5 * e,
             in_domain=lambda t: bool(np.all(np.isfinite(t))),
-            is_separable=True,
             name="x^2",
         )
         assert bregman_div(gen2, [3.0], [1.0]) == pytest.approx(4.0, abs=1e-14)

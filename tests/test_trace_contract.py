@@ -1,0 +1,49 @@
+"""The benchmark's traced run rebinds library names from outside the package.
+
+``perfbench/spans.py`` replaces, in its own process, the module globals through
+which one layer calls the next, and requires each layer's spans to fire on the
+workload family that exercises it and to stay silent on the other.  This test
+runs that rebinding on a few benchmark sets, so a rename or a re-routed call
+in the library fails here, not only in the traced benchmark run.
+"""
+
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def perfbench_modules(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+    import workloads
+
+    return spans, workloads
+
+
+@pytest.mark.parametrize(
+    "workload, family, sets",
+    [
+        ("hist-pairs", "categorical", [0]),
+        # d = 1, 2, 3: the fiber alignment runs from d = 2 on and never at d = 1
+        ("mvn", "gaussian", [0, 1, 2]),
+    ],
+)
+def test_traced_spans_fire_per_family(perfbench_modules, workload, family, sets):
+    spans, workloads = perfbench_modules
+    w = workloads.WORKLOADS[workload]
+    rec = spans.Recorder()
+    rebinding = spans.Rebinding(rec)  # exits naming any missing target
+    rebinding.install()
+    try:
+        for k in sets:
+            inp = w.inputs(300, k)
+            rec.set_index, rec.d = k, inp["d"]
+            out = w.run_set(k, inp, rec.call)
+            assert all(c.err is None for c in out.calls.values())
+    finally:
+        rebinding.remove()
+    errors = spans.firing_errors(family, spans.aggregate(rec.spans), rec.spans)
+    assert errors == []
