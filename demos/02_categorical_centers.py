@@ -1,9 +1,9 @@
 """Categorical centers side by side on a 3-bin example.
 
 Reproduces the deterministic benchmark instance: a uniform histogram against
-a spiked one.  The numerical Jeffreys centroid (Lambert W + bisection) is the
-reference; the closed-form JFR center and the inductive GB center are the
-fast proxies.
+a spiked one.  The numerical Jeffreys centroid (Lambert W + safeguarded Newton)
+is the reference; the closed-form JFR center and the inductive GB center are
+the fast proxies.
 """
 
 import numpy as np
@@ -30,7 +30,7 @@ for row in hset.rows:
     print("  ", np.array2string(row, precision=6))
 
 ref = jeffreys_centroid_cat(hset, epsilon=1e-10)
-print(f"\nnumerical Jeffreys centroid (bisection eps 1e-10):")
+print(f"\nnumerical Jeffreys centroid (safeguarded Newton, eps 1e-10):")
 print(f"  center        {np.array2string(ref.center.probs, precision=10)}")
 print(f"  lambda        {ref.lam:.10f}")
 print(f"  mass residual {ref.mass_residual:.3e}")

@@ -2,8 +2,8 @@
 
 Coordinate conversions to/from the natural log-ratio parameters, the weighted
 arithmetic and normalized geometric means, the exact numerical Jeffreys
-centroid (Lambert-W fixed point + bisection on the multiplier), the closed-form
-Jeffreys-Fisher-Rao center, and the inductive Gauss-Bregman center.
+centroid (Lambert-W fixed point + safeguarded Newton on the multiplier), the
+closed-form Jeffreys-Fisher-Rao center, and the inductive Gauss-Bregman center.
 
 All inputs live on the open simplex: empty bins must be smoothed by the caller
 before ingestion.
@@ -203,10 +203,6 @@ def c_of_lambda(a: SimplexPoint, g: SimplexPoint, lam: float) -> np.ndarray:
     return av / lambert_w0((av / gv) * np.exp(1.0 + lam))
 
 
-def _mass(a: np.ndarray, g: np.ndarray, lam: float) -> float:
-    return float(c_of_lambda(a, g, lam).sum())
-
-
 def kl_cat(p: SimplexPoint, q: SimplexPoint) -> float:
     """Kullback-Leibler divergence KL(p : q) on the open simplex."""
     pv, qv = p.probs, q.probs
@@ -239,44 +235,56 @@ def jeffreys_loss_cat(hset: HistogramSet, c: SimplexPoint) -> float:
 def jeffreys_centroid_cat(
     hset: HistogramSet, epsilon: float = 1e-10, max_iter: int = 200
 ) -> JeffreysCatResult:
-    """Numerical Jeffreys centroid via bisection on the multiplier lambda.
+    """Numerical Jeffreys centroid via safeguarded Newton on the multiplier lambda.
 
-    The bracket starts at [max_j(a_j + log g_j) - 1, 0] and is split on the
-    unit-mass predicate until its width is below ``epsilon``.  The returned
-    center is renormalized; the raw mass defect is kept in ``mass_residual``.
+    The unit-mass root of s(lambda) = sum_j c_j(lambda) lies in the bracket
+    [max_j(a_j + log g_j) - 1, 0].  Newton starts at lambda = 0 with the slope
+    s'(lambda) = -sum_j c_j / (1 + W_j) = -sum_j c_j^2 / (c_j + a_j), read off
+    the candidate itself since W_j = a_j / c_j.  Each step narrows the bracket
+    on the sign of s - 1 and falls back to its midpoint when the Newton iterate
+    leaves the closed bracket.  The solve stops once the step or the bracket is
+    at most ``epsilon`` wide; that width is ``final_gap``.  The returned center
+    is renormalized; the raw mass defect is kept in ``mass_residual``.
     """
     if epsilon <= 0.0:
         raise DomainError("epsilon must be positive")
     watch = Stopwatch()
     a, g = _means(hset)
     lam_lo = float(np.max(a + np.log(g)) - 1.0)
-    lam_hi = 0.0
-    s_lo = _mass(a, g, lam_lo)
-    s_hi = _mass(a, g, lam_hi)
-    if s_lo < 1.0 - 1e-9 or s_hi > 1.0 + 1e-9:
+    lam_hi = lam = 0.0
+    s_lo = float(c_of_lambda(a, g, lam_lo).sum())
+    c_raw = c_of_lambda(a, g, lam)
+    s = float(c_raw.sum())
+    if s_lo < 1.0 - 1e-9 or s > 1.0 + 1e-9:
         raise NumericalError(
-            f"bisection bracket does not straddle unit mass: "
-            f"s({lam_lo:.6g})={s_lo:.12g}, s(0)={s_hi:.12g}"
+            f"multiplier bracket does not straddle unit mass: "
+            f"s({lam_lo:.6g})={s_lo:.12g}, s(0)={s:.12g}"
         )
     iterations = 0
-    while lam_hi - lam_lo > epsilon and iterations < max_iter:
-        lam = 0.5 * (lam_lo + lam_hi)
-        if _mass(a, g, lam) > 1.0:
+    gap = lam_hi - lam_lo
+    while gap > epsilon and iterations < max_iter:
+        if s > 1.0:
             lam_lo = lam
         else:
             lam_hi = lam
+        step = (s - 1.0) / float(np.sum(c_raw * c_raw / (c_raw + a)))
+        # closed test: an exact root (s == 1) gives step 0, a bracket end
+        if not lam_lo <= lam + step <= lam_hi:
+            step = 0.5 * (lam_lo + lam_hi) - lam
+        if step != 0.0:  # a zero step keeps lam, and c_raw is already its candidate
+            lam += step
+            c_raw = c_of_lambda(a, g, lam)
+            s = float(c_raw.sum())
         iterations += 1
-    lam = 0.5 * (lam_lo + lam_hi)
-    c_raw = c_of_lambda(a, g, lam)
-    s = float(c_raw.sum())
+        gap = min(abs(step), lam_hi - lam_lo)
     center = SimplexPoint(c_raw / s)
     fixed_point_residual = abs(lam + float(np.sum(center.probs * np.log(center.probs / g))))
     diag = CenterDiagnostics(
         iterations=iterations,
-        final_gap=lam_hi - lam_lo,
+        final_gap=gap,
         residual=fixed_point_residual,
         elapsed_ns=watch.elapsed_ns(),
-        status="converged" if lam_hi - lam_lo <= epsilon else "max_iter",
+        status="converged" if gap <= epsilon else "max_iter",
     )
     return JeffreysCatResult(
         center=center, lam=lam, mass_residual=abs(s - 1.0), diagnostics=diag

@@ -395,14 +395,14 @@ def build_parser() -> argparse.ArgumentParser:
     t1.add_argument("--dims", default="2,4,8,16,32,64,128,256")
     t1.add_argument("--trials", type=int, default=1000)
     t1.add_argument("--seed", type=int, default=0)
-    t1.add_argument("--epsilon", type=float, default=1e-10, help="reference bisection tolerance")
+    t1.add_argument("--epsilon", type=float, default=1e-10, help="reference multiplier tolerance")
     t1.add_argument("--no-timing", action="store_true", help="zero timing columns")
     t1.add_argument("--output", help="CSV path (stdout when omitted)")
     t1.set_defaults(fn=cmd_bench_table1)
 
     t2 = bench_sub.add_parser("table2", help="deterministic 3-bin family")
     t2.add_argument("--alphas", help="comma-separated list in (0,1)")
-    t2.add_argument("--epsilon", type=float, default=1e-10, help="reference bisection tolerance")
+    t2.add_argument("--epsilon", type=float, default=1e-10, help="reference multiplier tolerance")
     t2.add_argument("--no-timing", action="store_true", help="zero timing columns")
     t2.add_argument("--output", help="CSV path (stdout when omitted)")
     t2.set_defaults(fn=cmd_bench_table2)

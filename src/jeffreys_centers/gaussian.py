@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import root
 
 from .errors import DomainError, NumericalError
 from .gauss_bregman import GB_TOL, gb_center
@@ -352,6 +351,17 @@ def _fiber_move(G: np.ndarray, k: np.ndarray, d: int) -> np.ndarray:
     F[d + 1 :, :d] = K
     out = F @ G @ F.T
     return 0.5 * (out + out.T)
+
+
+def root(fun, x0, **kwargs):
+    """``scipy.optimize.root``, imported on first call.
+
+    Importing the library then leaves scipy.optimize unloaded, which keeps it
+    off the histogram path.
+    """
+    from scipy.optimize import root as scipy_root
+
+    return scipy_root(fun, x0, **kwargs)
 
 
 def _align_fiber(G0: np.ndarray, G1: np.ndarray, d: int) -> np.ndarray:

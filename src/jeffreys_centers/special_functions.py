@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, NumericalError
 
@@ -27,7 +26,9 @@ class ToleranceConfig:
     """Stopping control for iterative routines.
 
     ``rel_tol`` doubles as the precision parameter of the double-sequence
-    and bisection algorithms; ``max_iter`` caps every loop.
+    algorithms, the Lambert W Halley iteration and the elliptic quadrature;
+    ``max_iter`` caps every loop.  The histogram multiplier's safeguarded
+    Newton solve takes its own ``epsilon`` and ``max_iter``.
     """
 
     rel_tol: float = 1e-12
@@ -45,20 +46,12 @@ DEFAULT_TOL = ToleranceConfig()
 
 def _w0_seed(x: np.ndarray) -> np.ndarray:
     # Branch-point series for x near -1/e, log1p in the middle range,
-    # two-term asymptotic expansion for large x.
-    seed = np.empty_like(x)
-    near = x < -0.25
-    large = x > math.e
-    mid = ~(near | large)
-    if np.any(near):
-        p = np.sqrt(2.0 * (math.e * x[near] + 1.0))
-        seed[near] = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0)))
-    if np.any(mid):
-        seed[mid] = np.log1p(x[mid])
-    if np.any(large):
-        l1 = np.log(x[large])
-        seed[large] = l1 - np.log(l1)
-    return seed
+    # two-term asymptotic expansion for large x.  Each branch is evaluated on
+    # the whole array with its argument clamped into range.
+    p = np.sqrt(np.maximum(2.0 * (math.e * np.minimum(x, -0.25) + 1.0), 0.0))
+    near = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0)))
+    l1 = np.log(np.maximum(x, math.e))
+    return np.where(x < -0.25, near, np.where(x > math.e, l1 - np.log(l1), np.log1p(x)))
 
 
 def lambert_w0(x, tol: ToleranceConfig = DEFAULT_TOL):
@@ -70,30 +63,32 @@ def lambert_w0(x, tol: ToleranceConfig = DEFAULT_TOL):
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    if np.any(~np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DomainError("lambert_w0 requires finite input")
-    if np.any(arr < _NEG_INV_E):
+    if (arr < _NEG_INV_E).any():
         raise DomainError(f"lambert_w0 requires x >= -1/e = {_NEG_INV_E!r}")
 
-    w = _w0_seed(arr)
+    # W0(-1/e) = -1 exactly, where Halley's step divides by w + 1 = 0: those
+    # entries iterate on x = 0 (W0(0) = 0, already converged) and are pinned.
     at_branch = arr == _NEG_INV_E
-    w[at_branch] = -1.0
+    pinned = at_branch.any()
+    if pinned:
+        arr = np.where(at_branch, 0.0, arr)
+    w = _w0_seed(arr)
     target = tol.rel_tol * np.maximum(1.0, np.abs(arr))
-    active = ~at_branch
     for _ in range(tol.max_iter):
-        ew = np.exp(w[active])
-        f = w[active] * ew - arr[active]
-        if np.all(np.abs(f) <= target[active]):
+        ew = np.exp(w)
+        f = w * ew - arr
+        if (np.abs(f) <= target).all():
             break
-        wp1 = w[active] + 1.0
+        wp1 = w + 1.0
         # Halley step; wp1 stays positive away from the branch point.
-        denom = ew * wp1 - (w[active] + 2.0) * f / (2.0 * wp1)
-        w[active] = w[active] - f / denom
+        w = w - f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
     else:
-        ew = np.exp(w[active])
-        resid = np.abs(w[active] * ew - arr[active])
-        if np.any(resid > target[active]):
+        if (np.abs(w * np.exp(w) - arr) > target).any():
             raise NumericalError("lambert_w0 failed to converge")
+    if pinned:
+        w[at_branch] = -1.0
     return float(w[0]) if scalar else w
 
 
@@ -105,6 +100,8 @@ def elliptic_k(u: float, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """
     if not math.isfinite(u) or abs(u) >= 1.0:
         raise DomainError(f"elliptic_k requires |u| < 1, got {u!r}")
+    from scipy.integrate import quad
+
     usq = u * u
     val, err = quad(
         lambda t: 1.0 / math.sqrt(1.0 - usq * math.sin(t) ** 2),

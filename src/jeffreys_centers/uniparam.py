@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .errors import DomainError, NumericalError
 from .legendre import check_weights
@@ -52,6 +50,8 @@ class ScalarGenerator:
 
 def h_of(gen: ScalarGenerator, theta: float) -> float:
     """h(theta) = int_{theta_ref}^{theta} sqrt(f''(u)) du by adaptive quadrature."""
+    from scipy.integrate import quad
+
     theta = gen.require(theta)
     val, err = quad(
         lambda u: math.sqrt(gen.f_second(u)),
@@ -92,6 +92,8 @@ def _grow_bracket(
 
 def h_inverse(gen: ScalarGenerator, y: float) -> float:
     """Monotone inversion of h: the theta with h(theta) = y, to 1e-9."""
+    from scipy.optimize import brentq
+
     if y == 0.0:
         return gen.theta_ref
     fun = lambda t: h_of(gen, t)
@@ -105,6 +107,8 @@ def h_inverse(gen: ScalarGenerator, y: float) -> float:
 
 
 def _f_prime_inverse(gen: ScalarGenerator, target: float, hull: Tuple[float, float]) -> float:
+    from scipy.optimize import brentq
+
     a, b = _grow_bracket(gen.f_prime, target, 0.5 * (hull[0] + hull[1]), gen.domain)
     if a == b:
         return a

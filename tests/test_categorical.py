@@ -27,10 +27,35 @@ from jeffreys_centers import (
     tv_cat,
     unnormalized_center,
 )
+from jeffreys_centers import categorical
+from jeffreys_centers.bench import sample_histogram_pair
 
 from conftest import random_simplex
 
 TABLE2 = np.array([[1 / 3, 1 / 3, 1 / 3], [0.9, 0.05, 0.05]])
+
+
+def table2_hset(alpha):
+    return HistogramSet.uniform(
+        np.array([[1 / 3, 1 / 3, 1 / 3], [1 - alpha, alpha / 2, alpha / 2]])
+    )
+
+
+def bisect_lambda(hset, tol=1e-14):
+    """Oracle: plain bisection of the unit-mass multiplier, and its normalized center."""
+    a, g = arithmetic_mean(hset).probs, normalized_geometric_mean(hset).probs
+    lo, hi = float(np.max(a + np.log(g)) - 1.0), 0.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if c_of_lambda(a, g, mid).sum() > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    lam = 0.5 * (lo + hi)
+    c = c_of_lambda(a, g, lam)
+    return lam, c / c.sum()
 
 
 def random_hset(rng, d, n, floor=1e-9):
@@ -164,6 +189,56 @@ class TestJeffreysCentroid:
     def test_epsilon_validation(self):
         with pytest.raises(DomainError):
             jeffreys_centroid_cat(HistogramSet.uniform(TABLE2), 0.0)
+
+
+class TestNewtonSolve:
+    """The safeguarded Newton multiplier solve against the bisection oracle."""
+
+    @staticmethod
+    def check_against_oracle(hset):
+        res = jeffreys_centroid_cat(hset)
+        lam, center = bisect_lambda(hset)
+        assert abs(res.lam - lam) <= 1e-12
+        assert np.abs(res.center.probs - center).max() <= 1e-12
+        assert res.diagnostics.status == "converged"
+        assert res.diagnostics.iterations <= 6
+        assert res.diagnostics.final_gap <= 1e-10
+
+    @pytest.mark.parametrize("d", [2, 16, 256, 4096])
+    def test_dirichlet_pairs(self, d):
+        for trial in range(12):
+            self.check_against_oracle(HistogramSet.uniform(sample_histogram_pair(301, d, trial)))
+
+    @pytest.mark.parametrize("k", range(1, 12))
+    def test_table2_family(self, k):
+        self.check_against_oracle(table2_hset(10.0**-k))
+
+    def test_exact_root_is_accepted(self, monkeypatch):
+        # Found by search: the third Newton iterate lands where the computed
+        # mass is exactly 1, so the next Newton iterate equals the bracket's
+        # upper end.  Rejecting it as outside the bracket bisects from there
+        # (12 iterations instead of 3).
+        hset = HistogramSet.uniform(
+            [[0.17360831954620534, 0.8263916804537946], [0.7193343564355782, 0.28066564356442175]]
+        )
+        masses = []
+
+        def recording(a, g, lam):
+            c = c_of_lambda(a, g, lam)
+            masses.append(float(c.sum()))
+            return c
+
+        monkeypatch.setattr(categorical, "c_of_lambda", recording)
+        res = jeffreys_centroid_cat(hset)
+        assert 1.0 in masses
+        assert res.diagnostics.iterations <= 6
+        assert res.diagnostics.status == "converged"
+
+    def test_max_iter_status(self):
+        res = jeffreys_centroid_cat(table2_hset(1e-3), epsilon=1e-10, max_iter=1)
+        assert res.diagnostics.iterations == 1
+        assert res.diagnostics.status == "max_iter"
+        assert res.diagnostics.final_gap > 1e-10
 
 
 class TestJFRCenter:

@@ -76,6 +76,22 @@ class TestLambertW:
             lambert_w0(np.array([1.0, -1.0]))
         with pytest.raises(DomainError):
             lambert_w0(float("nan"))
+        with pytest.raises(DomainError):
+            lambert_w0(np.array([0.5, float("inf")]))
+
+    def test_mixed_array_every_seed_branch(self):
+        # the branch point, the series range (-1/e, -0.25), zero, the log1p
+        # range and the asymptotic range above e, in one array
+        xs = np.array(
+            [-math.exp(-1.0), -0.36, -0.3, -0.26, 0.0, 0.5, 1.0, 2.0, math.e, 3.0, 10.0]
+            + [50.0, 500.0]
+        )
+        w = lambert_w0(xs)
+        assert w[0] == -1.0 and w[4] == 0.0
+        scalar = np.array([lambert_w0(float(x)) for x in xs])
+        assert np.abs(w - scalar).max() <= 1e-12
+        oracle = np.array([bisect_w(float(x)) for x in xs])
+        assert np.abs(w - oracle).max() <= 1e-12
 
 
 class TestEllipticK:
