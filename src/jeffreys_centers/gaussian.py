@@ -15,8 +15,9 @@ is the natural one.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,10 +33,11 @@ from .legendre import (
 )
 from .special_functions import ToleranceConfig
 from .spd import (
+    _MAX_CONDITION,
     SPDMatrix,
+    _eigh,
+    _log_divided_differences,
     _log_eigs,
-    _spectral,
-    _sqrt_pair,
     geometric_mean,
     sld_centroid,
     trace_metric_distance,
@@ -64,6 +66,12 @@ __all__ = [
 ]
 
 _EIG_FLOOR = 1e-13
+
+# Fiber-alignment residuals at or below this count as an exact root.  Rounding
+# leaves about 1e-16 of log's entries at a root, where hybr's relative step test
+# cannot be met (the root k = 0 of a same-mean pair has no scale at all), and it
+# would keep evaluating until it detects no progress; a zero residual stops it.
+_ALIGN_ZERO = 1e-14
 
 
 @dataclass(frozen=True)
@@ -157,27 +165,39 @@ def mvn_from_moment(mom: MvnMoment) -> GaussianParam:
 
 # --- flattening of (vector, symmetric matrix) pairs -------------------------
 
-def _triu_scale(d: int) -> Tuple[Tuple[np.ndarray, np.ndarray], np.ndarray]:
-    iu = np.triu_indices(d)
-    scale = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
-    return iu, scale
+class _IndexTables(NamedTuple):
+    upper: Tuple[np.ndarray, np.ndarray]  # vech order: upper triangle, row-major
+    lower: Tuple[np.ndarray, np.ndarray]  # the mirror image of each vech entry
+    scale: np.ndarray  # 1 on the diagonal, sqrt(2) off it
+    strict_upper: Tuple[np.ndarray, np.ndarray]  # gauge parameters of the fiber
+    strict_lower: Tuple[np.ndarray, np.ndarray]
+
+
+@functools.lru_cache(maxsize=None)
+def _index_tables(d: int) -> _IndexTables:
+    """Index tables of dimension d, built once and shared read-only."""
+    iu, su = np.triu_indices(d), np.triu_indices(d, 1)
+    arrays = (*iu, *su, np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0)))
+    for a in arrays:
+        a.setflags(write=False)
+    r, c, sr, sc, scale = arrays
+    return _IndexTables((r, c), (c, r), scale, (sr, sc), (sc, sr))
 
 
 def mvn_flatten(vec: np.ndarray, mat: np.ndarray) -> np.ndarray:
     """Pack (vector, symmetric matrix) into the trace-isometric flat vector."""
-    d = vec.size
-    iu, scale = _triu_scale(d)
-    return np.concatenate([vec, mat[iu] * scale])
+    t = _index_tables(vec.size)
+    return np.concatenate([vec, mat[t.upper] * t.scale])
 
 
 def mvn_unflatten(x: np.ndarray, d: int) -> Tuple[np.ndarray, np.ndarray]:
     """Inverse of :func:`mvn_flatten`."""
-    iu, scale = _triu_scale(d)
-    vec = x[:d]
-    mat = np.zeros((d, d))
-    mat[iu] = x[d:] / scale
-    mat = mat + mat.T - np.diag(np.diag(mat))
-    return vec, mat
+    t = _index_tables(d)
+    entries = x[d:] / t.scale
+    mat = np.empty((d, d))
+    mat[t.upper] = entries
+    mat[t.lower] = entries
+    return x[:d], mat
 
 
 def flat_dim(d: int) -> int:
@@ -343,12 +363,11 @@ def embed_gaussian(p: GaussianParam) -> SPDMatrix:
 
 def _fiber_move(G: np.ndarray, k: np.ndarray, d: int) -> np.ndarray:
     """Congruence by the gauge element with skew block K in position (3,1)."""
-    K = np.zeros((d, d))
-    iu = np.triu_indices(d, 1)
-    K[iu] = k
-    K = K - K.T
+    t = _index_tables(d)
     F = np.eye(2 * d + 1)
-    F[d + 1 :, :d] = K
+    K = F[d + 1 :, :d]
+    K[t.strict_upper] = k
+    K[t.strict_lower] = -k
     out = F @ G @ F.T
     return 0.5 * (out + out.T)
 
@@ -364,31 +383,40 @@ def root(fun, x0, **kwargs):
     return scipy_root(fun, x0, **kwargs)
 
 
-def _align_fiber(G0: np.ndarray, G1: np.ndarray, d: int) -> np.ndarray:
-    """Gauge-align G1 to G0 so the connecting trace-metric geodesic is horizontal.
+def _align_fiber(G1: np.ndarray, d: int) -> np.ndarray:
+    """Gauge-align G1 to the identity so the connecting geodesic is horizontal.
 
-    The alignment zeroes the skew part of the mean-covariance coupling block of
-    the geodesic's initial velocity, solved as a root-finding problem over the
-    d(d-1)/2 gauge parameters.
+    The trace-metric geodesic from the identity to G1 has initial velocity
+    log(G1); the alignment zeroes the skew part of its mean-covariance coupling
+    block, solved as a root-finding problem over the d(d-1)/2 gauge
+    parameters k, with the Jacobian in closed form.
+
+    With X = F G1 F^T = V diag(w) V^T, the residual entry q is <U_q, diag(log w)>
+    / 2, where U_q = V^T (e_a e_{d+1+b}^T - e_b e_{d+1+a}^T) V for the pair
+    (a, b) = q of the strict upper triangle.  Moving gauge parameter p moves X
+    by D_p X + X D_p^T with V^T D_p V = -U_p^T, so its derivative is
+    -<U_q, Gamma o (U_p^T W + W U_p)> / 2, Gamma the divided differences of log.
     """
     nk = d * (d - 1) // 2
     if nk == 0:
         return G1
+    a, b = _index_tables(d).strict_upper
 
-    def residual(k: np.ndarray) -> np.ndarray:
-        g1h, g1mh = _sqrt_pair(_fiber_move(G1, k, d))
-        (L,) = _spectral(g1mh @ G0 @ g1mh, _log_eigs)
-        B = g1h @ L @ g1mh
-        blk = B[:d, d + 1 :]
-        skew = 0.5 * (blk - blk.T)
-        return skew[np.triu_indices(d, 1)]
+    def residual_and_jacobian(k: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        w, V = _eigh(_fiber_move(G1, k, d))
+        log_w = _log_eigs(w)
+        U = (V[a][:, :, None] * V[d + 1 + b][:, None, :]
+             - V[b][:, :, None] * V[d + 1 + a][:, None, :])
+        res = 0.5 * (np.diagonal(U, axis1=1, axis2=2) @ log_w)
+        if np.abs(res).max() <= _ALIGN_ZERO:
+            res = np.zeros(nk)
+        dX = (np.swapaxes(U, 1, 2) * w + w[:, None] * U) * _log_divided_differences(w)
+        return res, -0.5 * (U.reshape(nk, -1) @ dX.reshape(nk, -1).T)
 
-    sol = root(residual, np.zeros(nk), method="hybr", tol=1e-14)
-    res = residual(sol.x)
-    if not sol.success and float(np.abs(res).max()) > 1e-9:
-        raise NumericalError(
-            f"fiber alignment failed: residual {np.abs(res).max():.3g}"
-        )
+    sol = root(residual_and_jacobian, np.zeros(nk), jac=True, method="hybr", tol=1e-14)
+    worst = float(np.abs(sol.fun).max())
+    if not sol.success and worst > 1e-9:
+        raise NumericalError(f"fiber alignment failed: residual {worst:.3g}")
     return _fiber_move(G1, sol.x, d)
 
 
@@ -397,26 +425,43 @@ def fisher_rao_midpoint_mvn(
 ):
     """Fisher-Rao geodesic midpoint of two d-variate normals.
 
-    Lifts both normals to (2d+1)-dimensional SPD matrices, gauge-aligns the
-    second lift, takes the trace-metric geodesic midpoint, and reads the
-    normal back off the top-left block and the adjacent column.
+    The midpoint is affine-equivariant, so it is computed in the frame that
+    whitens p0: with L the Cholesky factor of p0's covariance, p1 becomes
+    N(L^{-1}(mu1 - mu0), L^{-1} Sigma1 L^{-T}) and p0 becomes N(0, I), whose
+    (2d+1)-dimensional SPD lift is the identity.  The lift G1 of the whitened
+    p1 is gauge-aligned, the trace-metric midpoint I # G1 is read back as a
+    normal N(m, S) off its top-left block and the adjacent column, and mapped
+    back to N(mu0 + L m, L S L^T).  The midpoint loses about cond(G1) * 1e-16
+    of relative accuracy, and the condition number grows like the fourth power
+    of the separation in p0's standard deviations, so an aligned lift past the
+    1e12 bound of SPDMatrix raises NumericalError.
 
-    With ``return_embedding`` the aligned triple (G0, G, G1) is also returned
-    for equidistance checks.
+    With ``return_embedding`` the whitened, aligned triple (I, G, G1) of
+    (2d+1) x (2d+1) arrays is also returned for equidistance checks; the trace
+    metric is congruence-invariant, so distances between them are those of
+    the unwhitened lifts.
     """
     if p0.dim != p1.dim:
         raise DomainError("dimension mismatch")
     d = p0.dim
-    G0 = _embed_array(p0.mean, p0.cov.entries)
-    G1 = _align_fiber(G0, _embed_array(p1.mean, p1.cov.entries), d)
-    E0, E1 = SPDMatrix(G0), SPDMatrix(G1)
-    E = geometric_mean(E0, E1)
-    G = E.entries
-    cov = np.linalg.inv(G[:d, :d])
-    cov = 0.5 * (cov + cov.T)
-    mid = GaussianParam(cov @ G[:d, d], SPDMatrix(cov))
+    L = np.linalg.cholesky(p0.cov.entries)
+    mean_w = np.linalg.solve(L, p1.mean - p0.mean)
+    cov_w = np.linalg.solve(L, np.linalg.solve(L, p1.cov.entries).T)  # L^-1 Sigma1 L^-T
+    G1 = _align_fiber(_embed_array(mean_w, 0.5 * (cov_w + cov_w.T)), d)
+    eig = np.linalg.eigvalsh(G1)
+    if not eig[-1] <= _MAX_CONDITION * eig[0]:
+        raise NumericalError(
+            f"whitened lift condition number {eig[-1] / eig[0]:.3g} exceeds "
+            f"{_MAX_CONDITION:.0e}: the normals are too far apart"
+        )
+    G0 = np.eye(2 * d + 1)
+    G = geometric_mean(G0, G1).entries
+    S = np.linalg.inv(G[:d, :d])
+    S = 0.5 * (S + S.T)
+    cov = L @ S @ L.T
+    mid = GaussianParam(p0.mean + L @ (S @ G[:d, d]), SPDMatrix(0.5 * (cov + cov.T)))
     if return_embedding:
-        return mid, (E0, E, E1)
+        return mid, (G0, G, G1)
     return mid
 
 

@@ -84,16 +84,21 @@ def _check_same_dim(x: np.ndarray, y: np.ndarray) -> None:
         raise DomainError(f"dimension mismatch: {x.shape} vs {y.shape}")
 
 
-def _spectral(m: np.ndarray, *fns: Callable[[np.ndarray], np.ndarray]) -> List[np.ndarray]:
-    """Spectral functions V f(w) V^T of a symmetric matrix, one per ``fns``,
-    from a single eigendecomposition; each output is symmetrized.
+def _eigh(m: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of a symmetric matrix.
 
     A failed decomposition (e.g. non-finite entries) is a NumericalError.
     """
     try:
-        w, v = np.linalg.eigh(m)
+        return np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
+
+
+def _spectral(m: np.ndarray, *fns: Callable[[np.ndarray], np.ndarray]) -> List[np.ndarray]:
+    """Spectral functions V f(w) V^T of a symmetric matrix, one per ``fns``,
+    from a single eigendecomposition; each output is symmetrized."""
+    w, v = _eigh(m)
     outs = []
     for f in fns:
         out = (v * f(w)) @ v.T
@@ -109,6 +114,22 @@ def _positive(w: np.ndarray) -> np.ndarray:
 
 def _log_eigs(w: np.ndarray) -> np.ndarray:
     return np.log(_positive(w))
+
+
+def _log_divided_differences(w: np.ndarray) -> np.ndarray:
+    """(log w_i - log w_j) / (w_i - w_j), and 1/w_i where w_i = w_j.
+
+    For M = V diag(w) V^T the Frechet derivative of log at M in the direction
+    E is V (Gamma o (V^T E V)) V^T with this Gamma (Daleckii-Krein).  Written
+    as log1p(t) / (t lo) with lo = min(w_i, w_j) and t = max(w_i, w_j) / lo - 1,
+    and as its Taylor polynomial for t < 1e-6, so that close eigenvalues lose
+    no accuracy.
+    """
+    lo = np.minimum(w[:, None], w[None, :])
+    t = np.maximum(w[:, None], w[None, :]) / lo - 1.0
+    close = t < 1e-6
+    t_far = np.where(close, 1.0, t)
+    return np.where(close, 1.0 - t / 2.0 + t * t / 3.0, np.log1p(t_far) / t_far) / lo
 
 
 def _sqrt_pair(m: np.ndarray) -> List[np.ndarray]:

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import root
 
 from jeffreys_centers import (
     DomainError,
     GaussianParam,
     MvnMoment,
     MvnNatural,
+    NumericalError,
     SPDMatrix,
     ToleranceConfig,
     WeightedParamSet,
@@ -29,8 +33,13 @@ from jeffreys_centers import (
     symmetrized_bregman,
     symmetrized_logdet,
 )
+from jeffreys_centers import gaussian
 from jeffreys_centers.gaussian import (
+    _embed_array,
+    _index_tables,
     embedded_equidistance_residual,
+    mvn_flatten,
+    mvn_unflatten,
     natural_to_flat,
 )
 
@@ -237,6 +246,210 @@ class TestFisherRaoMidpoint:
         b = fisher_rao_midpoint_mvn(p1, p0)
         assert np.abs(a.mean - b.mean).max() < 1e-8
         assert np.abs(a.cov.entries - b.cov.entries).max() < 1e-8
+
+
+def half_plane_midpoint(m0, s0, m1, s1):
+    """Fisher-Rao midpoint of N(m0, s0^2) and N(m1, s1^2) in closed form.
+
+    In (x, y) = (m / sqrt(2), s) the univariate normal metric is twice the
+    Poincare half-plane metric, so the midpoint is that of the half-plane
+    geodesic.  It is computed in the hyperboloid model, where the geodesic
+    midpoint is the Lorentz-normalized sum of the endpoints.
+    """
+
+    def lift(m, s):
+        x, y = m / np.sqrt(2.0), s
+        q = (x * x + y * y) / (2.0 * y)
+        return np.array([q + 0.5 / y, q - 0.5 / y, x / y])
+
+    v = lift(m0, s0) + lift(m1, s1)
+    v /= np.sqrt(v[0] ** 2 - v[1] ** 2 - v[2] ** 2)
+    y = 1.0 / (v[0] - v[1])
+    return np.sqrt(2.0) * v[2] * y, y
+
+
+def unwhitened_midpoint(p0, p1):
+    """The construction without whitening: gauge-align the lift G1 to the lift
+    G0 with a two-eigendecomposition residual and a finite-difference Jacobian,
+    then take G0 # G1."""
+    d = p0.dim
+    G0 = _embed_array(p0.mean, p0.cov.entries)
+    G1 = _embed_array(p1.mean, p1.cov.entries)
+    iu = np.triu_indices(d, 1)
+
+    def spectral(m, f):
+        w, v = np.linalg.eigh(m)
+        return (v * f(w)) @ v.T
+
+    def moved(k):
+        F = np.eye(2 * d + 1)
+        K = np.zeros((d, d))
+        K[iu] = k
+        F[d + 1 :, :d] = K - K.T
+        return F @ G1 @ F.T
+
+    def residual(k):
+        g1 = moved(k)
+        g1h, g1mh = spectral(g1, np.sqrt), spectral(g1, lambda w: w**-0.5)
+        B = g1h @ spectral(g1mh @ G0 @ g1mh, np.log) @ g1mh
+        blk = B[:d, d + 1 :]
+        return (0.5 * (blk - blk.T))[iu]
+
+    # hybr's default initial step bound (100 at k = 0) lets the finite-difference
+    # iteration run the gauge away on some d = 8 pairs; a unit bound does not
+    sol = root(residual, np.zeros(iu[0].size), method="hybr", tol=1e-14, options={"factor": 1.0})
+    assert np.abs(residual(sol.x)).max() <= 1e-9
+    G = geometric_mean(G0, moved(sol.x)).entries
+    cov = np.linalg.inv(G[:d, :d])
+    return cov @ G[:d, d], cov
+
+
+class TestMidpointOracles:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        m0=st.floats(-2.0, 2.0),
+        m1=st.floats(-2.0, 2.0),
+        s0=st.floats(0.5, 2.0),
+        s1=st.floats(0.5, 2.0),
+    )
+    def test_univariate_matches_half_plane_geodesic(self, m0, m1, s0, s1):
+        mid = fisher_rao_midpoint_mvn(
+            GaussianParam([m0], SPDMatrix([[s0 * s0]])), GaussianParam([m1], SPDMatrix([[s1 * s1]]))
+        )
+        m, s = half_plane_midpoint(m0, s0, m1, s1)
+        assert abs(mid.mean[0] - m) <= 1e-10
+        assert abs(np.sqrt(mid.cov.entries[0, 0]) - s) <= 1e-10
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        m1=st.floats(0.0, 1e3),
+        s0=st.floats(10**-0.5, 10**0.5),
+        s1=st.floats(10**-0.5, 10**0.5),
+    )
+    def test_univariate_far_pairs_are_accurate_or_refused(self, m1, s0, s1):
+        """Past the lift's condition bound the midpoint is refused, not inaccurate."""
+        try:
+            mid = fisher_rao_midpoint_mvn(
+                GaussianParam([0.0], SPDMatrix([[s0 * s0]])), GaussianParam([m1], SPDMatrix([[s1 * s1]]))
+            )
+        except NumericalError:
+            return
+        m, s = half_plane_midpoint(0.0, s0, m1, s1)
+        assert abs(mid.mean[0] - m) <= 1e-4 * s
+        assert abs(np.sqrt(mid.cov.entries[0, 0]) - s) <= 1e-4 * s
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 8])
+    def test_matches_unwhitened_construction(self, rng, d):
+        """Covariance eigenvalues in [0.5, 2], means at most 3 apart."""
+        for _ in range(5):
+            u = rng.normal(size=d)
+            m0 = rng.normal(size=d)
+            m1 = m0 + rng.uniform(0.0, 3.0) * u / np.linalg.norm(u)
+            p0 = GaussianParam(m0, random_spd_unit(rng, d))
+            p1 = GaussianParam(m1, random_spd_unit(rng, d))
+            mid = fisher_rao_midpoint_mvn(p0, p1)
+            mean, cov = unwhitened_midpoint(p0, p1)
+            assert np.abs(mid.mean - mean).max() <= 1e-10
+            assert np.abs(mid.cov.entries - cov).max() <= 1e-10
+
+
+class TestFiberAlignment:
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """(residual-and-Jacobian function, scipy result) of each alignment solve."""
+        calls = []
+        real = gaussian.root
+
+        def spy(fun, x0, **kwargs):
+            sol = real(fun, x0, **kwargs)
+            calls.append((fun, sol))
+            return sol
+
+        monkeypatch.setattr(gaussian, "root", spy)
+        return calls
+
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_jacobian_matches_finite_differences(self, rng, solves, d):
+        p0, p1 = random_gaussian(rng, d), random_gaussian(rng, d)
+        fisher_rao_midpoint_mvn(p0, p1)
+        ((fun, _),) = solves
+        k = 0.3 * rng.normal(size=d * (d - 1) // 2)
+        _, jac = fun(k)
+        h = 1e-6
+        fd = np.column_stack([
+            (fun(k + h * e)[0] - fun(k - h * e)[0]) / (2.0 * h) for e in np.eye(k.size)
+        ])
+        assert np.abs(jac - fd).max() <= 1e-6 * np.abs(jac).max()
+
+    def test_same_mean_set_stops_at_once(self, rng, solves):
+        """The sided centroids of a same-mean set share their mean up to rounding,
+        so k = 0 is a root up to rounding; the solve must not wander there."""
+        mu = rng.normal(size=5)
+        jfr_center_mvn([GaussianParam(mu, random_spd(rng, 5)) for _ in range(4)])
+        ((fun, sol),) = solves
+        assert np.abs(fun(np.zeros(10))[0]).max() == 0.0
+        assert sol.success
+        assert sol.nfev <= 4  # about 20 without the exact-root cut-off
+        assert np.all(sol.x == 0.0)
+
+
+class TestIndexTables:
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_flatten_roundtrip(self, rng, d):
+        """Exact up to the sqrt(2) scaling, which rounds off the diagonal."""
+        vec, a = rng.normal(size=d), rng.normal(size=(d, d))
+        mat = a + a.T
+        x = mvn_flatten(vec, mat)
+        assert x.size == d + d * (d + 1) // 2
+        back_vec, back_mat = mvn_unflatten(x, d)
+        assert np.array_equal(back_vec, vec)
+        assert np.array_equal(back_mat, back_mat.T)
+        assert np.array_equal(np.diag(back_mat), np.diag(mat))
+        np.testing.assert_array_max_ulp(back_mat, mat, maxulp=1)
+        np.testing.assert_array_max_ulp(mvn_flatten(back_vec, back_mat), x, maxulp=1)
+        # distinct powers of two scale exactly, so every entry must come back in place
+        iu = np.triu_indices(d)
+        powers = np.zeros((d, d))
+        powers[iu] = 2.0 ** np.arange(iu[0].size)
+        powers = np.maximum(powers, powers.T)
+        assert np.array_equal(mvn_unflatten(mvn_flatten(vec, powers), d)[1], powers)
+
+    def test_tables_are_read_only(self):
+        t = _index_tables(4)
+        assert _index_tables(4) is t
+        arrays = [t.scale, *t.upper, *t.lower, *t.strict_upper, *t.strict_lower]
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = a[0]
+
+    # Per d: GB iterations and (mean . u, <cov, V>) of the GB and JFR centers
+    # of three Gaussians drawn from default_rng(d), with u, V drawn from
+    # default_rng(1000 + d); values computed before the tables were cached.
+    FINGERPRINTS = {
+        1: (3, (0.5274307779557323, -0.24177787048057126), (0.5274305326170083, -0.24177788843468598)),
+        2: (4, (0.19829244034223967, 9.424439816716674), (0.19829729415602862, 9.4244420750258)),
+        3: (4, (-1.0713462015393356, -1.4811388024669383), (-1.0713459138644457, -1.4811384066310207)),
+        4: (4, (0.07636528745062275, 4.607177330698924), (0.07637030459289118, 4.607178991893019)),
+        5: (3, (1.0302698114847078, -3.642264030193735), (1.0302653051158632, -3.6422386469179058)),
+        6: (3, (0.4292554230543438, 28.30170976116551), (0.42925434447010735, 28.301725203876963)),
+        7: (3, (-1.273976909278826, 64.1695544604878), (-1.2739776502711868, 64.16955637382809)),
+        8: (4, (-0.13309646445555426, 34.134598542425756), (-0.13309448622447184, 34.13461440929675)),
+    }
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_centers_unchanged(self, d):
+        rng = np.random.default_rng(d)
+        gs = [GaussianParam(rng.normal(size=d), random_spd(rng, d)) for _ in range(3)]
+        probe = np.random.default_rng(1000 + d)
+        u, v = probe.normal(size=d), probe.normal(size=(d, d))
+        iterations, gb_print, jfr_print = self.FINGERPRINTS[d]
+        gb, diag = gb_center_mvn(gs)
+        assert diag.iterations == iterations
+        # GB runs the same arithmetic; the JFR midpoint is now whitened by p0
+        assert [gb.mean @ u, np.sum(gb.cov.entries * v)] == pytest.approx(gb_print, rel=1e-12)
+        jfr = jfr_center_mvn(gs)
+        assert [jfr.mean @ u, np.sum(jfr.cov.entries * v)] == pytest.approx(jfr_print, rel=1e-10)
 
 
 class TestJFRCenter:

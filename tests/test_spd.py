@@ -19,6 +19,8 @@ from jeffreys_centers import (
     trace_metric_distance,
 )
 
+from jeffreys_centers.spd import _log_divided_differences
+
 from conftest import random_spd
 
 
@@ -92,6 +94,45 @@ class TestGeometricMean:
                 SPDMatrix(np.linalg.inv(x.entries)), SPDMatrix(np.linalg.inv(y.entries))
             ).entries
             assert np.abs(lhs - rhs).max() / np.abs(rhs).max() < 1e-10
+
+
+class TestLogDerivative:
+    def test_divided_differences_closed_form(self):
+        gam = _log_divided_differences(np.array([1.0, math.e, math.e]))
+        assert gam[0, 1] == pytest.approx(1.0 / (math.e - 1.0), rel=1e-15)
+        assert gam[1, 0] == gam[0, 1]
+        assert np.diag(gam) == pytest.approx([1.0, 1.0 / math.e, 1.0 / math.e], rel=1e-15)
+        assert gam[1, 2] == pytest.approx(1.0 / math.e, rel=1e-15)
+        # eigenvalues 1e-7 apart take the Taylor branch
+        close = _log_divided_differences(np.array([1.0, 1.0 + 1e-7]))
+        assert close[0, 1] == pytest.approx(math.log1p(1e-7) / 1e-7, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "spectrum",
+        [np.logspace(-3.0, 3.0, 5), 1.0 + 1e-9 * np.arange(5), np.full(5, 2.0), [1e-20, 1e-3, 1.0, 1e3, 1e20]],
+        ids=["spread", "close", "repeated", "extreme"],
+    )
+    def test_frechet_derivative_of_log(self, rng, spectrum):
+        """V (Gamma o V^T E V) V^T against central differences of log."""
+        w = np.asarray(spectrum)
+        gam = _log_divided_differences(w)
+        assert np.all(np.isfinite(gam)) and np.all(gam > 0.0)
+        if w[-1] / w[0] > 1e12:
+            return  # too wide for a finite-difference check; finiteness is the point
+        q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
+        m = (q * w) @ q.T
+        a = rng.normal(size=(5, 5))
+        e = a + a.T
+        vals, vecs = np.linalg.eigh(m)
+
+        def logm(x):
+            lw, lv = np.linalg.eigh(x)
+            return (lv * np.log(lw)) @ lv.T
+
+        exact = vecs @ (_log_divided_differences(vals) * (vecs.T @ e @ vecs)) @ vecs.T
+        h = 1e-4 * vals[0]
+        fd = (logm(m + h * e) - logm(m - h * e)) / (2.0 * h)
+        assert np.abs(exact - fd).max() <= 1e-5 * np.abs(exact).max()
 
 
 class TestTraceMetric:

@@ -2,7 +2,8 @@
 
 Weights go through one validator, so every entry point rejects the same bad
 weights with a DomainError; an internal eigendecomposition failure surfaces as
-a NumericalError (CLI exit code 3), never as a raw LinAlgError.
+a NumericalError (CLI exit code 3), never as a raw LinAlgError.  Valid inputs
+at extreme covariance scales are not misclassified as either.
 """
 
 import json
@@ -26,16 +27,23 @@ from jeffreys_centers import (
     sld_centroid,
 )
 from jeffreys_centers.cli import main
+from jeffreys_centers.gaussian import (
+    embedded_equidistance_residual,
+    fisher_rao_midpoint_mvn,
+    mvn_from_natural,
+    sided_kl_centroids_mvn,
+)
 from jeffreys_centers.spd import _spectral
 
-# A measured failing set: mvn workload seed 300, set 48 (d=5, spread means).
-FAILING_MEANS = [
+# mvn workload seed 300, set 48 (d=5, spread means): the fiber alignment failed
+# on it before the midpoint was computed in the frame that whitens p0.
+HARD_MEANS = [
     [3.273802000035928, -1.3362102780561227, 2.942805923369252, -0.23497731653356713, 1.3164428948769336],
     [1.889485284451192, 0.9115228373807578, 0.3584109401943846, 0.5764587628124389, -0.8377136852859056],
     [1.9462856569990852, 1.047692379505821, 0.4013465922699523, 0.5307016619020706, -0.8227256209018996],
     [1.8283420273142428, 1.089312878922691, 0.5234366823871157, 0.4291779977572802, -0.7004276659646477],
 ]
-FAILING_COVS = [
+HARD_COVS = [
     [
         [0.45980862812202367, 0.01644645430060497, -0.08086022181587692, 0.03546276656401782, -0.02717812960615654],
         [0.01644645430060497, 0.32183820585564615, -0.021420145945201398, 0.020685314672057562, -0.008682324387516944],
@@ -65,6 +73,11 @@ FAILING_COVS = [
         [-0.0036335919696982586, -0.0017086603135230641, -0.0017017109361313625, -3.723291105050821e-05, 0.01873354060344437],
     ],
 ]
+
+# Means 1e5 standard deviations apart, outside the domain of the Fisher-Rao
+# midpoint (README): the lift loses definiteness during the fiber alignment.
+FAILING_MEANS = [[0.0, 0.0], [1e5, 0.0], [0.0, 1e5], [1e5, 1e5]]
+FAILING_COVS = [np.eye(2).tolist()] * 4
 
 _COVS = [np.eye(2), 2.0 * np.eye(2), 3.0 * np.eye(2)]
 _SQUARED = ScalarGenerator(
@@ -113,13 +126,30 @@ def test_spectral_kernel_classifies_nan_matrix():
         _spectral(np.full((3, 3), np.nan), np.sqrt)
 
 
-def _failing_set():
-    return [GaussianParam(m, SPDMatrix(c)) for m, c in zip(FAILING_MEANS, FAILING_COVS)]
+def _gaussians(means, covs):
+    return [GaussianParam(m, SPDMatrix(c)) for m, c in zip(means, covs)]
+
+
+def test_formerly_failing_mvn_set_returns_a_center():
+    gs = _gaussians(HARD_MEANS, HARD_COVS)
+    center = jfr_center_mvn(gs)
+    assert np.all(np.isfinite(center.mean))
+    assert np.linalg.eigvalsh(center.cov.entries)[0] > 0.0
+    right, left = sided_kl_centroids_mvn(gs)
+    assert embedded_equidistance_residual(
+        mvn_from_natural(right), mvn_from_natural(left)
+    ) <= 1e-9
 
 
 def test_failing_mvn_set_is_a_numerical_error():
     with pytest.raises(NumericalError):
-        jfr_center_mvn(_failing_set())
+        jfr_center_mvn(_gaussians(FAILING_MEANS, FAILING_COVS))
+
+
+def test_distant_pair_midpoint_is_a_numerical_error():
+    """A lift past the 1e12 condition bound is internal trouble, not invalid input."""
+    with pytest.raises(NumericalError, match="condition number"):
+        fisher_rao_midpoint_mvn(GaussianParam([0.0], [[1.0]]), GaussianParam([1e3], [[1.0]]))
 
 
 def test_failing_mvn_set_exits_3(tmp_path, capsys):
@@ -130,3 +160,19 @@ def test_failing_mvn_set_exits_3(tmp_path, capsys):
     code = main(["compute", "--family", "gaussian", "--method", "jfr", "--input", str(path)])
     capsys.readouterr()
     assert code == 3
+
+
+# A valid set whose JFR center failed at covariance scales 1e-8 and 1e-6 (the
+# (2d+1) lift tripped the 1e12 condition guard, a DomainError) and 1e6 (the
+# fiber alignment stalled, a NumericalError) before whitening by p0.
+SCALE_MEANS = np.array([[0.0, 0.0], [1.0, 0.5], [-0.5, 1.0]])
+SCALE_COVS = np.array([[[1.0, 0.3], [0.3, 0.8]], [[1.5, -0.4], [-0.4, 0.6]], [[0.7, 0.1], [0.1, 1.2]]])
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e-6, 1e6])
+def test_jfr_center_follows_covariance_scale(scale):
+    """x -> sqrt(s) x maps the unit-scale center to the scaled one (criterion 10's 1e-8)."""
+    unit = jfr_center_mvn(_gaussians(SCALE_MEANS, SCALE_COVS))
+    scaled = jfr_center_mvn(_gaussians(np.sqrt(scale) * SCALE_MEANS, scale * SCALE_COVS))
+    assert np.abs(scaled.mean / np.sqrt(scale) - unit.mean).max() <= 1e-8
+    assert np.abs(scaled.cov.entries / scale - unit.cov.entries).max() <= 1e-8
