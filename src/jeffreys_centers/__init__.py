@@ -17,10 +17,8 @@ from .legendre import (
     WeightedParamSet,
     bregman_div,
     check_weights,
-    dual_generator,
     energy_grad_residual,
     jeffreys_loss,
-    mixed_bregman,
     quasi_arithmetic_center,
     right_bregman_centroid,
     symmetrized_bregman,
@@ -31,7 +29,7 @@ from .generators import (
     shannon_generator,
     squared_generator,
 )
-from .gauss_bregman import GBResult, gb_center, gb_invariance_check, gb_step
+from .gauss_bregman import GBResult, gb_center, gb_step
 from .categorical import (
     HistogramSet,
     JeffreysCatResult,

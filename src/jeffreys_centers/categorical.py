@@ -12,6 +12,7 @@ before ingestion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -87,9 +88,23 @@ class SimplexPoint:
         return self.probs.size
 
 
+def _read_only(x: np.ndarray) -> np.ndarray:
+    """A read-only view of ``x``; ``x``, possibly the caller's array, keeps its flags."""
+    view = x.view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass(frozen=True)
 class HistogramSet:
-    """Rows of same-dimension simplex points with open-simplex weights."""
+    """Rows of same-dimension simplex points with open-simplex weights.
+
+    ``rows`` and ``weights`` are stored as read-only views, not copies, so the
+    set cannot be changed through them and :attr:`means` is computed once per
+    set and shared by every center.  The views share memory with the arrays
+    the caller passed, which stay writable; writing to those afterwards is not
+    supported.
+    """
 
     rows: np.ndarray
     weights: Optional[np.ndarray]
@@ -98,8 +113,20 @@ class HistogramSet:
         rows = np.atleast_2d(np.asarray(self.rows, dtype=float))
         weights = check_weights(self.weights, rows.shape[0])
         _check_simplex(rows, "histogram")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "rows", _read_only(rows))
+        object.__setattr__(self, "weights", _read_only(weights))
+
+    @cached_property
+    def means(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The sided KL centroids (a, g), read-only, computed on first use.
+
+        a is :func:`arithmetic_mean` and g is :func:`normalized_geometric_mean`;
+        the exact, JFR and GB centers all start from this pair.
+        """
+        return (
+            _read_only(arithmetic_mean(self).probs),
+            _read_only(normalized_geometric_mean(self).probs),
+        )
 
     @classmethod
     def uniform(cls, rows) -> "HistogramSet":
@@ -188,10 +215,6 @@ def normalized_geometric_mean(hset: HistogramSet) -> SimplexPoint:
     return SimplexPoint(u / u.sum())
 
 
-def _means(hset: HistogramSet) -> Tuple[np.ndarray, np.ndarray]:
-    return arithmetic_mean(hset).probs, normalized_geometric_mean(hset).probs
-
-
 def c_of_lambda(a: SimplexPoint, g: SimplexPoint, lam: float) -> np.ndarray:
     """Candidate center c_j(lambda) = a_j / W0((a_j/g_j) e^{1+lambda}).
 
@@ -249,7 +272,7 @@ def jeffreys_centroid_cat(
     if epsilon <= 0.0:
         raise DomainError("epsilon must be positive")
     watch = Stopwatch()
-    a, g = _means(hset)
+    a, g = hset.means
     lam_lo = float(np.max(a + np.log(g)) - 1.0)
     lam_hi = lam = 0.0
     s_lo = float(c_of_lambda(a, g, lam_lo).sum())
@@ -297,7 +320,7 @@ def jfr_center_cat(hset: HistogramSet) -> SimplexPoint:
     c_j = (sqrt(a_j) + sqrt(g_j))^2 / (2 (1 + sum_l sqrt(a_l g_l))); the
     denominator normalizes the numerator mass analytically.
     """
-    a, g = _means(hset)
+    a, g = hset.means
     num = (np.sqrt(a) + np.sqrt(g)) ** 2
     return SimplexPoint(num / (2.0 * (1.0 + np.sum(np.sqrt(a * g)))))
 
@@ -317,7 +340,7 @@ def gb_center_cat(
     if epsilon <= 0.0:
         raise DomainError("epsilon must be positive")
     watch = Stopwatch()
-    a, g = _means(hset)
+    a, g = hset.means
     gap = 0.5 * float(np.abs(a - g).sum())
     iterations = 0
     if gap > min(epsilon, _DEGENERATE_GAP):
@@ -346,7 +369,7 @@ def gb_center_cat(
 
 def unnormalized_center(hset: HistogramSet) -> Tuple[np.ndarray, float]:
     """The lambda = 0 candidate c(0) and its mass s(0) <= 1 + slack."""
-    a, g = _means(hset)
+    a, g = hset.means
     c0 = c_of_lambda(a, g, 0.0)
     return c0, float(c0.sum())
 

@@ -25,7 +25,7 @@ from .legendre import (
 )
 from .special_functions import ToleranceConfig
 
-__all__ = ["GBResult", "GB_TOL", "gb_step", "gb_center", "gb_invariance_check"]
+__all__ = ["GBResult", "GB_TOL", "gb_step", "gb_center"]
 
 GB_TOL = ToleranceConfig(rel_tol=1e-8, max_iter=200)
 
@@ -94,21 +94,3 @@ def gb_center(
         status="converged" if converged else "max_iter",
     )
     return GBResult(center=theta_bar, diagnostics=diag, converged=converged, trace=trace)
-
-
-def gb_invariance_check(
-    gen: GeneratorSpec, theta1, theta2, tol: ToleranceConfig = GB_TOL
-) -> float:
-    """Residual of the invariance m_GB(t1, t2) = m_GB(A(t1,t2), m_gradF(t1,t2)).
-
-    Both sides are run to ``tol``; returns the norm of their difference.
-    """
-    t1 = gen.require_domain(theta1, "first point")
-    t2 = gen.require_domain(theta2, "second point")
-    pair = WeightedParamSet.of([t1, t2])
-    lhs = gb_center(gen, pair, tol).center
-    mid_arith = 0.5 * (t1 + t2)
-    mid_quasi = quasi_arithmetic_center(gen, pair)
-    stepped = WeightedParamSet.of([mid_arith, mid_quasi])
-    rhs = gb_center(gen, stepped, tol).center
-    return float(np.linalg.norm(lhs - rhs))

@@ -16,6 +16,7 @@ is the natural one.
 from __future__ import annotations
 
 import functools
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Tuple
 
@@ -304,6 +305,20 @@ def jeffreys_mvn(p: GaussianParam, q: GaussianParam) -> float:
     )
 
 
+@contextmanager
+def _internal_failure(what: str):
+    """Re-raise a DomainError met while computing on validated inputs as a NumericalError.
+
+    Every Gaussian and weight vector was checked on entry, so a value that
+    leaves the domain on the way (a sided centroid past the condition bound, a
+    quasi-arithmetic iterate outside the cone) is an internal failure.
+    """
+    try:
+        yield
+    except DomainError as exc:
+        raise NumericalError(f"{what} failed on valid input: {exc}") from exc
+
+
 def _natural_set(
     gaussians: Sequence[GaussianParam], weights: Optional[Sequence]
 ) -> Tuple[int, WeightedParamSet]:
@@ -335,8 +350,9 @@ def sided_kl_centroids_mvn(
     parameters.
     """
     d, pset = _natural_set(gaussians, weights)
-    left = quasi_arithmetic_center(mvn_generator(d), pset)
-    return flat_to_natural(right_bregman_centroid(pset), d), flat_to_natural(left, d)
+    with _internal_failure("sided KL centroids"):
+        left = quasi_arithmetic_center(mvn_generator(d), pset)
+        return flat_to_natural(right_bregman_centroid(pset), d), flat_to_natural(left, d)
 
 
 # --- Fisher-Rao midpoint through the (2d+1) SPD embedding --------------------
@@ -476,7 +492,8 @@ def jfr_center_mvn(
 ) -> GaussianParam:
     """Jeffreys-Fisher-Rao center: Fisher-Rao midpoint of the sided KL centroids."""
     right, left = sided_kl_centroids_mvn(gaussians, weights)
-    return fisher_rao_midpoint_mvn(mvn_from_natural(right), mvn_from_natural(left))
+    with _internal_failure("JFR center"):
+        return fisher_rao_midpoint_mvn(mvn_from_natural(right), mvn_from_natural(left))
 
 
 def gb_center_mvn(
@@ -491,8 +508,9 @@ def gb_center_mvn(
     not met.
     """
     d, pset = _natural_set(gaussians, weights)
-    result = gb_center(mvn_generator(d), pset, tol)
-    return mvn_from_natural(flat_to_natural(result.center, d)), result.diagnostics
+    with _internal_failure("Gauss-Bregman center"):
+        result = gb_center(mvn_generator(d), pset, tol)
+        return mvn_from_natural(flat_to_natural(result.center, d)), result.diagnostics
 
 
 def jeffreys_centroid_centered(

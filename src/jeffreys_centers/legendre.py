@@ -3,8 +3,8 @@
 A :class:`GeneratorSpec` bundles a Legendre-type convex generator F with its
 gradient, reciprocal gradient and domain test.  On top of it live the Bregman
 and symmetrized Bregman divergences, quasi-arithmetic centers, the sided
-Bregman centroids, the mixed Bregman divergence, the Jeffreys loss and a
-finite-difference optimality residual for the symmetrized centroid energy.
+Bregman centroids, the Jeffreys loss and a finite-difference optimality
+residual for the symmetrized centroid energy.
 """
 
 from __future__ import annotations
@@ -26,10 +26,8 @@ __all__ = [
     "symmetrized_bregman",
     "quasi_arithmetic_center",
     "right_bregman_centroid",
-    "mixed_bregman",
     "jeffreys_loss",
     "energy_grad_residual",
-    "dual_generator",
 ]
 
 # cube root of machine epsilon, the standard centered-difference step scale
@@ -182,12 +180,6 @@ def right_bregman_centroid(pset: WeightedParamSet) -> np.ndarray:
     return np.einsum("i,ij->j", pset.weights, pset.points)
 
 
-def mixed_bregman(gen: GeneratorSpec, theta1, theta, theta2) -> float:
-    """Mixed Bregman divergence
-    Delta_F(theta1 : theta : theta2) = (B_F(theta1:theta) + B_F(theta:theta2)) / 2."""
-    return 0.5 * bregman_div(gen, theta1, theta) + 0.5 * bregman_div(gen, theta, theta2)
-
-
 def jeffreys_loss(gen: GeneratorSpec, pset: WeightedParamSet, theta) -> float:
     """Weighted symmetrized-Bregman loss sum_i w_i S_F(theta_i, theta)."""
     t = gen.require_domain(theta, "query point")
@@ -214,31 +206,3 @@ def energy_grad_residual(gen: GeneratorSpec, pset: WeightedParamSet, theta) -> f
             raise NumericalError("finite-difference step underflow")
         grad[k] = (jeffreys_loss(gen, pset, tp) - jeffreys_loss(gen, pset, tm)) / (2 * h)
     return float(np.linalg.norm(grad))
-
-
-def dual_generator(gen: GeneratorSpec) -> GeneratorSpec:
-    """Convex conjugate F*(eta) = <eta, (grad F)^{-1}(eta)> - F((grad F)^{-1}(eta)).
-
-    Its gradient is (grad F)^{-1} and vice versa, so the triple is assembled by
-    swapping the gradient maps.
-    """
-
-    def eval_F_star(eta: np.ndarray) -> float:
-        theta = np.atleast_1d(np.asarray(gen.eval_grad_inv(eta), dtype=float))
-        return float(eta @ theta - gen.eval_F(theta))
-
-    def in_dual_domain(eta: np.ndarray) -> bool:
-        try:
-            theta = np.atleast_1d(np.asarray(gen.eval_grad_inv(eta), dtype=float))
-        except (DomainError, FloatingPointError, ValueError):
-            return False
-        return bool(np.all(np.isfinite(theta))) and gen.in_domain(theta)
-
-    return GeneratorSpec(
-        dim=gen.dim,
-        eval_F=eval_F_star,
-        eval_grad=gen.eval_grad_inv,
-        eval_grad_inv=gen.eval_grad,
-        in_domain=in_dual_domain,
-        name=f"{gen.name}*",
-    )

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from jeffreys_centers import categorical
 from jeffreys_centers.bench import (
     BenchRecord,
     RunConfig,
@@ -13,6 +14,34 @@ from jeffreys_centers.bench import (
     TABLE2_HEADER,
 )
 from jeffreys_centers.errors import DomainError
+
+
+@pytest.fixture
+def mean_calls(monkeypatch):
+    """Counts calls of categorical.arithmetic_mean, once per set's cached means."""
+    calls = []
+    original = categorical.arithmetic_mean
+
+    def counted(hset):
+        calls.append(hset)
+        return original(hset)
+
+    monkeypatch.setattr(categorical, "arithmetic_mean", counted)
+    return calls
+
+
+class TestOwnMeansPerTimedMethod:
+    """Each timed method gets its own set, so its time includes its own means."""
+
+    def test_table1_three_means_per_trial(self, mean_calls):
+        run_table1(RunConfig(seed=2, trials=5, dims=(4, 8)), timing=False)
+        assert len(mean_calls) == 3 * 5 * 2
+        assert len({id(h) for h in mean_calls}) == len(mean_calls)
+
+    def test_table2_three_means_per_alpha(self, mean_calls):
+        run_table2([1e-1, 1e-2, 1e-3], timing=False)
+        assert len(mean_calls) == 3 * 3
+        assert len({id(h) for h in mean_calls}) == len(mean_calls)
 
 
 class TestSampling:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -131,6 +132,74 @@ class TestMeans:
     def test_table2_arithmetic(self):
         a = arithmetic_mean(HistogramSet.uniform(TABLE2)).probs
         assert np.allclose(a, [0.9 / 2 + 1 / 6, 0.05 / 2 + 1 / 6, 0.05 / 2 + 1 / 6])
+
+
+def _centers(hset, method):
+    """The output arrays of one center method, for bit-for-bit comparison."""
+    if method == "exact":
+        res = jeffreys_centroid_cat(hset)
+        return res.center.probs, np.array([res.lam])
+    if method == "jfr":
+        return (jfr_center_cat(hset).probs,)
+    return (gb_center_cat(hset)[0].probs,)
+
+
+class TestCachedMeans:
+    """HistogramSet computes its sided means once and shares them across centers."""
+
+    METHODS = ("exact", "jfr", "gb")
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(METHODS)))
+    def test_any_order_matches_fresh_sets(self, rng, order):
+        for d, n in ((2, 2), (16, 2), (256, 5)):
+            rows = np.array([random_simplex(rng, d, 1e-9) for _ in range(n)])
+            w = rng.uniform(0.2, 1.0, size=n)
+            w /= w.sum()
+            shared = HistogramSet(rows, w)
+            got = {m: _centers(shared, m) for m in order}
+            for m in self.METHODS:
+                fresh = _centers(HistogramSet(rows, w), m)
+                for x, y in zip(got[m], fresh):
+                    assert np.array_equal(x, y)
+
+    def test_means_computed_once_per_set(self, rng, monkeypatch):
+        calls = {"arithmetic_mean": 0, "normalized_geometric_mean": 0}
+        for name in calls:
+            original = getattr(categorical, name)
+
+            def counted(hset, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(hset)
+
+            monkeypatch.setattr(categorical, name, counted)
+        hset = random_hset(rng, 16, 3)
+        jeffreys_centroid_cat(hset)
+        jfr_center_cat(hset)
+        gb_center_cat(hset)
+        unnormalized_center(hset)
+        assert calls == {"arithmetic_mean": 1, "normalized_geometric_mean": 1}
+        random_hset(rng, 16, 3).means
+        assert calls == {"arithmetic_mean": 2, "normalized_geometric_mean": 2}
+
+    def test_means_equal_the_public_means(self, rng):
+        hset = random_hset(rng, 8, 4)
+        a, g = hset.means
+        assert np.array_equal(a, arithmetic_mean(hset).probs)
+        assert np.array_equal(g, normalized_geometric_mean(hset).probs)
+
+    def test_stored_arrays_are_read_only(self, rng):
+        hset = random_hset(rng, 4, 3)
+        for arr in (hset.rows, hset.weights, *hset.means):
+            with pytest.raises(ValueError):
+                arr[0] = 0.5
+
+    def test_caller_arrays_stay_writable_and_uncopied(self, rng):
+        rows = np.array([random_simplex(rng, 4) for _ in range(3)])
+        weights = np.array([0.2, 0.3, 0.5])
+        hset = HistogramSet(rows, weights)
+        assert rows.flags.writeable and weights.flags.writeable
+        assert np.shares_memory(hset.rows, rows)
+        assert np.shares_memory(hset.weights, weights)
 
 
 class TestCOfLambda:

@@ -11,14 +11,33 @@ from jeffreys_centers import (
     burg_generator,
     elliptic_k,
     gb_center,
-    gb_invariance_check,
     gb_step,
     make_separable_generator,
+    quasi_arithmetic_center,
     scalar_agm,
     shannon_generator,
 )
+from jeffreys_centers.gauss_bregman import GB_TOL
 
 TIGHT = ToleranceConfig(rel_tol=1e-13, max_iter=300)
+
+
+def gb_invariance_check(
+    gen: GeneratorSpec, theta1, theta2, tol: ToleranceConfig = GB_TOL
+) -> float:
+    """Residual of the invariance m_GB(t1, t2) = m_GB(A(t1,t2), m_gradF(t1,t2)).
+
+    Both sides are run to ``tol``; returns the norm of their difference.
+    """
+    t1 = gen.require_domain(theta1, "first point")
+    t2 = gen.require_domain(theta2, "second point")
+    pair = WeightedParamSet.of([t1, t2])
+    lhs = gb_center(gen, pair, tol).center
+    mid_arith = 0.5 * (t1 + t2)
+    mid_quasi = quasi_arithmetic_center(gen, pair)
+    stepped = WeightedParamSet.of([mid_arith, mid_quasi])
+    rhs = gb_center(gen, stepped, tol).center
+    return float(np.linalg.norm(lhs - rhs))
 
 
 class TestGBStep:

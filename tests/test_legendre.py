@@ -10,11 +10,9 @@ from jeffreys_centers import (
     bregman_div,
     burg_generator,
     cat_generator,
-    dual_generator,
     energy_grad_residual,
     jeffreys_loss,
     lambert_w0,
-    mixed_bregman,
     mvn_generator,
     quasi_arithmetic_center,
     right_bregman_centroid,
@@ -24,6 +22,40 @@ from jeffreys_centers import (
 )
 
 from conftest import random_simplex
+
+
+def mixed_bregman(gen: GeneratorSpec, theta1, theta, theta2) -> float:
+    """Mixed Bregman divergence
+    Delta_F(theta1 : theta : theta2) = (B_F(theta1:theta) + B_F(theta:theta2)) / 2."""
+    return 0.5 * bregman_div(gen, theta1, theta) + 0.5 * bregman_div(gen, theta, theta2)
+
+
+def dual_generator(gen: GeneratorSpec) -> GeneratorSpec:
+    """Convex conjugate F*(eta) = <eta, (grad F)^{-1}(eta)> - F((grad F)^{-1}(eta)).
+
+    Its gradient is (grad F)^{-1} and vice versa, so the triple is assembled by
+    swapping the gradient maps.
+    """
+
+    def eval_F_star(eta: np.ndarray) -> float:
+        theta = np.atleast_1d(np.asarray(gen.eval_grad_inv(eta), dtype=float))
+        return float(eta @ theta - gen.eval_F(theta))
+
+    def in_dual_domain(eta: np.ndarray) -> bool:
+        try:
+            theta = np.atleast_1d(np.asarray(gen.eval_grad_inv(eta), dtype=float))
+        except (DomainError, FloatingPointError, ValueError):
+            return False
+        return bool(np.all(np.isfinite(theta))) and gen.in_domain(theta)
+
+    return GeneratorSpec(
+        dim=gen.dim,
+        eval_F=eval_F_star,
+        eval_grad=gen.eval_grad_inv,
+        eval_grad_inv=gen.eval_grad,
+        in_domain=in_dual_domain,
+        name=f"{gen.name}*",
+    )
 
 
 def all_generators(dim_small: int = 3):

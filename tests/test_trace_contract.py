@@ -45,5 +45,12 @@ def test_traced_spans_fire_per_family(perfbench_modules, workload, family, sets)
             assert all(c.err is None for c in out.calls.values())
     finally:
         rebinding.remove()
-    errors = spans.firing_errors(family, spans.aggregate(rec.spans), rec.spans)
+    agg = spans.aggregate(rec.spans)
+    errors = spans.firing_errors(family, agg, rec.spans)
     assert errors == []
+    if family == "categorical":
+        # a set computes its means once for all three centers: one call of each
+        # mean and 5 SimplexPoints (a, g and the three centers) per set
+        assert agg["categorical.arithmetic_mean"]["count"] == len(sets)
+        assert agg["categorical.normalized_geometric_mean"]["count"] == len(sets)
+        assert agg["categorical.SimplexPoint"]["count"] == 5 * len(sets)

@@ -2,7 +2,8 @@
 
 Weights go through one validator, so every entry point rejects the same bad
 weights with a DomainError; an internal eigendecomposition failure surfaces as
-a NumericalError (CLI exit code 3), never as a raw LinAlgError.  Valid inputs
+a NumericalError (CLI exit code 3), never as a raw LinAlgError, and so does a
+value that leaves the domain while a center is computed from valid input.  Valid inputs
 at extreme covariance scales are not misclassified as either.
 """
 
@@ -159,6 +160,48 @@ def test_failing_mvn_set_exits_3(tmp_path, capsys):
     ))
     code = main(["compute", "--family", "gaussian", "--method", "jfr", "--input", str(path)])
     capsys.readouterr()
+    assert code == 3
+
+
+# Valid sets of unit-covariance normals whose means are 1e7 apart.  Before the
+# Gaussian centers mapped internal domain trouble to NumericalError, JFR raised
+# DomainError at d=5 (the left sided centroid's covariance passed the 1e12
+# condition bound) and GB at d=8 (its initial quasi-arithmetic centroid left
+# the domain): CLI exit code 2, "invalid input".
+FAR_SETS = {
+    "jfr": [
+        [1e7, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 1e7, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 1e7, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 1e7, 0.0],
+    ],
+    "gb": [
+        [1e7, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 1e7, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 1e7, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 1e7, 0.0, 0.0, 0.0, 0.0],
+    ],
+}
+FAR_CENTERS = {"jfr": jfr_center_mvn, "gb": gb_center_mvn}
+
+
+@pytest.mark.parametrize("method", sorted(FAR_SETS))
+def test_far_apart_valid_set_is_a_numerical_error(method):
+    means = FAR_SETS[method]
+    covs = [np.eye(len(means[0]))] * len(means)
+    with pytest.raises(NumericalError, match="failed on valid input"):
+        FAR_CENTERS[method](_gaussians(means, covs))
+
+
+@pytest.mark.parametrize("method", sorted(FAR_SETS))
+def test_far_apart_valid_set_exits_3(method, tmp_path, capsys):
+    means = FAR_SETS[method]
+    path = tmp_path / "gaussians.json"
+    path.write_text(json.dumps(
+        [{"mean": m, "cov": np.eye(len(m)).tolist()} for m in means]
+    ))
+    code = main(["compute", "--family", "gaussian", "--method", method, "--input", str(path)])
+    assert "numerical failure" in capsys.readouterr().err
     assert code == 3
 
 
