@@ -17,7 +17,6 @@ from jeffreys_centers import (
     jeffreys_loss_mvn,
     jeffreys_mvn,
     jfr_center_mvn,
-    mvn_from_natural,
     sided_kl_centroids_mvn,
 )
 
@@ -27,8 +26,7 @@ p0 = GaussianParam([0.0, 0.0], SPDMatrix([[1.0, 0.3], [0.3, 0.8]]))
 p1 = GaussianParam([2.0, 1.0], SPDMatrix([[1.5, -0.4], [-0.4, 0.6]]))
 gs = [p0, p1]
 
-right, left = sided_kl_centroids_mvn(gs)
-r, l = mvn_from_natural(right), mvn_from_natural(left)
+r, l = sided_kl_centroids_mvn(gs)
 print("sided KL centroids of two bivariate normals:")
 print(f"  right (natural mean): mu={r.mean}, cov diag={np.diag(r.cov.entries)}")
 print(f"  left  (moment mean) : mu={l.mean}, cov diag={np.diag(l.cov.entries)}")

@@ -65,9 +65,6 @@ from .spd import (
 )
 from .gaussian import (
     GaussianParam,
-    MvnMoment,
-    MvnNatural,
-    embed_gaussian,
     fisher_rao_midpoint_mvn,
     gb_center_mvn,
     jeffreys_centroid_centered,
@@ -75,10 +72,8 @@ from .gaussian import (
     jeffreys_mvn,
     jfr_center_mvn,
     kl_mvn,
-    mvn_from_moment,
     mvn_from_natural,
     mvn_generator,
-    mvn_to_moment,
     mvn_to_natural,
     sided_kl_centroids_mvn,
 )

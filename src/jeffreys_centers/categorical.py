@@ -56,10 +56,11 @@ _DEGENERATE_GAP = 1e-14
 def _check_simplex(p: np.ndarray, what: str) -> None:
     """Require a vector, or every row of a matrix, to lie on the open simplex.
 
-    Whole-array reductions keep the valid path cheap; the offending row is
-    located only on the error path.
+    The valid path is two reductions and builds no temporary of p's size: the
+    minimum is NaN if any bin is, and the mass is non-finite if any bin is
+    infinite.  The offending row is located only on the error path.
     """
-    if np.isfinite(p).all() and (p > 0.0).all() and np.abs(p.sum(-1) - 1.0).max() <= 1e-12:
+    if p.size and p.min() > 0.0 and np.abs(p.sum(-1) - 1.0).max() <= 1e-12:
         return
     rows = np.atleast_2d(p)
     bad_bin = ~(np.isfinite(rows) & (rows > 0.0)).all(axis=-1)

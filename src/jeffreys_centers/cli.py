@@ -51,7 +51,6 @@ from .gaussian import (
     jeffreys_centroid_centered,
     jeffreys_loss_mvn,
     jfr_center_mvn,
-    mvn_from_natural,
     sided_kl_centroids_mvn,
 )
 from .legendre import CenterDiagnostics
@@ -297,11 +296,9 @@ def _compute_gaussian(args) -> dict:
             [g.cov for g in gaussians], weights, mean=gaussians[0].mean
         )
     elif args.method == "arithmetic":
-        _, left = sided_kl_centroids_mvn(gaussians, weights)
-        center = mvn_from_natural(left)
+        _, center = sided_kl_centroids_mvn(gaussians, weights)
     elif args.method == "geometric":
-        right, _ = sided_kl_centroids_mvn(gaussians, weights)
-        center = mvn_from_natural(right)
+        center, _ = sided_kl_centroids_mvn(gaussians, weights)
     elif args.method == "unnormalized":
         raise CliError("method 'unnormalized' applies to the categorical family only")
     else:  # pragma: no cover

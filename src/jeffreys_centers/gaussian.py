@@ -1,16 +1,19 @@
 """Multivariate normal family.
 
-Coordinate conversions between the source (mean, covariance), natural and
-moment parameterizations, the cumulant generator over a flattened parameter
-vector, Kullback-Leibler and Jeffreys divergences, sided KL centroids, the
-inductive Gauss-Bregman center, the Fisher-Rao geodesic midpoint through the
-(2d+1)-dimensional SPD embedding, the Jeffreys-Fisher-Rao center, and the
-closed-form Jeffreys centroid of same-mean sets.
+A normal is a :class:`GaussianParam` (mean, covariance); its only other
+representation is the flat natural vector.  Conversions between the two, the
+cumulant generator over flat naturals, Kullback-Leibler and Jeffreys
+divergences, sided KL centroids, the inductive Gauss-Bregman center, the
+Fisher-Rao geodesic midpoint through the (2d+1)-dimensional SPD embedding,
+the Jeffreys-Fisher-Rao center, and the closed-form Jeffreys centroid of
+same-mean sets.
 
-Matrix parameters are flattened as (theta_v, vech(theta_M)) with off-diagonal
-entries scaled by sqrt(2), so the Euclidean inner product of flattened vectors
-equals trace pairing on the matrix block and the generic double-sequence norm
-is the natural one.
+The natural parameters theta_v = Sigma^{-1} mu, theta_M = -Sigma^{-1}/2 are
+flattened as (theta_v, vech(theta_M)) with off-diagonal entries scaled by
+sqrt(2), so the Euclidean inner product of flattened vectors equals trace
+pairing on the matrix block and the generic double-sequence norm is the
+natural one.  Moment parameters (mu, mu mu^T + Sigma) are flattened the same
+way.
 """
 
 from __future__ import annotations
@@ -46,12 +49,8 @@ from .spd import (
 
 __all__ = [
     "GaussianParam",
-    "MvnNatural",
-    "MvnMoment",
     "mvn_to_natural",
     "mvn_from_natural",
-    "mvn_to_moment",
-    "mvn_from_moment",
     "mvn_generator",
     "mvn_flatten",
     "mvn_unflatten",
@@ -59,7 +58,6 @@ __all__ = [
     "jeffreys_mvn",
     "jeffreys_loss_mvn",
     "sided_kl_centroids_mvn",
-    "embed_gaussian",
     "fisher_rao_midpoint_mvn",
     "jfr_center_mvn",
     "gb_center_mvn",
@@ -89,79 +87,14 @@ class GaussianParam:
             raise DomainError(
                 f"mean shape {mean.shape} incompatible with covariance dim {cov.dim}"
             )
+        if not np.isfinite(mean).all():
+            raise DomainError("mean entries must be finite")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
     @property
     def dim(self) -> int:
         return self.mean.size
-
-
-@dataclass(frozen=True)
-class MvnNatural:
-    """Natural parameters (theta_v, theta_M) with -theta_M a scaled precision."""
-
-    theta_v: np.ndarray
-    theta_M: np.ndarray
-
-    def __post_init__(self):
-        tv = np.atleast_1d(np.asarray(self.theta_v, dtype=float))
-        tm = np.atleast_2d(np.asarray(self.theta_M, dtype=float))
-        if tm.shape != (tv.size, tv.size):
-            raise DomainError("theta_M shape incompatible with theta_v")
-        if np.linalg.eigvalsh(-tm)[0] <= 0.0:
-            raise DomainError("-theta_M must be positive definite")
-        object.__setattr__(self, "theta_v", tv)
-        object.__setattr__(self, "theta_M", 0.5 * (tm + tm.T))
-
-    @property
-    def dim(self) -> int:
-        return self.theta_v.size
-
-
-@dataclass(frozen=True)
-class MvnMoment:
-    """Moment parameters (eta_v, eta_M) = (mean, second moment)."""
-
-    eta_v: np.ndarray
-    eta_M: np.ndarray
-
-    def __post_init__(self):
-        ev = np.atleast_1d(np.asarray(self.eta_v, dtype=float))
-        em = np.atleast_2d(np.asarray(self.eta_M, dtype=float))
-        if em.shape != (ev.size, ev.size):
-            raise DomainError("eta_M shape incompatible with eta_v")
-        if np.linalg.eigvalsh(em - np.outer(ev, ev))[0] <= 0.0:
-            raise DomainError("eta_M - eta_v eta_v^T must be positive definite")
-        object.__setattr__(self, "eta_v", ev)
-        object.__setattr__(self, "eta_M", 0.5 * (em + em.T))
-
-    @property
-    def dim(self) -> int:
-        return self.eta_v.size
-
-
-def mvn_to_natural(p: GaussianParam) -> MvnNatural:
-    """theta_v = Sigma^{-1} mu, theta_M = -Sigma^{-1}/2."""
-    prec = np.linalg.inv(p.cov.entries)
-    prec = 0.5 * (prec + prec.T)
-    return MvnNatural(prec @ p.mean, -0.5 * prec)
-
-
-def mvn_from_natural(nat: MvnNatural) -> GaussianParam:
-    cov = np.linalg.inv(-2.0 * nat.theta_M)
-    cov = 0.5 * (cov + cov.T)
-    return GaussianParam(cov @ nat.theta_v, SPDMatrix(cov))
-
-
-def mvn_to_moment(p: GaussianParam) -> MvnMoment:
-    """eta_v = mu, eta_M = mu mu^T + Sigma."""
-    return MvnMoment(p.mean, np.outer(p.mean, p.mean) + p.cov.entries)
-
-
-def mvn_from_moment(mom: MvnMoment) -> GaussianParam:
-    cov = mom.eta_M - np.outer(mom.eta_v, mom.eta_v)
-    return GaussianParam(mom.eta_v, SPDMatrix(cov))
 
 
 # --- flattening of (vector, symmetric matrix) pairs -------------------------
@@ -201,8 +134,43 @@ def mvn_unflatten(x: np.ndarray, d: int) -> Tuple[np.ndarray, np.ndarray]:
     return x[:d], mat
 
 
-def flat_dim(d: int) -> int:
-    return d + d * (d + 1) // 2
+def _sym_inv(m: np.ndarray) -> np.ndarray:
+    """Inverse of a symmetric matrix, symmetrized against rounding."""
+    inv = np.linalg.inv(m)
+    return 0.5 * (inv + inv.T)
+
+
+def _source_to_natural(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """Flat naturals (Sigma^{-1} mu, -Sigma^{-1}/2) of N(mean, cov)."""
+    prec = _sym_inv(cov)
+    return mvn_flatten(prec @ mean, -0.5 * prec)
+
+
+def _natural_to_source(x: np.ndarray, d: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(mean, covariance) of the flat naturals x of dimension d; no domain check."""
+    tv, tm = mvn_unflatten(x, d)
+    cov = _sym_inv(-2.0 * tm)
+    return cov @ tv, cov
+
+
+def mvn_to_natural(p: GaussianParam) -> np.ndarray:
+    """The flat natural parameters of p."""
+    return _source_to_natural(p.mean, p.cov.entries)
+
+
+def mvn_from_natural(x: np.ndarray, d: int) -> GaussianParam:
+    """The d-variate normal of the flat natural parameters x.
+
+    Raises DomainError unless x is finite, has the flat length of dimension d
+    and -theta_M is positive definite.
+    """
+    x = np.asarray(x, dtype=float)
+    if d < 1 or x.shape != (d + d * (d + 1) // 2,):
+        raise DomainError(f"flat naturals of shape {x.shape} do not have dimension {d}")
+    if not (np.isfinite(x).all() and np.linalg.eigvalsh(-mvn_unflatten(x, d)[1])[0] > 0.0):
+        raise DomainError("flat naturals must be finite with -theta_M positive definite")
+    mean, cov = _natural_to_source(x, d)
+    return GaussianParam(mean, SPDMatrix(cov))
 
 
 def mvn_generator(dim: int) -> GeneratorSpec:
@@ -228,21 +196,15 @@ def mvn_generator(dim: int) -> GeneratorSpec:
         )
 
     def eval_grad(x: np.ndarray) -> np.ndarray:
-        tv, tm = mvn_unflatten(x, d)
-        cov = np.linalg.inv(-2.0 * tm)
-        cov = 0.5 * (cov + cov.T)
-        mu = cov @ tv
+        mu, cov = _natural_to_source(x, d)
         return mvn_flatten(mu, np.outer(mu, mu) + cov)
 
     def eval_grad_inv(e: np.ndarray) -> np.ndarray:
         ev, em = mvn_unflatten(e, d)
         cov = em - np.outer(ev, ev)
-        eig = np.linalg.eigvalsh(cov)
-        if eig[0] <= 0.0:
+        if np.linalg.eigvalsh(cov)[0] <= 0.0:
             raise DomainError("moment parameter has no positive-definite covariance")
-        prec = np.linalg.inv(cov)
-        prec = 0.5 * (prec + prec.T)
-        return mvn_flatten(prec @ ev, -0.5 * prec)
+        return _source_to_natural(ev, cov)
 
     def in_domain(x: np.ndarray) -> bool:
         if not np.all(np.isfinite(x)):
@@ -251,22 +213,13 @@ def mvn_generator(dim: int) -> GeneratorSpec:
         return bool(np.linalg.eigvalsh(-tm)[0] > _EIG_FLOOR)
 
     return GeneratorSpec(
-        dim=flat_dim(d),
+        dim=d + d * (d + 1) // 2,
         eval_F=eval_F,
         eval_grad=eval_grad,
         eval_grad_inv=eval_grad_inv,
         in_domain=in_domain,
         name=f"mvn(d={d})",
     )
-
-
-def natural_to_flat(nat: MvnNatural) -> np.ndarray:
-    return mvn_flatten(nat.theta_v, nat.theta_M)
-
-
-def flat_to_natural(x: np.ndarray, d: int) -> MvnNatural:
-    tv, tm = mvn_unflatten(x, d)
-    return MvnNatural(tv, tm)
 
 
 # --- divergences -------------------------------------------------------------
@@ -327,7 +280,7 @@ def _natural_set(
     d = gaussians[0].dim
     if any(g.dim != d for g in gaussians):
         raise DomainError("mixed dimensions in Gaussian set")
-    thetas = np.array([natural_to_flat(mvn_to_natural(g)) for g in gaussians])
+    thetas = np.array([mvn_to_natural(g) for g in gaussians])
     return d, WeightedParamSet(thetas, w)
 
 
@@ -343,25 +296,23 @@ def jeffreys_loss_mvn(
 
 def sided_kl_centroids_mvn(
     gaussians: Sequence[GaussianParam], weights: Optional[Sequence] = None
-) -> Tuple[MvnNatural, MvnNatural]:
+) -> Tuple[GaussianParam, GaussianParam]:
     """Sided KL centroids: (arithmetic mean in theta, moment mean pulled back).
 
-    Returns (right Bregman centroid, left Bregman centroid) as natural
-    parameters.
+    Returns (right Bregman centroid, left Bregman centroid) as normals.
     """
     d, pset = _natural_set(gaussians, weights)
     with _internal_failure("sided KL centroids"):
         left = quasi_arithmetic_center(mvn_generator(d), pset)
-        return flat_to_natural(right_bregman_centroid(pset), d), flat_to_natural(left, d)
+        return mvn_from_natural(right_bregman_centroid(pset), d), mvn_from_natural(left, d)
 
 
 # --- Fisher-Rao midpoint through the (2d+1) SPD embedding --------------------
 
 def _embed_array(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
     d = mean.size
-    prec = np.linalg.inv(cov)
     D = np.zeros((2 * d + 1, 2 * d + 1))
-    D[:d, :d] = 0.5 * (prec + prec.T)
+    D[:d, :d] = _sym_inv(cov)
     D[d, d] = 1.0
     D[d + 1 :, d + 1 :] = cov
     M = np.eye(2 * d + 1)
@@ -370,11 +321,6 @@ def _embed_array(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
     M[d + 1 :, :d] = -0.5 * np.outer(mean, mean)
     G = M @ D @ M.T
     return 0.5 * (G + G.T)
-
-
-def embed_gaussian(p: GaussianParam) -> SPDMatrix:
-    """Lift a normal to its (2d+1)-dimensional SPD representative."""
-    return SPDMatrix(_embed_array(p.mean, p.cov.entries))
 
 
 def _fiber_move(G: np.ndarray, k: np.ndarray, d: int) -> np.ndarray:
@@ -472,8 +418,7 @@ def fisher_rao_midpoint_mvn(
         )
     G0 = np.eye(2 * d + 1)
     G = geometric_mean(G0, G1).entries
-    S = np.linalg.inv(G[:d, :d])
-    S = 0.5 * (S + S.T)
+    S = _sym_inv(G[:d, :d])
     cov = L @ S @ L.T
     mid = GaussianParam(p0.mean + L @ (S @ G[:d, d]), SPDMatrix(0.5 * (cov + cov.T)))
     if return_embedding:
@@ -493,7 +438,7 @@ def jfr_center_mvn(
     """Jeffreys-Fisher-Rao center: Fisher-Rao midpoint of the sided KL centroids."""
     right, left = sided_kl_centroids_mvn(gaussians, weights)
     with _internal_failure("JFR center"):
-        return fisher_rao_midpoint_mvn(mvn_from_natural(right), mvn_from_natural(left))
+        return fisher_rao_midpoint_mvn(right, left)
 
 
 def gb_center_mvn(
@@ -510,7 +455,7 @@ def gb_center_mvn(
     d, pset = _natural_set(gaussians, weights)
     with _internal_failure("Gauss-Bregman center"):
         result = gb_center(mvn_generator(d), pset, tol)
-        return mvn_from_natural(flat_to_natural(result.center, d)), result.diagnostics
+        return mvn_from_natural(result.center, d), result.diagnostics
 
 
 def jeffreys_centroid_centered(

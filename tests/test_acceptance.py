@@ -44,10 +44,7 @@ from jeffreys_centers import (
     trace_metric_distance,
 )
 from jeffreys_centers.bench import RunConfig, run_table1, run_table2
-from jeffreys_centers.gaussian import (
-    embedded_equidistance_residual,
-    natural_to_flat,
-)
+from jeffreys_centers.gaussian import embedded_equidistance_residual
 
 from conftest import random_simplex, random_spd_unit
 
@@ -307,9 +304,9 @@ def test_criterion_8_same_mean_coincidence():
                 )
             worst_pair = max(worst_pair, np.linalg.norm(gb.cov.entries - jfr.cov.entries))
             gen = mvn_generator(d)
-            thetas = np.array([natural_to_flat(mvn_to_natural(g)) for g in gs])
+            thetas = np.array([mvn_to_natural(g) for g in gs])
             resid = energy_grad_residual(
-                gen, WeightedParamSet(thetas, w), natural_to_flat(mvn_to_natural(closed))
+                gen, WeightedParamSet(thetas, w), mvn_to_natural(closed)
             )
             worst_grad = max(worst_grad, resid)
     ok = worst_pair <= 1e-8 and worst_grad <= 1e-8
@@ -400,8 +397,8 @@ def test_criterion_11_cross_module_consistency():
         q = GaussianParam(rng.normal(size=3), random_spd_unit(rng, 3))
         sb = symmetrized_bregman(
             gen3,
-            natural_to_flat(mvn_to_natural(p)),
-            natural_to_flat(mvn_to_natural(q)),
+            mvn_to_natural(p),
+            mvn_to_natural(q),
         )
         worst_sb = max(worst_sb, abs(jeffreys_mvn(p, q) - sb) / max(1.0, sb))
 

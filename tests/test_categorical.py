@@ -84,6 +84,33 @@ class TestTypes:
         with pytest.raises(DomainError):
             HistogramSet(np.empty((0, 3)), np.empty(0))
 
+    # Three bins each; the first entry, or the total mass, is what is wrong.
+    BAD_SIMPLEX = {
+        "nan": ([np.nan, 0.5, 0.5], "non-finite or non-positive bin"),
+        "pos_inf": ([np.inf, 0.5, 0.5], "non-finite or non-positive bin"),
+        "neg_inf": ([-np.inf, 0.5, 0.5], "non-finite or non-positive bin"),
+        "zero": ([0.0, 0.5, 0.5], "non-finite or non-positive bin"),
+        "negative": ([-0.1, 0.6, 0.5], "non-finite or non-positive bin"),
+        "mass": ([0.25 + 2e-12, 0.25, 0.5], "differs from 1"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_SIMPLEX))
+    def test_simplex_point_rejects(self, case):
+        probs, message = self.BAD_SIMPLEX[case]
+        with pytest.raises(DomainError, match=f"^SimplexPoint .*{message}"):
+            SimplexPoint(probs)
+
+    @pytest.mark.parametrize("case", sorted(BAD_SIMPLEX))
+    def test_histogram_row_rejects(self, case):
+        probs, message = self.BAD_SIMPLEX[case]
+        rows = np.array([[0.2, 0.3, 0.5], probs, [0.3, 0.3, 0.4]])
+        with pytest.raises(DomainError, match=f"^histogram row 1 .*{message}"):
+            HistogramSet(rows, None)
+
+    def test_histogram_rows_without_bins(self):
+        with pytest.raises(DomainError, match="histogram row 0 "):
+            HistogramSet(np.empty((3, 0)), None)
+
 
 class TestConversions:
     def test_uniform_maps_to_origin(self):

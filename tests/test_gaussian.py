@@ -7,8 +7,6 @@ from scipy.optimize import root
 from jeffreys_centers import (
     DomainError,
     GaussianParam,
-    MvnMoment,
-    MvnNatural,
     NumericalError,
     SPDMatrix,
     ToleranceConfig,
@@ -23,10 +21,8 @@ from jeffreys_centers import (
     jfr_center_mvn,
     kl_mvn,
     logdet_div,
-    mvn_from_moment,
     mvn_from_natural,
     mvn_generator,
-    mvn_to_moment,
     mvn_to_natural,
     sided_kl_centroids_mvn,
     sld_centroid,
@@ -40,7 +36,6 @@ from jeffreys_centers.gaussian import (
     embedded_equidistance_residual,
     mvn_flatten,
     mvn_unflatten,
-    natural_to_flat,
 )
 
 from conftest import random_spd, random_spd_unit
@@ -62,41 +57,95 @@ def random_affine(rng, d):
 class TestConversions:
     def test_standard_normal(self):
         g = GaussianParam(np.zeros(2), SPDMatrix(np.eye(2)))
-        nat = mvn_to_natural(g)
-        assert np.allclose(nat.theta_v, 0.0)
-        assert np.allclose(nat.theta_M, -0.5 * np.eye(2))
-        mom = mvn_to_moment(g)
-        assert np.allclose(mom.eta_v, 0.0) and np.allclose(mom.eta_M, np.eye(2))
+        x = mvn_to_natural(g)
+        theta_v, theta_M = mvn_unflatten(x, 2)
+        assert np.allclose(theta_v, 0.0)
+        assert np.allclose(theta_M, -0.5 * np.eye(2))
+        eta_v, eta_M = mvn_unflatten(mvn_generator(2).eval_grad(x), 2)
+        assert np.allclose(eta_v, 0.0) and np.allclose(eta_M, np.eye(2))
 
     def test_moment_formula(self, rng):
         g = random_gaussian(rng, 3)
-        mom = mvn_to_moment(g)
-        assert np.allclose(mom.eta_M, np.outer(g.mean, g.mean) + g.cov.entries)
+        _, eta_M = mvn_unflatten(mvn_generator(3).eval_grad(mvn_to_natural(g)), 3)
+        assert np.allclose(eta_M, np.outer(g.mean, g.mean) + g.cov.entries)
 
     def test_roundtrips(self, rng):
+        gen = mvn_generator(3)
         for _ in range(10):
             g = random_gaussian(rng, 3)
-            g1 = mvn_from_natural(mvn_to_natural(g))
-            g2 = mvn_from_moment(mvn_to_moment(g))
+            x = mvn_to_natural(g)
+            g1 = mvn_from_natural(x, 3)
+            g2 = mvn_from_natural(gen.eval_grad_inv(gen.eval_grad(x)), 3)
             for other in (g1, g2):
                 assert np.abs(other.mean - g.mean).max() < 1e-10
                 assert np.abs(other.cov.entries - g.cov.entries).max() < 1e-10
 
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_roundtrips_by_dimension(self, rng, d):
+        gen = mvn_generator(d)
+        for _ in range(5):
+            g = random_gaussian(rng, d, mean_scale=3.0)
+            x = mvn_to_natural(g)
+            back = mvn_from_natural(x, d)
+            assert np.abs(back.mean - g.mean).max() <= 1e-10 * (1.0 + np.abs(g.mean).max())
+            assert np.abs(back.cov.entries - g.cov.entries).max() <= 1e-10 * np.abs(g.cov.entries).max()
+            eta = gen.eval_grad(x)
+            assert np.abs(gen.eval_grad_inv(eta) - x).max() <= 1e-10 * np.abs(x).max()
+
     def test_type_validation(self):
         with pytest.raises(DomainError):
-            MvnNatural(np.zeros(2), 0.5 * np.eye(2))  # -theta_M not SPD
+            # -theta_M not SPD
+            mvn_from_natural(mvn_flatten(np.zeros(2), 0.5 * np.eye(2)), 2)
         with pytest.raises(DomainError):
-            MvnMoment(np.array([2.0]), np.array([[1.0]]))  # eta_M - vv^T indefinite
+            # eta_M - eta_v eta_v^T indefinite
+            mvn_generator(1).eval_grad_inv(mvn_flatten(np.array([2.0]), np.array([[1.0]])))
         with pytest.raises(DomainError):
             GaussianParam(np.zeros(3), SPDMatrix(np.eye(2)))
+
+    @pytest.mark.parametrize(
+        "x, d",
+        [
+            (np.zeros(4), 2),  # flat length of d=2 is 5
+            (np.zeros(6), 2),
+            (np.zeros((1, 5)), 2),
+            (np.zeros(5), 0),
+        ],
+        ids=["short", "long", "matrix", "d0"],
+    )
+    def test_from_natural_wrong_shape(self, x, d):
+        with pytest.raises(DomainError, match="dimension"):
+            mvn_from_natural(x, d)
+
+    @pytest.mark.parametrize(
+        "neg_theta_M",
+        [
+            -np.eye(2),  # negative definite
+            np.diag([1.0, -1.0]),  # indefinite
+            np.zeros((2, 2)),  # singular
+            np.ones((2, 2)),  # singular, rank one
+            np.diag([1.0, 1e-20]),  # positive, but past the condition bound
+            np.full((2, 2), np.nan),
+        ],
+        ids=["negative", "indefinite", "zero", "rank_one", "ill_conditioned", "nan"],
+    )
+    def test_from_natural_outside_the_domain(self, neg_theta_M):
+        x = mvn_flatten(np.ones(2), -neg_theta_M)
+        with pytest.raises(DomainError):
+            mvn_from_natural(x, 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_from_natural_non_finite_theta_v(self, bad):
+        x = mvn_flatten(np.array([bad, 0.0]), -0.5 * np.eye(2))
+        with pytest.raises(DomainError):
+            mvn_from_natural(x, 2)
 
 
 class TestGenerator:
     def test_grad_at_standard(self):
         gen = mvn_generator(2)
-        theta = natural_to_flat(mvn_to_natural(GaussianParam(np.zeros(2), SPDMatrix(np.eye(2)))))
+        theta = mvn_to_natural(GaussianParam(np.zeros(2), SPDMatrix(np.eye(2))))
         eta = gen.eval_grad(theta)
-        expect = natural_to_flat(MvnNatural(np.zeros(2), -0.5 * np.eye(2)))
+        expect = mvn_flatten(np.zeros(2), -0.5 * np.eye(2))
         # eta flat = (mu, vech(mu mu^T + Sigma)): for the standard normal the
         # matrix block is the identity, packed like theta_M = -I/2 scaled by -2
         assert np.allclose(eta, -2.0 * expect)
@@ -108,8 +157,8 @@ class TestGenerator:
 
         for _ in range(5):
             s1, s2 = random_spd(rng, 3), random_spd(rng, 3)
-            t1 = natural_to_flat(mvn_to_natural(GaussianParam(np.zeros(3), s1)))
-            t2 = natural_to_flat(mvn_to_natural(GaussianParam(np.zeros(3), s2)))
+            t1 = mvn_to_natural(GaussianParam(np.zeros(3), s1))
+            t2 = mvn_to_natural(GaussianParam(np.zeros(3), s2))
             lhs = bregman_div(gen, t1, t2)
             rhs = 0.5 * logdet_div(
                 SPDMatrix(np.linalg.inv(s1.entries)), SPDMatrix(np.linalg.inv(s2.entries))
@@ -148,8 +197,8 @@ class TestDivergences:
             p, q = random_gaussian(rng, 3), random_gaussian(rng, 3)
             sb = symmetrized_bregman(
                 gen,
-                natural_to_flat(mvn_to_natural(p)),
-                natural_to_flat(mvn_to_natural(q)),
+                mvn_to_natural(p),
+                mvn_to_natural(q),
             )
             assert jeffreys_mvn(p, q) == pytest.approx(sb, rel=1e-9, abs=1e-9)
 
@@ -163,9 +212,7 @@ class TestDivergences:
 class TestSidedCentroids:
     def test_all_equal(self, rng):
         g = random_gaussian(rng, 2)
-        right, left = sided_kl_centroids_mvn([g, g, g])
-        for nat in (right, left):
-            back = mvn_from_natural(nat)
+        for back in sided_kl_centroids_mvn([g, g, g]):
             assert np.abs(back.mean - g.mean).max() < 1e-10
             assert np.abs(back.cov.entries - g.cov.entries).max() < 1e-10
 
@@ -177,11 +224,10 @@ class TestSidedCentroids:
         right, left = sided_kl_centroids_mvn(gs, w)
         # right centroid: precision is the weighted precision mean
         prec_mean = sum(wi * np.linalg.inv(c.entries) for wi, c in zip(w, covs))
-        assert np.abs(-2.0 * right.theta_M - prec_mean).max() < 1e-10
+        assert np.abs(np.linalg.inv(right.cov.entries) - prec_mean).max() < 1e-10
         # left centroid: covariance is the weighted covariance mean
         cov_mean = sum(wi * c.entries for wi, c in zip(w, covs))
-        left_cov = mvn_from_natural(left).cov.entries
-        assert np.abs(left_cov - cov_mean).max() < 1e-9
+        assert np.abs(left.cov.entries - cov_mean).max() < 1e-9
 
     def test_shifted_standard_normals(self):
         e1 = np.array([1.0, 0.0])
@@ -189,11 +235,9 @@ class TestSidedCentroids:
             GaussianParam(-e1, SPDMatrix(np.eye(2))),
             GaussianParam(e1, SPDMatrix(np.eye(2))),
         ]
-        right, left = sided_kl_centroids_mvn(gs)
-        r = mvn_from_natural(right)
+        r, l = sided_kl_centroids_mvn(gs)
         assert np.abs(r.mean).max() < 1e-12
         assert np.abs(r.cov.entries - np.eye(2)).max() < 1e-12
-        l = mvn_from_natural(left)
         assert np.abs(l.mean).max() < 1e-12
         assert np.abs(l.cov.entries - (np.eye(2) + np.outer(e1, e1))).max() < 1e-12
 
@@ -527,18 +571,18 @@ class TestCenteredClosedForm:
         gs = [GaussianParam(np.zeros(3), c) for c in covs]
         gen = mvn_generator(3)
         center = jeffreys_centroid_centered(covs)
-        theta = natural_to_flat(mvn_to_natural(center))
-        thetas = np.array([natural_to_flat(mvn_to_natural(g)) for g in gs])
+        theta = mvn_to_natural(center)
+        thetas = np.array([mvn_to_natural(g) for g in gs])
         pset = WeightedParamSet.of(thetas)
         assert energy_grad_residual(gen, pset, theta) <= 1e-8
 
     def test_proxies_have_positive_gradient_when_means_differ(self, rng):
         gs = [random_gaussian(rng, 2), random_gaussian(rng, 2)]
         gen = mvn_generator(2)
-        thetas = np.array([natural_to_flat(mvn_to_natural(g)) for g in gs])
+        thetas = np.array([mvn_to_natural(g) for g in gs])
         pset = WeightedParamSet.of(thetas)
         for center in (jfr_center_mvn(gs), gb_center_mvn(gs, tol=TIGHT)[0]):
-            resid = energy_grad_residual(gen, pset, natural_to_flat(mvn_to_natural(center)))
+            resid = energy_grad_residual(gen, pset, mvn_to_natural(center))
             assert resid > 1e-6
 
 

@@ -31,7 +31,6 @@ from jeffreys_centers.cli import main
 from jeffreys_centers.gaussian import (
     embedded_equidistance_residual,
     fisher_rao_midpoint_mvn,
-    mvn_from_natural,
     sided_kl_centroids_mvn,
 )
 from jeffreys_centers.spd import _spectral
@@ -136,10 +135,7 @@ def test_formerly_failing_mvn_set_returns_a_center():
     center = jfr_center_mvn(gs)
     assert np.all(np.isfinite(center.mean))
     assert np.linalg.eigvalsh(center.cov.entries)[0] > 0.0
-    right, left = sided_kl_centroids_mvn(gs)
-    assert embedded_equidistance_residual(
-        mvn_from_natural(right), mvn_from_natural(left)
-    ) <= 1e-9
+    assert embedded_equidistance_residual(*sided_kl_centroids_mvn(gs)) <= 1e-9
 
 
 def test_failing_mvn_set_is_a_numerical_error():
@@ -183,6 +179,9 @@ FAR_SETS = {
     ],
 }
 FAR_CENTERS = {"jfr": jfr_center_mvn, "gb": gb_center_mvn}
+# The sided-centroid methods read back both centroids, so the left one fails on
+# the JFR set whichever of the two is asked for.
+FAR_CLI_SETS = {**FAR_SETS, "arithmetic": FAR_SETS["jfr"], "geometric": FAR_SETS["jfr"]}
 
 
 @pytest.mark.parametrize("method", sorted(FAR_SETS))
@@ -193,9 +192,9 @@ def test_far_apart_valid_set_is_a_numerical_error(method):
         FAR_CENTERS[method](_gaussians(means, covs))
 
 
-@pytest.mark.parametrize("method", sorted(FAR_SETS))
+@pytest.mark.parametrize("method", sorted(FAR_CLI_SETS))
 def test_far_apart_valid_set_exits_3(method, tmp_path, capsys):
-    means = FAR_SETS[method]
+    means = FAR_CLI_SETS[method]
     path = tmp_path / "gaussians.json"
     path.write_text(json.dumps(
         [{"mean": m, "cov": np.eye(len(m)).tolist()} for m in means]
@@ -219,3 +218,33 @@ def test_jfr_center_follows_covariance_scale(scale):
     scaled = jfr_center_mvn(_gaussians(np.sqrt(scale) * SCALE_MEANS, scale * SCALE_COVS))
     assert np.abs(scaled.mean / np.sqrt(scale) - unit.mean).max() <= 1e-8
     assert np.abs(scaled.cov.entries / scale - unit.cov.entries).max() <= 1e-8
+
+
+# A non-finite mean is invalid input: GaussianParam rejects it, so no center
+# sees it (JFR and GB used to fail on it as "failed on valid input", and the
+# exact method wrote NaN into its report).
+NON_FINITE = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}
+SAME_MEAN_COVS = [np.eye(2), 2.0 * np.eye(2)]
+MEAN_CENTERS = {
+    "jfr": lambda m: jfr_center_mvn(_gaussians([m, m], SAME_MEAN_COVS)),
+    "gb": lambda m: gb_center_mvn(_gaussians([m, m], SAME_MEAN_COVS)),
+    "jeffreys": lambda m: jeffreys_centroid_centered(SAME_MEAN_COVS, mean=m),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(NON_FINITE))
+@pytest.mark.parametrize("method", sorted(MEAN_CENTERS))
+def test_non_finite_mean_is_a_domain_error(method, bad):
+    with pytest.raises(DomainError, match="mean entries must be finite"):
+        MEAN_CENTERS[method]([NON_FINITE[bad], 0.0])
+
+
+@pytest.mark.parametrize("bad", sorted(NON_FINITE))
+@pytest.mark.parametrize("method", sorted(MEAN_CENTERS))
+def test_non_finite_mean_exits_2(method, bad, tmp_path, capsys):
+    path = tmp_path / "gaussians.json"
+    mean = [NON_FINITE[bad], 0.0]
+    path.write_text(json.dumps([{"mean": mean, "cov": c.tolist()} for c in SAME_MEAN_COVS]))
+    code = main(["compute", "--family", "gaussian", "--method", method, "--input", str(path)])
+    assert "mean entries must be finite" in capsys.readouterr().err
+    assert code == 2
