@@ -5,12 +5,17 @@ arithmetic and normalized geometric means, the exact numerical Jeffreys
 centroid (Lambert-W fixed point + safeguarded Newton on the multiplier), the
 closed-form Jeffreys-Fisher-Rao center, and the inductive Gauss-Bregman center.
 
+The Newton solve keeps W between its steps: only the two bracket ends call
+:func:`lambert_w0` from scratch, and each later W starts its Halley iteration
+from the previous one, moved along dW/dlambda = W / (1 + W).
+
 All inputs live on the open simplex: empty bins must be smoothed by the caller
 before ingestion.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence, Tuple
@@ -19,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 from .legendre import CenterDiagnostics, GeneratorSpec, Stopwatch, check_weights
-from .special_functions import lambert_w0
+from .special_functions import _w0_halley, lambert_w0
 
 __all__ = [
     "SimplexPoint",
@@ -269,15 +274,23 @@ def jeffreys_centroid_cat(
     leaves the closed bracket.  The solve stops once the step or the bracket is
     at most ``epsilon`` wide; that width is ``final_gap``.  The returned center
     is renormalized; the raw mass defect is kept in ``mass_residual``.
+
+    W_j is evaluated from scratch by :func:`lambert_w0` only at lambda_lo and
+    0.  After a step dlambda, Halley starts from the predictor
+    W_j exp(dlambda / (1 + W_j)), which follows dW/dlambda = W / (1 + W) and
+    stays positive, and stops on lambert_w0's residual test
+    ``|w e^w - x| <= 1e-12 max(1, |x|)``; most iterates need at most one step.
     """
     if epsilon <= 0.0:
         raise DomainError("epsilon must be positive")
     watch = Stopwatch()
     a, g = hset.means
+    r = (a / g) * math.e  # W_j's argument is r_j e^lambda
     lam_lo = float(np.max(a + np.log(g)) - 1.0)
     lam_hi = lam = 0.0
-    s_lo = float(c_of_lambda(a, g, lam_lo).sum())
-    c_raw = c_of_lambda(a, g, lam)
+    s_lo = float((a / lambert_w0(r * math.exp(lam_lo))).sum())
+    w = lambert_w0(r)
+    c_raw = a / w
     s = float(c_raw.sum())
     if s_lo < 1.0 - 1e-9 or s > 1.0 + 1e-9:
         raise NumericalError(
@@ -297,7 +310,8 @@ def jeffreys_centroid_cat(
             step = 0.5 * (lam_lo + lam_hi) - lam
         if step != 0.0:  # a zero step keeps lam, and c_raw is already its candidate
             lam += step
-            c_raw = c_of_lambda(a, g, lam)
+            w = _w0_halley(r * math.exp(lam), w * np.exp(step / (1.0 + w)))
+            c_raw = a / w
             s = float(c_raw.sum())
         iterations += 1
         gap = min(abs(step), lam_hi - lam_lo)

@@ -2,7 +2,9 @@
 integral of the first kind, and the Gauss arithmetic-geometric mean.
 
 The Lambert W implementation is a Halley iteration with a piecewise seed
-(series near the branch point, log-based for large arguments).  K(u) is
+(series near the branch point, log-based for large arguments).  The same
+Halley loop also runs from a start the caller supplies: the histogram
+Jeffreys solve starts it from the previous multiplier's W.  K(u) is
 evaluated by adaptive quadrature of its defining integral rather than by the
 AGM, so the AGM can be tested against it without circularity.
 """
@@ -54,6 +56,29 @@ def _w0_seed(x: np.ndarray) -> np.ndarray:
     return np.where(x < -0.25, near, np.where(x > math.e, l1 - np.log(l1), np.log1p(x)))
 
 
+def _w0_halley(x: np.ndarray, w: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Halley iteration for ``w e^w = x`` on the W0 branch, from the start ``w``.
+
+    No input check: ``x`` must be a finite array above -1/e and ``w`` a start
+    above -1 (past it Halley's step leaves the branch).  Stops once
+    ``|w e^w - x| <= rel_tol * max(1, |x|)`` holds for every entry; a start
+    that already meets it is returned after one residual evaluation.
+    """
+    target = tol.rel_tol * np.maximum(1.0, np.abs(x))
+    for _ in range(tol.max_iter):
+        ew = np.exp(w)
+        f = w * ew - x
+        if (np.abs(f) <= target).all():
+            break
+        wp1 = w + 1.0
+        # Halley step; wp1 stays positive away from the branch point.
+        w = w - f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
+    else:
+        if (np.abs(w * np.exp(w) - x) > target).any():
+            raise NumericalError("lambert_w0 failed to converge")
+    return w
+
+
 def lambert_w0(x, tol: ToleranceConfig = DEFAULT_TOL):
     """Principal branch W0 of the Lambert W function.
 
@@ -74,19 +99,7 @@ def lambert_w0(x, tol: ToleranceConfig = DEFAULT_TOL):
     pinned = at_branch.any()
     if pinned:
         arr = np.where(at_branch, 0.0, arr)
-    w = _w0_seed(arr)
-    target = tol.rel_tol * np.maximum(1.0, np.abs(arr))
-    for _ in range(tol.max_iter):
-        ew = np.exp(w)
-        f = w * ew - arr
-        if (np.abs(f) <= target).all():
-            break
-        wp1 = w + 1.0
-        # Halley step; wp1 stays positive away from the branch point.
-        w = w - f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
-    else:
-        if (np.abs(w * np.exp(w) - arr) > target).any():
-            raise NumericalError("lambert_w0 failed to converge")
+    w = _w0_halley(arr, _w0_seed(arr), tol)
     if pinned:
         w[at_branch] = -1.0
     return float(w[0]) if scalar else w

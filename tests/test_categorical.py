@@ -30,6 +30,7 @@ from jeffreys_centers import (
 )
 from jeffreys_centers import categorical
 from jeffreys_centers.bench import sample_histogram_pair
+from jeffreys_centers.special_functions import _w0_halley, lambert_w0
 
 from conftest import random_simplex
 
@@ -57,6 +58,31 @@ def bisect_lambda(hset, tol=1e-14):
     lam = 0.5 * (lo + hi)
     c = c_of_lambda(a, g, lam)
     return lam, c / c.sum()
+
+
+def cold_newton_iterations(hset, epsilon=1e-10, max_iter=200):
+    """Reference: the safeguarded Newton solve with every candidate evaluated
+    cold by c_of_lambda; returns the number of Newton iterations."""
+    a, g = hset.means
+    lo, hi, lam = float(np.max(a + np.log(g)) - 1.0), 0.0, 0.0
+    c = c_of_lambda(a, g, lam)
+    s = float(c.sum())
+    iterations, gap = 0, hi - lo
+    while gap > epsilon and iterations < max_iter:
+        if s > 1.0:
+            lo = lam
+        else:
+            hi = lam
+        step = (s - 1.0) / float(np.sum(c * c / (c + a)))
+        if not lo <= lam + step <= hi:
+            step = 0.5 * (lo + hi) - lam
+        if step != 0.0:
+            lam += step
+            c = c_of_lambda(a, g, lam)
+            s = float(c.sum())
+        iterations += 1
+        gap = min(abs(step), hi - lo)
+    return iterations
 
 
 def random_hset(rng, d, n, floor=1e-9):
@@ -313,22 +339,81 @@ class TestNewtonSolve:
         # Found by search: the third Newton iterate lands where the computed
         # mass is exactly 1, so the next Newton iterate equals the bracket's
         # upper end.  Rejecting it as outside the bracket bisects from there
-        # (12 iterations instead of 3).
+        # (13 iterations instead of 4).
         hset = HistogramSet.uniform(
-            [[0.17360831954620534, 0.8263916804537946], [0.7193343564355782, 0.28066564356442175]]
+            [[0.01515999847426323, 0.9848400015257368], [0.8148038500151109, 0.1851961499848891]]
         )
+        a = hset.means[0]
         masses = []
 
-        def recording(a, g, lam):
-            c = c_of_lambda(a, g, lam)
-            masses.append(float(c.sum()))
-            return c
+        def recording(w0):
+            def wrapped(*args):
+                w = w0(*args)
+                masses.append(float((a / w).sum()))
+                return w
 
-        monkeypatch.setattr(categorical, "c_of_lambda", recording)
+            return wrapped
+
+        # the solve's candidate is a / W: W comes from a cold lambert_w0 at
+        # lambda_lo and 0, and from the warm-started Halley loop at each iterate
+        monkeypatch.setattr(categorical, "lambert_w0", recording(lambert_w0))
+        monkeypatch.setattr(categorical, "_w0_halley", recording(_w0_halley))
         res = jeffreys_centroid_cat(hset)
         assert 1.0 in masses
         assert res.diagnostics.iterations <= 6
         assert res.diagnostics.status == "converged"
+
+    @staticmethod
+    def check_warm_start(hset):
+        """The warm-started solve against cold evaluations: the Newton iteration
+        count of the cold reference, unit cold mass at the returned lambda, and
+        the center of the bisection oracle."""
+        res = jeffreys_centroid_cat(hset)
+        a, g = hset.means
+        assert res.diagnostics.iterations == cold_newton_iterations(hset)
+        assert abs(float(c_of_lambda(a, g, res.lam).sum()) - 1.0) <= 1e-10
+        assert np.abs(res.center.probs - bisect_lambda(hset)[1]).max() <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 16, 256, 4096])
+    def test_warm_start_dirichlet_sets(self, d):
+        rng = np.random.default_rng([302, d])
+        for _ in range(6):
+            self.check_warm_start(HistogramSet.uniform(rng.dirichlet(np.ones(d), size=4)))
+
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_warm_start_table2_family(self, k):
+        self.check_warm_start(table2_hset(10.0**-k))
+
+    def test_warm_start_after_a_bisection_fallback(self):
+        # Found by search over sets of log-uniform bins: the Newton iterate from
+        # lambda = 0 falls below lambda_lo, so the first step is the bisection
+        # fallback and the next W is predicted across the half bracket.
+        hset = HistogramSet.uniform(
+            [
+                [0.0037701533437101697, 0.9653750427018268, 0.00873746083295551, 0.022117343121507357],
+                [0.9999999959677108, 6.030972102309495e-14, 5.1157636808922293e-11, 3.981071349363443e-09],
+            ]
+        )
+        a, g = hset.means
+        c0 = c_of_lambda(a, g, 0.0)
+        newton = (c0.sum() - 1.0) / np.sum(c0 * c0 / (c0 + a))
+        assert newton < np.max(a + np.log(g)) - 1.0
+        self.check_warm_start(hset)
+
+    def test_halley_from_the_predictor_across_the_bracket(self):
+        # W(0) carried to lambda_lo, a step of about -7.4 at d = 4096: the
+        # predictor W exp(dlambda / (1 + W)) is positive, so Halley stays on
+        # the W0 branch and meets lambert_w0's residual test within 4 steps
+        rng = np.random.default_rng([303, 4096])
+        a, g = HistogramSet.uniform(rng.dirichlet(np.ones(4096), size=2)).means
+        r = (a / g) * math.e
+        lam_lo = float(np.max(a + np.log(g)) - 1.0)
+        assert lam_lo < -7.0
+        w = lambert_w0(r)
+        x = r * math.exp(lam_lo)
+        w = _w0_halley(x, w * np.exp(lam_lo / (1.0 + w)), ToleranceConfig(max_iter=4))
+        assert np.all(np.abs(w * np.exp(w) - x) <= 1e-12 * np.maximum(1.0, x))
+        assert np.abs(w / lambert_w0(x) - 1.0).max() <= 1e-10
 
     def test_max_iter_status(self):
         res = jeffreys_centroid_cat(table2_hset(1e-3), epsilon=1e-10, max_iter=1)

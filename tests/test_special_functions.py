@@ -26,6 +26,27 @@ def bisect_w(x: float, tol: float = 1e-13) -> float:
     return 0.5 * (lo + hi)
 
 
+def reference_w0(x: np.ndarray) -> np.ndarray:
+    """Reference: lambert_w0's piecewise seed and Halley loop written out in
+    one function, at the default tolerance."""
+    at_branch = x == -math.exp(-1.0)
+    arr = np.where(at_branch, 0.0, x)
+    p = np.sqrt(np.maximum(2.0 * (math.e * np.minimum(arr, -0.25) + 1.0), 0.0))
+    near = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0)))
+    l1 = np.log(np.maximum(arr, math.e))
+    w = np.where(arr < -0.25, near, np.where(arr > math.e, l1 - np.log(l1), np.log1p(arr)))
+    target = 1e-12 * np.maximum(1.0, np.abs(arr))
+    for _ in range(100):
+        ew = np.exp(w)
+        f = w * ew - arr
+        if (np.abs(f) <= target).all():
+            break
+        wp1 = w + 1.0
+        w = w - f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
+    w[at_branch] = -1.0
+    return w
+
+
 # frozen from the bisection oracle before the main build
 W_OF_ONE = 0.5671432904097838
 # frozen from a 30-digit quadrature/mpmath evaluation of the defining integral
@@ -92,6 +113,22 @@ class TestLambertW:
         assert np.abs(w - scalar).max() <= 1e-12
         oracle = np.array([bisect_w(float(x)) for x in xs])
         assert np.abs(w - oracle).max() <= 1e-12
+
+    def test_bit_identical_to_the_reference_loop(self):
+        # every seed branch, from the branch point to 1e300; each value is
+        # also evaluated alone, where the loop stops once that value converges
+        xs = np.concatenate(
+            [
+                [-math.exp(-1.0)],
+                np.linspace(-math.exp(-1.0), 0.0, 200)[1:],
+                np.linspace(0.0, 10.0, 201),
+                np.geomspace(1e-300, 1.0, 100),
+                np.geomspace(10.0, 1e300, 300),
+            ]
+        )
+        assert np.array_equal(lambert_w0(xs), reference_w0(xs))
+        for x in xs[::7]:
+            assert lambert_w0(float(x)) == reference_w0(np.array([x]))[0]
 
 
 class TestEllipticK:
