@@ -29,7 +29,7 @@ from .generators import (
     shannon_generator,
     squared_generator,
 )
-from .gauss_bregman import GBResult, gb_center, gb_step
+from .gauss_bregman import gb_center, gb_step
 from .categorical import (
     HistogramSet,
     JeffreysCatResult,

@@ -16,14 +16,15 @@ before ingestion.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .legendre import CenterDiagnostics, GeneratorSpec, Stopwatch, check_weights
+from .legendre import CenterDiagnostics, GeneratorSpec, check_weights
 from .special_functions import _w0_halley, lambert_w0
 
 __all__ = [
@@ -137,12 +138,6 @@ class HistogramSet:
     @classmethod
     def uniform(cls, rows) -> "HistogramSet":
         return cls(rows, None)
-
-    @classmethod
-    def from_points(
-        cls, points: Sequence[SimplexPoint], weights: Optional[Sequence] = None
-    ) -> "HistogramSet":
-        return cls(np.array([p.probs for p in points]), weights)
 
     @property
     def n(self) -> int:
@@ -283,7 +278,7 @@ def jeffreys_centroid_cat(
     """
     if epsilon <= 0.0:
         raise DomainError("epsilon must be positive")
-    watch = Stopwatch()
+    t0 = time.perf_counter_ns()
     a, g = hset.means
     r = (a / g) * math.e  # W_j's argument is r_j e^lambda
     lam_lo = float(np.max(a + np.log(g)) - 1.0)
@@ -317,13 +312,7 @@ def jeffreys_centroid_cat(
         gap = min(abs(step), lam_hi - lam_lo)
     center = SimplexPoint(c_raw / s)
     fixed_point_residual = abs(lam + float(np.sum(center.probs * np.log(center.probs / g))))
-    diag = CenterDiagnostics(
-        iterations=iterations,
-        final_gap=gap,
-        residual=fixed_point_residual,
-        elapsed_ns=watch.elapsed_ns(),
-        status="converged" if gap <= epsilon else "max_iter",
-    )
+    diag = CenterDiagnostics.after(t0, iterations, gap, epsilon, fixed_point_residual)
     return JeffreysCatResult(
         center=center, lam=lam, mass_residual=abs(s - 1.0), diagnostics=diag
     )
@@ -354,7 +343,7 @@ def gb_center_cat(
     """
     if epsilon <= 0.0:
         raise DomainError("epsilon must be positive")
-    watch = Stopwatch()
+    t0 = time.perf_counter_ns()
     a, g = hset.means
     gap = 0.5 * float(np.abs(a - g).sum())
     iterations = 0
@@ -366,20 +355,12 @@ def gb_center_cat(
             iterations += 1
             if gap <= epsilon:
                 break
-    converged = gap <= epsilon
-    diag = CenterDiagnostics(
-        iterations=iterations,
-        final_gap=gap,
-        residual=gap,
-        elapsed_ns=watch.elapsed_ns(),
-        status="converged" if converged else "max_iter",
-    )
-    if not converged:
+    if gap > epsilon:
         raise NumericalError(
             f"categorical Gauss-Bregman did not reach epsilon={epsilon} "
             f"within {max_iter} iterations (gap={gap:.3g})"
         )
-    return SimplexPoint(a), diag
+    return SimplexPoint(a), CenterDiagnostics.after(t0, iterations, gap, epsilon)
 
 
 def unnormalized_center(hset: HistogramSet) -> Tuple[np.ndarray, float]:

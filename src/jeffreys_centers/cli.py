@@ -17,6 +17,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import asdict
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -197,16 +198,6 @@ def read_gaussians(path: str) -> Tuple[List[GaussianParam], Optional[np.ndarray]
 
 # --- report helpers -----------------------------------------------------------
 
-def _diag_dict(diag: CenterDiagnostics) -> dict:
-    return {
-        "iterations": diag.iterations,
-        "final_gap": diag.final_gap,
-        "residual": diag.residual,
-        "elapsed_ns": diag.elapsed_ns,
-        "status": diag.status,
-    }
-
-
 def _gauss_dict(g: GaussianParam) -> dict:
     return {"mean": list(g.mean), "cov": [list(r) for r in g.cov.entries]}
 
@@ -253,13 +244,13 @@ def _compute_categorical(args) -> dict:
         report["mass"] = mass
         center = SimplexPoint(raw / mass)
         report["jeffreys_loss"] = jeffreys_loss_cat(hset, center)
-        report["diagnostics"] = _diag_dict(diag)
+        report["diagnostics"] = asdict(diag)
         return report
     else:  # pragma: no cover
         raise CliError(f"unsupported method {args.method}")
     report["center"] = list(center.probs)
     report["jeffreys_loss"] = jeffreys_loss_cat(hset, center)
-    report["diagnostics"] = _diag_dict(diag)
+    report["diagnostics"] = asdict(diag)
     if args.reference and args.method != "jeffreys":
         ref = jeffreys_centroid_cat(hset, 1e-10)
         report["reference_center"] = list(ref.center.probs)
@@ -305,7 +296,7 @@ def _compute_gaussian(args) -> dict:
         raise CliError(f"unsupported method {args.method}")
     report["center"] = _gauss_dict(center)
     report["jeffreys_loss"] = jeffreys_loss_mvn(gaussians, weights, center)
-    report["diagnostics"] = _diag_dict(diag)
+    report["diagnostics"] = asdict(diag)
     return report
 
 

@@ -5,12 +5,18 @@ The double sequence alternates the arithmetic midpoint and the quasi-arithmetic
 a common limit for separable generators (dimension-wise gap halving).  For
 non-separable generators there is no convergence theorem; the iteration guards
 with ``max_iter`` and reports honestly.
+
+:func:`gb_center` returns ``(center, diagnostics)``, a
+:class:`~jeffreys_centers.legendre.CenterDiagnostics` holding the iteration
+count, the final gap, the stopping tolerance and the status.  Each step goes
+through the module's :func:`gb_step`, so a caller can observe the iterates by
+wrapping it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+import time
+from typing import Tuple
 
 import numpy as np
 
@@ -18,26 +24,15 @@ from .errors import DomainError
 from .legendre import (
     CenterDiagnostics,
     GeneratorSpec,
-    Stopwatch,
     WeightedParamSet,
     quasi_arithmetic_center,
     right_bregman_centroid,
 )
 from .special_functions import ToleranceConfig
 
-__all__ = ["GBResult", "GB_TOL", "gb_step", "gb_center"]
+__all__ = ["GB_TOL", "gb_step", "gb_center"]
 
 GB_TOL = ToleranceConfig(rel_tol=1e-8, max_iter=200)
-
-
-@dataclass
-class GBResult:
-    """Outcome of the Gauss-Bregman double sequence."""
-
-    center: np.ndarray
-    diagnostics: CenterDiagnostics
-    converged: bool
-    trace: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None
 
 
 def gb_step(
@@ -58,39 +53,27 @@ def gb_step(
 
 
 def gb_center(
-    gen: GeneratorSpec,
-    pset: WeightedParamSet,
-    tol: ToleranceConfig = GB_TOL,
-    keep_trace: bool = False,
-) -> GBResult:
+    gen: GeneratorSpec, pset: WeightedParamSet, tol: ToleranceConfig = GB_TOL
+) -> Tuple[np.ndarray, CenterDiagnostics]:
     """Gauss-Bregman inductive center of a weighted parameter set.
 
     Initializes at the right Bregman centroid (arithmetic mean) and the left
     Bregman centroid (quasi-arithmetic center), iterates :func:`gb_step` until
-    the iterate gap drops below ``tol.rel_tol``, and returns the final
-    arithmetic iterate.
+    the Euclidean gap between the two iterates drops to ``tol.rel_tol`` or
+    ``tol.max_iter`` steps are taken, and returns the final arithmetic iterate
+    with its diagnostics.  The status is "max_iter" when the gap target was
+    not met.
     """
-    watch = Stopwatch()
+    t0 = time.perf_counter_ns()
     theta_bar = right_bregman_centroid(pset)
     theta_under = quasi_arithmetic_center(gen, pset)
     gen.require_domain(theta_bar, "initial arithmetic centroid")
     gen.require_domain(theta_under, "initial quasi-arithmetic centroid")
 
-    trace = [(theta_bar.copy(), theta_under.copy())] if keep_trace else None
     gap = float(np.linalg.norm(theta_bar - theta_under))
     iterations = 0
     while gap > tol.rel_tol and iterations < tol.max_iter:
         theta_bar, theta_under = gb_step(gen, theta_bar, theta_under)
         gap = float(np.linalg.norm(theta_bar - theta_under))
         iterations += 1
-        if keep_trace:
-            trace.append((theta_bar.copy(), theta_under.copy()))
-    converged = gap <= tol.rel_tol
-    diag = CenterDiagnostics(
-        iterations=iterations,
-        final_gap=gap,
-        residual=gap,
-        elapsed_ns=watch.elapsed_ns(),
-        status="converged" if converged else "max_iter",
-    )
-    return GBResult(center=theta_bar, diagnostics=diag, converged=converged, trace=trace)
+    return theta_bar, CenterDiagnostics.after(t0, iterations, gap, tol.rel_tol)

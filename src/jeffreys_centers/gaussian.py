@@ -44,7 +44,6 @@ from .spd import (
     _log_eigs,
     geometric_mean,
     sld_centroid,
-    trace_metric_distance,
 )
 
 __all__ = [
@@ -386,9 +385,7 @@ def _align_fiber(G1: np.ndarray, d: int) -> np.ndarray:
     return _fiber_move(G1, sol.x, d)
 
 
-def fisher_rao_midpoint_mvn(
-    p0: GaussianParam, p1: GaussianParam, return_embedding: bool = False
-):
+def fisher_rao_midpoint_mvn(p0: GaussianParam, p1: GaussianParam) -> GaussianParam:
     """Fisher-Rao geodesic midpoint of two d-variate normals.
 
     The midpoint is affine-equivariant, so it is computed in the frame that
@@ -401,11 +398,6 @@ def fisher_rao_midpoint_mvn(
     of relative accuracy, and the condition number grows like the fourth power
     of the separation in p0's standard deviations, so an aligned lift past the
     1e12 bound of SPDMatrix raises NumericalError.
-
-    With ``return_embedding`` the whitened, aligned triple (I, G, G1) of
-    (2d+1) x (2d+1) arrays is also returned for equidistance checks; the trace
-    metric is congruence-invariant, so distances between them are those of
-    the unwhitened lifts.
     """
     if p0.dim != p1.dim:
         raise DomainError("dimension mismatch")
@@ -420,20 +412,10 @@ def fisher_rao_midpoint_mvn(
             f"whitened lift condition number {eig[-1] / eig[0]:.3g} exceeds "
             f"{_MAX_CONDITION:.0e}: the normals are too far apart"
         )
-    G0 = np.eye(2 * d + 1)
-    G = geometric_mean(G0, G1).entries
+    G = geometric_mean(np.eye(2 * d + 1), G1).entries
     S = _sym_inv(G[:d, :d])
     cov = L @ S @ L.T
-    mid = GaussianParam(p0.mean + L @ (S @ G[:d, d]), SPDMatrix(0.5 * (cov + cov.T)))
-    if return_embedding:
-        return mid, (G0, G, G1)
-    return mid
-
-
-def embedded_equidistance_residual(p0: GaussianParam, p1: GaussianParam) -> float:
-    """|rho(G0, G) - rho(G, G1)| for the aligned midpoint construction."""
-    _, (e0, emid, e1) = fisher_rao_midpoint_mvn(p0, p1, return_embedding=True)
-    return abs(trace_metric_distance(e0, emid) - trace_metric_distance(emid, e1))
+    return GaussianParam(p0.mean + L @ (S @ G[:d, d]), SPDMatrix(0.5 * (cov + cov.T)))
 
 
 def jfr_center_mvn(
@@ -458,8 +440,8 @@ def gb_center_mvn(
     """
     d, pset = _natural_set(gaussians, weights)
     with _internal_failure("Gauss-Bregman center"):
-        result = gb_center(mvn_generator(d), pset, tol)
-        return mvn_from_natural(result.center, d), result.diagnostics
+        theta, diag = gb_center(mvn_generator(d), pset, tol)
+        return mvn_from_natural(theta, d), diag
 
 
 def jeffreys_centroid_centered(

@@ -121,23 +121,42 @@ class WeightedParamSet:
 
 @dataclass
 class CenterDiagnostics:
-    """Per-computation record attached to every returned center."""
+    """Per-computation record attached to every returned center.
+
+    An iterative center builds it with :meth:`after`; ``tolerance`` is the
+    stopping tolerance in force.  The CLI reports a closed-form center as
+    ``CenterDiagnostics(status="exact")``.
+    """
 
     iterations: int = 0
     final_gap: float = 0.0
     residual: float = 0.0
     elapsed_ns: int = 0
     status: str = "converged"
+    tolerance: float = 0.0
 
+    @classmethod
+    def after(
+        cls,
+        t0_ns: int,
+        iterations: int,
+        gap: float,
+        tolerance: float,
+        residual: Optional[float] = None,
+    ) -> "CenterDiagnostics":
+        """Record of an iteration started at ``time.perf_counter_ns() == t0_ns``.
 
-class Stopwatch:
-    """Tiny perf_counter_ns wrapper for diagnostics timing."""
-
-    def __init__(self):
-        self.t0 = time.perf_counter_ns()
-
-    def elapsed_ns(self) -> int:
-        return time.perf_counter_ns() - self.t0
+        The status is "converged" when ``gap <= tolerance``, else "max_iter";
+        ``residual`` defaults to ``gap``.
+        """
+        return cls(
+            iterations=iterations,
+            final_gap=gap,
+            residual=gap if residual is None else residual,
+            elapsed_ns=time.perf_counter_ns() - t0_ns,
+            status="converged" if gap <= tolerance else "max_iter",
+            tolerance=tolerance,
+        )
 
 
 def _check_set(gen: GeneratorSpec, pset: WeightedParamSet) -> None:

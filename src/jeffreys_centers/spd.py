@@ -11,13 +11,14 @@ which turns a failed decomposition into a NumericalError.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .legendre import _FD_STEP, CenterDiagnostics, Stopwatch, check_weights
+from .legendre import _FD_STEP, CenterDiagnostics, check_weights
 from .special_functions import ToleranceConfig
 
 __all__ = [
@@ -258,7 +259,7 @@ def nakamura_ah(
     P <- (P+Q)/2, Q <- 2 (P^{-1} + Q^{-1})^{-1}; the Frobenius gap decreases
     quadratically and the common limit is P # Q.
     """
-    watch = Stopwatch()
+    t0 = time.perf_counter_ns()
     a, b = _as_array(p).copy(), _as_array(q).copy()
     _check_same_dim(a, b)
     gap = float(np.linalg.norm(a - b))
@@ -268,15 +269,7 @@ def nakamura_ah(
         a, b = 0.5 * (a + b), 0.5 * (harm + harm.T)
         gap = float(np.linalg.norm(a - b))
         iterations += 1
-    converged = gap <= tol.rel_tol
-    diag = CenterDiagnostics(
-        iterations=iterations,
-        final_gap=gap,
-        residual=gap,
-        elapsed_ns=watch.elapsed_ns(),
-        status="converged" if converged else "max_iter",
-    )
-    return SPDMatrix(0.5 * (a + a.T)), diag
+    return SPDMatrix(0.5 * (a + a.T)), CenterDiagnostics.after(t0, iterations, gap, tol.rel_tol)
 
 
 def g_invariance_residual(a: SPDMatrix, h: SPDMatrix) -> float:

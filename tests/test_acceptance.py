@@ -44,9 +44,8 @@ from jeffreys_centers import (
     trace_metric_distance,
 )
 from jeffreys_centers.bench import RunConfig, run_table1, run_table2
-from jeffreys_centers.gaussian import embedded_equidistance_residual
 
-from conftest import random_simplex, random_spd_unit
+from conftest import embedded_equidistance_residual, random_simplex, random_spd_unit
 
 TIGHT = ToleranceConfig(rel_tol=1e-12, max_iter=300)
 
@@ -203,7 +202,7 @@ def test_criterion_5_optimality_ordering(instances):
     )
 
 
-def test_criterion_6_scalar_inductive_means():
+def test_criterion_6_scalar_inductive_means(gb_steps):
     rng = np.random.default_rng(99)
     burg = burg_generator(1)
     shannon = shannon_generator(1)
@@ -211,17 +210,19 @@ def test_criterion_6_scalar_inductive_means():
     for _ in range(100):
         x, y = rng.uniform(0.1, 10.0, size=2)
         pair = WeightedParamSet.of([[x], [y]])
-        res = gb_center(burg, pair, ToleranceConfig(1e-13, 300), keep_trace=True)
-        worst_geo = max(worst_geo, abs(res.center[0] - math.sqrt(x * y)))
-        gaps = [abs(tb[0] - tu[0]) for tb, tu in res.trace]
-        for g0, g1 in zip(gaps, gaps[1:]):
+        gb_steps.clear()
+        center, diag = gb_center(burg, pair, ToleranceConfig(1e-13, 300))
+        assert len(gb_steps) == diag.iterations
+        worst_geo = max(worst_geo, abs(center[0] - math.sqrt(x * y)))
+        for (tb, tu), (nb, nu) in gb_steps:
+            g0, g1 = abs(tb[0] - tu[0]), abs(nb[0] - nu[0])
             if g0 > 1e-6:  # below that, roundoff dominates the quadratic model
                 worst_quad = max(worst_quad, g1 / (g0 * g0))
         a0, g0 = 0.5 * (x + y), math.sqrt(x * y)
-        res2 = gb_center(shannon, pair, ToleranceConfig(1e-13, 300))
+        center2, _ = gb_center(shannon, pair, ToleranceConfig(1e-13, 300))
         closed = (math.pi / 4.0) * (a0 + g0) / elliptic_k((a0 - g0) / (a0 + g0)) \
             if abs(a0 - g0) > 1e-14 else a0
-        worst_agm = max(worst_agm, abs(res2.center[0] - closed))
+        worst_agm = max(worst_agm, abs(center2[0] - closed))
     ok = worst_geo <= 1e-12 and worst_agm <= 1e-10 and worst_quad <= 2.6
     report(
         6,

@@ -483,8 +483,8 @@ class TestGBCenterCat:
         center, _ = gb_center_cat(hset, 1e-12)
         gen = cat_generator(4)
         thetas = np.array([cat_to_natural(SimplexPoint(r)) for r in hset.rows])
-        res = gb_center(gen, WeightedParamSet(thetas, hset.weights), ToleranceConfig(1e-12, 500))
-        generic = cat_from_natural(res.center)
+        theta, _ = gb_center(gen, WeightedParamSet(thetas, hset.weights), ToleranceConfig(1e-12, 500))
+        generic = cat_from_natural(theta)
         assert tv_cat(center, generic) < 1e-10
 
     def test_proxies_within_tv_envelope(self, rng):

@@ -33,12 +33,11 @@ from jeffreys_centers import gaussian
 from jeffreys_centers.gaussian import (
     _embed_array,
     _index_tables,
-    embedded_equidistance_residual,
     mvn_flatten,
     mvn_unflatten,
 )
 
-from conftest import random_spd, random_spd_unit
+from conftest import embedded_equidistance_residual, random_spd, random_spd_unit
 
 TIGHT = ToleranceConfig(rel_tol=1e-12, max_iter=300)
 

@@ -15,9 +15,9 @@ MODULES = ["jeffreys_centers"] + sorted(
     f"jeffreys_centers.{m.name}" for m in pkgutil.iter_modules(jeffreys_centers.__path__)
 )
 
-# Gaussian parameter types and conversions replaced by GaussianParam and the
-# flat natural vector (mvn_to_natural / mvn_from_natural).
 REMOVED = [
+    # Gaussian parameter types and conversions replaced by GaussianParam and
+    # the flat natural vector (mvn_to_natural / mvn_from_natural)
     "MvnNatural",
     "MvnMoment",
     "mvn_to_moment",
@@ -26,6 +26,11 @@ REMOVED = [
     "flat_to_natural",
     "flat_dim",
     "embed_gaussian",
+    # replaced by CenterDiagnostics.after and the (center, diagnostics) pair
+    "GBResult",
+    "Stopwatch",
+    # a test-only midpoint check, now in the tests
+    "embedded_equidistance_residual",
 ]
 
 
@@ -37,7 +42,15 @@ def test_every_exported_name_resolves(module):
 
 
 @pytest.mark.parametrize("name", REMOVED)
-@pytest.mark.parametrize("module", ["jeffreys_centers", "jeffreys_centers.gaussian"])
+@pytest.mark.parametrize(
+    "module",
+    [
+        "jeffreys_centers",
+        "jeffreys_centers.gaussian",
+        "jeffreys_centers.gauss_bregman",
+        "jeffreys_centers.legendre",
+    ],
+)
 def test_removed_name_is_gone(module, name):
     mod = importlib.import_module(module)
     assert name not in getattr(mod, "__all__", ())

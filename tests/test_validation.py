@@ -28,12 +28,10 @@ from jeffreys_centers import (
     sld_centroid,
 )
 from jeffreys_centers.cli import main
-from jeffreys_centers.gaussian import (
-    embedded_equidistance_residual,
-    fisher_rao_midpoint_mvn,
-    sided_kl_centroids_mvn,
-)
+from jeffreys_centers.gaussian import fisher_rao_midpoint_mvn, sided_kl_centroids_mvn
 from jeffreys_centers.spd import _spectral
+
+from conftest import embedded_equidistance_residual
 
 # mvn workload seed 300, set 48 (d=5, spread means): the fiber alignment failed
 # on it before the midpoint was computed in the frame that whitens p0.
