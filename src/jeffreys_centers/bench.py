@@ -124,11 +124,7 @@ def _timed(fn):
     return out, time.perf_counter_ns() - t0
 
 
-def run_table1(
-    config: RunConfig,
-    gb_epsilon: float = GB_CAT_EPSILON,
-    timing: bool = True,
-) -> List[BenchRecord]:
+def run_table1(config: RunConfig, timing: bool = True) -> List[BenchRecord]:
     """Score JFR and GB against the numerical Jeffreys centroid per dimension."""
     records: List[BenchRecord] = []
     for dim in config.dims:
@@ -139,7 +135,7 @@ def run_table1(
             hset, h_jfr, h_gb = _own_sets(sample_histogram_pair(config.seed, dim, trial))
             ref, t_ref = _timed(lambda: jeffreys_centroid_cat(hset, config.epsilon))
             jfr, t_jfr = _timed(lambda: jfr_center_cat(h_jfr))
-            (gb, _), t_gb = _timed(lambda: gb_center_cat(h_gb, gb_epsilon))
+            (gb, _), t_gb = _timed(lambda: gb_center_cat(h_gb, GB_CAT_EPSILON))
             times["jeffreys"] += t_ref
             times["jfr"] += t_jfr
             times["gb"] += t_gb
@@ -178,10 +174,7 @@ def _alpha_flagged(alpha: float) -> bool:
 
 
 def run_table2(
-    alphas: Sequence[float] = DEFAULT_ALPHAS,
-    epsilon: float = 1e-10,
-    gb_epsilon: float = GB_CAT_EPSILON,
-    timing: bool = True,
+    alphas: Sequence[float] = DEFAULT_ALPHAS, epsilon: float = 1e-10, timing: bool = True
 ) -> List[Table2Row]:
     """Deterministic two-histogram benchmark over a list of alphas."""
     rows: List[Table2Row] = []
@@ -194,7 +187,7 @@ def run_table2(
         )
         ref, t_ref = _timed(lambda: jeffreys_centroid_cat(hset, epsilon))
         jfr, t_jfr = _timed(lambda: jfr_center_cat(h_jfr))
-        (gb, _), t_gb = _timed(lambda: gb_center_cat(h_gb, gb_epsilon))
+        (gb, _), t_gb = _timed(lambda: gb_center_cat(h_gb, GB_CAT_EPSILON))
         # identical inputs have zero reference loss; every center coincides
         degenerate = jeffreys_loss_cat(hset, ref.center) < 1e-15
         for method, center, t in (("jfr", jfr, t_jfr), ("gb", gb, t_gb)):

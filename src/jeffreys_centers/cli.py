@@ -17,7 +17,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -32,7 +32,6 @@ from .bench import (
     table2_csv,
 )
 from .categorical import (
-    GB_CAT_EPSILON,
     HistogramSet,
     SimplexPoint,
     approximation_factor,
@@ -46,6 +45,7 @@ from .categorical import (
     unnormalized_center,
 )
 from .errors import DomainError, NumericalError
+from .gauss_bregman import GB_TOL
 from .gaussian import (
     GaussianParam,
     gb_center_mvn,
@@ -55,7 +55,6 @@ from .gaussian import (
     sided_kl_centroids_mvn,
 )
 from .legendre import CenterDiagnostics
-from .spd import SPDMatrix
 
 log = logging.getLogger("centers")
 
@@ -177,12 +176,11 @@ def read_gaussians(path: str) -> Tuple[List[GaussianParam], Optional[np.ndarray]
         if not isinstance(obj, dict) or "mean" not in obj or "cov" not in obj:
             raise CliError(f"gaussian entry {i}: expected an object with 'mean' and 'cov'")
         try:
-            g = GaussianParam(np.asarray(obj["mean"], dtype=float),
-                              SPDMatrix(np.asarray(obj["cov"], dtype=float)))
-        except (DomainError, ValueError) as exc:
+            g = GaussianParam(obj["mean"], obj["cov"])
+            weights.append(float(obj["weight"]) if "weight" in obj else None)
+        except (DomainError, TypeError, ValueError) as exc:
             raise CliError(f"gaussian entry {i}: {exc}")
         gaussians.append(g)
-        weights.append(float(obj["weight"]) if "weight" in obj else None)
     dims = {g.dim for g in gaussians}
     if len(dims) != 1:
         raise CliError(f"inconsistent Gaussian dimensions: {sorted(dims)}")
@@ -224,8 +222,9 @@ def _compute_categorical(args) -> dict:
         "dim": hset.dim,
     }
     diag = CenterDiagnostics(status="exact")
+    eps = {} if args.epsilon is None else {"epsilon": args.epsilon}
     if args.method == "jeffreys":
-        result = jeffreys_centroid_cat(hset, args.epsilon or 1e-10)
+        result = jeffreys_centroid_cat(hset, **eps)
         center = result.center
         diag = result.diagnostics
         report["lambda"] = result.lam
@@ -233,7 +232,7 @@ def _compute_categorical(args) -> dict:
     elif args.method == "jfr":
         center = jfr_center_cat(hset)
     elif args.method == "gb":
-        center, diag = gb_center_cat(hset, args.epsilon or GB_CAT_EPSILON)
+        center, diag = gb_center_cat(hset, **eps)
     elif args.method == "arithmetic":
         center = arithmetic_mean(hset)
     elif args.method == "geometric":
@@ -276,7 +275,8 @@ def _compute_gaussian(args) -> dict:
     if args.method == "jfr":
         center = jfr_center_mvn(gaussians, weights)
     elif args.method == "gb":
-        center, diag = gb_center_mvn(gaussians, weights)
+        tol = GB_TOL if args.epsilon is None else replace(GB_TOL, rel_tol=args.epsilon)
+        center, diag = gb_center_mvn(gaussians, weights, tol)
     elif args.method == "jeffreys":
         means = np.array([g.mean for g in gaussians])
         if np.abs(means - means[0]).max() > 1e-12:
@@ -420,7 +420,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.fn(args)
     except CliError as exc:
-        log.error("%s", exc)
         print(f"centers: error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except DomainError as exc:

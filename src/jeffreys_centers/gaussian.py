@@ -37,9 +37,10 @@ from .legendre import (
 )
 from .special_functions import ToleranceConfig
 from .spd import (
-    _MAX_CONDITION,
     SPDMatrix,
+    _check_spd,
     _eigh,
+    _eigvalsh,
     _log_divided_differences,
     _log_eigs,
     geometric_mean,
@@ -62,8 +63,6 @@ __all__ = [
     "gb_center_mvn",
     "jeffreys_centroid_centered",
 ]
-
-_EIG_FLOOR = 1e-13
 
 # Fiber-alignment residuals at or below this count as an exact root.  Rounding
 # leaves about 1e-16 of log's entries at a root, where hybr's relative step test
@@ -180,8 +179,8 @@ def mvn_generator(dim: int) -> GeneratorSpec:
     """Cumulant generator of the d-variate normal family on flattened naturals.
 
     The gradient maps theta to the moment parameter (mu, mu mu^T + Sigma); the
-    reciprocal gradient inverts it.  The domain requires -theta_M positive
-    definite.
+    reciprocal gradient inverts it.  The domain is the open cone -theta_M > 0;
+    the reciprocal gradient's covariance must pass the SPD rule of :mod:`spd`.
     """
     if dim < 1:
         raise DomainError("dimension must be >= 1")
@@ -205,15 +204,16 @@ def mvn_generator(dim: int) -> GeneratorSpec:
     def eval_grad_inv(e: np.ndarray) -> np.ndarray:
         ev, em = mvn_unflatten(e, d)
         cov = em - np.outer(ev, ev)
-        if np.linalg.eigvalsh(cov)[0] <= 0.0:
-            raise DomainError("moment parameter has no positive-definite covariance")
+        _check_spd(cov, "moment parameter covariance")
         return _source_to_natural(ev, cov)
 
     def in_domain(x: np.ndarray) -> bool:
+        # The open cone, without the condition bound: -theta_M of a member near
+        # the bound is its inverted covariance, whose computed condition can pass it.
         if not np.all(np.isfinite(x)):
             return False
         _, tm = mvn_unflatten(x, d)
-        return bool(np.linalg.eigvalsh(-tm)[0] > _EIG_FLOOR)
+        return bool(_eigvalsh(-tm)[0] > 0.0)
 
     return GeneratorSpec(
         dim=d + d * (d + 1) // 2,
@@ -397,7 +397,7 @@ def fisher_rao_midpoint_mvn(p0: GaussianParam, p1: GaussianParam) -> GaussianPar
     back to N(mu0 + L m, L S L^T).  The midpoint loses about cond(G1) * 1e-16
     of relative accuracy, and the condition number grows like the fourth power
     of the separation in p0's standard deviations, so an aligned lift past the
-    1e12 bound of SPDMatrix raises NumericalError.
+    condition bound of the SPD rule of :mod:`spd` raises NumericalError.
     """
     if p0.dim != p1.dim:
         raise DomainError("dimension mismatch")
@@ -406,12 +406,8 @@ def fisher_rao_midpoint_mvn(p0: GaussianParam, p1: GaussianParam) -> GaussianPar
     mean_w = np.linalg.solve(L, p1.mean - p0.mean)
     cov_w = np.linalg.solve(L, np.linalg.solve(L, p1.cov.entries).T)  # L^-1 Sigma1 L^-T
     G1 = _align_fiber(_embed_array(mean_w, 0.5 * (cov_w + cov_w.T)), d)
-    eig = np.linalg.eigvalsh(G1)
-    if not eig[-1] <= _MAX_CONDITION * eig[0]:
-        raise NumericalError(
-            f"whitened lift condition number {eig[-1] / eig[0]:.3g} exceeds "
-            f"{_MAX_CONDITION:.0e}: the normals are too far apart"
-        )
+    with _internal_failure("Fisher-Rao midpoint"):
+        _check_spd(G1, "whitened lift")
     G = geometric_mean(np.eye(2 * d + 1), G1).entries
     S = _sym_inv(G[:d, :d])
     cov = L @ S @ L.T

@@ -5,8 +5,8 @@ the affine-invariant (trace metric) geodesic distance, log-det Bregman
 divergences, the arithmetic-harmonic double sequence converging to X#Y, and
 the closed-form symmetrized log-det centroid A#H.
 
-All matrix functions go through one symmetric-eigendecomposition kernel,
-which turns a failed decomposition into a NumericalError.
+One symmetric-eigendecomposition kernel, which turns a failed decomposition
+into a NumericalError, serves every matrix function and the one SPD rule.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ class SPDMatrix:
     """A symmetric positive-definite matrix with verified spectral positivity.
 
     Construction symmetrizes (M + M^T)/2, rejecting relative asymmetry above
-    1e-8, then checks the smallest eigenvalue and the condition number.
+    1e-8, then applies :func:`_check_spd`.
     """
 
     entries: np.ndarray
@@ -62,13 +62,7 @@ class SPDMatrix:
         if asym > 1e-8:
             raise DomainError(f"matrix asymmetry {asym:.3g} exceeds 1e-8")
         sym = 0.5 * (m + m.T)
-        eigvals = np.linalg.eigvalsh(sym)
-        if eigvals[0] <= 0.0:
-            raise DomainError(f"matrix is not positive definite (min eig {eigvals[0]:.3g})")
-        if eigvals[-1] / eigvals[0] > _MAX_CONDITION:
-            raise DomainError(
-                f"matrix condition number {eigvals[-1] / eigvals[0]:.3g} exceeds 1e12"
-            )
+        _check_spd(sym)
         object.__setattr__(self, "entries", sym)
 
     @property
@@ -94,6 +88,24 @@ def _eigh(m: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         return np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
+
+
+def _eigvalsh(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues (ascending) of a symmetric matrix; a failure as in :func:`_eigh`."""
+    try:
+        return np.linalg.eigvalsh(m)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
+
+
+def _check_spd(m: np.ndarray, what: str = "matrix") -> None:
+    """The one SPD rule: the symmetric matrix ``m`` is positive definite with
+    condition number at most ``_MAX_CONDITION``, else a DomainError naming ``what``."""
+    w = _eigvalsh(m)
+    if w[0] <= 0.0:
+        raise DomainError(f"{what} is not positive definite (min eig {w[0]:.3g})")
+    if w[-1] / w[0] > _MAX_CONDITION:
+        raise DomainError(f"{what} condition number {w[-1] / w[0]:.3g} exceeds {_MAX_CONDITION:g}")
 
 
 def _spectral(m: np.ndarray, *fns: Callable[[np.ndarray], np.ndarray]) -> List[np.ndarray]:
@@ -175,7 +187,7 @@ def trace_metric_distance(p1: SPDMatrix, p2: SPDMatrix) -> float:
     a, b = _as_array(p1), _as_array(p2)
     _check_same_dim(a, b)
     amh = _power(a, -0.5)
-    eig = np.linalg.eigvalsh(amh @ b @ amh)
+    eig = _eigvalsh(amh @ b @ amh)
     if eig[0] <= 0.0:
         raise NumericalError("similarity transform lost positive definiteness")
     return float(np.sqrt(np.sum(np.log(eig) ** 2)))

@@ -27,9 +27,9 @@ _NEG_INV_E = -math.exp(-1.0)
 class ToleranceConfig:
     """Stopping control for iterative routines.
 
-    ``rel_tol`` doubles as the precision parameter of the double-sequence
-    algorithms, the Lambert W Halley iteration and the elliptic quadrature;
-    ``max_iter`` caps every loop.  The histogram multiplier's safeguarded
+    ``rel_tol`` is the precision parameter of the double-sequence algorithms
+    and ``max_iter`` caps their loops.  The scalar functions of this module
+    run at the fixed ``DEFAULT_TOL``.  The histogram multiplier's safeguarded
     Newton solve takes its own ``epsilon`` and ``max_iter``.
     """
 
@@ -38,9 +38,9 @@ class ToleranceConfig:
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol < 1.0):
-            raise ValueError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
+            raise DomainError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
         if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+            raise DomainError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 DEFAULT_TOL = ToleranceConfig()
@@ -79,7 +79,7 @@ def _w0_halley(x: np.ndarray, w: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL)
     return w
 
 
-def lambert_w0(x, tol: ToleranceConfig = DEFAULT_TOL):
+def lambert_w0(x):
     """Principal branch W0 of the Lambert W function.
 
     Solves ``w * exp(w) = x`` for ``x >= -1/e`` with residual
@@ -99,13 +99,13 @@ def lambert_w0(x, tol: ToleranceConfig = DEFAULT_TOL):
     pinned = at_branch.any()
     if pinned:
         arr = np.where(at_branch, 0.0, arr)
-    w = _w0_halley(arr, _w0_seed(arr), tol)
+    w = _w0_halley(arr, _w0_seed(arr))
     if pinned:
         w[at_branch] = -1.0
     return float(w[0]) if scalar else w
 
 
-def elliptic_k(u: float, tol: ToleranceConfig = DEFAULT_TOL) -> float:
+def elliptic_k(u: float) -> float:
     """Complete elliptic integral of the first kind, K(u) with modulus u.
 
     K(u) = int_0^{pi/2} dt / sqrt(1 - u^2 sin^2 t), requires |u| < 1.
@@ -121,7 +121,7 @@ def elliptic_k(u: float, tol: ToleranceConfig = DEFAULT_TOL) -> float:
         0.0,
         0.5 * math.pi,
         epsabs=1e-14,
-        epsrel=tol.rel_tol,
+        epsrel=DEFAULT_TOL.rel_tol,
         limit=200,
     )
     if err > 1e-6 * max(1.0, abs(val)):
@@ -129,17 +129,17 @@ def elliptic_k(u: float, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     return val
 
 
-def scalar_agm(x: float, y: float, tol: ToleranceConfig = DEFAULT_TOL) -> float:
+def scalar_agm(x: float, y: float) -> float:
     """Gauss arithmetic-geometric mean of two positive reals.
 
     Limit of a <- (a+g)/2, g <- sqrt(a*g); agrees with
-    (pi/4)(x+y)/K((x-y)/(x+y)) within rel_tol.
+    (pi/4)(x+y)/K((x-y)/(x+y)) within DEFAULT_TOL's rel_tol.
     """
     if not (x > 0.0 and y > 0.0) or not (math.isfinite(x) and math.isfinite(y)):
         raise DomainError("scalar_agm requires strictly positive finite inputs")
     a, g = float(x), float(y)
-    for _ in range(tol.max_iter):
-        if abs(a - g) <= tol.rel_tol * max(a, g):
+    for _ in range(DEFAULT_TOL.max_iter):
+        if abs(a - g) <= DEFAULT_TOL.rel_tol * max(a, g):
             break
         a, g = 0.5 * (a + g), math.sqrt(a * g)
     else:

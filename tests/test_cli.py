@@ -1,9 +1,19 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from jeffreys_centers.cli import main, render_report
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# The iterative methods that take --epsilon, and the input fixture of each family.
+EPSILON_METHODS = [("categorical", "jeffreys"), ("categorical", "gb"), ("gaussian", "gb")]
+FAMILY_INPUT = {"categorical": "table2_csv_file", "gaussian": "gaussian_json_file"}
 
 
 @pytest.fixture
@@ -266,6 +276,62 @@ class TestCompute:
         assert code == 0
         report = json.loads(out)
         assert report["center"]["cov"][0][0] == pytest.approx(0.3 * 1.0 + 0.7 * 4.0, rel=1e-6)
+
+    @pytest.mark.parametrize("family, method", EPSILON_METHODS)
+    def test_epsilon_is_the_reported_tolerance(self, family, method, request, capsys):
+        path = request.getfixturevalue(FAMILY_INPUT[family])
+        code, out, _ = run(
+            ["compute", "--family", family, "--method", method, "--input", str(path),
+             "--epsilon", "1e-3"],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(out)["diagnostics"]["tolerance"] == 1e-3
+
+    @pytest.mark.parametrize("family, method", EPSILON_METHODS)
+    def test_zero_epsilon_exits_2(self, family, method, request, capsys):
+        path = request.getfixturevalue(FAMILY_INPUT[family])
+        code, _, err = run(
+            ["compute", "--family", family, "--method", method, "--input", str(path),
+             "--epsilon", "0"],
+            capsys,
+        )
+        assert code == 2
+        assert "invalid input" in err
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"mean": [0.0], "cov": [[1.0]], "weight": "heavy"},
+            {"mean": {"x": 0.0}, "cov": [[1.0]], "weight": 0.5},
+        ],
+        ids=["non-numeric weight", "mean object"],
+    )
+    def test_malformed_gaussian_entry_names_entry(self, bad, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([{"mean": [0.0], "cov": [[1.0]], "weight": 0.5}, bad]))
+        code, _, err = run(
+            ["compute", "--family", "gaussian", "--method", "arithmetic", "--input", str(path)],
+            capsys,
+        )
+        assert code == 2
+        assert "gaussian entry 1" in err
+
+    def test_parse_error_is_printed_once(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("0.5,0.5\n0.5,oops\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "jeffreys_centers.cli", "compute", "--family",
+             "categorical", "--method", "jfr", "--input", str(path)],
+            env=dict(os.environ, PYTHONPATH=str(SRC), CENTERS_LOG="warn"),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "centers: error: histogram row 1, column 1: cannot parse 'oops' as a number"
+        ]
 
 
 class TestBenchCli:

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -302,3 +304,21 @@ class TestGInvariance:
         for _ in range(10):
             a, h = random_spd(rng, 4), random_spd(rng, 4)
             assert g_invariance_residual(a, h) <= 1e-9
+
+
+def test_only_spd_calls_the_eigensolver():
+    """The SPD rule and the spectral kernel live in spd.py: no other module of
+    the package decomposes a symmetric matrix with numpy directly."""
+    package = Path(__file__).resolve().parent.parent / "src" / "jeffreys_centers"
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "spd.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in ("eigh", "eigvalsh"):
+                offenders.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.ImportFrom) and any(
+                a.name in ("eigh", "eigvalsh") for a in node.names
+            ):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

@@ -218,6 +218,77 @@ def test_jfr_center_follows_covariance_scale(scale):
     assert np.abs(scaled.cov.entries / scale - unit.cov.entries).max() <= 1e-8
 
 
+def _mvn_workload_set(index: int, seed: int = 300):
+    """Means and covariances of set ``index`` of the benchmark's ``mvn`` workload:
+    four normals at d in (1, 2, 3, 5, 8), covariance scales 1e-2..1e2, sets
+    alternating five at a time between one shared mean and spread means."""
+    d = (1, 2, 3, 5, 8)[index % 5]
+    same_mean = (index // 5) % 2 == 0
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, d, index])))
+    m0 = rng.normal(size=d)
+    means, covs = np.empty((4, d)), np.empty((4, d, d))
+    for i in range(4):
+        scale = 10.0 ** rng.uniform(-2.0, 2.0)
+        q, r = np.linalg.qr(rng.normal(size=(d, d)))
+        q = q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
+        c = (q * (scale * rng.uniform(0.5, 2.0, size=d))) @ q.T
+        covs[i] = 0.5 * (c + c.T)
+        if same_mean:
+            means[i] = m0
+        else:
+            u = rng.normal(size=d)
+            means[i] = m0 + 10.0 ** rng.uniform(-1.0, 1.0) * np.sqrt(scale) * u / np.linalg.norm(u)
+    return means, covs
+
+
+# Before the Gaussian domain test became the open cone, an absolute eigenvalue
+# floor on -theta_M rejected the members themselves at large scales: 40 of
+# these 50 sets failed JFR and GB at s = 1e12 and all 50 at s = 1e14.
+@pytest.mark.parametrize("scale", [1e-12, 1e-6, 1e6, 1e12, 1e14])
+def test_mvn_centers_follow_covariance_scale(scale):
+    """Covariances x s and means x sqrt(s): JFR moves with the scale to 1e-8
+    relative, and GB returns a center."""
+    for index in range(50):
+        means, covs = _mvn_workload_set(index)
+        unit = jfr_center_mvn(_gaussians(means, covs))
+        scaled_set = _gaussians(np.sqrt(scale) * means, scale * covs)
+        scaled = jfr_center_mvn(scaled_set)
+        mean_err = np.abs(scaled.mean / np.sqrt(scale) - unit.mean).max()
+        cov_err = np.abs(scaled.cov.entries / scale - unit.cov.entries).max()
+        assert mean_err <= 1e-8 * np.abs(unit.mean).max(), index
+        assert cov_err <= 1e-8 * np.abs(unit.cov.entries).max(), index
+        gb_center_mvn(scaled_set)
+
+
+# Members whose condition number sits just under the 1e12 bound.  Inverting
+# such a covariance moves its computed condition number by up to about 1e-4,
+# so a domain test that applied the condition bound to -theta_M (rather than
+# the open cone) rejected some of these valid members.
+NEAR_BOUND_CONDITION = 1e12 * (1.0 - 1e-4)
+
+
+def _near_bound_pair(index: int):
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([1, index])))
+    d = 2 + index % 4
+    while True:  # a draw whose rounding puts it past the bound is not a valid member
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        c = (q * np.geomspace(1.0, NEAR_BOUND_CONDITION, d)) @ q.T
+        try:
+            member = GaussianParam(rng.normal(size=d), SPDMatrix(0.5 * (c + c.T)))
+        except DomainError:
+            continue
+        return [member, GaussianParam(rng.normal(size=d), np.eye(d))]
+
+
+def test_members_near_the_condition_bound_keep_their_centers():
+    for index in range(100):
+        pair = _near_bound_pair(index)
+        _, diag = gb_center_mvn(pair)
+        assert diag.status == "converged", index
+        right, left = sided_kl_centroids_mvn(pair)
+        assert np.all(np.isfinite(right.mean)) and np.all(np.isfinite(left.mean)), index
+
+
 # A non-finite mean is invalid input: GaussianParam rejects it, so no center
 # sees it (JFR and GB used to fail on it as "failed on valid input", and the
 # exact method wrote NaN into its report).
