@@ -2,7 +2,8 @@
 
 The arithmetic-harmonic double sequence converges to the geometric mean;
 swapping the harmonic step for a geometric one yields Gauss's AGM, which has
-no elementary closed form but satisfies an elliptic-integral identity.  The
+no elementary closed form but satisfies an elliptic-integral identity.  Both
+are gb_center runs, under the Burg and the Shannon generator.  The
 scalar Jeffreys centroid of two positive reals is a third animal entirely:
 it needs the Lambert W function.
 """
@@ -20,7 +21,6 @@ from jeffreys_centers import (
     lambert_w0,
     quasi_arithmetic_center,
     right_bregman_centroid,
-    scalar_agm,
     shannon_generator,
 )
 
@@ -50,11 +50,14 @@ print(f"  limit {tb[0]:.15f}  vs sqrt(xy) {math.sqrt(x * y):.15f}")
 # so the double sequence is Gauss's AGM started at the two sided centroids.
 agm, _ = gb_center(shannon_generator(1), pair, tight)
 a0, g0 = (x + y) / 2, math.sqrt(x * y)
+# The AGM is invariant under (x, y) -> (a0, g0): started from {a0, g0}, the
+# sequence reaches the same limit.
+agm_of_means, _ = gb_center(shannon_generator(1), WeightedParamSet.of([[a0], [g0]]), tight)
 closed = (math.pi / 4) * (a0 + g0) / elliptic_k((a0 - g0) / (a0 + g0))
 print("\narithmetic-geometric double sequence (Shannon generator):")
 print(f"  starts at the sided centroids a0={a0}, g0={g0}")
-print(f"  limit                  {agm[0]:.15f}")
-print(f"  scalar_agm(a0, g0)     {scalar_agm(a0, g0):.15f}")
+print(f"  limit from {{x, y}}      {agm[0]:.15f}")
+print(f"  limit from {{a0, g0}}    {agm_of_means[0]:.15f}")
 print(f"  (pi/4)(a0+g0)/K(...)   {closed:.15f}")
 
 # The exact scalar Jeffreys centroid needs Lambert W: c = a / W0((a/g) e).

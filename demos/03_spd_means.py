@@ -2,17 +2,20 @@
 
 The matrix geometric mean X#Y is simultaneously the trace-metric geodesic
 midpoint, the Riccati solution of Z X^{-1} Z = Y, and the limit of the
-arithmetic-harmonic double sequence.  The symmetrized log-det centroid of a
+arithmetic-harmonic double sequence, which is the Gauss-Bregman center of the
+centered normals N(0, X) and N(0, Y).  The symmetrized log-det centroid of a
 weighted SPD set is A#H for the arithmetic and harmonic means A and H.
 """
 
 import numpy as np
 
 from jeffreys_centers import (
+    GaussianParam,
     SPDMatrix,
+    ToleranceConfig,
     g_invariance_residual,
+    gb_center_mvn,
     geometric_mean,
-    nakamura_ah,
     sld_centroid,
     sld_grad_residual,
     symmetrized_logdet,
@@ -36,10 +39,13 @@ print(f"  Riccati residual |Z X^-1 Z - Y|_F  = {riccati:.3e}")
 print(f"  rho(X, Z) = {trace_metric_distance(x, z):.12f}")
 print(f"  rho(Z, Y) = {trace_metric_distance(z, y):.12f}   (geodesic midpoint)")
 
-limit, diag = nakamura_ah(x, y)
-print(f"\narithmetic-harmonic double sequence: {diag.iterations} iterations, "
-      f"final gap {diag.final_gap:.2e}")
-print(f"  |AH limit - X#Y|_F = {np.linalg.norm(limit.entries - z.entries):.3e}")
+# On zero-mean normals the natural average is the harmonic mean of the
+# covariances and the moment average their arithmetic mean.
+centered = [GaussianParam(np.zeros(3), x), GaussianParam(np.zeros(3), y)]
+limit, diag = gb_center_mvn(centered, None, ToleranceConfig(rel_tol=1e-12, max_iter=300))
+print(f"\narithmetic-harmonic double sequence (GB of N(0,X), N(0,Y)): "
+      f"{diag.iterations} iterations, final gap {diag.final_gap:.2e}")
+print(f"  |AH limit - X#Y|_F = {np.linalg.norm(limit.cov.entries - z.entries):.3e}")
 print(f"  first-step invariance residual G(A,H)=G((A+H)/2, 2(A^-1+H^-1)^-1): "
       f"{g_invariance_residual(x, y):.3e}")
 

@@ -10,7 +10,7 @@ arithmetic / quasi-arithmetic double sequence).
 __version__ = "0.1.0"
 
 from .errors import DomainError, NumericalError
-from .special_functions import ToleranceConfig, elliptic_k, lambert_w0, scalar_agm
+from .special_functions import ToleranceConfig, elliptic_k, lambert_w0
 from .legendre import (
     CenterDiagnostics,
     GeneratorSpec,
@@ -55,7 +55,6 @@ from .spd import (
     g_invariance_residual,
     geometric_mean,
     logdet_div,
-    nakamura_ah,
     sld_centroid,
     sld_grad_residual,
     spd_power,

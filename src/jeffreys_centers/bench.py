@@ -85,7 +85,7 @@ class RunConfig:
             raise ValueError("trials must be >= 1")
         if any(d < 2 for d in self.dims):
             raise ValueError("every dimension must be >= 2")
-        if self.epsilon <= 0.0:
+        if not self.epsilon > 0.0:
             raise ValueError("epsilon must be positive")
 
 
@@ -109,54 +109,63 @@ def sample_histogram_pair(seed: int, dim: int, trial: int) -> np.ndarray:
     return rows
 
 
-def _own_sets(rows: np.ndarray):
-    """One uniform HistogramSet per timed method (exact, JFR, GB).
-
-    A set caches its sided means on first use; separate sets keep each
-    method's time inclusive of its own means, as when it runs alone.
-    """
-    return tuple(HistogramSet.uniform(rows) for _ in range(3))
-
-
 def _timed(fn):
     t0 = time.perf_counter_ns()
     out = fn()
     return out, time.perf_counter_ns() - t0
 
 
+def _score_pair(rows: np.ndarray, epsilon: float):
+    """Time the exact, JFR and GB centers of a uniform set of ``rows`` and
+    score the two proxies against the exact one.
+
+    Each timed method gets its own HistogramSet: a set caches its sided means
+    on first use, so separate sets keep each time inclusive of the method's
+    own means, as when it runs alone.  Returns the reference time and, per
+    proxy, ``(info_eps, tv_eps, time_ns)``.
+    """
+    hset, h_jfr, h_gb = (HistogramSet.uniform(rows) for _ in range(3))
+    ref, t_ref = _timed(lambda: jeffreys_centroid_cat(hset, epsilon))
+    jfr, t_jfr = _timed(lambda: jfr_center_cat(h_jfr))
+    (gb, _), t_gb = _timed(lambda: gb_center_cat(h_gb, GB_CAT_EPSILON))
+    # identical rows have zero reference loss; every center coincides
+    degenerate = jeffreys_loss_cat(hset, ref.center) < 1e-15
+    scores = {
+        method: (
+            0.0 if degenerate else approximation_factor(hset, center, ref.center),
+            tv_cat(center, ref.center),
+            t,
+        )
+        for method, center, t in (("jfr", jfr, t_jfr), ("gb", gb, t_gb))
+    }
+    return t_ref, scores
+
+
 def run_table1(config: RunConfig, timing: bool = True) -> List[BenchRecord]:
     """Score JFR and GB against the numerical Jeffreys centroid per dimension."""
     records: List[BenchRecord] = []
     for dim in config.dims:
-        eps = {"jfr": np.empty(config.trials), "gb": np.empty(config.trials)}
-        tv = {"jfr": np.empty(config.trials), "gb": np.empty(config.trials)}
-        times = {"jeffreys": 0, "jfr": 0, "gb": 0}
-        for trial in range(config.trials):
-            hset, h_jfr, h_gb = _own_sets(sample_histogram_pair(config.seed, dim, trial))
-            ref, t_ref = _timed(lambda: jeffreys_centroid_cat(hset, config.epsilon))
-            jfr, t_jfr = _timed(lambda: jfr_center_cat(h_jfr))
-            (gb, _), t_gb = _timed(lambda: gb_center_cat(h_gb, GB_CAT_EPSILON))
-            times["jeffreys"] += t_ref
-            times["jfr"] += t_jfr
-            times["gb"] += t_gb
-            eps["jfr"][trial] = approximation_factor(hset, jfr, ref.center)
-            eps["gb"][trial] = approximation_factor(hset, gb, ref.center)
-            tv["jfr"][trial] = tv_cat(jfr, ref.center)
-            tv["gb"][trial] = tv_cat(gb, ref.center)
+        trials = [
+            _score_pair(sample_histogram_pair(config.seed, dim, trial), config.epsilon)
+            for trial in range(config.trials)
+        ]
+        t_ref = sum(t for t, _ in trials)
         for method in ("jfr", "gb"):
+            eps, tv, times = map(np.array, zip(*(scores[method] for _, scores in trials)))
             if timing:
-                avg_ns = int(round(times[method] / config.trials))
-                speedup = times["jeffreys"] / max(times[method], 1)
+                total = int(times.sum())
+                avg_ns = int(round(total / config.trials))
+                speedup = t_ref / max(total, 1)
             else:
                 avg_ns, speedup = 0, 0.0
             records.append(
                 BenchRecord(
                     dim=dim,
                     method=method,
-                    avg_info_eps=float(eps[method].mean()),
-                    max_info_eps=float(eps[method].max()),
-                    avg_tv=float(tv[method].mean()),
-                    max_tv=float(tv[method].max()),
+                    avg_info_eps=float(eps.mean()),
+                    max_info_eps=float(eps.max()),
+                    avg_tv=float(tv.mean()),
+                    max_tv=float(tv.max()),
                     avg_time_ns=avg_ns,
                     speedup_vs_jeffreys=float(speedup),
                 )
@@ -182,23 +191,16 @@ def run_table2(
         if not (0.0 < alpha < 1.0):
             raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
         flagged = _alpha_flagged(alpha)
-        hset, h_jfr, h_gb = _own_sets(
-            np.array([[1 / 3, 1 / 3, 1 / 3], [1.0 - alpha, alpha / 2, alpha / 2]])
+        t_ref, scores = _score_pair(
+            np.array([[1 / 3, 1 / 3, 1 / 3], [1.0 - alpha, alpha / 2, alpha / 2]]), epsilon
         )
-        ref, t_ref = _timed(lambda: jeffreys_centroid_cat(hset, epsilon))
-        jfr, t_jfr = _timed(lambda: jfr_center_cat(h_jfr))
-        (gb, _), t_gb = _timed(lambda: gb_center_cat(h_gb, GB_CAT_EPSILON))
-        # identical inputs have zero reference loss; every center coincides
-        degenerate = jeffreys_loss_cat(hset, ref.center) < 1e-15
-        for method, center, t in (("jfr", jfr, t_jfr), ("gb", gb, t_gb)):
+        for method, (info_eps, tv_eps, t) in scores.items():
             rows.append(
                 Table2Row(
                     alpha=alpha,
                     method=method,
-                    info_eps=0.0
-                    if degenerate
-                    else approximation_factor(hset, center, ref.center),
-                    tv_eps=tv_cat(center, ref.center),
+                    info_eps=info_eps,
+                    tv_eps=tv_eps,
                     time_ns=t if timing else 0,
                     speedup_vs_jeffreys=(t_ref / max(t, 1)) if timing else 0.0,
                     flagged=flagged,

@@ -276,7 +276,7 @@ def jeffreys_centroid_cat(
     stays positive, and stops on lambert_w0's residual test
     ``|w e^w - x| <= 1e-12 max(1, |x|)``; most iterates need at most one step.
     """
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:
         raise DomainError("epsilon must be positive")
     t0 = time.perf_counter_ns()
     a, g = hset.means
@@ -341,7 +341,7 @@ def gb_center_cat(
     the total-variation gap drops to ``epsilon`` and the last arithmetic
     iterate is returned.
     """
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:
         raise DomainError("epsilon must be positive")
     t0 = time.perf_counter_ns()
     a, g = hset.means

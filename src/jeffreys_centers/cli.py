@@ -213,7 +213,7 @@ def _write(text: str, output: Optional[str]) -> None:
 def _compute_categorical(args) -> dict:
     rows = read_histograms(args.input)
     weights = read_weights(args.weights, rows.shape[0]) if args.weights else None
-    hset = HistogramSet.uniform(rows) if weights is None else HistogramSet(rows, weights)
+    hset = HistogramSet(rows, weights)
     report: dict = {
         "schema_version": 1,
         "family": "categorical",
@@ -245,8 +245,6 @@ def _compute_categorical(args) -> dict:
         report["jeffreys_loss"] = jeffreys_loss_cat(hset, center)
         report["diagnostics"] = asdict(diag)
         return report
-    else:  # pragma: no cover
-        raise CliError(f"unsupported method {args.method}")
     report["center"] = list(center.probs)
     report["jeffreys_loss"] = jeffreys_loss_cat(hset, center)
     report["diagnostics"] = asdict(diag)
@@ -292,8 +290,6 @@ def _compute_gaussian(args) -> dict:
         center, _ = sided_kl_centroids_mvn(gaussians, weights)
     elif args.method == "unnormalized":
         raise CliError("method 'unnormalized' applies to the categorical family only")
-    else:  # pragma: no cover
-        raise CliError(f"unsupported method {args.method}")
     report["center"] = _gauss_dict(center)
     report["jeffreys_loss"] = jeffreys_loss_mvn(gaussians, weights, center)
     report["diagnostics"] = asdict(diag)

@@ -11,6 +11,11 @@ with ``max_iter`` and reports honestly.
 count, the final gap, the stopping tolerance and the status.  Each step goes
 through the module's :func:`gb_step`, so a caller can observe the iterates by
 wrapping it.
+
+This is the package's one generic double sequence: Gauss's arithmetic-geometric
+mean is ``gb_center`` under the Shannon generator, and the arithmetic-harmonic
+matrix sequence converging to X#Y is the Gaussian GB center of the centered
+pair N(0, X), N(0, Y).
 """
 
 from __future__ import annotations
@@ -52,6 +57,18 @@ def gb_step(
     return new_bar, new_under
 
 
+def _gap(theta_bar: np.ndarray, theta_under: np.ndarray) -> float:
+    """|theta_bar - theta_under| / min(1, |theta_bar|), the stopping gap.
+
+    Absolute where |theta_bar| >= 1 and relative below, since an absolute gap
+    alone stops too early on small parameters (a scalar pair near 1e-12, or
+    normals with large covariances).  At theta_bar = 0 it is the absolute gap.
+    """
+    gap = float(np.linalg.norm(theta_bar - theta_under))
+    scale = min(1.0, float(np.linalg.norm(theta_bar)))
+    return gap / scale if scale > 0.0 else gap
+
+
 def gb_center(
     gen: GeneratorSpec, pset: WeightedParamSet, tol: ToleranceConfig = GB_TOL
 ) -> Tuple[np.ndarray, CenterDiagnostics]:
@@ -59,10 +76,11 @@ def gb_center(
 
     Initializes at the right Bregman centroid (arithmetic mean) and the left
     Bregman centroid (quasi-arithmetic center), iterates :func:`gb_step` until
-    the Euclidean gap between the two iterates drops to ``tol.rel_tol`` or
-    ``tol.max_iter`` steps are taken, and returns the final arithmetic iterate
-    with its diagnostics.  The status is "max_iter" when the gap target was
-    not met.
+    the Euclidean gap between the two iterates drops to
+    ``tol.rel_tol * min(1, |theta_bar|)`` or ``tol.max_iter`` steps are taken,
+    and returns the final arithmetic iterate theta_bar with its diagnostics,
+    whose ``final_gap`` is the gap divided by that scale.  The status is
+    "max_iter" when the gap target was not met.
     """
     t0 = time.perf_counter_ns()
     theta_bar = right_bregman_centroid(pset)
@@ -70,10 +88,10 @@ def gb_center(
     gen.require_domain(theta_bar, "initial arithmetic centroid")
     gen.require_domain(theta_under, "initial quasi-arithmetic centroid")
 
-    gap = float(np.linalg.norm(theta_bar - theta_under))
+    gap = _gap(theta_bar, theta_under)
     iterations = 0
     while gap > tol.rel_tol and iterations < tol.max_iter:
         theta_bar, theta_under = gb_step(gen, theta_bar, theta_under)
-        gap = float(np.linalg.norm(theta_bar - theta_under))
+        gap = _gap(theta_bar, theta_under)
         iterations += 1
     return theta_bar, CenterDiagnostics.after(t0, iterations, gap, tol.rel_tol)

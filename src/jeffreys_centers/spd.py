@@ -2,8 +2,9 @@
 
 Spectral square roots and powers, the two-point matrix geometric mean X#Y,
 the affine-invariant (trace metric) geodesic distance, log-det Bregman
-divergences, the arithmetic-harmonic double sequence converging to X#Y, and
-the closed-form symmetrized log-det centroid A#H.
+divergences, and the closed-form symmetrized log-det centroid A#H.  The
+arithmetic-harmonic double sequence converging to X#Y is the Gaussian
+Gauss-Bregman center of the centered pair N(0, X), N(0, Y).
 
 One symmetric-eigendecomposition kernel, which turns a failed decomposition
 into a NumericalError, serves every matrix function and the one SPD rule.
@@ -11,15 +12,13 @@ into a NumericalError, serves every matrix function and the one SPD rule.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .legendre import _FD_STEP, CenterDiagnostics, check_weights
-from .special_functions import ToleranceConfig
+from .legendre import _FD_STEP, check_weights
 
 __all__ = [
     "SPDMatrix",
@@ -31,12 +30,8 @@ __all__ = [
     "symmetrized_logdet",
     "sld_centroid",
     "sld_grad_residual",
-    "nakamura_ah",
     "g_invariance_residual",
-    "NAKAMURA_TOL",
 ]
-
-NAKAMURA_TOL = ToleranceConfig(rel_tol=1e-10, max_iter=200)
 
 _MAX_CONDITION = 1e12
 
@@ -261,27 +256,6 @@ def sld_grad_residual(
             e[i, j] = e[j, i] = 1.0
             grad[i, j] = grad[j, i] = (loss(xa + h * e) - loss(xa - h * e)) / (2 * h)
     return float(np.linalg.norm(grad))
-
-
-def nakamura_ah(
-    p: SPDMatrix, q: SPDMatrix, tol: ToleranceConfig = NAKAMURA_TOL
-) -> Tuple[SPDMatrix, CenterDiagnostics]:
-    """Arithmetic-harmonic double sequence converging to the geometric mean.
-
-    P <- (P+Q)/2, Q <- 2 (P^{-1} + Q^{-1})^{-1}; the Frobenius gap decreases
-    quadratically and the common limit is P # Q.
-    """
-    t0 = time.perf_counter_ns()
-    a, b = _as_array(p).copy(), _as_array(q).copy()
-    _check_same_dim(a, b)
-    gap = float(np.linalg.norm(a - b))
-    iterations = 0
-    while gap > tol.rel_tol and iterations < tol.max_iter:
-        harm = 2.0 * np.linalg.inv(np.linalg.inv(a) + np.linalg.inv(b))
-        a, b = 0.5 * (a + b), 0.5 * (harm + harm.T)
-        gap = float(np.linalg.norm(a - b))
-        iterations += 1
-    return SPDMatrix(0.5 * (a + a.T)), CenterDiagnostics.after(t0, iterations, gap, tol.rel_tol)
 
 
 def g_invariance_residual(a: SPDMatrix, h: SPDMatrix) -> float:

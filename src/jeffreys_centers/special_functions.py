@@ -1,12 +1,13 @@
-"""Scalar special functions: principal Lambert W branch, complete elliptic
-integral of the first kind, and the Gauss arithmetic-geometric mean.
+"""Scalar special functions: principal Lambert W branch and complete elliptic
+integral of the first kind.
 
 The Lambert W implementation is a Halley iteration with a piecewise seed
 (series near the branch point, log-based for large arguments).  The same
 Halley loop also runs from a start the caller supplies: the histogram
 Jeffreys solve starts it from the previous multiplier's W.  K(u) is
 evaluated by adaptive quadrature of its defining integral rather than by the
-AGM, so the AGM can be tested against it without circularity.
+arithmetic-geometric mean (AGM), so the AGM, which is the Gauss-Bregman center
+under the Shannon generator, can be tested against it without circularity.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 
-__all__ = ["ToleranceConfig", "lambert_w0", "elliptic_k", "scalar_agm"]
+__all__ = ["ToleranceConfig", "lambert_w0", "elliptic_k"]
 
 _NEG_INV_E = -math.exp(-1.0)
 
@@ -128,20 +129,3 @@ def elliptic_k(u: float) -> float:
         raise NumericalError(f"elliptic_k quadrature error too large: {err}")
     return val
 
-
-def scalar_agm(x: float, y: float) -> float:
-    """Gauss arithmetic-geometric mean of two positive reals.
-
-    Limit of a <- (a+g)/2, g <- sqrt(a*g); agrees with
-    (pi/4)(x+y)/K((x-y)/(x+y)) within DEFAULT_TOL's rel_tol.
-    """
-    if not (x > 0.0 and y > 0.0) or not (math.isfinite(x) and math.isfinite(y)):
-        raise DomainError("scalar_agm requires strictly positive finite inputs")
-    a, g = float(x), float(y)
-    for _ in range(DEFAULT_TOL.max_iter):
-        if abs(a - g) <= DEFAULT_TOL.rel_tol * max(a, g):
-            break
-        a, g = 0.5 * (a + g), math.sqrt(a * g)
-    else:
-        raise NumericalError("scalar_agm failed to converge")
-    return 0.5 * (a + g)

@@ -66,20 +66,25 @@ def h_of(gen: ScalarGenerator, theta: float) -> float:
     return val
 
 
-def _grow_bracket(
+def _monotone_root(
     fun: Callable[[float], float],
     target: float,
     start: float,
     domain: Tuple[float, float],
-) -> Tuple[float, float]:
-    """Geometric bracket growth around ``start`` for fun(theta) = target."""
+    xtol: float,
+) -> float:
+    """The theta with fun(theta) = target for an increasing ``fun``: a bracket
+    grown geometrically around ``start`` inside ``domain``, then Brent's method
+    to ``xtol``."""
+    from scipy.optimize import brentq
+
     lo, hi = domain
     step = max(1e-6, abs(start) * 1e-3)
     a = b = start
     fa = fb = fun(start) - target
     for _ in range(200):
         if fa <= 0.0 <= fb or fb <= 0.0 <= fa:
-            return (a, b) if a <= b else (b, a)
+            break
         step *= 2.0
         if fa > 0.0:  # monotone increasing fun: move left
             a = max(a - step, lo + (start - lo) * 1e-15) if math.isfinite(lo) else a - step
@@ -87,32 +92,21 @@ def _grow_bracket(
         else:
             b = min(b + step, hi - (hi - start) * 1e-15) if math.isfinite(hi) else b + step
             fb = fun(b) - target
-    raise NumericalError("bracket growth failed; target may be out of range")
+    else:
+        raise NumericalError("bracket growth failed; target may be out of range")
+    if a == b:
+        return a
+    try:
+        return float(brentq(lambda t: fun(t) - target, a, b, xtol=xtol, rtol=8.9e-16))
+    except ValueError as exc:
+        raise NumericalError(f"bracketing failed: {exc}") from exc
 
 
 def h_inverse(gen: ScalarGenerator, y: float) -> float:
     """Monotone inversion of h: the theta with h(theta) = y, to 1e-9."""
-    from scipy.optimize import brentq
-
     if y == 0.0:
         return gen.theta_ref
-    fun = lambda t: h_of(gen, t)
-    a, b = _grow_bracket(fun, float(y), gen.theta_ref, gen.domain)
-    if a == b:
-        return a
-    try:
-        return float(brentq(lambda t: fun(t) - y, a, b, xtol=1e-12, rtol=8.9e-16))
-    except ValueError as exc:
-        raise NumericalError(f"h_inverse bracketing failed: {exc}") from exc
-
-
-def _f_prime_inverse(gen: ScalarGenerator, target: float, hull: Tuple[float, float]) -> float:
-    from scipy.optimize import brentq
-
-    a, b = _grow_bracket(gen.f_prime, target, 0.5 * (hull[0] + hull[1]), gen.domain)
-    if a == b:
-        return a
-    return float(brentq(lambda t: gen.f_prime(t) - target, a, b, xtol=1e-13, rtol=8.9e-16))
+    return _monotone_root(lambda t: h_of(gen, t), float(y), gen.theta_ref, gen.domain, 1e-12)
 
 
 def jfr_center_1d(
@@ -131,8 +125,10 @@ def jfr_center_1d(
     for t in ts:
         gen.require(float(t))
     theta_bar = float(w @ ts)
-    hull = (float(ts.min()), float(ts.max()))
-    theta_under = _f_prime_inverse(gen, float(w @ np.array([gen.f_prime(t) for t in ts])), hull)
+    theta_under = _monotone_root(
+        gen.f_prime, float(w @ np.array([gen.f_prime(t) for t in ts])),
+        0.5 * (float(ts.min()) + float(ts.max())), gen.domain, 1e-13,
+    )
     if abs(theta_bar - theta_under) < 1e-15:
         return theta_bar
     mid = 0.5 * (h_of(gen, theta_bar) + h_of(gen, theta_under))

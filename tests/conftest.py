@@ -4,9 +4,11 @@ import pytest
 from jeffreys_centers import (
     GaussianParam,
     SPDMatrix,
+    ToleranceConfig,
     fisher_rao_midpoint_mvn,
     gauss_bregman,
     gaussian,
+    gb_center_mvn,
     geometric_mean,
     trace_metric_distance,
 )
@@ -23,6 +25,24 @@ def random_spd_unit(rng: np.random.Generator, d: int) -> SPDMatrix:
     q, _ = np.linalg.qr(rng.normal(size=(d, d)))
     lam = rng.uniform(0.5, 2.0, size=d)
     return SPDMatrix((q * lam) @ q.T)
+
+
+# The tolerance every arithmetic-harmonic check runs at.  At GB_TOL the limit
+# lands up to 9e-7 (Frobenius) from X#Y on random_spd pairs at d <= 16, too
+# loose for the 1e-8 bounds of the tests that use it.
+AH_TOL = ToleranceConfig(rel_tol=1e-12, max_iter=300)
+
+
+def ah_limit(x: SPDMatrix, y: SPDMatrix, tol: ToleranceConfig = AH_TOL):
+    """Limit of the arithmetic-harmonic sequence X <- (X+Y)/2, Y <- 2(X^-1+Y^-1)^-1.
+
+    On the centered pair N(0, X), N(0, Y) the Gaussian Gauss-Bregman sequence
+    averages precisions and covariances, so its center is N(0, X#Y).  Returns
+    the limit covariance and the diagnostics.
+    """
+    zero = np.zeros(x.dim)
+    center, diag = gb_center_mvn([GaussianParam(zero, x), GaussianParam(zero, y)], None, tol)
+    return center.cov, diag
 
 
 def random_simplex(rng: np.random.Generator, d: int, floor: float = 1e-12) -> np.ndarray:

@@ -365,3 +365,22 @@ class TestBenchCli:
             ["bench", "table1", "--dims", "1", "--trials", "2"], capsys
         )
         assert code == 2
+
+
+# A NaN tolerance is invalid input like 0, but it passes an `epsilon <= 0`
+# test: each command would report a center after no iteration.
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["compute", "--family", "categorical", "--method", "jeffreys"],
+        ["compute", "--family", "categorical", "--method", "gb"],
+        ["bench", "table1", "--dims", "4", "--trials", "2"],
+        ["bench", "table2", "--alphas", "1e-1"],
+    ],
+    ids=["compute-jeffreys", "compute-gb", "table1", "table2"],
+)
+def test_nan_epsilon_exits_2(command, table2_csv_file, capsys):
+    inputs = ["--input", str(table2_csv_file)] if command[0] == "compute" else []
+    code, out, _ = run(command + inputs + ["--epsilon", "nan"], capsys)
+    assert code == 2
+    assert out == ""

@@ -21,12 +21,10 @@ from jeffreys_centers import (
     gb_center_cat,
     gb_center_mvn,
     jeffreys_centroid_cat,
-    nakamura_ah,
     shannon_generator,
 )
 from jeffreys_centers.categorical import GB_CAT_EPSILON
 from jeffreys_centers.gauss_bregman import GB_TOL
-from jeffreys_centers.spd import NAKAMURA_TOL
 
 PAIR = WeightedParamSet.of([[0.1], [9.0]])
 HSET = HistogramSet(np.array([[0.7, 0.2, 0.1], [0.05, 0.35, 0.6], [0.2, 0.2, 0.6]]), None)
@@ -34,8 +32,6 @@ GAUSSIANS = [
     GaussianParam([0.0, 1.0], SPDMatrix([[1.0, 0.3], [0.3, 2.0]])),
     GaussianParam([1.5, -0.5], SPDMatrix([[4.0, -1.0], [-1.0, 1.0]])),
 ]
-P = SPDMatrix([[1.0, 0.2], [0.2, 3.0]])
-Q = SPDMatrix([[5.0, -1.0], [-1.0, 0.5]])
 
 
 def _gb(tol=GB_TOL):
@@ -48,10 +44,6 @@ def _gb_cat(epsilon=GB_CAT_EPSILON, max_iter=1000):
 
 def _gb_mvn(tol=GB_TOL):
     return gb_center_mvn(GAUSSIANS, None, tol)[1]
-
-
-def _nakamura(tol=NAKAMURA_TOL):
-    return nakamura_ah(P, Q, tol)[1]
 
 
 def _jeffreys(epsilon=1e-10, max_iter=200):
@@ -75,11 +67,6 @@ CENTERS = {
         _gb_mvn, GB_TOL.rel_tol,
         lambda t: _gb_mvn(ToleranceConfig(t, 200)),
         lambda: _gb_mvn(ToleranceConfig(1e-12, 2)),
-    ),
-    "nakamura_ah": (
-        _nakamura, NAKAMURA_TOL.rel_tol,
-        lambda t: _nakamura(ToleranceConfig(t, 200)),
-        lambda: _nakamura(ToleranceConfig(1e-12, 1)),
     ),
     "jeffreys_centroid_cat": (
         _jeffreys, 1e-10,

@@ -14,7 +14,6 @@ from jeffreys_centers import (
     gb_step,
     make_separable_generator,
     quasi_arithmetic_center,
-    scalar_agm,
     shannon_generator,
 )
 from jeffreys_centers.gauss_bregman import GB_TOL
@@ -86,8 +85,7 @@ class TestGBCenter:
         center, _ = gb_center(shannon_generator(1), WeightedParamSet.of([[1.0], [4.0]]), TIGHT)
         a0, g0 = 2.5, 2.0
         expect = (math.pi / 4.0) * (a0 + g0) / elliptic_k((a0 - g0) / (a0 + g0))
-        assert center[0] == pytest.approx(expect, rel=1e-10)
-        assert center[0] == pytest.approx(scalar_agm(a0, g0), rel=1e-12)
+        assert center[0] == pytest.approx(expect, rel=1e-12)
 
     def test_scalar_gap_halving(self, rng, gb_steps):
         gen = shannon_generator(1)
@@ -133,6 +131,28 @@ class TestGBCenter:
         _, diag = gb_center(gen, WeightedParamSet.of([[0.1], [9.0]]), ToleranceConfig(1e-12, 2))
         assert diag.status == "max_iter"
         assert diag.final_gap > 1e-12
+
+    def test_small_pair_reaches_the_agm(self, gb_steps):
+        # Below |theta_bar| = 1 the gap is relative: an absolute 1e-8 gap
+        # would stop {1e-12, 4e-12} at once, at its arithmetic mean, 11% off.
+        unit, _ = gb_center(shannon_generator(1), WeightedParamSet.of([[1.0], [4.0]]), TIGHT)
+        gb_steps.clear()
+        small, diag = gb_center(shannon_generator(1), WeightedParamSet.of([[1e-12], [4e-12]]))
+        assert diag.status == "converged" and diag.iterations > 0
+        assert small[0] == pytest.approx(1e-12 * unit[0], rel=GB_TOL.rel_tol)
+        _, (nb, nu) = gb_steps[-1]
+        assert diag.final_gap == abs(nb[0] - nu[0]) / abs(nb[0])
+
+    def test_zero_arithmetic_iterate_reports_the_absolute_gap(self):
+        gen = make_separable_generator(
+            1, f=np.exp, f_prime=np.exp, f_prime_inv=np.log,
+            in_domain_scalar=np.isfinite, name="exp",
+        )
+        center, diag = gb_center(gen, WeightedParamSet.of([[-1.0], [1.0]]), ToleranceConfig(0.5, 10))
+        # theta_bar = 0 and theta_under = log(cosh 1): no division by |theta_bar|
+        assert center[0] == 0.0 and diag.iterations == 0
+        assert diag.final_gap == pytest.approx(math.log(math.cosh(1.0)), rel=1e-15)
+        assert diag.status == "converged"
 
     def test_weighted_initialization(self):
         # weights shift the initial sided centroids, hence the limit

@@ -469,13 +469,16 @@ class TestIndexTables:
     # Per d: GB iterations and (mean . u, <cov, V>) of the GB and JFR centers
     # of three Gaussians drawn from default_rng(d), with u, V drawn from
     # default_rng(1000 + d); values computed before the tables were cached.
+    # At d = 5 and 6 the GB iterates stay below unit norm, so since the
+    # stopping gap became relative there GB takes one more step (3 -> 4) and
+    # its fingerprint moved by up to 1.2e-8 relative, toward the limit.
     FINGERPRINTS = {
         1: (3, (0.5274307779557323, -0.24177787048057126), (0.5274305326170083, -0.24177788843468598)),
         2: (4, (0.19829244034223967, 9.424439816716674), (0.19829729415602862, 9.4244420750258)),
         3: (4, (-1.0713462015393356, -1.4811388024669383), (-1.0713459138644457, -1.4811384066310207)),
         4: (4, (0.07636528745062275, 4.607177330698924), (0.07637030459289118, 4.607178991893019)),
-        5: (3, (1.0302698114847078, -3.642264030193735), (1.0302653051158632, -3.6422386469179058)),
-        6: (3, (0.4292554230543438, 28.30170976116551), (0.42925434447010735, 28.301725203876963)),
+        5: (4, (1.0302698111584843, -3.6422640702578857), (1.0302653051158632, -3.6422386469179058)),
+        6: (4, (0.42925542381221893, 28.30170942848679), (0.42925434447010735, 28.301725203876963)),
         7: (3, (-1.273976909278826, 64.1695544604878), (-1.2739776502711868, 64.16955637382809)),
         8: (4, (-0.13309646445555426, 34.134598542425756), (-0.13309448622447184, 34.13461440929675)),
     }

@@ -31,6 +31,12 @@ REMOVED = [
     "Stopwatch",
     # a test-only midpoint check, now in the tests
     "embedded_equidistance_residual",
+    # copies of the Gauss-Bregman double sequence: the AGM is gb_center under
+    # the Shannon generator, the arithmetic-harmonic sequence gb_center_mvn
+    # of the centered pair
+    "scalar_agm",
+    "nakamura_ah",
+    "NAKAMURA_TOL",
 ]
 
 
@@ -49,6 +55,8 @@ def test_every_exported_name_resolves(module):
         "jeffreys_centers.gaussian",
         "jeffreys_centers.gauss_bregman",
         "jeffreys_centers.legendre",
+        "jeffreys_centers.spd",
+        "jeffreys_centers.special_functions",
     ],
 )
 def test_removed_name_is_gone(module, name):

@@ -12,7 +12,6 @@ from jeffreys_centers import (
     g_invariance_residual,
     geometric_mean,
     logdet_div,
-    nakamura_ah,
     sld_centroid,
     sld_grad_residual,
     spd_power,
@@ -23,7 +22,7 @@ from jeffreys_centers import (
 
 from jeffreys_centers.spd import _log_divided_differences
 
-from conftest import random_spd
+from conftest import ah_limit, random_spd
 
 
 class TestSPDMatrix:
@@ -255,20 +254,22 @@ class TestSldCentroid:
 
 
 class TestNakamura:
+    """Nakamura's arithmetic-harmonic sequence, run as the centered Gaussian GB center."""
+
     def test_equal_inputs_zero_iterations(self, rng):
         x = random_spd(rng, 3)
-        limit, diag = nakamura_ah(x, x)
+        limit, diag = ah_limit(x, x)
         assert diag.iterations == 0
         assert np.abs(limit.entries - x.entries).max() < 1e-12
 
     def test_scalars(self):
-        limit, _ = nakamura_ah(SPDMatrix([[1.0]]), SPDMatrix([[4.0]]))
+        limit, _ = ah_limit(SPDMatrix([[1.0]]), SPDMatrix([[4.0]]))
         assert limit.entries[0, 0] == pytest.approx(2.0, abs=1e-10)
 
     @pytest.mark.parametrize("d", [2, 4, 8, 16])
     def test_matches_geometric_mean(self, rng, d):
         x, y = random_spd(rng, d), random_spd(rng, d)
-        limit, diag = nakamura_ah(x, y)
+        limit, diag = ah_limit(x, y)
         assert diag.status == "converged"
         expect = geometric_mean(x, y).entries
         assert np.linalg.norm(limit.entries - expect) <= 1e-8
@@ -286,7 +287,7 @@ class TestNakamura:
 
     def test_max_iter_reported(self, rng):
         x, y = random_spd(rng, 3), random_spd(rng, 3)
-        _, diag = nakamura_ah(x, y, ToleranceConfig(rel_tol=1e-14, max_iter=1))
+        _, diag = ah_limit(x, y, ToleranceConfig(rel_tol=1e-14, max_iter=1))
         assert diag.status == "max_iter"
 
 

@@ -6,9 +6,11 @@ import pytest
 from jeffreys_centers import (
     DomainError,
     ToleranceConfig,
+    WeightedParamSet,
     elliptic_k,
+    gb_center,
     lambert_w0,
-    scalar_agm,
+    shannon_generator,
 )
 
 
@@ -148,25 +150,35 @@ class TestEllipticK:
                 elliptic_k(bad)
 
 
+def agm(x: float, y: float) -> float:
+    """Gauss's arithmetic-geometric mean of x and y, run as gb_center.
+
+    Under the Shannon generator the double sequence of {x, y} starts at their
+    arithmetic and geometric means, whose AGM is that of x and y.
+    """
+    pair = WeightedParamSet.of([[x], [y]])
+    return float(gb_center(shannon_generator(1), pair, ToleranceConfig(1e-13, 300))[0][0])
+
+
 class TestScalarAGM:
     def test_fixed_point(self):
-        assert scalar_agm(3.7, 3.7) == pytest.approx(3.7, rel=1e-15)
+        assert agm(3.7, 3.7) == pytest.approx(3.7, rel=1e-15)
 
     def test_one_four_vs_elliptic(self):
         expect = (math.pi / 4.0) * 5.0 / elliptic_k(-3.0 / 5.0)
-        assert scalar_agm(1.0, 4.0) == pytest.approx(expect, rel=1e-12)
+        assert agm(1.0, 4.0) == pytest.approx(expect, rel=1e-12)
 
     def test_homogeneous(self):
-        assert scalar_agm(2.0, 8.0) == pytest.approx(2.0 * scalar_agm(1.0, 4.0), rel=1e-13)
+        assert agm(2.0, 8.0) == pytest.approx(2.0 * agm(1.0, 4.0), rel=1e-13)
 
     def test_bounds_symmetry_homogeneity(self, rng):
         for _ in range(50):
             x, y = rng.uniform(0.1, 10.0, size=2)
-            m = scalar_agm(x, y)
+            m = agm(x, y)
             assert min(x, y) <= m <= max(x, y)
-            assert m == pytest.approx(scalar_agm(y, x), rel=1e-14)
+            assert m == pytest.approx(agm(y, x), rel=1e-14)
             c = rng.uniform(0.5, 2.0)
-            assert scalar_agm(c * x, c * y) == pytest.approx(c * m, rel=1e-13)
+            assert agm(c * x, c * y) == pytest.approx(c * m, rel=1e-13)
 
     def test_quadratic_gap_decay(self, rng):
         # one double-sequence step contracts the gap quadratically,
@@ -182,12 +194,12 @@ class TestScalarAGM:
             if abs(x - y) < 1e-3:
                 continue
             expect = (math.pi / 4.0) * (x + y) / elliptic_k((x - y) / (x + y))
-            assert scalar_agm(x, y) == pytest.approx(expect, rel=1e-10)
+            assert agm(x, y) == pytest.approx(expect, rel=1e-10)
 
     def test_domain_error(self):
         for bad in ((0.0, 1.0), (1.0, -2.0), (float("nan"), 1.0)):
             with pytest.raises(DomainError):
-                scalar_agm(*bad)
+                agm(*bad)
 
 
 class TestToleranceConfig:
