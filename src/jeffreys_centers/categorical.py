@@ -5,9 +5,10 @@ arithmetic and normalized geometric means, the exact numerical Jeffreys
 centroid (Lambert-W fixed point + safeguarded Newton on the multiplier), the
 closed-form Jeffreys-Fisher-Rao center, and the inductive Gauss-Bregman center.
 
-The Newton solve keeps W between its steps: only the two bracket ends call
-:func:`lambert_w0` from scratch, and each later W starts its Halley iteration
-from the previous one, moved along dW/dlambda = W / (1 + W).
+The Newton solve starts from the multiplier the closed-form JFR center implies
+and keeps W between its steps: only that start calls :func:`lambert_w0` from
+scratch, and each later W starts its Halley iteration from the previous one,
+moved along dW/dlambda = W / (1 + W).
 
 All inputs live on the open simplex: empty bins must be smoothed by the caller
 before ingestion.
@@ -262,16 +263,20 @@ def jeffreys_centroid_cat(
     """Numerical Jeffreys centroid via safeguarded Newton on the multiplier lambda.
 
     The unit-mass root of s(lambda) = sum_j c_j(lambda) lies in the bracket
-    [max_j(a_j + log g_j) - 1, 0].  Newton starts at lambda = 0 with the slope
+    [max_j(a_j + log g_j) - 1, 0].  At the root lambda = -KL(c : g), so Newton
+    starts at the multiplier the closed-form JFR center implies,
+    lambda_J = -KL(c_JFR : g), clamped into the bracket.  The slope is
     s'(lambda) = -sum_j c_j / (1 + W_j) = -sum_j c_j^2 / (c_j + a_j), read off
     the candidate itself since W_j = a_j / c_j.  Each step narrows the bracket
     on the sign of s - 1 and falls back to its midpoint when the Newton iterate
     leaves the closed bracket.  The solve stops once the step or the bracket is
     at most ``epsilon`` wide; that width is ``final_gap``.  The returned center
-    is renormalized; the raw mass defect is kept in ``mass_residual``.
+    is renormalized; the raw mass defect is kept in ``mass_residual``.  A solve
+    that ends more than 1e-9 off unit mass checks the masses at both bracket
+    ends and raises :class:`NumericalError` if they do not straddle 1.
 
-    W_j is evaluated from scratch by :func:`lambert_w0` only at lambda_lo and
-    0.  After a step dlambda, Halley starts from the predictor
+    W_j is evaluated from scratch by :func:`lambert_w0` only at lambda_J.
+    After a step dlambda, Halley starts from the predictor
     W_j exp(dlambda / (1 + W_j)), which follows dW/dlambda = W / (1 + W) and
     stays positive, and stops on lambert_w0's residual test
     ``|w e^w - x| <= 1e-12 max(1, |x|)``; most iterates need at most one step.
@@ -281,17 +286,13 @@ def jeffreys_centroid_cat(
     t0 = time.perf_counter_ns()
     a, g = hset.means
     r = (a / g) * math.e  # W_j's argument is r_j e^lambda
-    lam_lo = float(np.max(a + np.log(g)) - 1.0)
-    lam_hi = lam = 0.0
-    s_lo = float((a / lambert_w0(r * math.exp(lam_lo))).sum())
-    w = lambert_w0(r)
+    bracket_lo = lam_lo = float(np.max(a + np.log(g)) - 1.0)
+    lam_hi = 0.0
+    c_jfr = _jfr_probs(a, g)
+    lam = min(max(-float(np.sum(c_jfr * np.log(c_jfr / g))), lam_lo), lam_hi)
+    w = lambert_w0(r * math.exp(lam))
     c_raw = a / w
     s = float(c_raw.sum())
-    if s_lo < 1.0 - 1e-9 or s > 1.0 + 1e-9:
-        raise NumericalError(
-            f"multiplier bracket does not straddle unit mass: "
-            f"s({lam_lo:.6g})={s_lo:.12g}, s(0)={s:.12g}"
-        )
     iterations = 0
     gap = lam_hi - lam_lo
     while gap > epsilon and iterations < max_iter:
@@ -310,6 +311,16 @@ def jeffreys_centroid_cat(
             s = float(c_raw.sum())
         iterations += 1
         gap = min(abs(step), lam_hi - lam_lo)
+    if abs(s - 1.0) > 1e-9:
+        # s is monotone in lambda, so a bracket whose ends do not straddle
+        # unit mass always ends the solve off it: only then are they checked
+        s_lo = float((a / lambert_w0(r * math.exp(bracket_lo))).sum())
+        s_hi = float((a / lambert_w0(r)).sum())
+        if s_lo < 1.0 - 1e-9 or s_hi > 1.0 + 1e-9:
+            raise NumericalError(
+                f"multiplier bracket does not straddle unit mass: "
+                f"s({bracket_lo:.6g})={s_lo:.12g}, s(0)={s_hi:.12g}"
+            )
     center = SimplexPoint(c_raw / s)
     fixed_point_residual = abs(lam + float(np.sum(center.probs * np.log(center.probs / g))))
     diag = CenterDiagnostics.after(t0, iterations, gap, epsilon, fixed_point_residual)
@@ -318,15 +329,19 @@ def jeffreys_centroid_cat(
     )
 
 
+def _jfr_probs(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The JFR center's bins from the sided means: see :func:`jfr_center_cat`."""
+    num = (np.sqrt(a) + np.sqrt(g)) ** 2
+    return num / (2.0 * (1.0 + np.sum(np.sqrt(a * g))))
+
+
 def jfr_center_cat(hset: HistogramSet) -> SimplexPoint:
     """Closed-form Jeffreys-Fisher-Rao center.
 
     c_j = (sqrt(a_j) + sqrt(g_j))^2 / (2 (1 + sum_l sqrt(a_l g_l))); the
     denominator normalizes the numerator mass analytically.
     """
-    a, g = hset.means
-    num = (np.sqrt(a) + np.sqrt(g)) ** 2
-    return SimplexPoint(num / (2.0 * (1.0 + np.sum(np.sqrt(a * g)))))
+    return SimplexPoint(_jfr_probs(*hset.means))
 
 
 def gb_center_cat(

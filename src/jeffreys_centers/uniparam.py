@@ -8,6 +8,7 @@ midpoint of the two sided KL centroids.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -49,18 +50,27 @@ class ScalarGenerator:
 
 
 def h_of(gen: ScalarGenerator, theta: float) -> float:
-    """h(theta) = int_{theta_ref}^{theta} sqrt(f''(u)) du by adaptive quadrature."""
-    from scipy.integrate import quad
+    """h(theta) = int_{theta_ref}^{theta} sqrt(f''(u)) du by adaptive quadrature.
+
+    A quadrature that warns (roundoff, subdivision limit, divergence) raises
+    :class:`NumericalError` instead.
+    """
+    from scipy.integrate import IntegrationWarning, quad
 
     theta = gen.require(theta)
-    val, err = quad(
-        lambda u: math.sqrt(gen.f_second(u)),
-        gen.theta_ref,
-        theta,
-        epsabs=_QUAD_ABS_TOL,
-        epsrel=1e-12,
-        limit=200,
-    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        try:
+            val, err = quad(
+                lambda u: math.sqrt(gen.f_second(u)),
+                gen.theta_ref,
+                theta,
+                epsabs=_QUAD_ABS_TOL,
+                epsrel=1e-12,
+                limit=200,
+            )
+        except IntegrationWarning as exc:
+            raise NumericalError(f"h quadrature to theta={theta:.6g} failed: {exc}") from exc
     if err > 1e-8 * max(1.0, abs(val)):
         raise NumericalError(f"h quadrature did not converge (err {err:.3g})")
     return val
@@ -75,23 +85,38 @@ def _monotone_root(
 ) -> float:
     """The theta with fun(theta) = target for an increasing ``fun``: a bracket
     grown geometrically around ``start`` inside ``domain``, then Brent's method
-    to ``xtol``."""
+    to ``xtol``.
+
+    The growth raises :class:`NumericalError` once ``fun`` has moved toward
+    the target and then stops moving, as it does at a finite end of
+    ``domain`` or where a bounded ``fun`` levels off: the target is then
+    outside the range of ``fun``.
+    """
     from scipy.optimize import brentq
 
     lo, hi = domain
     step = max(1e-6, abs(start) * 1e-3)
     a = b = start
-    fa = fb = fun(start) - target
+    fa = fb = f0 = fun(start) - target
     for _ in range(200):
         if fa <= 0.0 <= fb or fb <= 0.0 <= fa:
             break
         step *= 2.0
         if fa > 0.0:  # monotone increasing fun: move left
+            f_end = fa
             a = max(a - step, lo + (start - lo) * 1e-15) if math.isfinite(lo) else a - step
             fa = fun(a) - target
+            stalled = f_end < f0 and fa >= f_end
         else:
+            f_end = fb
             b = min(b + step, hi - (hi - start) * 1e-15) if math.isfinite(hi) else b + step
             fb = fun(b) - target
+            stalled = f_end > f0 and fb <= f_end
+        if stalled:
+            raise NumericalError(
+                f"target {target!r} outside the range reached in {domain}: "
+                f"bracket growth stopped at [{a!r}, {b!r}]"
+            )
     else:
         raise NumericalError("bracket growth failed; target may be out of range")
     if a == b:

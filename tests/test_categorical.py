@@ -60,11 +60,20 @@ def bisect_lambda(hset, tol=1e-14):
     return lam, c / c.sum()
 
 
-def cold_newton_iterations(hset, epsilon=1e-10, max_iter=200):
-    """Reference: the safeguarded Newton solve with every candidate evaluated
-    cold by c_of_lambda; returns the number of Newton iterations."""
+def jfr_seed(hset):
+    """The multiplier the seeded solve starts from: lambda_J = -KL(c_JFR : g),
+    clamped into the bracket [max_j(a_j + log g_j) - 1, 0]."""
     a, g = hset.means
-    lo, hi, lam = float(np.max(a + np.log(g)) - 1.0), 0.0, 0.0
+    lo = float(np.max(a + np.log(g)) - 1.0)
+    return min(max(-kl_cat(jfr_center_cat(hset), SimplexPoint(g)), lo), 0.0)
+
+
+def cold_newton_iterations(hset, start, epsilon=1e-10, max_iter=200):
+    """Reference: the safeguarded Newton solve from the multiplier ``start``,
+    with every candidate evaluated cold by c_of_lambda; returns the number of
+    Newton iterations."""
+    a, g = hset.means
+    lo, hi, lam = float(np.max(a + np.log(g)) - 1.0), 0.0, start
     c = c_of_lambda(a, g, lam)
     s = float(c.sum())
     iterations, gap = 0, hi - lo
@@ -336,12 +345,12 @@ class TestNewtonSolve:
         self.check_against_oracle(table2_hset(10.0**-k))
 
     def test_exact_root_is_accepted(self, monkeypatch):
-        # Found by search: the third Newton iterate lands where the computed
-        # mass is exactly 1, so the next Newton iterate equals the bracket's
-        # upper end.  Rejecting it as outside the bracket bisects from there
-        # (13 iterations instead of 4).
+        # Found by search from the JFR seed: the second Newton iterate lands
+        # where the computed mass is exactly 1, so the next Newton iterate
+        # equals the bracket's upper end.  Rejecting it as outside the bracket
+        # bisects from there (11 iterations instead of 3).
         hset = HistogramSet.uniform(
-            [[0.01515999847426323, 0.9848400015257368], [0.8148038500151109, 0.1851961499848891]]
+            [[0.5895020620840481, 0.4104979379159519], [0.0244906774933632, 0.9755093225066368]]
         )
         a = hset.means[0]
         masses = []
@@ -355,7 +364,7 @@ class TestNewtonSolve:
             return wrapped
 
         # the solve's candidate is a / W: W comes from a cold lambert_w0 at
-        # lambda_lo and 0, and from the warm-started Halley loop at each iterate
+        # the JFR seed, and from the warm-started Halley loop at each iterate
         monkeypatch.setattr(categorical, "lambert_w0", recording(lambert_w0))
         monkeypatch.setattr(categorical, "_w0_halley", recording(_w0_halley))
         res = jeffreys_centroid_cat(hset)
@@ -366,13 +375,14 @@ class TestNewtonSolve:
     @staticmethod
     def check_warm_start(hset):
         """The warm-started solve against cold evaluations: the Newton iteration
-        count of the cold reference, unit cold mass at the returned lambda, and
-        the center of the bisection oracle."""
+        count of the cold reference from the same seed, unit cold mass at the
+        returned lambda, and the center of the bisection oracle."""
         res = jeffreys_centroid_cat(hset)
         a, g = hset.means
-        assert res.diagnostics.iterations == cold_newton_iterations(hset)
+        assert res.diagnostics.iterations == cold_newton_iterations(hset, jfr_seed(hset))
         assert abs(float(c_of_lambda(a, g, res.lam).sum()) - 1.0) <= 1e-10
         assert np.abs(res.center.probs - bisect_lambda(hset)[1]).max() <= 1e-12
+        return res
 
     @pytest.mark.parametrize("d", [2, 16, 256, 4096])
     def test_warm_start_dirichlet_sets(self, d):
@@ -385,20 +395,27 @@ class TestNewtonSolve:
         self.check_warm_start(table2_hset(10.0**-k))
 
     def test_warm_start_after_a_bisection_fallback(self):
-        # Found by search over sets of log-uniform bins: the Newton iterate from
-        # lambda = 0 falls below lambda_lo, so the first step is the bisection
-        # fallback and the next W is predicted across the half bracket.
+        # Found by search over pairs of nearly equal rows.  s is convex and
+        # decreasing in lambda, and the JFR seed was left of the root on every
+        # set searched, so Newton from it leaves the bracket only by rounding.
+        # Here the seed is -1.2e-16, at the rounding level of the masses, with
+        # s > 1; the Newton iterate passes 0, so the first step is the
+        # bisection fallback and the next W is predicted across the half
+        # bracket.
         hset = HistogramSet.uniform(
             [
-                [0.0037701533437101697, 0.9653750427018268, 0.00873746083295551, 0.022117343121507357],
-                [0.9999999959677108, 6.030972102309495e-14, 5.1157636808922293e-11, 3.981071349363443e-09],
+                [9.699519596066245e-09, 3.8655706758719685e-10, 1.0098513110040877e-09, 0.9993543020604535, 0.0006456868436186134],
+                [9.702317574633165e-09, 3.8655827430200093e-10, 1.01006889318407e-09, 0.9993542745109107, 0.0006457143901445585],
             ]
         )
         a, g = hset.means
-        c0 = c_of_lambda(a, g, 0.0)
-        newton = (c0.sum() - 1.0) / np.sum(c0 * c0 / (c0 + a))
-        assert newton < np.max(a + np.log(g)) - 1.0
-        self.check_warm_start(hset)
+        lam = jfr_seed(hset)
+        c = a / lambert_w0((a / g) * math.e * math.exp(lam))  # the solve's first candidate
+        newton = lam + (c.sum() - 1.0) / np.sum(c * c / (c + a))
+        assert c.sum() > 1.0 and lam < 0.0 < newton
+        res = self.check_warm_start(hset)
+        # one step, to the midpoint of [lambda_J, 0], ends the solve
+        assert res.diagnostics.iterations == 1 and res.lam == 0.5 * lam
 
     def test_halley_from_the_predictor_across_the_bracket(self):
         # W(0) carried to lambda_lo, a step of about -7.4 at d = 4096: the
@@ -414,6 +431,44 @@ class TestNewtonSolve:
         w = _w0_halley(x, w * np.exp(lam_lo / (1.0 + w)), ToleranceConfig(max_iter=4))
         assert np.all(np.abs(w * np.exp(w) - x) <= 1e-12 * np.maximum(1.0, x))
         assert np.abs(w / lambert_w0(x) - 1.0).max() <= 1e-10
+
+    # Newton iterations of the solve from lambda = 0 (the cold reference) and
+    # from the JFR seed, on Table 2's alpha = 10^-k, k = 1..16
+    TABLE2_FROM_ZERO = [3, 4, 4, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 6]
+    TABLE2_SEEDED = [2, 3, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4]
+
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_seed_is_no_slower_on_peaked_sets(self, k):
+        hset = table2_hset(10.0**-k)
+        res = jeffreys_centroid_cat(hset)
+        from_zero = cold_newton_iterations(hset, 0.0)
+        assert from_zero == self.TABLE2_FROM_ZERO[k - 1]
+        assert res.diagnostics.iterations == self.TABLE2_SEEDED[k - 1] <= from_zero
+        assert np.abs(res.center.probs - bisect_lambda(hset)[1]).max() <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 16, 256, 4096])
+    def test_seed_is_no_slower_on_dirichlet_pairs(self, d):
+        rng = np.random.default_rng([304, d])
+        seeded, from_zero = [], []
+        for _ in range(12):
+            hset = HistogramSet.uniform(rng.dirichlet(np.ones(d), size=2))
+            res = jeffreys_centroid_cat(hset)
+            seeded.append(res.diagnostics.iterations)
+            from_zero.append(cold_newton_iterations(hset, 0.0))
+            assert np.abs(res.center.probs - bisect_lambda(hset)[1]).max() <= 1e-12
+        assert np.mean(seeded) <= np.mean(from_zero)
+
+    @pytest.mark.parametrize("scale", [0.5, 2.0])
+    def test_bracket_that_does_not_straddle_raises(self, monkeypatch, scale):
+        # W times a constant divides every candidate mass by it: the Table 2
+        # set's masses, 0.999 at lambda = 0 to 1.53 at lambda_lo, move all
+        # above (scale 0.5) or all below (scale 2) unit mass
+        monkeypatch.setattr(categorical, "lambert_w0", lambda x: scale * lambert_w0(x))
+        monkeypatch.setattr(
+            categorical, "_w0_halley", lambda x, w: scale * _w0_halley(x, w / scale)
+        )
+        with pytest.raises(NumericalError, match="does not straddle unit mass"):
+            jeffreys_centroid_cat(HistogramSet.uniform(TABLE2))
 
     def test_max_iter_status(self):
         res = jeffreys_centroid_cat(table2_hset(1e-3), epsilon=1e-10, max_iter=1)

@@ -6,6 +6,7 @@ reverse, a half-done removal that leaves the package exporting it) fails here.
 
 import importlib
 import pkgutil
+import types
 
 import pytest
 
@@ -63,3 +64,13 @@ def test_removed_name_is_gone(module, name):
     mod = importlib.import_module(module)
     assert name not in getattr(mod, "__all__", ())
     assert not hasattr(mod, name)
+
+
+def test_package_exports_its_names_not_its_submodules():
+    public = {name for name in dir(jeffreys_centers) if not name.startswith("_")}
+    submodules = {
+        name for name in public if isinstance(getattr(jeffreys_centers, name), types.ModuleType)
+    }
+    assert {"categorical", "errors", "gaussian", "legendre", "spd"} <= submodules
+    assert len(jeffreys_centers.__all__) == len(set(jeffreys_centers.__all__))
+    assert set(jeffreys_centers.__all__) == public - submodules

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from jeffreys_centers import (
     jfr_center_1d,
     jfr_center_cat,
 )
+from jeffreys_centers import uniparam
+from jeffreys_centers.uniparam import _monotone_root
 
 
 def squared() -> ScalarGenerator:
@@ -116,6 +119,67 @@ class TestHInverse:
         )
         with pytest.raises(NumericalError):
             h_inverse(gen, 5.0)
+
+    def test_out_of_the_range_of_a_bounded_h(self, monkeypatch):
+        # h of the Bernoulli generator maps R onto (-pi/2, pi/2): the bracket
+        # grows right until the quadrature to theta = 33.55 fails, 25 h
+        # evaluations in all, and raises the classified error, not a warning
+        calls = []
+
+        def counted(gen, theta):
+            calls.append(theta)
+            return h_of(gen, theta)
+
+        monkeypatch.setattr(uniparam, "h_of", counted)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericalError, match="h quadrature"):
+                h_inverse(bernoulli(), 3.0)
+        assert caught == []
+        assert len(calls) == 25
+
+
+class TestMonotoneRoot:
+    """The bracket growth of the shared monotone root finder."""
+
+    @staticmethod
+    def counted(fun):
+        calls = []
+
+        def wrapped(t):
+            calls.append(t)
+            return fun(t)
+
+        return wrapped, calls
+
+    @pytest.mark.parametrize("target", [2.0, -2.0])
+    def test_growth_stops_where_fun_stops_growing(self, target):
+        # tanh reaches +-1.0 in floating point near |theta| = 19; the doubling
+        # end passes 33.55 without moving it, the 26th evaluation
+        fun, calls = self.counted(math.tanh)
+        with pytest.raises(NumericalError, match="outside the range"):
+            _monotone_root(fun, target, 0.0, (-math.inf, math.inf), 1e-12)
+        assert len(calls) == 26
+
+    def test_growth_stops_at_a_finite_domain_end(self):
+        # the end is clamped just inside 1 after 19 doublings; the 20th
+        # doubling evaluates the same point again, and fun has stopped moving
+        fun, calls = self.counted(lambda t: t)
+        with pytest.raises(NumericalError, match="outside the range"):
+            _monotone_root(fun, 5.0, 0.0, (-1.0, 1.0), 1e-12)
+        assert len(calls) == 21
+
+    def test_a_flat_start_keeps_growing(self):
+        # the logistic function is 1.0 in floating point from theta = 45 down
+        # to about 36.7: a target just below 1 is reached by moving left
+        # through that flat stretch, which is not a stall
+        def logistic(t):
+            return 1.0 / (1.0 + math.exp(-t))
+
+        target = 0.5 * (logistic(30.0) + logistic(60.0))
+        root = _monotone_root(logistic, target, 45.0, (-math.inf, math.inf), 1e-13)
+        assert 30.0 < root < 45.0
+        assert logistic(root) == pytest.approx(target, abs=1e-15)
 
 
 class TestJFRCenter1d:
