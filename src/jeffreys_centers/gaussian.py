@@ -32,8 +32,6 @@ from .legendre import (
     GeneratorSpec,
     WeightedParamSet,
     check_weights,
-    quasi_arithmetic_center,
-    right_bregman_centroid,
 )
 from .special_functions import ToleranceConfig
 from .spd import (
@@ -64,11 +62,14 @@ __all__ = [
     "jeffreys_centroid_centered",
 ]
 
-# Fiber-alignment residuals at or below this count as an exact root.  Rounding
-# leaves about 1e-16 of log's entries at a root, where hybr's relative step test
-# cannot be met (the root k = 0 of a same-mean pair has no scale at all), and it
-# would keep evaluating until it detects no progress; a zero residual stops it.
+# Fiber-alignment residuals at or below this count as an exact root: rounding
+# leaves about 1e-16 of log's entries at a root.  They are snapped to zero, so a
+# solve that starts at a root (k = 0 of a same-mean pair, which has no scale at
+# all) stops after one evaluation.
 _ALIGN_ZERO = 1e-14
+# Newton steps of the alignment, and halvings of one step, before giving up.
+_NEWTON_MAX_ITER = 50
+_NEWTON_HALVINGS = 10
 
 
 @dataclass(frozen=True)
@@ -275,16 +276,15 @@ def _internal_failure(what: str):
         raise NumericalError(f"{what} failed on valid input: {exc}") from exc
 
 
-def _natural_set(
+def _checked_set(
     gaussians: Sequence[GaussianParam], weights: Optional[Sequence]
-) -> Tuple[int, WeightedParamSet]:
-    """The dimension and the weighted flattened natural parameters of a set."""
+) -> Tuple[int, np.ndarray]:
+    """The dimension and the checked weights of a set."""
     w = check_weights(weights, len(gaussians))  # also rejects an empty set
     d = gaussians[0].dim
     if any(g.dim != d for g in gaussians):
         raise DomainError("mixed dimensions in Gaussian set")
-    thetas = np.array([mvn_to_natural(g) for g in gaussians])
-    return d, WeightedParamSet(thetas, w)
+    return d, w
 
 
 def jeffreys_loss_mvn(
@@ -300,14 +300,34 @@ def jeffreys_loss_mvn(
 def sided_kl_centroids_mvn(
     gaussians: Sequence[GaussianParam], weights: Optional[Sequence] = None
 ) -> Tuple[GaussianParam, GaussianParam]:
-    """Sided KL centroids: (arithmetic mean in theta, moment mean pulled back).
+    """Sided KL centroids (right, left) of a weighted set, in closed form.
 
-    Returns (right Bregman centroid, left Bregman centroid) as normals.
+    The right Bregman centroid averages the natural parameters: its precision
+    is sum_i w_i Sigma_i^{-1} and its mean Sigma_R sum_i w_i Sigma_i^{-1} mu_i.
+    The left one averages the moment parameters: its mean is
+    mu_L = sum_i w_i mu_i and its covariance sum_i w_i (Sigma_i + d_i d_i^T)
+    with d_i = mu_i - mu_L, which avoids the cancellation of
+    E[x x^T] - mu_L mu_L^T when the means lie far from the origin.  A centroid
+    whose covariance fails the SPD rule of :mod:`spd` raises NumericalError.
     """
-    d, pset = _natural_set(gaussians, weights)
+    _, w = _checked_set(gaussians, weights)
+    means = np.array([g.mean for g in gaussians])
+    covs = np.array([g.cov.entries for g in gaussians])
     with _internal_failure("sided KL centroids"):
-        left = quasi_arithmetic_center(mvn_generator(d), pset)
-        return mvn_from_natural(right_bregman_centroid(pset), d), mvn_from_natural(left, d)
+        try:
+            precs = np.linalg.inv(covs)
+            prec = np.tensordot(w, precs, 1)
+            cov_r = _sym_inv(0.5 * (prec + prec.T))
+        except np.linalg.LinAlgError as exc:
+            raise DomainError(f"the precision mean is singular: {exc}") from exc
+        mean_r = cov_r @ np.einsum("i,ijk,ik->j", w, precs, means)
+        mean_l = w @ means
+        dev = means - mean_l
+        cov_l = np.tensordot(w, covs, 1) + (w[:, None] * dev).T @ dev
+        return (
+            GaussianParam(mean_r, SPDMatrix(cov_r)),
+            GaussianParam(mean_l, SPDMatrix(cov_l)),
+        )
 
 
 # --- Fisher-Rao midpoint through the (2d+1) SPD embedding --------------------
@@ -337,15 +357,45 @@ def _fiber_move(G: np.ndarray, k: np.ndarray, d: int) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def root(fun, x0, **kwargs):
-    """``scipy.optimize.root``, imported on first call.
+class _RootResult(NamedTuple):
+    """The end of a root solve: the point, its residual, evaluations, success."""
 
-    Importing the library then leaves scipy.optimize unloaded, which keeps it
-    off the histogram path.
+    x: np.ndarray
+    fun: np.ndarray
+    nfev: int
+    success: bool
+
+
+def root(fun, x0) -> _RootResult:
+    """Newton's method for fun(x) = 0, where fun returns (residual, Jacobian).
+
+    Each step solves with the exact Jacobian and is halved until the residual
+    norm drops.  The solve succeeds once max |residual| <= 1e-14 and stops
+    without success when no halving lowers the norm, when the Jacobian is
+    singular, or after 50 steps.
     """
-    from scipy.optimize import root as scipy_root
-
-    return scipy_root(fun, x0, **kwargs)
+    x = np.asarray(x0, dtype=float)
+    res, jac = fun(x)
+    nfev = 1
+    for _ in range(_NEWTON_MAX_ITER):
+        if np.abs(res).max() <= _ALIGN_ZERO:
+            break
+        try:
+            step = np.linalg.solve(jac, -res)
+        except np.linalg.LinAlgError:
+            break
+        norm = np.linalg.norm(res)
+        for _ in range(_NEWTON_HALVINGS):
+            trial = fun(x + step)
+            nfev += 1
+            if np.linalg.norm(trial[0]) < norm:
+                break
+            step = 0.5 * step
+        else:
+            break
+        x = x + step
+        res, jac = trial
+    return _RootResult(x, res, nfev, bool(np.abs(res).max() <= _ALIGN_ZERO))
 
 
 def _align_fiber(G1: np.ndarray, d: int) -> np.ndarray:
@@ -354,7 +404,8 @@ def _align_fiber(G1: np.ndarray, d: int) -> np.ndarray:
     The trace-metric geodesic from the identity to G1 has initial velocity
     log(G1); the alignment zeroes the skew part of its mean-covariance coupling
     block, solved as a root-finding problem over the d(d-1)/2 gauge
-    parameters k, with the Jacobian in closed form.
+    parameters k by Newton's method (:func:`root`), with the Jacobian in
+    closed form.
 
     With X = F G1 F^T = V diag(w) V^T, the residual entry q is <U_q, diag(log w)>
     / 2, where U_q = V^T (e_a e_{d+1+b}^T - e_b e_{d+1+a}^T) V for the pair
@@ -378,7 +429,7 @@ def _align_fiber(G1: np.ndarray, d: int) -> np.ndarray:
         dX = (np.swapaxes(U, 1, 2) * w + w[:, None] * U) * _log_divided_differences(w)
         return res, -0.5 * (U.reshape(nk, -1) @ dX.reshape(nk, -1).T)
 
-    sol = root(residual_and_jacobian, np.zeros(nk), jac=True, method="hybr", tol=1e-14)
+    sol = root(residual_and_jacobian, np.zeros(nk))
     worst = float(np.abs(sol.fun).max())
     if not sol.success and worst > 1e-9:
         raise NumericalError(f"fiber alignment failed: residual {worst:.3g}")
@@ -434,7 +485,8 @@ def gb_center_mvn(
     diagnostics ``status`` field reports 'max_iter' when the gap target was
     not met.
     """
-    d, pset = _natural_set(gaussians, weights)
+    d, w = _checked_set(gaussians, weights)
+    pset = WeightedParamSet(np.array([mvn_to_natural(g) for g in gaussians]), w)
     with _internal_failure("Gauss-Bregman center"):
         theta, diag = gb_center(mvn_generator(d), pset, tol)
         return mvn_from_natural(theta, d), diag

@@ -53,7 +53,9 @@ def h_of(gen: ScalarGenerator, theta: float) -> float:
     """h(theta) = int_{theta_ref}^{theta} sqrt(f''(u)) du by adaptive quadrature.
 
     A quadrature that warns (roundoff, subdivision limit, divergence) raises
-    :class:`NumericalError` instead.
+    :class:`NumericalError` instead, and so does a value that is zero or of the
+    wrong sign for theta != theta_ref, which a strictly increasing h cannot
+    take: over a long interval quad can miss all of a saturating integrand.
     """
     from scipy.integrate import IntegrationWarning, quad
 
@@ -73,6 +75,8 @@ def h_of(gen: ScalarGenerator, theta: float) -> float:
             raise NumericalError(f"h quadrature to theta={theta:.6g} failed: {exc}") from exc
     if err > 1e-8 * max(1.0, abs(val)):
         raise NumericalError(f"h quadrature did not converge (err {err:.3g})")
+    if theta != gen.theta_ref and not val * (theta - gen.theta_ref) > 0.0:
+        raise NumericalError(f"h quadrature to theta={theta:.6g} returned {val!r}")
     return val
 
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,8 @@ from jeffreys_centers import (
     mvn_from_natural,
     mvn_generator,
     mvn_to_natural,
+    quasi_arithmetic_center,
+    right_bregman_centroid,
     sided_kl_centroids_mvn,
     sld_centroid,
     symmetrized_bregman,
@@ -240,6 +244,37 @@ class TestSidedCentroids:
         assert np.abs(l.mean).max() < 1e-12
         assert np.abs(l.cov.entries - (np.eye(2) + np.outer(e1, e1))).max() < 1e-12
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+    def test_closed_form_matches_the_generic_path(self, d):
+        """The generic path: both averages of the flat naturals under the
+        normal generator, read back as normals."""
+        rng = np.random.default_rng([12, d])
+        gs = [random_gaussian(rng, d, mean_scale=3.0) for _ in range(4)]
+        w = rng.uniform(0.2, 1.0, size=4)
+        w /= w.sum()
+        pset = WeightedParamSet(np.array([mvn_to_natural(g) for g in gs]), w)
+        generic = (
+            mvn_from_natural(right_bregman_centroid(pset), d),
+            mvn_from_natural(quasi_arithmetic_center(mvn_generator(d), pset), d),
+        )
+        for closed, ref in zip(sided_kl_centroids_mvn(gs, w), generic):
+            assert np.abs(closed.mean - ref.mean).max() <= 1e-10 * np.abs(ref.mean).max()
+            cov = ref.cov.entries
+            assert np.abs(closed.cov.entries - cov).max() <= 1e-10 * np.abs(cov).max()
+
+    def test_left_variance_of_means_far_from_the_origin(self):
+        """Means 1e5 + N(0, 1): E[x^2] - mu^2 would cancel ten digits of the
+        variance; the sum of centred terms keeps it, against exact rationals."""
+        rng = np.random.default_rng(12)
+        means = 1e5 + rng.normal(size=4)
+        variances = rng.uniform(0.5, 2.0, size=4)
+        gs = [GaussianParam([m], SPDMatrix([[v]])) for m, v in zip(means, variances)]
+        _, left = sided_kl_centroids_mvn(gs)
+        mu = sum(Fraction(m) for m in means) / 4
+        exact = sum(Fraction(v) + (Fraction(m) - mu) ** 2 for m, v in zip(means, variances)) / 4
+        assert left.mean[0] == pytest.approx(float(mu), rel=1e-15)
+        assert left.cov.entries[0, 0] == pytest.approx(float(exact), rel=1e-9)
+
 
 class TestFisherRaoMidpoint:
     def test_identical_inputs(self, rng):
@@ -434,6 +469,33 @@ class TestFiberAlignment:
         assert sol.success
         assert sol.nfev <= 4  # about 20 without the exact-root cut-off
         assert np.all(sol.x == 0.0)
+
+
+class TestNewtonRoot:
+    def test_halving_keeps_newton_from_diverging(self):
+        """Full Newton steps on atan from 3 overshoot further at every step;
+        halved until the residual drops, they reach the root."""
+        sol = gaussian.root(lambda x: (np.arctan(x), np.diag(1.0 / (1.0 + x * x))), np.array([3.0]))
+        assert sol.success
+        assert abs(sol.x[0]) <= 1e-14
+        assert np.abs(sol.fun).max() <= 1e-14
+
+    def test_singular_jacobian_ends_the_solve(self):
+        def fun(x):
+            return np.array([x[0] ** 2 + 1.0, x[0] + x[1]]), np.array([[2.0 * x[0], 0.0], [1.0, 1.0]])
+
+        sol = gaussian.root(fun, np.zeros(2))
+        assert not sol.success
+        assert sol.nfev == 1
+        assert np.all(sol.x == 0.0)
+        assert np.array_equal(sol.fun, [1.0, 0.0])
+
+    def test_no_halving_helps(self):
+        """A residual norm that no step lowers: x^2 + 1 at its minimum's side."""
+        sol = gaussian.root(lambda x: (x * x + 1.0, np.diag(2.0 * x)), np.array([1e-3]))
+        assert not sol.success
+        assert sol.nfev == 1 + gaussian._NEWTON_HALVINGS
+        assert np.array_equal(sol.x, [1e-3])
 
 
 class TestIndexTables:

@@ -1,7 +1,7 @@
-"""Importing the package leaves scipy's optimize and integrate modules unloaded.
+"""The histogram and Gaussian centers leave scipy's optimize and integrate modules unloaded.
 
-The histogram path runs on numpy alone; scipy is imported by the Gaussian
-fiber alignment, the elliptic integral and the scalar generators on first use.
+Both paths run on numpy alone; scipy is imported on first use by the elliptic
+integral and the scalar generators' quadrature and bracketed root finding.
 """
 
 import os
@@ -11,23 +11,48 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-PROBE = """
+REPORT = """
+print(sorted(m for m in ("scipy.optimize", "scipy.integrate") if m in sys.modules))
+"""
+
+HISTOGRAM_PROBE = """
 import sys
 import numpy as np
 import jeffreys_centers as jc
 jc.jeffreys_centroid_cat(jc.HistogramSet.uniform(np.array([[0.2, 0.8], [0.6, 0.4]])))
-print(sorted(m for m in ("scipy.optimize", "scipy.integrate") if m in sys.modules))
-"""
+""" + REPORT
+
+# d = 3 runs the fiber alignment; the means differ so its solve takes steps
+GAUSSIAN_PROBE = """
+import sys
+import numpy as np
+import jeffreys_centers as jc
+rng = np.random.default_rng(0)
+gs = []
+for _ in range(4):
+    a = rng.normal(size=(3, 3))
+    gs.append(jc.GaussianParam(rng.normal(size=3), jc.SPDMatrix(a @ a.T + 3.0 * np.eye(3))))
+jc.jfr_center_mvn(gs)
+jc.gb_center_mvn(gs)
+""" + REPORT
 
 
-def test_histogram_path_leaves_scipy_unloaded():
+def loaded_scipy_modules(probe: str) -> str:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
-        [sys.executable, "-c", PROBE],
+        [sys.executable, "-c", probe],
         env=env,
         capture_output=True,
         text=True,
         timeout=60,
         check=True,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_histogram_path_leaves_scipy_unloaded():
+    assert loaded_scipy_modules(HISTOGRAM_PROBE) == "[]"
+
+
+def test_gaussian_path_leaves_scipy_unloaded():
+    assert loaded_scipy_modules(GAUSSIAN_PROBE) == "[]"

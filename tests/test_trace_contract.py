@@ -57,3 +57,7 @@ def test_traced_spans_fire_per_family(perfbench_modules, workload, family, sets)
         # the exact solve evaluates W cold only at its start, the multiplier of
         # the JFR center; every Newton iterate warm-starts from the previous W
         assert agg["special_functions.lambert_w0"]["count"] == 1 * len(sets)
+    else:
+        # the span's extra is the solve's nfev, read with getattr(out, "nfev", 0):
+        # a result without the field would read as zero evaluations
+        assert agg["gaussian.align"]["extra"] > 0

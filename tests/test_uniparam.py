@@ -91,6 +91,16 @@ class TestH:
         with pytest.raises(DomainError):
             h_of(exponential_family(), 1.0)
 
+    @pytest.mark.parametrize("theta", [1.7e4, 1e5])
+    def test_a_missed_integrand_raises(self, theta):
+        """Over [0, theta] quad misses the Bernoulli integrand, which is
+        negligible outside a few units of 0, and returns 0.0 without a warning;
+        h(theta) is pi/2 up to 2 e^{-theta/2}."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="returned 0.0"):
+                h_of(bernoulli(), theta)
+
 
 class TestHInverse:
     def test_zero_maps_to_anchor(self):
