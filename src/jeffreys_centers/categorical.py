@@ -6,9 +6,10 @@ centroid (Lambert-W fixed point + safeguarded Newton on the multiplier), the
 closed-form Jeffreys-Fisher-Rao center, and the inductive Gauss-Bregman center.
 
 The Newton solve starts from the multiplier the closed-form JFR center implies
-and keeps W between its steps: only that start calls :func:`lambert_w0` from
-scratch, and each later W starts its Halley iteration from the previous one,
-moved along dW/dlambda = W / (1 + W).
+and keeps W between its steps.  The one :func:`lambert_w0` call, at that start,
+is itself started from the W the JFR center implies, so no W is evaluated from
+scratch; each later W starts its Halley iteration from the previous one, moved
+along dW/dlambda = W / (1 + W).
 
 All inputs live on the open simplex: empty bins must be smoothed by the caller
 before ingestion.
@@ -275,11 +276,16 @@ def jeffreys_centroid_cat(
     that ends more than 1e-9 off unit mass checks the masses at both bracket
     ends and raises :class:`NumericalError` if they do not straddle 1.
 
-    W_j is evaluated from scratch by :func:`lambert_w0` only at lambda_J.
-    After a step dlambda, Halley starts from the predictor
-    W_j exp(dlambda / (1 + W_j)), which follows dW/dlambda = W / (1 + W) and
-    stays positive, and stops on lambert_w0's residual test
-    ``|w e^w - x| <= 1e-12 max(1, |x|)``; most iterates need at most one step.
+    W_j is evaluated by :func:`lambert_w0` only at lambda_J, from a start
+    rather than from scratch: at the fixed point W_j = a_j / c_j, so the JFR
+    center gives a_j / c_JFR,j, which two Newton steps on
+    w + log w = log x_j refine (see :func:`_w_start`).  The log gap they start
+    from, log x_j - log(a_j / c_JFR,j) = log(c_JFR,j / g_j) + 1 + lambda_J,
+    reuses the logarithms of lambda_J.  After a step dlambda, Halley starts
+    from the predictor W_j exp(dlambda / (1 + W_j)), which follows
+    dW/dlambda = W / (1 + W) and stays positive, and stops on lambert_w0's
+    residual test ``|w e^w - x| <= 1e-12 max(1, |x|)``; most iterates need at
+    most one step.
     """
     if not epsilon > 0.0:
         raise DomainError("epsilon must be positive")
@@ -289,8 +295,13 @@ def jeffreys_centroid_cat(
     bracket_lo = lam_lo = float(np.max(a + np.log(g)) - 1.0)
     lam_hi = 0.0
     c_jfr = _jfr_probs(a, g)
-    lam = min(max(-float(np.sum(c_jfr * np.log(c_jfr / g))), lam_lo), lam_hi)
-    w = lambert_w0(r * math.exp(lam))
+    log_ratio = np.log(c_jfr / g)
+    lam = min(max(-float((c_jfr * log_ratio).sum()), lam_lo), lam_hi)
+    x = r * math.exp(lam)
+    # u = 1 + log x - log(a / c_JFR); W0(x) <= x, so a start above x is
+    # lowered to x, where u = 1
+    u = np.maximum(log_ratio + (2.0 + lam), 1.0)
+    w = lambert_w0(x, _w_start(np.minimum(a / c_jfr, x), u))
     c_raw = a / w
     s = float(c_raw.sum())
     iterations = 0
@@ -327,6 +338,19 @@ def jeffreys_centroid_cat(
     return JeffreysCatResult(
         center=center, lam=lam, mass_residual=abs(s - 1.0), diagnostics=diag
     )
+
+
+def _w_start(w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Two Newton steps on w + log w = log x from ``w``, given
+    ``u = 1 + log x - log w >= 1``.
+
+    A step maps w to w u / (1 + w).  w + log w is concave, so each step lands
+    at or below the root W0(x), and u stays at least 1.
+    """
+    t = 1.0 + w
+    w1 = w * u / t
+    u = u + np.log(t / u)  # w / w1 = t / u
+    return w1 * u / (1.0 + w1)
 
 
 def _jfr_probs(a: np.ndarray, g: np.ndarray) -> np.ndarray:

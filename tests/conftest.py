@@ -10,6 +10,7 @@ from jeffreys_centers import (
     gaussian,
     gb_center_mvn,
     geometric_mean,
+    lambert_w0,
     trace_metric_distance,
 )
 
@@ -50,6 +51,21 @@ def random_simplex(rng: np.random.Generator, d: int, floor: float = 1e-12) -> np
     while p.min() < floor:
         p = rng.dirichlet(np.ones(d))
     return p
+
+
+def polished_w0(x) -> np.ndarray:
+    """W0(x) to rounding, away from the branch point: the cold lambert_w0 value
+    and one more Halley step.
+
+    The cold value alone meets |w e^w - x| <= 1e-12 max(1, |x|), which lets up
+    to about 1e-11 relative error pass where |x| < 1 (below x = 1e-6 the cold
+    value is log1p(x), x/2 off).
+    """
+    x = np.asarray(x, dtype=float)
+    w = lambert_w0(x)
+    ew = np.exp(w)
+    f = w * ew - x
+    return w - f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * (w + 1.0)))
 
 
 @pytest.fixture

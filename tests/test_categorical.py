@@ -28,11 +28,11 @@ from jeffreys_centers import (
     tv_cat,
     unnormalized_center,
 )
-from jeffreys_centers import categorical
+from jeffreys_centers import categorical, special_functions
 from jeffreys_centers.bench import sample_histogram_pair
 from jeffreys_centers.special_functions import _w0_halley, lambert_w0
 
-from conftest import random_simplex
+from conftest import polished_w0, random_simplex
 
 TABLE2 = np.array([[1 / 3, 1 / 3, 1 / 3], [0.9, 0.05, 0.05]])
 
@@ -92,6 +92,11 @@ def cold_newton_iterations(hset, start, epsilon=1e-10, max_iter=200):
         iterations += 1
         gap = min(abs(step), hi - lo)
     return iterations
+
+
+def tiny_bin_hset(e):
+    """Two 3-bin rows, the second with a bin of 10^-e."""
+    return HistogramSet.uniform(np.array([[1 / 3, 1 / 3, 1 / 3], [0.5, 0.5, 10.0**-e]]))
 
 
 def random_hset(rng, d, n, floor=1e-9):
@@ -463,7 +468,11 @@ class TestNewtonSolve:
         # W times a constant divides every candidate mass by it: the Table 2
         # set's masses, 0.999 at lambda = 0 to 1.53 at lambda_lo, move all
         # above (scale 0.5) or all below (scale 2) unit mass
-        monkeypatch.setattr(categorical, "lambert_w0", lambda x: scale * lambert_w0(x))
+        monkeypatch.setattr(
+            categorical,
+            "lambert_w0",
+            lambda x, start=None: scale * lambert_w0(x, None if start is None else start / scale),
+        )
         monkeypatch.setattr(
             categorical, "_w0_halley", lambda x, w: scale * _w0_halley(x, w / scale)
         )
@@ -475,6 +484,60 @@ class TestNewtonSolve:
         assert res.diagnostics.iterations == 1
         assert res.diagnostics.status == "max_iter"
         assert res.diagnostics.final_gap > 1e-10
+
+
+class TestStartedW:
+    """The solve's one lambert_w0 call, started from the W the JFR center implies."""
+
+    TINY_BIN_EXPONENTS = [20, 50, 100, 150, 200, 250, 300]
+    DIRICHLET = [
+        HistogramSet.uniform(sample_histogram_pair(301, d, trial))
+        for d in (2, 16, 256, 4096) for trial in range(12)
+    ]
+    TABLE2 = [table2_hset(10.0**-k) for k in range(1, 17)]
+    TINY = [tiny_bin_hset(e) for e in TINY_BIN_EXPONENTS]
+
+    @pytest.mark.parametrize("e", TINY_BIN_EXPONENTS)
+    def test_tiny_bins(self, e):
+        hset = tiny_bin_hset(e)
+        res = jeffreys_centroid_cat(hset)
+        assert res.diagnostics.status == "converged"
+        assert np.abs(res.center.probs - bisect_lambda(hset)[1]).max() <= 1e-12
+
+    def test_the_seed_is_never_evaluated(self, monkeypatch):
+        seeded = []
+        seed = special_functions._w0_seed
+        monkeypatch.setattr(
+            special_functions, "_w0_seed", lambda x: seeded.append(x.size) or seed(x)
+        )
+        for hset in self.DIRICHLET + self.TABLE2:
+            jeffreys_centroid_cat(hset)
+        assert seeded == []
+
+    @pytest.mark.parametrize("family", ["DIRICHLET", "TABLE2", "TINY"])
+    def test_first_w_is_exact_in_at_most_the_cold_halley_steps(self, monkeypatch, family):
+        steps = []
+        step = special_functions._halley_step
+        monkeypatch.setattr(
+            special_functions, "_halley_step", lambda *args: steps.append(1) or step(*args)
+        )
+        first = []
+
+        def recording(x, start=None):
+            before = len(steps)
+            w = lambert_w0(x, start)
+            first.append((x, w, len(steps) - before))
+            return w
+
+        monkeypatch.setattr(categorical, "lambert_w0", recording)
+        for hset in getattr(self, family):
+            jeffreys_centroid_cat(hset)
+        assert len(first) == len(getattr(self, family))  # one call per solve
+        for x, w, started in first:
+            before = len(steps)
+            lambert_w0(x)
+            assert started <= len(steps) - before <= 3
+            assert np.abs(w / polished_w0(x) - 1.0).max() <= 2e-15
 
 
 class TestJFRCenter:

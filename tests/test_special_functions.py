@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -12,6 +13,8 @@ from jeffreys_centers import (
     lambert_w0,
     shannon_generator,
 )
+
+from conftest import polished_w0
 
 
 def bisect_w(x: float, tol: float = 1e-13) -> float:
@@ -131,6 +134,76 @@ class TestLambertW:
         assert np.array_equal(lambert_w0(xs), reference_w0(xs))
         for x in xs[::7]:
             assert lambert_w0(float(x)) == reference_w0(np.array([x]))[0]
+
+
+class TestLambertWStart:
+    """lambert_w0 from a start the caller supplies."""
+
+    XS = np.concatenate([np.geomspace(1e-300, 1e300, 601), np.linspace(0.01, 20.0, 200)])
+
+    @pytest.mark.parametrize("start", [
+        [0.3, float("nan")], [0.3, float("inf")], [-float("inf"), 0.3], [0.3, -1.0],
+        [-2.0, 0.3], [0.3], [[0.3, 0.8]],
+    ])
+    def test_bad_start(self, start):
+        with pytest.raises(DomainError, match="start"):
+            lambert_w0(np.array([0.5, 2.0]), np.array(start))
+
+    def test_scalar_x_needs_a_scalar_start(self):
+        assert lambert_w0(1.0, 0.5) == pytest.approx(W_OF_ONE, abs=1e-15)
+        with pytest.raises(DomainError, match="shape"):
+            lambert_w0(1.0, np.array([0.5]))
+
+    @pytest.mark.parametrize("start", [None, np.array([0.5, 0.5])])
+    @pytest.mark.parametrize("x, message", [
+        ([1.0, float("nan")], "finite input"), ([float("inf"), 1.0], "finite input"),
+        ([1.0, -float("inf")], "finite input"), ([1.0, -0.5], "x >= -1/e"),
+    ])
+    def test_input_errors_keep_their_messages(self, x, message, start):
+        with pytest.raises(DomainError, match=message):
+            lambert_w0(np.array(x), start)
+
+    def test_branch_point_is_pinned(self):
+        xs = np.array([-math.exp(-1.0), 1.0])
+        for start in ([-0.9, 0.6], [0.0, W_OF_ONE], [5.0, W_OF_ONE]):
+            w = lambert_w0(xs, np.array(start))
+            assert w[0] == -1.0 and w[1] == pytest.approx(W_OF_ONE, abs=1e-15)
+        assert lambert_w0(-math.exp(-1.0), -0.5) == -1.0
+
+    @pytest.mark.parametrize("start", [None, np.array([])])
+    def test_empty_input(self, start):
+        w = lambert_w0(np.array([]), start)
+        assert isinstance(w, np.ndarray) and w.shape == (0,)
+
+    @pytest.mark.parametrize("rel", [-1e-3, -1e-5, 1e-9, 1e-4, 0.0])
+    def test_close_start_lands_at_rounding(self, rel):
+        # the span of the histogram solve's starts; the cold value itself can
+        # be up to 1e-11 off where x < 1, so the reference is polished
+        exact = polished_w0(self.XS)
+        w = lambert_w0(self.XS, exact * (1.0 + rel))
+        assert np.abs(w / exact - 1.0).max() <= 2e-15
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_poor_start_gives_the_cold_value(self, factor):
+        # far from the root Halley crawls by about 2 a step, and from 2 W at
+        # x = 1e300 e^w overflows: such a start is dropped for the seed
+        cold = lambert_w0(self.XS)
+        assert np.array_equal(lambert_w0(self.XS, factor * cold), cold)
+        for x, w in zip(self.XS[::20], cold[::20]):
+            assert lambert_w0(np.array([x]), np.array([factor * w]))[0] == lambert_w0(x)
+
+    def test_any_valid_start_meets_the_residual_test(self):
+        # next to the branch point, at x = 0, up to 1e305, and starts from
+        # just above -1 to 1e300; a floating-point warning fails the test
+        xs = [-math.exp(-1.0) + 1e-16, -0.36, -0.2, -1e-10, 0.0, 1e-300, 1e-8, 1.0, 1e10,
+              1e100, 1e280, 1e302, 1e303, 1e305]
+        starts = [-1.0 + 2.0**-52, -0.6, -0.5, -0.2, 0.0, 1e-300, 1.0, 10.0, 300.0, 689.0,
+                  690.0, 700.0, 1e300]
+        for x, s in itertools.product(xs, starts):
+            pair = np.array([x, 0.5])
+            w = lambert_w0(pair, np.array([s, 0.35]))
+            assert np.all(w >= -1.0)
+            assert np.all(np.abs(w * np.exp(w) - pair) <= 1e-12 * np.maximum(1.0, pair))
 
 
 class TestEllipticK:
