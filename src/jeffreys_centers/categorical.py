@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 from .legendre import CenterDiagnostics, GeneratorSpec, check_weights
-from .special_functions import _w0_halley, lambert_w0
+from .special_functions import _w0_halley, _w_start, lambert_w0
 
 __all__ = [
     "SimplexPoint",
@@ -292,7 +292,7 @@ def jeffreys_centroid_cat(
     t0 = time.perf_counter_ns()
     a, g = hset.means
     r = (a / g) * math.e  # W_j's argument is r_j e^lambda
-    bracket_lo = lam_lo = float(np.max(a + np.log(g)) - 1.0)
+    bracket_lo = lam_lo = float((a + np.log(g)).max() - 1.0)
     lam_hi = 0.0
     c_jfr = _jfr_probs(a, g)
     log_ratio = np.log(c_jfr / g)
@@ -311,7 +311,7 @@ def jeffreys_centroid_cat(
             lam_lo = lam
         else:
             lam_hi = lam
-        step = (s - 1.0) / float(np.sum(c_raw * c_raw / (c_raw + a)))
+        step = (s - 1.0) / float((c_raw * c_raw / (c_raw + a)).sum())
         # closed test: an exact root (s == 1) gives step 0, a bracket end
         if not lam_lo <= lam + step <= lam_hi:
             step = 0.5 * (lam_lo + lam_hi) - lam
@@ -333,30 +333,17 @@ def jeffreys_centroid_cat(
                 f"s({bracket_lo:.6g})={s_lo:.12g}, s(0)={s_hi:.12g}"
             )
     center = SimplexPoint(c_raw / s)
-    fixed_point_residual = abs(lam + float(np.sum(center.probs * np.log(center.probs / g))))
+    fixed_point_residual = abs(lam + float((center.probs * np.log(center.probs / g)).sum()))
     diag = CenterDiagnostics.after(t0, iterations, gap, epsilon, fixed_point_residual)
     return JeffreysCatResult(
         center=center, lam=lam, mass_residual=abs(s - 1.0), diagnostics=diag
     )
 
 
-def _w_start(w: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Two Newton steps on w + log w = log x from ``w``, given
-    ``u = 1 + log x - log w >= 1``.
-
-    A step maps w to w u / (1 + w).  w + log w is concave, so each step lands
-    at or below the root W0(x), and u stays at least 1.
-    """
-    t = 1.0 + w
-    w1 = w * u / t
-    u = u + np.log(t / u)  # w / w1 = t / u
-    return w1 * u / (1.0 + w1)
-
-
 def _jfr_probs(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     """The JFR center's bins from the sided means: see :func:`jfr_center_cat`."""
     num = (np.sqrt(a) + np.sqrt(g)) ** 2
-    return num / (2.0 * (1.0 + np.sum(np.sqrt(a * g))))
+    return num / (2.0 * (1.0 + np.sqrt(a * g).sum()))
 
 
 def jfr_center_cat(hset: HistogramSet) -> SimplexPoint:

@@ -20,6 +20,7 @@ pair N(0, X), N(0, Y).
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Tuple
 
@@ -52,7 +53,7 @@ def gb_step(
     )
     if not gen.in_domain(new_bar):
         raise DomainError(f"{gen.name}: arithmetic midpoint left the domain")
-    if not (np.all(np.isfinite(new_under)) and gen.in_domain(new_under)):
+    if not (np.isfinite(new_under).all() and gen.in_domain(new_under)):
         raise DomainError(f"{gen.name}: quasi-arithmetic midpoint left the domain")
     return new_bar, new_under
 
@@ -64,8 +65,10 @@ def _gap(theta_bar: np.ndarray, theta_under: np.ndarray) -> float:
     alone stops too early on small parameters (a scalar pair near 1e-12, or
     normals with large covariances).  At theta_bar = 0 it is the absolute gap.
     """
-    gap = float(np.linalg.norm(theta_bar - theta_under))
-    scale = min(1.0, float(np.linalg.norm(theta_bar)))
+    # sqrt(v.dot(v)) is np.linalg.norm's arithmetic for a 1-D float vector
+    diff = theta_bar - theta_under
+    gap = math.sqrt(diff.dot(diff))
+    scale = min(1.0, math.sqrt(theta_bar.dot(theta_bar)))
     return gap / scale if scale > 0.0 else gap
 
 

@@ -70,6 +70,10 @@ _ALIGN_ZERO = 1e-14
 # Newton steps of the alignment, and halvings of one step, before giving up.
 _NEWTON_MAX_ITER = 50
 _NEWTON_HALVINGS = 10
+# Residuals the alignment's rounding can leave at a root of a large spread
+# (1e-14 to 5e-13 seen): where the full step does not lower the norm from
+# here, Newton stops without halving.
+_ROUNDING_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -99,38 +103,36 @@ class GaussianParam:
 # --- flattening of (vector, symmetric matrix) pairs -------------------------
 
 class _IndexTables(NamedTuple):
-    upper: Tuple[np.ndarray, np.ndarray]  # vech order: upper triangle, row-major
-    lower: Tuple[np.ndarray, np.ndarray]  # the mirror image of each vech entry
     scale: np.ndarray  # 1 on the diagonal, sqrt(2) off it
     strict_upper: Tuple[np.ndarray, np.ndarray]  # gauge parameters of the fiber
     strict_lower: Tuple[np.ndarray, np.ndarray]
+    upper_flat: np.ndarray  # vech order: raveled upper triangle, row-major
+    vech_of: np.ndarray  # vech position of each raveled matrix entry
 
 
 @functools.lru_cache(maxsize=None)
 def _index_tables(d: int) -> _IndexTables:
     """Index tables of dimension d, built once and shared read-only."""
-    iu, su = np.triu_indices(d), np.triu_indices(d, 1)
-    arrays = (*iu, *su, np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0)))
+    (r, c), (sr, sc) = np.triu_indices(d), np.triu_indices(d, 1)
+    vech_of = np.empty((d, d), dtype=np.intp)
+    vech_of[r, c] = vech_of[c, r] = np.arange(r.size)
+    arrays = (np.where(r == c, 1.0, np.sqrt(2.0)), sr, sc, r * d + c, vech_of.ravel())
     for a in arrays:
         a.setflags(write=False)
-    r, c, sr, sc, scale = arrays
-    return _IndexTables((r, c), (c, r), scale, (sr, sc), (sc, sr))
+    scale, sr, sc, upper_flat, vech_flat = arrays
+    return _IndexTables(scale, (sr, sc), (sc, sr), upper_flat, vech_flat)
 
 
 def mvn_flatten(vec: np.ndarray, mat: np.ndarray) -> np.ndarray:
     """Pack (vector, symmetric matrix) into the trace-isometric flat vector."""
     t = _index_tables(vec.size)
-    return np.concatenate([vec, mat[t.upper] * t.scale])
+    return np.concatenate([vec, mat.ravel()[t.upper_flat] * t.scale])
 
 
 def mvn_unflatten(x: np.ndarray, d: int) -> Tuple[np.ndarray, np.ndarray]:
     """Inverse of :func:`mvn_flatten`."""
     t = _index_tables(d)
-    entries = x[d:] / t.scale
-    mat = np.empty((d, d))
-    mat[t.upper] = entries
-    mat[t.lower] = entries
-    return x[:d], mat
+    return x[:d], (x[d:] / t.scale)[t.vech_of].reshape(d, d)
 
 
 def _sym_inv(m: np.ndarray) -> np.ndarray:
@@ -211,7 +213,7 @@ def mvn_generator(dim: int) -> GeneratorSpec:
     def in_domain(x: np.ndarray) -> bool:
         # The open cone, without the condition bound: -theta_M of a member near
         # the bound is its inverted covariance, whose computed condition can pass it.
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             return False
         _, tm = mvn_unflatten(x, d)
         return bool(_eigvalsh(-tm)[0] > 0.0)
@@ -371,21 +373,24 @@ def root(fun, x0) -> _RootResult:
 
     Each step solves with the exact Jacobian and is halved until the residual
     norm drops.  The solve succeeds once max |residual| <= 1e-14 and stops
-    without success when no halving lowers the norm, when the Jacobian is
-    singular, or after 50 steps.
+    without success when no halving lowers the norm, when the full step does
+    not lower it from max |residual| <= 1e-12, when the Jacobian is singular,
+    or after 50 steps.
     """
     x = np.asarray(x0, dtype=float)
     res, jac = fun(x)
     nfev = 1
     for _ in range(_NEWTON_MAX_ITER):
-        if np.abs(res).max() <= _ALIGN_ZERO:
+        worst = np.abs(res).max()
+        if worst <= _ALIGN_ZERO:
             break
         try:
             step = np.linalg.solve(jac, -res)
         except np.linalg.LinAlgError:
             break
         norm = np.linalg.norm(res)
-        for _ in range(_NEWTON_HALVINGS):
+        # at the rounding floor no shorter step lowers the norm either
+        for _ in range(1 if worst <= _ROUNDING_FLOOR else _NEWTON_HALVINGS):
             trial = fun(x + step)
             nfev += 1
             if np.linalg.norm(trial[0]) < norm:

@@ -127,6 +127,32 @@ def _from_start(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return w
 
 
+def _w_start(w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Two Newton steps on w + log w = log x from ``w``, given
+    ``u = 1 + log x - log w >= 1``.
+
+    A step maps w to w u / (1 + w).  w + log w is concave, so each step lands
+    at or below the root W0(x), and u stays at least 1.
+    """
+    t = 1.0 + w
+    w1 = w * u / t
+    u = u + np.log(t / u)  # w / w1 = t / u
+    return w1 * u / (1.0 + w1)
+
+
+def _w0_log(x: np.ndarray) -> np.ndarray:
+    """W0 of x > _START_MAX_X from w + log w = log x, where nothing overflows.
+
+    The start L - log L (L = log x, here between 696 and 710) lies below the
+    root by less than 0.01, and Newton's error shrinks to its square times
+    about 1 / (2 w^2) at each step: the two steps of :func:`_w_start` reach
+    rounding.
+    """
+    log_x = np.log(x)
+    w = log_x - np.log(log_x)
+    return _w_start(w, 1.0 + log_x - np.log(w))
+
+
 def lambert_w0(x, start=None):
     """Principal branch W0 of the Lambert W function.
 
@@ -140,7 +166,8 @@ def lambert_w0(x, start=None):
     from the seed, where some entry of it lies outside [-0.5, 690], some x
     exceeds 3.2e302, or the first step moves some entry by more than 0.1
     (absolutely where |w| >= 1, relatively below); a poor start then costs
-    one Halley step more than none.
+    one Halley step more than none.  Entries above 3.2e302, where Halley's
+    products can overflow, are solved as w + log w = log x instead.
     """
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
@@ -166,15 +193,19 @@ def lambert_w0(x, start=None):
             raise DomainError("lambert_w0 requires a finite start above -1")
         started = _START_MIN <= w_lo and w_hi <= _START_MAX and hi <= _START_MAX_X
 
-    # W0(-1/e) = -1 exactly, where Halley's step divides by w + 1 = 0: those
-    # entries iterate on x = 0 (W0(0) = 0, already converged) and are pinned.
-    pinned = lo == _NEG_INV_E
-    if pinned:
+    # W0(-1/e) = -1 exactly, where Halley's step divides by w + 1 = 0, and
+    # above _START_MAX_X Halley's products can overflow: those entries iterate
+    # on x = 0 (W0(0) = 0, already converged) and are set afterwards.
+    aside = lo == _NEG_INV_E or hi > _START_MAX_X
+    if aside:
         at_branch = arr == _NEG_INV_E
-        arr = np.where(at_branch, 0.0, arr)
+        huge = arr > _START_MAX_X
+        w_huge = _w0_log(arr[huge])
+        arr = np.where(at_branch | huge, 0.0, arr)
     w = _w0_halley(arr, _from_start(arr, w) if started else _w0_seed(arr))
-    if pinned:
+    if aside:
         w[at_branch] = -1.0
+        w[huge] = w_huge
     return float(w[0]) if scalar else w
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -497,6 +499,15 @@ class TestNewtonRoot:
         assert sol.nfev == 1 + gaussian._NEWTON_HALVINGS
         assert np.array_equal(sol.x, [1e-3])
 
+    @pytest.mark.parametrize("level, nfev", [(5e-13, 2), (2e-12, 1 + gaussian._NEWTON_HALVINGS)])
+    def test_rounding_floor_stops_without_halving(self, level, nfev):
+        """A residual norm no step lowers: at or below 1e-12 it is taken for
+        rounding, and only the full step is tried."""
+        sol = gaussian.root(lambda x: (np.full(1, level), np.eye(1)), np.zeros(1))
+        assert not sol.success
+        assert sol.nfev == nfev
+        assert np.array_equal(sol.x, [0.0])
+
 
 class TestIndexTables:
     @pytest.mark.parametrize("d", range(1, 9))
@@ -522,7 +533,7 @@ class TestIndexTables:
     def test_tables_are_read_only(self):
         t = _index_tables(4)
         assert _index_tables(4) is t
-        arrays = [t.scale, *t.upper, *t.lower, *t.strict_upper, *t.strict_lower]
+        arrays = [t.scale, *t.strict_upper, *t.strict_lower, t.upper_flat, t.vech_of]
         for a in arrays:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
@@ -604,6 +615,37 @@ class TestGBCenterMvn:
         assert np.abs(
             np.linalg.inv(center.cov.entries) - prec_centroid.entries
         ).max() < 1e-8
+
+    @pytest.mark.parametrize("d, n", [(1, 2), (2, 4), (3, 3), (5, 4)])
+    def test_every_domain_check_kept(self, rng, monkeypatch, d, n):
+        """The generator is called as the generic double sequence calls it: the
+        quasi-arithmetic start maps and checks each member, both starts are
+        checked, and each step checks both iterates on entry and both new
+        ones on exit."""
+        counts = Counter()
+        make = gaussian.mvn_generator
+
+        def counted(dim):
+            spec = make(dim)
+
+            def wrap(name):
+                fn = getattr(spec, name)
+
+                def call(x):
+                    counts[name] += 1
+                    return fn(x)
+
+                return call
+
+            names = ("eval_F", "eval_grad", "eval_grad_inv", "in_domain")
+            return dataclasses.replace(spec, **{c: wrap(c) for c in names})
+
+        monkeypatch.setattr(gaussian, "mvn_generator", counted)
+        _, diag = gb_center_mvn([random_gaussian(rng, d) for _ in range(n)])
+        k = diag.iterations
+        assert k > 0
+        assert counts == {"in_domain": n + 2 + 4 * k, "eval_grad": n + 2 * k,
+                          "eval_grad_inv": 1 + k}
 
     def test_univariate_grid_oracle(self):
         gs = [

@@ -135,6 +135,15 @@ class TestLambertW:
         for x in xs[::7]:
             assert lambert_w0(float(x)) == reference_w0(np.array([x]))[0]
 
+    @pytest.mark.parametrize("x", [5e307, 1e308, np.finfo(float).max])
+    def test_largest_inputs(self, x):
+        # Halley's (w + 2) f overflows from about 5e307 on; a floating-point
+        # warning fails the test
+        w = lambert_w0(x)
+        assert abs(w + math.log(w) - math.log(x)) <= 1e-15 * math.log(x)
+        both = lambert_w0(np.array([x, -math.exp(-1.0), 1.0]))
+        assert both[0] == w and both[1] == -1.0 and both[2] == lambert_w0(1.0)
+
 
 class TestLambertWStart:
     """lambert_w0 from a start the caller supplies."""
