@@ -37,6 +37,7 @@ from .special_functions import ToleranceConfig
 from .spd import (
     SPDMatrix,
     _check_spd,
+    _check_spectrum,
     _eigh,
     _eigvalsh,
     _log_divided_differences,
@@ -360,32 +361,37 @@ def _fiber_move(G: np.ndarray, k: np.ndarray, d: int) -> np.ndarray:
 
 
 class _RootResult(NamedTuple):
-    """The end of a root solve: the point, its residual, evaluations, success."""
+    """The end of a root solve: the point, its residual, evaluations, success,
+    and the rest of what ``fun`` returned at the point."""
 
     x: np.ndarray
     fun: np.ndarray
     nfev: int
     success: bool
+    state: tuple
 
 
 def root(fun, x0) -> _RootResult:
-    """Newton's method for fun(x) = 0, where fun returns (residual, Jacobian).
+    """Newton's method for fun(x) = 0, where fun returns (residual, Jacobian, *state).
 
-    Each step solves with the exact Jacobian and is halved until the residual
-    norm drops.  The solve succeeds once max |residual| <= 1e-14 and stops
-    without success when no halving lowers the norm, when the full step does
-    not lower it from max |residual| <= 1e-12, when the Jacobian is singular,
-    or after 50 steps.
+    The Jacobian is a zero-argument callable, called only when a step is about
+    to be taken from x, so the evaluation that ends the solve and the trials
+    that a halving rejects build none.  Each step solves with the exact
+    Jacobian and is halved until the residual norm drops.  The solve succeeds
+    once max |residual| <= 1e-14 and stops without success when no halving
+    lowers the norm, when the full step does not lower it from
+    max |residual| <= 1e-12, when the Jacobian is singular, or after 50 steps.
+    The state of the evaluation at the returned point comes back with it.
     """
     x = np.asarray(x0, dtype=float)
-    res, jac = fun(x)
+    res, jac, *state = fun(x)
     nfev = 1
     for _ in range(_NEWTON_MAX_ITER):
         worst = np.abs(res).max()
         if worst <= _ALIGN_ZERO:
             break
         try:
-            step = np.linalg.solve(jac, -res)
+            step = np.linalg.solve(jac(), -res)
         except np.linalg.LinAlgError:
             break
         norm = np.linalg.norm(res)
@@ -399,46 +405,55 @@ def root(fun, x0) -> _RootResult:
         else:
             break
         x = x + step
-        res, jac = trial
-    return _RootResult(x, res, nfev, bool(np.abs(res).max() <= _ALIGN_ZERO))
+        res, jac, *state = trial
+    return _RootResult(x, res, nfev, bool(np.abs(res).max() <= _ALIGN_ZERO), tuple(state))
 
 
-def _align_fiber(G1: np.ndarray, d: int) -> np.ndarray:
+def _align_fiber(G1: np.ndarray, d: int) -> Tuple[np.ndarray, np.ndarray]:
     """Gauge-align G1 to the identity so the connecting geodesic is horizontal.
 
     The trace-metric geodesic from the identity to G1 has initial velocity
     log(G1); the alignment zeroes the skew part of its mean-covariance coupling
     block, solved as a root-finding problem over the d(d-1)/2 gauge
     parameters k by Newton's method (:func:`root`), with the Jacobian in
-    closed form.
+    closed form.  Returns the aligned lift and its ascending eigenvalues, both
+    from the evaluation at the point the solve returns, so the caller
+    decomposes the lift no more; at d = 1 there is no gauge and G1 is
+    decomposed once here.
 
     With X = F G1 F^T = V diag(w) V^T, the residual entry q is <U_q, diag(log w)>
     / 2, where U_q = V^T (e_a e_{d+1+b}^T - e_b e_{d+1+a}^T) V for the pair
-    (a, b) = q of the strict upper triangle.  Moving gauge parameter p moves X
-    by D_p X + X D_p^T with V^T D_p V = -U_p^T, so its derivative is
-    -<U_q, Gamma o (U_p^T W + W U_p)> / 2, Gamma the divided differences of log.
+    (a, b) = q of the strict upper triangle; only the diagonal of U_q enters,
+    (V[a] o V[d+1+b] - V[b] o V[d+1+a]) @ log w.  Moving gauge parameter p moves
+    X by D_p X + X D_p^T with V^T D_p V = -U_p^T, so its derivative is
+    -<U_q, Gamma o (U_p^T W + W U_p)> / 2, Gamma the divided differences of log;
+    the full U and Gamma are built only when :func:`root` asks for a Jacobian.
     """
     nk = d * (d - 1) // 2
     if nk == 0:
-        return G1
+        return G1, _eigvalsh(G1)
     a, b = _index_tables(d).strict_upper
 
-    def residual_and_jacobian(k: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        w, V = _eigh(_fiber_move(G1, k, d))
-        log_w = _log_eigs(w)
-        U = (V[a][:, :, None] * V[d + 1 + b][:, None, :]
-             - V[b][:, :, None] * V[d + 1 + a][:, None, :])
-        res = 0.5 * (np.diagonal(U, axis1=1, axis2=2) @ log_w)
+    def residual(k: np.ndarray):
+        X = _fiber_move(G1, k, d)
+        w, V = _eigh(X)
+        res = 0.5 * ((V[a] * V[d + 1 + b] - V[b] * V[d + 1 + a]) @ _log_eigs(w))
         if np.abs(res).max() <= _ALIGN_ZERO:
             res = np.zeros(nk)
-        dX = (np.swapaxes(U, 1, 2) * w + w[:, None] * U) * _log_divided_differences(w)
-        return res, -0.5 * (U.reshape(nk, -1) @ dX.reshape(nk, -1).T)
 
-    sol = root(residual_and_jacobian, np.zeros(nk))
+        def jacobian() -> np.ndarray:
+            U = (V[a][:, :, None] * V[d + 1 + b][:, None, :]
+                 - V[b][:, :, None] * V[d + 1 + a][:, None, :])
+            dX = (np.swapaxes(U, 1, 2) * w + w[:, None] * U) * _log_divided_differences(w)
+            return -0.5 * (U.reshape(nk, -1) @ dX.reshape(nk, -1).T)
+
+        return res, jacobian, X, w
+
+    sol = root(residual, np.zeros(nk))
     worst = float(np.abs(sol.fun).max())
     if not sol.success and worst > 1e-9:
         raise NumericalError(f"fiber alignment failed: residual {worst:.3g}")
-    return _fiber_move(G1, sol.x, d)
+    return sol.state
 
 
 def fisher_rao_midpoint_mvn(p0: GaussianParam, p1: GaussianParam) -> GaussianParam:
@@ -453,7 +468,9 @@ def fisher_rao_midpoint_mvn(p0: GaussianParam, p1: GaussianParam) -> GaussianPar
     back to N(mu0 + L m, L S L^T).  The midpoint loses about cond(G1) * 1e-16
     of relative accuracy, and the condition number grows like the fourth power
     of the separation in p0's standard deviations, so an aligned lift past the
-    condition bound of the SPD rule of :mod:`spd` raises NumericalError.
+    condition bound of the SPD rule of :mod:`spd` raises NumericalError.  The
+    rule reads the eigenvalues the alignment returns with the lift, so the
+    lift is not decomposed again for it.
     """
     if p0.dim != p1.dim:
         raise DomainError("dimension mismatch")
@@ -461,9 +478,9 @@ def fisher_rao_midpoint_mvn(p0: GaussianParam, p1: GaussianParam) -> GaussianPar
     L = np.linalg.cholesky(p0.cov.entries)
     mean_w = np.linalg.solve(L, p1.mean - p0.mean)
     cov_w = np.linalg.solve(L, np.linalg.solve(L, p1.cov.entries).T)  # L^-1 Sigma1 L^-T
-    G1 = _align_fiber(_embed_array(mean_w, 0.5 * (cov_w + cov_w.T)), d)
+    G1, eigenvalues = _align_fiber(_embed_array(mean_w, 0.5 * (cov_w + cov_w.T)), d)
     with _internal_failure("Fisher-Rao midpoint"):
-        _check_spd(G1, "whitened lift")
+        _check_spectrum(eigenvalues, "whitened lift")
     G = geometric_mean(np.eye(2 * d + 1), G1).entries
     S = _sym_inv(G[:d, :d])
     cov = L @ S @ L.T

@@ -34,6 +34,8 @@ __all__ = [
 ]
 
 _MAX_CONDITION = 1e12
+# Floor of the asymmetry test's scale, so that an all-zero matrix divides by it.
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -48,11 +50,11 @@ class SPDMatrix:
 
     def __post_init__(self):
         m = np.atleast_2d(np.asarray(self.entries, dtype=float))
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DomainError(f"expected a square matrix, got shape {m.shape}")
-        if np.any(~np.isfinite(m)):
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
+            raise DomainError(f"expected a non-empty square matrix, got shape {m.shape}")
+        if not np.isfinite(m).all():
             raise DomainError("matrix entries must be finite")
-        scale = max(float(np.abs(m).max()), np.finfo(float).tiny)
+        scale = max(float(np.abs(m).max()), _TINY)
         asym = float(np.abs(m - m.T).max()) / scale
         if asym > 1e-8:
             raise DomainError(f"matrix asymmetry {asym:.3g} exceeds 1e-8")
@@ -93,14 +95,19 @@ def _eigvalsh(m: np.ndarray) -> np.ndarray:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
 
 
-def _check_spd(m: np.ndarray, what: str = "matrix") -> None:
-    """The one SPD rule: the symmetric matrix ``m`` is positive definite with
-    condition number at most ``_MAX_CONDITION``, else a DomainError naming ``what``."""
-    w = _eigvalsh(m)
+def _check_spectrum(w: np.ndarray, what: str = "matrix") -> None:
+    """The one SPD rule on the ascending eigenvalues ``w`` of a symmetric matrix:
+    positive definite with condition number at most ``_MAX_CONDITION``, else a
+    DomainError naming ``what``."""
     if w[0] <= 0.0:
         raise DomainError(f"{what} is not positive definite (min eig {w[0]:.3g})")
     if w[-1] / w[0] > _MAX_CONDITION:
         raise DomainError(f"{what} condition number {w[-1] / w[0]:.3g} exceeds {_MAX_CONDITION:g}")
+
+
+def _check_spd(m: np.ndarray, what: str = "matrix") -> None:
+    """The SPD rule of :func:`_check_spectrum` on the symmetric matrix ``m``."""
+    _check_spectrum(_eigvalsh(m), what)
 
 
 def _spectral(m: np.ndarray, *fns: Callable[[np.ndarray], np.ndarray]) -> List[np.ndarray]:

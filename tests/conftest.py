@@ -87,7 +87,7 @@ def embedded_equidistance_residual(p0: GaussianParam, p1: GaussianParam) -> floa
     mean_w = np.linalg.solve(L, p1.mean - p0.mean)
     cov_w = np.linalg.solve(L, np.linalg.solve(L, p1.cov.entries).T)
     G0 = np.eye(2 * d + 1)
-    G1 = gaussian._align_fiber(gaussian._embed_array(mean_w, 0.5 * (cov_w + cov_w.T)), d)
+    G1, _ = gaussian._align_fiber(gaussian._embed_array(mean_w, 0.5 * (cov_w + cov_w.T)), d)
     G = geometric_mean(G0, G1).entries
     S = gaussian._sym_inv(G[:d, :d])
     cov = L @ S @ L.T

@@ -436,7 +436,7 @@ class TestMidpointOracles:
 class TestFiberAlignment:
     @pytest.fixture
     def solves(self, monkeypatch):
-        """(residual-and-Jacobian function, scipy result) of each alignment solve."""
+        """(residual function, root result) of each alignment solve."""
         calls = []
         real = gaussian.root
 
@@ -454,7 +454,7 @@ class TestFiberAlignment:
         fisher_rao_midpoint_mvn(p0, p1)
         ((fun, _),) = solves
         k = 0.3 * rng.normal(size=d * (d - 1) // 2)
-        _, jac = fun(k)
+        jac = fun(k)[1]()
         h = 1e-6
         fd = np.column_stack([
             (fun(k + h * e)[0] - fun(k - h * e)[0]) / (2.0 * h) for e in np.eye(k.size)
@@ -472,19 +472,159 @@ class TestFiberAlignment:
         assert sol.nfev <= 4  # about 20 without the exact-root cut-off
         assert np.all(sol.x == 0.0)
 
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        """(root result, [[residual, Jacobian builds], ...]) of each alignment solve.
+
+        Every evaluation's Jacobian callable is wrapped, so the list counts the
+        Jacobians the solve builds at each point it evaluated.
+        """
+        solves = []
+        real = gaussian.root
+
+        def spy(fun, x0):
+            evals = []
+
+            def counted(x):
+                res, jac, *state = fun(x)
+                record = [res, 0]
+                evals.append(record)
+
+                def counted_jac():
+                    record[1] += 1
+                    return jac()
+
+                return (res, counted_jac, *state)
+
+            sol = real(counted, x0)
+            solves.append((sol, evals))
+            return sol
+
+        monkeypatch.setattr(gaussian, "root", spy)
+        return solves
+
+    @staticmethod
+    def count_calls(monkeypatch, owner, name, counts):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 8])
+    def test_same_mean_pair_builds_no_jacobian(self, rng, evaluations, monkeypatch, d):
+        """k = 0 is the root of a same-mean pair: one residual evaluation, no
+        Jacobian and no divided differences, and the lift is moved once."""
+        mu = rng.normal(size=d)
+        p0, p1 = GaussianParam(mu, random_spd(rng, d)), GaussianParam(mu, random_spd(rng, d))
+        counts = Counter()
+        for name in ("_fiber_move", "_log_divided_differences"):
+            self.count_calls(monkeypatch, gaussian, name, counts)
+        fisher_rao_midpoint_mvn(p0, p1)
+        ((sol, evals),) = evaluations
+        assert sol.success and sol.nfev == 1
+        assert [builds for _, builds in evals] == [0]
+        assert counts == {"_fiber_move": 1}
+
+    def test_jacobian_only_before_a_step(self, rng, evaluations, monkeypatch):
+        """A Jacobian is built once at each point a Newton step is taken from,
+        never at a trial that halving rejects, and never at the root a solve
+        ends on, so a successful solve builds one per step."""
+        counts = Counter()
+        self.count_calls(monkeypatch, gaussian, "_log_divided_differences", counts)
+        rejected = 0
+        for d in (2, 3, 5, 8):
+            for scale in (3.0, 10.0):
+                for _ in range(3):
+                    fisher_rao_midpoint_mvn(random_gaussian(rng, d), random_gaussian(rng, d, scale))
+        for sol, evals in evaluations:
+            norms = [np.linalg.norm(res) for res, _ in evals]
+            base, stepped_from, steps = 0, set(), 0
+            for i in range(1, len(evals)):
+                stepped_from.add(base)
+                if norms[i] < norms[base]:
+                    base, steps = i, steps + 1
+                else:
+                    rejected += 1
+            assert [builds for _, builds in evals] == [
+                int(i in stepped_from) for i in range(len(evals))
+            ]
+            if sol.success:
+                assert len(stepped_from) == steps
+        assert rejected > 0
+        assert counts["_log_divided_differences"] == sum(
+            builds for _, evals in evaluations for _, builds in evals
+        )
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 8])
+    @pytest.mark.parametrize("scale", [3.0, 10.0])
+    def test_returned_lift_is_the_accepted_evaluations(self, rng, solves, d, scale):
+        """The lift and eigenvalues come from the point the solve returns, not
+        from its last evaluation, which may be a rejected trial."""
+        G1 = _embed_array(scale * rng.normal(size=d), random_spd_unit(rng, d).entries)
+        lift, eigenvalues = gaussian._align_fiber(G1, d)
+        ((_, sol),) = solves
+        assert sol.nfev > 1
+        assert np.array_equal(lift, gaussian._fiber_move(G1, sol.x, d))
+        assert np.array_equal(eigenvalues, np.linalg.eigh(lift)[0])
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+    def test_lift_is_decomposed_once_per_evaluation(self, rng, evaluations, monkeypatch, d):
+        """Outside the geometric mean, the midpoint decomposes a (2d+1) lift only
+        in the alignment's evaluations: the SPD rule reads the accepted one's
+        eigenvalues.  At d = 1 there is no gauge and the lift is decomposed once."""
+        p0, p1 = random_gaussian(rng, d), random_gaussian(rng, d, 3.0)
+        sizes, in_mean = [], [False]
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, name)
+
+            def counted(m, *args, _real=real, **kwargs):
+                if not in_mean[0]:
+                    sizes.append(m.shape[0])
+                return _real(m, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        real_mean = gaussian.geometric_mean
+
+        def mean(x, y):
+            in_mean[0] = True
+            try:
+                return real_mean(x, y)
+            finally:
+                in_mean[0] = False
+
+        monkeypatch.setattr(gaussian, "geometric_mean", mean)
+        fisher_rao_midpoint_mvn(p0, p1)
+        expected = evaluations[0][0].nfev if d > 1 else 1
+        assert sizes.count(2 * d + 1) == expected
+
+    def test_aligned_lift_past_the_bound_is_a_numerical_error(self, evaluations):
+        """d = 2: the alignment takes a Newton step and succeeds, and the SPD rule
+        refuses the aligned lift (condition 1.6e14) from the eigenvalues it
+        returns, as it refuses one at d = 1."""
+        with pytest.raises(NumericalError, match="condition number"):
+            fisher_rao_midpoint_mvn(
+                GaussianParam([0.0, 0.0], np.eye(2)),
+                GaussianParam([1e-3, 2e-3], [[2e-7, 5e-8], [5e-8, 1e-7]]),
+            )
+        ((sol, _),) = evaluations
+        assert sol.success and sol.nfev > 1
+
 
 class TestNewtonRoot:
     def test_halving_keeps_newton_from_diverging(self):
         """Full Newton steps on atan from 3 overshoot further at every step;
         halved until the residual drops, they reach the root."""
-        sol = gaussian.root(lambda x: (np.arctan(x), np.diag(1.0 / (1.0 + x * x))), np.array([3.0]))
+        sol = gaussian.root(lambda x: (np.arctan(x), lambda: np.diag(1.0 / (1.0 + x * x))), np.array([3.0]))
         assert sol.success
         assert abs(sol.x[0]) <= 1e-14
         assert np.abs(sol.fun).max() <= 1e-14
 
     def test_singular_jacobian_ends_the_solve(self):
         def fun(x):
-            return np.array([x[0] ** 2 + 1.0, x[0] + x[1]]), np.array([[2.0 * x[0], 0.0], [1.0, 1.0]])
+            return np.array([x[0] ** 2 + 1.0, x[0] + x[1]]), lambda: np.array([[2.0 * x[0], 0.0], [1.0, 1.0]])
 
         sol = gaussian.root(fun, np.zeros(2))
         assert not sol.success
@@ -494,7 +634,7 @@ class TestNewtonRoot:
 
     def test_no_halving_helps(self):
         """A residual norm that no step lowers: x^2 + 1 at its minimum's side."""
-        sol = gaussian.root(lambda x: (x * x + 1.0, np.diag(2.0 * x)), np.array([1e-3]))
+        sol = gaussian.root(lambda x: (x * x + 1.0, lambda: np.diag(2.0 * x)), np.array([1e-3]))
         assert not sol.success
         assert sol.nfev == 1 + gaussian._NEWTON_HALVINGS
         assert np.array_equal(sol.x, [1e-3])
@@ -503,7 +643,7 @@ class TestNewtonRoot:
     def test_rounding_floor_stops_without_halving(self, level, nfev):
         """A residual norm no step lowers: at or below 1e-12 it is taken for
         rounding, and only the full step is tried."""
-        sol = gaussian.root(lambda x: (np.full(1, level), np.eye(1)), np.zeros(1))
+        sol = gaussian.root(lambda x: (np.full(1, level), lambda: np.eye(1)), np.zeros(1))
         assert not sol.success
         assert sol.nfev == nfev
         assert np.array_equal(sol.x, [0.0])

@@ -124,6 +124,16 @@ def test_spectral_kernel_classifies_nan_matrix():
         _spectral(np.full((3, 3), np.nan), np.sqrt)
 
 
+def test_empty_matrix_is_a_domain_error():
+    with pytest.raises(DomainError, match="non-empty square matrix"):
+        SPDMatrix(np.zeros((0, 0)))
+
+
+def test_empty_gaussian_is_a_domain_error():
+    with pytest.raises(DomainError, match="non-empty square matrix"):
+        GaussianParam(np.zeros(0), np.zeros((0, 0)))
+
+
 def _gaussians(means, covs):
     return [GaussianParam(m, SPDMatrix(c)) for m, c in zip(means, covs)]
 
