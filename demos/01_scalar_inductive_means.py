@@ -2,7 +2,8 @@
 
 The arithmetic-harmonic double sequence converges to the geometric mean;
 swapping the harmonic step for a geometric one yields Gauss's AGM, which has
-no elementary closed form but satisfies an elliptic-integral identity.  Both
+no elementary closed form; AGM(1, sqrt 2) is the reciprocal of Gauss's
+constant.  Both
 are gb_center runs, under the Burg and the Shannon generator.  The
 scalar Jeffreys centroid of two positive reals is a third animal entirely:
 it needs the Lambert W function.
@@ -14,8 +15,6 @@ from jeffreys_centers import (
     ToleranceConfig,
     WeightedParamSet,
     burg_generator,
-    elliptic_k,
-    energy_grad_residual,
     gb_center,
     gb_step,
     lambert_w0,
@@ -53,18 +52,20 @@ a0, g0 = (x + y) / 2, math.sqrt(x * y)
 # The AGM is invariant under (x, y) -> (a0, g0): started from {a0, g0}, the
 # sequence reaches the same limit.
 agm_of_means, _ = gb_center(shannon_generator(1), WeightedParamSet.of([[a0], [g0]]), tight)
-closed = (math.pi / 4) * (a0 + g0) / elliptic_k((a0 - g0) / (a0 + g0))
+# Gauss's constant: AGM(1, sqrt 2) = 1.19814023473559220744...
+gauss, _ = gb_center(shannon_generator(1), WeightedParamSet.of([[1.0], [math.sqrt(2.0)]]), tight)
 print("\narithmetic-geometric double sequence (Shannon generator):")
 print(f"  starts at the sided centroids a0={a0}, g0={g0}")
 print(f"  limit from {{x, y}}      {agm[0]:.15f}")
 print(f"  limit from {{a0, g0}}    {agm_of_means[0]:.15f}")
-print(f"  (pi/4)(a0+g0)/K(...)   {closed:.15f}")
+print(f"  AGM(1, sqrt 2)         {gauss[0]:.15f}  vs Gauss's 1.198140234735592")
 
 # The exact scalar Jeffreys centroid needs Lambert W: c = a / W0((a/g) e).
 c = a0 / lambert_w0((a0 / g0) * math.e)
 print("\nscalar Jeffreys centroid of {x, y} under the symmetrized KL:")
 print(f"  c = a/W0((a/g)e) = {c:.15f}")
-print(f"  loss-gradient residual at c: "
-      f"{energy_grad_residual(shannon_generator(1), pair, [c]):.2e}")
+# the loss sum_i w_i (c - x_i) log(c / x_i) is stationary where
+# log(c / g) + 1 - a / c = 0
+print(f"  stationarity residual log(c/g) + 1 - a/c: {math.log(c / g0) + 1.0 - a0 / c:.2e}")
 print(f"  AGM limit differs from it by {abs(agm[0] - c):.3e}: "
       "the inductive center is a proxy, not the minimizer")

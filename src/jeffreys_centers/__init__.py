@@ -10,14 +10,13 @@ arithmetic / quasi-arithmetic double sequence).
 __version__ = "0.1.0"
 
 from .errors import DomainError, NumericalError
-from .special_functions import ToleranceConfig, elliptic_k, lambert_w0
+from .special_functions import ToleranceConfig, lambert_w0
 from .legendre import (
     CenterDiagnostics,
     GeneratorSpec,
     WeightedParamSet,
     bregman_div,
     check_weights,
-    energy_grad_residual,
     jeffreys_loss,
     quasi_arithmetic_center,
     right_bregman_centroid,
@@ -52,13 +51,9 @@ from .categorical import (
 )
 from .spd import (
     SPDMatrix,
-    g_invariance_residual,
     geometric_mean,
     logdet_div,
     sld_centroid,
-    sld_grad_residual,
-    spd_power,
-    spd_sqrt,
     symmetrized_logdet,
     trace_metric_distance,
 )
@@ -76,20 +71,18 @@ from .gaussian import (
     mvn_to_natural,
     sided_kl_centroids_mvn,
 )
-from .uniparam import ScalarGenerator, h_inverse, h_of, jfr_center_1d
+from .uniparam import ScalarGenerator, jfr_center_1d
 
 __all__ = [
     "DomainError",
     "NumericalError",
     "ToleranceConfig",
-    "elliptic_k",
     "lambert_w0",
     "CenterDiagnostics",
     "GeneratorSpec",
     "WeightedParamSet",
     "bregman_div",
     "check_weights",
-    "energy_grad_residual",
     "jeffreys_loss",
     "quasi_arithmetic_center",
     "right_bregman_centroid",
@@ -119,13 +112,9 @@ __all__ = [
     "tv_cat",
     "unnormalized_center",
     "SPDMatrix",
-    "g_invariance_residual",
     "geometric_mean",
     "logdet_div",
     "sld_centroid",
-    "sld_grad_residual",
-    "spd_power",
-    "spd_sqrt",
     "symmetrized_logdet",
     "trace_metric_distance",
     "GaussianParam",
@@ -141,7 +130,5 @@ __all__ = [
     "mvn_to_natural",
     "sided_kl_centroids_mvn",
     "ScalarGenerator",
-    "h_inverse",
-    "h_of",
     "jfr_center_1d",
 ]

@@ -289,6 +289,8 @@ def jeffreys_centroid_cat(
     """
     if not epsilon > 0.0:
         raise DomainError("epsilon must be positive")
+    if max_iter < 1:
+        raise DomainError(f"max_iter must be >= 1, got {max_iter}")
     t0 = time.perf_counter_ns()
     a, g = hset.means
     r = (a / g) * math.e  # W_j's argument is r_j e^lambda
@@ -369,6 +371,8 @@ def gb_center_cat(
     """
     if not epsilon > 0.0:
         raise DomainError("epsilon must be positive")
+    if max_iter < 1:
+        raise DomainError(f"max_iter must be >= 1, got {max_iter}")
     t0 = time.perf_counter_ns()
     a, g = hset.means
     gap = 0.5 * float(np.abs(a - g).sum())

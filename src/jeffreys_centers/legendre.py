@@ -3,8 +3,7 @@
 A :class:`GeneratorSpec` bundles a Legendre-type convex generator F with its
 gradient, reciprocal gradient and domain test.  On top of it live the Bregman
 and symmetrized Bregman divergences, quasi-arithmetic centers, the sided
-Bregman centroids, the Jeffreys loss and a finite-difference optimality
-residual for the symmetrized centroid energy.
+Bregman centroids and the Jeffreys loss.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError
 
 __all__ = [
     "GeneratorSpec",
@@ -27,11 +26,7 @@ __all__ = [
     "quasi_arithmetic_center",
     "right_bregman_centroid",
     "jeffreys_loss",
-    "energy_grad_residual",
 ]
-
-# cube root of machine epsilon, the standard centered-difference step scale
-_FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
 
 @dataclass(frozen=True)
@@ -102,6 +97,8 @@ class WeightedParamSet:
 
     def __post_init__(self):
         points = np.atleast_2d(np.asarray(self.points, dtype=float))
+        if points.ndim != 2:
+            raise DomainError(f"points must be a 2-D array, got shape {points.shape}")
         object.__setattr__(self, "weights", check_weights(self.weights, points.shape[0]))
         object.__setattr__(self, "points", points)
 
@@ -206,22 +203,3 @@ def jeffreys_loss(gen: GeneratorSpec, pset: WeightedParamSet, theta) -> float:
     return float(
         sum(w * symmetrized_bregman(gen, p, t) for w, p in zip(pset.weights, pset.points))
     )
-
-
-def energy_grad_residual(gen: GeneratorSpec, pset: WeightedParamSet, theta) -> float:
-    """Norm of the centered finite-difference gradient of the Jeffreys loss.
-
-    Near zero exactly when ``theta`` is near the symmetrized Bregman centroid
-    of the set.  Steps are eps^(1/3)-scaled per component.
-    """
-    t = gen.require_domain(theta, "query point")
-    grad = np.empty(gen.dim)
-    for k in range(gen.dim):
-        h = _FD_STEP * max(1.0, abs(t[k]))
-        tp, tm = t.copy(), t.copy()
-        tp[k] += h
-        tm[k] -= h
-        if tp[k] == t[k] or tm[k] == t[k]:
-            raise NumericalError("finite-difference step underflow")
-        grad[k] = (jeffreys_loss(gen, pset, tp) - jeffreys_loss(gen, pset, tm)) / (2 * h)
-    return float(np.linalg.norm(grad))

@@ -1,7 +1,7 @@
 """Symmetric positive-definite matrix kernel.
 
-Spectral square roots and powers, the two-point matrix geometric mean X#Y,
-the affine-invariant (trace metric) geodesic distance, log-det Bregman
+The two-point matrix geometric mean X#Y from spectral square roots, the
+affine-invariant (trace metric) geodesic distance, log-det Bregman
 divergences, and the closed-form symmetrized log-det centroid A#H.  The
 arithmetic-harmonic double sequence converging to X#Y is the Gaussian
 Gauss-Bregman center of the centered pair N(0, X), N(0, Y).
@@ -18,19 +18,15 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .legendre import _FD_STEP, check_weights
+from .legendre import check_weights
 
 __all__ = [
     "SPDMatrix",
-    "spd_sqrt",
-    "spd_power",
     "geometric_mean",
     "trace_metric_distance",
     "logdet_div",
     "symmetrized_logdet",
     "sld_centroid",
-    "sld_grad_residual",
-    "g_invariance_residual",
 ]
 
 _MAX_CONDITION = 1e12
@@ -156,16 +152,6 @@ def _power(m: np.ndarray, p: float) -> np.ndarray:
     return _spectral(m, lambda w: w**p)[0]
 
 
-def spd_power(x: SPDMatrix, p: float) -> SPDMatrix:
-    """Matrix power X^p through the spectral decomposition."""
-    return SPDMatrix(_power(_as_array(x), p))
-
-
-def spd_sqrt(x: SPDMatrix) -> SPDMatrix:
-    """Principal matrix square root."""
-    return spd_power(x, 0.5)
-
-
 def _geomean(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     xh, xmh = _sqrt_pair(x)
     mid = _power(xmh @ y @ xmh, 0.5)
@@ -232,44 +218,3 @@ def sld_centroid(mats: Sequence[SPDMatrix], weights: Optional[Sequence] = None) 
     a = sum(wi * m for wi, m in zip(w, arrays))
     h = np.linalg.inv(sum(wi * np.linalg.inv(m) for wi, m in zip(w, arrays)))
     return SPDMatrix(_geomean(a, 0.5 * (h + h.T)))
-
-
-def sld_grad_residual(
-    mats: Sequence[SPDMatrix], weights: Optional[Sequence], x: SPDMatrix
-) -> float:
-    """Finite-difference gradient norm of sum_i w_i S_ld(X, P_i) at X.
-
-    Perturbs the independent entries of X symmetrically with centered
-    differences; near zero exactly at the symmetrized log-det centroid.
-    """
-    w = check_weights(weights, len(mats))
-    arrays = _same_dim_arrays(mats)
-    xa = _as_array(x)
-    d = xa.shape[0]
-
-    def loss(m: np.ndarray) -> float:
-        total = 0.0
-        for wi, p in zip(w, arrays):
-            total += wi * (
-                np.trace(np.linalg.solve(m, p)) + np.trace(np.linalg.solve(p, m)) - 2 * d
-            )
-        return float(total)
-
-    grad = np.zeros((d, d))
-    for i in range(d):
-        for j in range(i, d):
-            h = _FD_STEP * max(1.0, abs(xa[i, j]))
-            e = np.zeros((d, d))
-            e[i, j] = e[j, i] = 1.0
-            grad[i, j] = grad[j, i] = (loss(xa + h * e) - loss(xa - h * e)) / (2 * h)
-    return float(np.linalg.norm(grad))
-
-
-def g_invariance_residual(a: SPDMatrix, h: SPDMatrix) -> float:
-    """Frobenius residual of G(A,H) = G((A+H)/2, 2(A^{-1}+H^{-1})^{-1})."""
-    aa, ha = _as_array(a), _as_array(h)
-    _check_same_dim(aa, ha)
-    lhs = _geomean(aa, ha)
-    harm = 2.0 * np.linalg.inv(np.linalg.inv(aa) + np.linalg.inv(ha))
-    rhs = _geomean(0.5 * (aa + ha), 0.5 * (harm + harm.T))
-    return float(np.linalg.norm(lhs - rhs))

@@ -1,14 +1,10 @@
-"""Scalar special functions: principal Lambert W branch and complete elliptic
-integral of the first kind.
+"""Scalar special functions: the principal Lambert W branch.
 
 The Lambert W implementation is a Halley iteration with a piecewise seed
 (series near the branch point, log-based for large arguments).  The same
 Halley loop also runs from a start the caller supplies: :func:`lambert_w0`
 takes one, which the histogram Jeffreys solve draws from its closed-form JFR
-center, and the solve starts each later W from the previous one.  K(u) is
-evaluated by adaptive quadrature of its defining integral rather than by the
-arithmetic-geometric mean (AGM), so the AGM, which is the Gauss-Bregman center
-under the Shannon generator, can be tested against it without circularity.
+center, and the solve starts each later W from the previous one.
 """
 
 from __future__ import annotations
@@ -20,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 
-__all__ = ["ToleranceConfig", "lambert_w0", "elliptic_k"]
+__all__ = ["ToleranceConfig", "lambert_w0"]
 
 _NEG_INV_E = -math.exp(-1.0)
 
@@ -207,28 +203,3 @@ def lambert_w0(x, start=None):
         w[at_branch] = -1.0
         w[huge] = w_huge
     return float(w[0]) if scalar else w
-
-
-def elliptic_k(u: float) -> float:
-    """Complete elliptic integral of the first kind, K(u) with modulus u.
-
-    K(u) = int_0^{pi/2} dt / sqrt(1 - u^2 sin^2 t), requires |u| < 1.
-    Evaluated by adaptive quadrature of the defining integral.
-    """
-    if not math.isfinite(u) or abs(u) >= 1.0:
-        raise DomainError(f"elliptic_k requires |u| < 1, got {u!r}")
-    from scipy.integrate import quad
-
-    usq = u * u
-    val, err = quad(
-        lambda t: 1.0 / math.sqrt(1.0 - usq * math.sin(t) ** 2),
-        0.0,
-        0.5 * math.pi,
-        epsabs=1e-14,
-        epsrel=DEFAULT_TOL.rel_tol,
-        limit=200,
-    )
-    if err > 1e-6 * max(1.0, abs(val)):
-        raise NumericalError(f"elliptic_k quadrature error too large: {err}")
-    return val
-

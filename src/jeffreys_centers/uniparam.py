@@ -2,44 +2,44 @@
 
 The Fisher-Rao geometry of a uni-order family is Euclidean in the coordinate
 h(theta) = int sqrt(f''(u)) du, so the JFR center is the h-quasi-arithmetic
-midpoint of the two sided KL centroids.
+midpoint of the two sided KL centroids.  Both roots it takes stay inside
+intervals the input fixes: the left centroid lies between the smallest and
+the largest theta_i, and the center between the two centroids, so no bracket
+grows and no integral leaves the two centroids.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DomainError, NumericalError
 from .legendre import check_weights
 
-__all__ = ["ScalarGenerator", "h_of", "h_inverse", "jfr_center_1d"]
+__all__ = ["ScalarGenerator", "jfr_center_1d"]
 
-_QUAD_ABS_TOL = 1e-12
+# Adaptive Gauss-Legendre: a piece whose one-rule value and two-halves value
+# differ by more than _H_REL_TOL relative is halved, _MAX_SPLITS times at most.
+_GL_NODES = 20
+_H_REL_TOL = 1e-12
+_MAX_SPLITS = 200
+# Newton stops on a step of _STEP_TOL relative or a bracket of adjacent floats.
+_STEP_TOL = 4e-16
+_MAX_STEPS = 200
 
 
 @dataclass(frozen=True)
 class ScalarGenerator:
-    """A scalar convex generator f with derivatives and an open domain.
+    """A scalar convex generator f, by its first two derivatives, on an open domain."""
 
-    ``theta_ref`` anchors the lower limit of the h integral; the additive
-    constant cancels in midpoints, so it only affects conditioning.
-    """
-
-    f: Callable[[float], float]
     f_prime: Callable[[float], float]
     f_second: Callable[[float], float]
     domain: Tuple[float, float]
-    theta_ref: float
-
-    def __post_init__(self):
-        lo, hi = self.domain
-        if not lo < self.theta_ref < hi:
-            raise DomainError(f"theta_ref {self.theta_ref} outside domain ({lo}, {hi})")
 
     def require(self, theta: float) -> float:
         theta = float(theta)
@@ -49,93 +49,78 @@ class ScalarGenerator:
         return theta
 
 
-def h_of(gen: ScalarGenerator, theta: float) -> float:
-    """h(theta) = int_{theta_ref}^{theta} sqrt(f''(u)) du by adaptive quadrature.
-
-    A quadrature that warns (roundoff, subdivision limit, divergence) raises
-    :class:`NumericalError` instead, and so does a value that is zero or of the
-    wrong sign for theta != theta_ref, which a strictly increasing h cannot
-    take: over a long interval quad can miss all of a saturating integrand.
-    """
-    from scipy.integrate import IntegrationWarning, quad
-
-    theta = gen.require(theta)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", IntegrationWarning)
-        try:
-            val, err = quad(
-                lambda u: math.sqrt(gen.f_second(u)),
-                gen.theta_ref,
-                theta,
-                epsabs=_QUAD_ABS_TOL,
-                epsrel=1e-12,
-                limit=200,
-            )
-        except IntegrationWarning as exc:
-            raise NumericalError(f"h quadrature to theta={theta:.6g} failed: {exc}") from exc
-    if err > 1e-8 * max(1.0, abs(val)):
-        raise NumericalError(f"h quadrature did not converge (err {err:.3g})")
-    if theta != gen.theta_ref and not val * (theta - gen.theta_ref) > 0.0:
-        raise NumericalError(f"h quadrature to theta={theta:.6g} returned {val!r}")
-    return val
-
-
-def _monotone_root(
-    fun: Callable[[float], float],
-    target: float,
-    start: float,
-    domain: Tuple[float, float],
-    xtol: float,
-) -> float:
-    """The theta with fun(theta) = target for an increasing ``fun``: a bracket
-    grown geometrically around ``start`` inside ``domain``, then Brent's method
-    to ``xtol``.
-
-    The growth raises :class:`NumericalError` once ``fun`` has moved toward
-    the target and then stops moving, as it does at a finite end of
-    ``domain`` or where a bounded ``fun`` levels off: the target is then
-    outside the range of ``fun``.
-    """
-    from scipy.optimize import brentq
-
-    lo, hi = domain
-    step = max(1e-6, abs(start) * 1e-3)
-    a = b = start
-    fa = fb = f0 = fun(start) - target
-    for _ in range(200):
-        if fa <= 0.0 <= fb or fb <= 0.0 <= fa:
-            break
-        step *= 2.0
-        if fa > 0.0:  # monotone increasing fun: move left
-            f_end = fa
-            a = max(a - step, lo + (start - lo) * 1e-15) if math.isfinite(lo) else a - step
-            fa = fun(a) - target
-            stalled = f_end < f0 and fa >= f_end
-        else:
-            f_end = fb
-            b = min(b + step, hi - (hi - start) * 1e-15) if math.isfinite(hi) else b + step
-            fb = fun(b) - target
-            stalled = f_end > f0 and fb <= f_end
-        if stalled:
-            raise NumericalError(
-                f"target {target!r} outside the range reached in {domain}: "
-                f"bracket growth stopped at [{a!r}, {b!r}]"
-            )
-    else:
-        raise NumericalError("bracket growth failed; target may be out of range")
-    if a == b:
-        return a
+def _call(fun: Callable[[float], float], theta: float) -> float:
+    """fun(theta) as a float; an overflow or a non-finite value raises NumericalError."""
     try:
-        return float(brentq(lambda t: fun(t) - target, a, b, xtol=xtol, rtol=8.9e-16))
-    except ValueError as exc:
-        raise NumericalError(f"bracketing failed: {exc}") from exc
+        value = float(fun(theta))
+    except OverflowError as exc:
+        raise NumericalError(f"generator overflowed at theta={theta!r}") from exc
+    if not math.isfinite(value):
+        raise NumericalError(f"generator returned {value!r} at theta={theta!r}")
+    return value
 
 
-def h_inverse(gen: ScalarGenerator, y: float) -> float:
-    """Monotone inversion of h: the theta with h(theta) = y, to 1e-9."""
-    if y == 0.0:
-        return gen.theta_ref
-    return _monotone_root(lambda t: h_of(gen, t), float(y), gen.theta_ref, gen.domain, 1e-12)
+def _sqrt_f2(gen: ScalarGenerator, theta: float) -> float:
+    value = _call(gen.f_second, theta)
+    if value < 0.0:
+        raise NumericalError(f"f'' is {value!r} < 0 at theta={theta!r}")
+    return math.sqrt(value)
+
+
+@functools.lru_cache(maxsize=None)
+def _gl_rule() -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the rule on [0, 1], built on first use."""
+    x, w = np.polynomial.legendre.leggauss(_GL_NODES)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+def _gl(gen: ScalarGenerator, a: float, b: float) -> float:
+    """int_a^b sqrt(f'') by one rule."""
+    u, w = _gl_rule()
+    return (b - a) * float(w @ [_sqrt_f2(gen, t) for t in (a + (b - a) * u).tolist()])
+
+
+def _h_pieces(gen: ScalarGenerator, a: float, b: float) -> Tuple[List[float], List[float]]:
+    """The starts of the pieces of [a, b], left to right, and int_a sqrt(f'') up
+    to each start and to b, each piece by one rule on each of its halves."""
+    todo, starts, before, splits = [(a, b, _gl(gen, a, b))], [], [0.0], 0
+    while todo:
+        lo, hi, coarse = todo.pop()
+        mid = 0.5 * (lo + hi)
+        left, right = _gl(gen, lo, mid), _gl(gen, mid, hi)
+        if abs(left + right - coarse) <= _H_REL_TOL * (left + right):
+            starts.append(lo)
+            before.append(before[-1] + left + right)
+        elif splits == _MAX_SPLITS:
+            raise NumericalError(f"h quadrature over [{a!r}, {b!r}] did not converge")
+        else:
+            splits += 1
+            todo += [(mid, hi, right), (lo, mid, left)]
+    return starts, before
+
+
+def _newton(fun: Callable[[float], Tuple[float, float]], lo: float, hi: float) -> float:
+    """Root in [lo, hi] of an increasing function, ``fun(x) -> (value, slope)``.
+
+    Newton from the midpoint, keeping the sign bracket; a step that leaves the
+    bracket or is not at most half the last step is a bisection instead.
+    """
+    x = 0.5 * (lo + hi)
+    step = prev = hi - lo
+    for _ in range(_MAX_STEPS):
+        value, slope = fun(x)
+        if value == 0.0:
+            return x
+        lo, hi = (lo, x) if value > 0.0 else (x, hi)
+        prev, step = step, value / slope if slope > 0.0 else math.inf
+        if abs(step) <= _STEP_TOL * abs(x):
+            return min(max(x - step, lo), hi)
+        if not lo < x - step < hi or abs(step) > 0.5 * abs(prev):
+            step = x - 0.5 * (lo + hi)
+            if not lo < x - step < hi:  # the bracket is two adjacent floats
+                return x
+        x -= step
+    raise NumericalError(f"Newton did not converge in {_MAX_STEPS} steps on [{lo!r}, {hi!r}]")
 
 
 def jfr_center_1d(
@@ -145,23 +130,33 @@ def jfr_center_1d(
 ) -> float:
     """JFR center of scalar natural parameters: m_h of the sided KL centroids.
 
-    theta_bar is the weighted arithmetic mean, theta_under the f'-quasi
-    arithmetic mean (by bracketed root-finding), and the result is
-    h^{-1}((h(theta_bar) + h(theta_under)) / 2), which lies between the two.
+    theta_under, the f'-quasi arithmetic mean, is solved by Newton on
+    [min theta_i, max theta_i].  With lo < hi the two centroids, m solves
+    int_lo^m sqrt(f'') = (1/2) int_lo^hi sqrt(f'') by Newton on [lo, hi].
     """
     ts = np.atleast_1d(np.asarray(thetas, dtype=float))
+    if ts.ndim != 1:
+        raise DomainError(f"thetas must be one-dimensional, got shape {ts.shape}")
     w = check_weights(weights, ts.size)
-    for t in ts:
-        gen.require(float(t))
+    ts = [gen.require(t) for t in ts.tolist()]
     theta_bar = float(w @ ts)
-    theta_under = _monotone_root(
-        gen.f_prime, float(w @ np.array([gen.f_prime(t) for t in ts])),
-        0.5 * (float(ts.min()) + float(ts.max())), gen.domain, 1e-13,
+    slopes = [_call(gen.f_prime, t) for t in ts]
+    if min(ts) < max(ts) and min(slopes) == max(slopes):
+        raise NumericalError("f' is one float at every theta: the left centroid is not determined")
+    target = float(w @ slopes)
+    theta_under = _newton(
+        lambda t: (_call(gen.f_prime, t) - target, _call(gen.f_second, t)), min(ts), max(ts)
     )
-    if abs(theta_bar - theta_under) < 1e-15:
+    if theta_under == theta_bar:
         return theta_bar
-    mid = 0.5 * (h_of(gen, theta_bar) + h_of(gen, theta_under))
-    center = h_inverse(gen, mid)
-    lo, hi = min(theta_bar, theta_under), max(theta_bar, theta_under)
-    # betweenness can only be violated by root-finding noise
-    return min(max(center, lo), hi)
+    lo, hi = sorted((theta_bar, theta_under))
+    starts, before = _h_pieces(gen, lo, hi)
+
+    def h_minus_half(m: float) -> Tuple[float, float]:
+        # the pieces before m, then one rule on each half of the rest
+        k = bisect.bisect_right(starts, m) - 1
+        mid = 0.5 * (starts[k] + m)
+        value = before[k] + _gl(gen, starts[k], mid) + _gl(gen, mid, m) - 0.5 * before[-1]
+        return value, _sqrt_f2(gen, m)
+
+    return _newton(h_minus_half, lo, hi)

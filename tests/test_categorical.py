@@ -326,6 +326,13 @@ class TestJeffreysCentroid:
         with pytest.raises(DomainError):
             jeffreys_centroid_cat(HistogramSet.uniform(TABLE2), 0.0)
 
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    @pytest.mark.parametrize("center", [jeffreys_centroid_cat, gb_center_cat])
+    def test_max_iter_validation(self, center, max_iter):
+        # max_iter=0 used to return the arithmetic mean after no step, "converged"
+        with pytest.raises(DomainError, match="max_iter must be >= 1"):
+            center(HistogramSet([[0.2, 0.8], [0.6, 0.4]], None), max_iter=max_iter)
+
 
 class TestNewtonSolve:
     """The safeguarded Newton multiplier solve against the bisection oracle."""

@@ -9,7 +9,6 @@ from jeffreys_centers import (
     ToleranceConfig,
     WeightedParamSet,
     burg_generator,
-    elliptic_k,
     gb_center,
     gb_step,
     make_separable_generator,
@@ -17,6 +16,8 @@ from jeffreys_centers import (
     shannon_generator,
 )
 from jeffreys_centers.gauss_bregman import GB_TOL
+
+from oracles import elliptic_k
 
 TIGHT = ToleranceConfig(rel_tol=1e-13, max_iter=300)
 

@@ -15,7 +15,6 @@ from jeffreys_centers import (
     SPDMatrix,
     ToleranceConfig,
     WeightedParamSet,
-    energy_grad_residual,
     fisher_rao_midpoint_mvn,
     gb_center_mvn,
     geometric_mean,
@@ -44,6 +43,7 @@ from jeffreys_centers.gaussian import (
 )
 
 from conftest import embedded_equidistance_residual, random_spd, random_spd_unit
+from oracles import energy_grad_residual
 
 TIGHT = ToleranceConfig(rel_tol=1e-12, max_iter=300)
 

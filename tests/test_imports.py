@@ -1,7 +1,10 @@
-"""The histogram and Gaussian centers leave scipy's optimize and integrate modules unloaded.
+"""The library runs on numpy alone.
 
-Both paths run on numpy alone; scipy is imported on first use by the elliptic
-integral and the scalar generators' quadrature and bracketed root finding.
+With scipy blocked, the package imports and every public center runs; the
+histogram and Gaussian centers also leave scipy's optimize and integrate
+modules unloaded where scipy is installed; and the import alone does not load
+``numpy.polynomial``, whose Gauss-Legendre nodes the scalar JFR center builds
+on first use.
 """
 
 import os
@@ -36,8 +39,57 @@ jc.jfr_center_mvn(gs)
 jc.gb_center_mvn(gs)
 """ + REPORT
 
+WITHOUT_SCIPY_PROBE = """
+import math
+import os
+import sys
+import tempfile
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+import numpy as np
+import jeffreys_centers as jc
+from jeffreys_centers.cli import main
 
-def loaded_scipy_modules(probe: str) -> str:
+rows = np.array([[0.2, 0.3, 0.5], [0.6, 0.3, 0.1]])
+hset = jc.HistogramSet.uniform(rows)
+jc.jeffreys_centroid_cat(hset)
+jc.jfr_center_cat(hset)
+jc.gb_center_cat(hset)
+
+gs = [jc.GaussianParam([0.0, 0.0], [[1.0, 0.3], [0.3, 0.8]]),
+      jc.GaussianParam([2.0, 1.0], [[1.5, -0.4], [-0.4, 0.6]])]
+jc.jfr_center_mvn(gs)
+jc.gb_center_mvn(gs)
+jc.fisher_rao_midpoint_mvn(*gs)
+jc.jeffreys_centroid_centered([g.cov for g in gs])
+jc.sld_centroid([g.cov for g in gs])
+
+pair = jc.WeightedParamSet.of([[1.0], [4.0]])
+for gen in (jc.burg_generator(1), jc.shannon_generator(1), jc.squared_generator(1)):
+    jc.gb_center(gen, pair)
+jc.gb_center(jc.cat_generator(3), jc.WeightedParamSet.of([jc.cat_to_natural(jc.SimplexPoint(r)) for r in rows]))
+jc.gb_center(jc.mvn_generator(2), jc.WeightedParamSet.of([jc.mvn_to_natural(g) for g in gs]))
+
+poisson = jc.ScalarGenerator(f_prime=math.exp, f_second=math.exp, domain=(-math.inf, math.inf))
+jc.jfr_center_1d(poisson, [0.5, 1.0, 3.0])
+jc.lambert_w0(np.array([0.5, 3.0, 1e300]))
+
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "histograms.csv")
+    with open(path, "w") as fh:
+        fh.write("0.2,0.3,0.5\\n0.6,0.3,0.1\\n")
+    assert main(["compute", "--family", "categorical", "--method", "gb",
+                 "--input", path, "--reference"]) == 0
+print("ok", "scipy" in sys.modules and sys.modules["scipy"] is not None)
+"""
+
+IMPORT_PROBE = """
+import sys
+import jeffreys_centers
+print("numpy.polynomial" in sys.modules)
+"""
+
+
+def run_probe(probe: str) -> str:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
         [sys.executable, "-c", probe],
@@ -51,8 +103,16 @@ def loaded_scipy_modules(probe: str) -> str:
 
 
 def test_histogram_path_leaves_scipy_unloaded():
-    assert loaded_scipy_modules(HISTOGRAM_PROBE) == "[]"
+    assert run_probe(HISTOGRAM_PROBE) == "[]"
 
 
 def test_gaussian_path_leaves_scipy_unloaded():
-    assert loaded_scipy_modules(GAUSSIAN_PROBE) == "[]"
+    assert run_probe(GAUSSIAN_PROBE) == "[]"
+
+
+def test_every_public_center_runs_with_scipy_blocked():
+    assert run_probe(WITHOUT_SCIPY_PROBE).splitlines()[-1] == "ok False"
+
+
+def test_the_import_leaves_numpy_polynomial_unloaded():
+    assert run_probe(IMPORT_PROBE) == "False"

@@ -10,7 +10,6 @@ from jeffreys_centers import (
     bregman_div,
     burg_generator,
     cat_generator,
-    energy_grad_residual,
     jeffreys_loss,
     lambert_w0,
     mvn_generator,
@@ -22,6 +21,7 @@ from jeffreys_centers import (
 )
 
 from conftest import random_simplex
+from oracles import energy_grad_residual
 
 
 def mixed_bregman(gen: GeneratorSpec, theta1, theta, theta2) -> float:

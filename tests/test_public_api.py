@@ -38,6 +38,19 @@ REMOVED = [
     "scalar_agm",
     "nakamura_ah",
     "NAKAMURA_TOL",
+    # reference computations only the tests use, now in tests/oracles.py: the
+    # scipy quadrature h coordinate, its bracketed inverse and the elliptic
+    # integral, finite-difference optimality residuals, and spectral powers
+    "h_of",
+    "h_inverse",
+    "_monotone_root",
+    "elliptic_k",
+    "energy_grad_residual",
+    "sld_grad_residual",
+    "g_invariance_residual",
+    "spd_power",
+    "spd_sqrt",
+    "_FD_STEP",
 ]
 
 
@@ -58,6 +71,7 @@ def test_every_exported_name_resolves(module):
         "jeffreys_centers.legendre",
         "jeffreys_centers.spd",
         "jeffreys_centers.special_functions",
+        "jeffreys_centers.uniparam",
     ],
 )
 def test_removed_name_is_gone(module, name):

@@ -9,13 +9,9 @@ from jeffreys_centers import (
     DomainError,
     SPDMatrix,
     ToleranceConfig,
-    g_invariance_residual,
     geometric_mean,
     logdet_div,
     sld_centroid,
-    sld_grad_residual,
-    spd_power,
-    spd_sqrt,
     symmetrized_logdet,
     trace_metric_distance,
 )
@@ -23,6 +19,7 @@ from jeffreys_centers import (
 from jeffreys_centers.spd import _log_divided_differences
 
 from conftest import ah_limit, random_spd
+from oracles import g_invariance_residual, sld_grad_residual, spd_power, spd_sqrt
 
 
 class TestSPDMatrix:

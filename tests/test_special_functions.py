@@ -8,13 +8,13 @@ from jeffreys_centers import (
     DomainError,
     ToleranceConfig,
     WeightedParamSet,
-    elliptic_k,
     gb_center,
     lambert_w0,
     shannon_generator,
 )
 
 from conftest import polished_w0
+from oracles import elliptic_k
 
 
 def bisect_w(x: float, tol: float = 1e-13) -> float:

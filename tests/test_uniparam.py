@@ -1,9 +1,14 @@
+"""The scalar JFR center, checked against the scipy quadrature oracle of
+``oracles.py`` and against 50-digit values; and that oracle's own h
+coordinate, its inverse and its bracket growth."""
+
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+import oracles
 from jeffreys_centers import (
     DomainError,
     HistogramSet,
@@ -11,18 +16,16 @@ from jeffreys_centers import (
     ScalarGenerator,
     SimplexPoint,
     cat_to_natural,
-    h_inverse,
-    h_of,
     jfr_center_1d,
     jfr_center_cat,
 )
 from jeffreys_centers import uniparam
-from jeffreys_centers.uniparam import _monotone_root
+from jeffreys_centers.uniparam import _newton
+from oracles import AnchoredGenerator, _monotone_root, h_inverse, h_of
 
 
-def squared() -> ScalarGenerator:
-    return ScalarGenerator(
-        f=lambda t: 0.5 * t * t,
+def squared() -> AnchoredGenerator:
+    return AnchoredGenerator(
         f_prime=lambda t: t,
         f_second=lambda t: 1.0,
         domain=(-math.inf, math.inf),
@@ -30,9 +33,8 @@ def squared() -> ScalarGenerator:
     )
 
 
-def poisson() -> ScalarGenerator:
-    return ScalarGenerator(
-        f=math.exp,
+def poisson() -> AnchoredGenerator:
+    return AnchoredGenerator(
         f_prime=math.exp,
         f_second=math.exp,
         domain=(-math.inf, math.inf),
@@ -40,10 +42,9 @@ def poisson() -> ScalarGenerator:
     )
 
 
-def exponential_family() -> ScalarGenerator:
+def exponential_family() -> AnchoredGenerator:
     # F = -log(-theta) on theta < 0
-    return ScalarGenerator(
-        f=lambda t: -math.log(-t),
+    return AnchoredGenerator(
         f_prime=lambda t: -1.0 / t,
         f_second=lambda t: 1.0 / (t * t),
         domain=(-math.inf, 0.0),
@@ -51,17 +52,29 @@ def exponential_family() -> ScalarGenerator:
     )
 
 
-def bernoulli() -> ScalarGenerator:
-    def sig(t):
-        return 1.0 / (1.0 + math.exp(-t))
+def sig(t: float) -> float:
+    return 1.0 / (1.0 + math.exp(-t))
 
-    return ScalarGenerator(
-        f=lambda t: math.log1p(math.exp(t)) if t < 30 else t,
+
+def bernoulli() -> AnchoredGenerator:
+    # F = log(1 + e^theta); sig(t) (1 - sig(t)) cancels to 0 above t = 37
+    return AnchoredGenerator(
         f_prime=sig,
         f_second=lambda t: sig(t) * (1.0 - sig(t)),
         domain=(-math.inf, math.inf),
         theta_ref=0.0,
     )
+
+
+def stable_bernoulli() -> ScalarGenerator:
+    """The Bernoulli generator with f'' = e^{-|t|} / (1 + e^{-|t|})^2, which
+    keeps its relative accuracy where sig(t) rounds to 1."""
+
+    def f_second(t):
+        e = math.exp(-abs(t))
+        return e / (1.0 + e) ** 2
+
+    return ScalarGenerator(f_prime=sig, f_second=f_second, domain=(-math.inf, math.inf))
 
 
 class TestH:
@@ -120,8 +133,7 @@ class TestHInverse:
     def test_out_of_range(self):
         # h of the exponential-distribution generator maps (-inf, 0) onto R,
         # but the bracket cannot escape the domain; use a bounded-range case
-        gen = ScalarGenerator(
-            f=lambda t: 0.5 * t * t,
+        gen = AnchoredGenerator(
             f_prime=lambda t: t,
             f_second=lambda t: 1.0,
             domain=(-1.0, 1.0),
@@ -140,7 +152,7 @@ class TestHInverse:
             calls.append(theta)
             return h_of(gen, theta)
 
-        monkeypatch.setattr(uniparam, "h_of", counted)
+        monkeypatch.setattr(oracles, "h_of", counted)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(NumericalError, match="h quadrature"):
@@ -212,7 +224,29 @@ class TestJFRCenter1d:
             theta_bar = float(w @ ts)
             theta_under = -1.0 / float(w @ (-1.0 / ts))
             expect = -math.sqrt(theta_bar * theta_under)
-            assert jfr_center_1d(gen, ts, w) == pytest.approx(expect, abs=1e-9)
+            assert jfr_center_1d(gen, ts, w) == pytest.approx(expect, abs=1e-13)
+
+    @pytest.mark.parametrize("lo, hi", [(-100.0, -0.1), (-1e4, -1e-3), (-1e8, -1e-8)])
+    def test_exponential_family_far_apart(self, lo, hi):
+        # 1/|theta| grows a thousand to a hundred million fold toward the pole
+        # between the centroids, so the pieces next to it must be halved
+        theta_bar = 0.5 * (lo + hi)
+        theta_under = -1.0 / (0.5 * (-1.0 / lo - 1.0 / hi))
+        expect = -math.sqrt(theta_bar * theta_under)
+        assert jfr_center_1d(exponential_family(), [lo, hi]) == pytest.approx(expect, abs=1e-13)
+
+    def test_the_pieces_are_refined_once_per_call(self, monkeypatch):
+        # Newton on m reuses the accepted pieces: about 40 f'' values a step
+        calls, f2 = [], []
+        pieces = uniparam._h_pieces
+        monkeypatch.setattr(uniparam, "_h_pieces", lambda *a: calls.append(a) or pieces(*a))
+        gen = ScalarGenerator(
+            f_prime=math.exp, f_second=lambda t: f2.append(t) or math.exp(t),
+            domain=(-math.inf, math.inf),
+        )
+        jfr_center_1d(gen, [-2.0, 0.5, 3.0])
+        assert len(calls) == 1
+        assert len(f2) <= 600
 
     def test_betweenness(self, rng):
         gen = poisson()
@@ -236,10 +270,127 @@ class TestJFRCenter1d:
             hset = HistogramSet(rows, w)
             cat_theta = float(cat_to_natural(jfr_center_cat(hset))[0])
             thetas = [float(cat_to_natural(SimplexPoint(r))[0]) for r in rows]
-            assert jfr_center_1d(gen, thetas, w) == pytest.approx(cat_theta, abs=1e-8)
+            assert jfr_center_1d(gen, thetas, w) == pytest.approx(cat_theta, abs=1e-12)
 
     def test_weight_validation(self):
         with pytest.raises(DomainError):
             jfr_center_1d(poisson(), [1.0, 2.0], [0.6, 0.6])
         with pytest.raises(DomainError):
             jfr_center_1d(poisson(), [])
+
+    def test_thetas_must_be_one_dimensional(self):
+        # a 2-D list raised a raw TypeError
+        with pytest.raises(DomainError, match="one-dimensional"):
+            jfr_center_1d(poisson(), [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_an_overflowing_generator_is_a_numerical_error(self):
+        # math.exp(720) raises OverflowError: internal trouble on valid input
+        with pytest.raises(NumericalError, match="theta=720.0"):
+            jfr_center_1d(poisson(), [1.0, 720.0])
+
+    def test_an_f_prime_that_rounds_to_one_value_is_a_numerical_error(self):
+        # sig(40) and sig(60) both round to 1: f' - target is 0 at the bracket
+        # midpoint 50, while the center is the mirror image of -42.06
+        for make in (bernoulli, stable_bernoulli):
+            with pytest.raises(NumericalError, match="left centroid is not determined"):
+                jfr_center_1d(make(), [40.0, 60.0])
+        mirror = jfr_center_1d(bernoulli(), [-60.0, -40.0])
+        assert mirror == pytest.approx(-42.0604739747, abs=1e-9)
+
+    def test_a_non_finite_generator_value_is_a_numerical_error(self):
+        gen = ScalarGenerator(
+            f_prime=lambda t: t, f_second=lambda t: math.inf, domain=(-math.inf, math.inf)
+        )
+        with pytest.raises(NumericalError, match=r"returned inf at theta="):
+            jfr_center_1d(gen, [1.0, 2.0])
+
+
+def oracle_center(gen: AnchoredGenerator, ts, w) -> float:
+    """h^{-1}((h(theta_bar) + h(theta_under)) / 2) with both h by scipy quad
+    from theta_ref, theta_under and the inverse by bracket growth and brentq."""
+    theta_bar = float(w @ ts)
+    target = float(w @ np.array([gen.f_prime(float(t)) for t in ts]))
+    theta_under = _monotone_root(
+        gen.f_prime, target, 0.5 * float(ts.min() + ts.max()), gen.domain, 1e-13
+    )
+    return h_inverse(gen, 0.5 * (h_of(gen, theta_bar) + h_of(gen, theta_under)))
+
+
+# Each test generator with the law of its seeded 4-point sets.
+ORACLE_SETS = {
+    "squared": (squared, lambda rng: rng.uniform(-3.0, 3.0, size=4)),
+    "poisson": (poisson, lambda rng: rng.uniform(-3.0, 3.0, size=4)),
+    "exponential": (exponential_family, lambda rng: -rng.uniform(0.2, 5.0, size=4)),
+    "bernoulli": (bernoulli, lambda rng: rng.uniform(-4.0, 4.0, size=4)),
+}
+
+# 50-digit values from mpmath: h^{-1} of the midpoint of the exact h of both
+# sided centroids.
+PINNED = [
+    (bernoulli, [-60.0, -30.0], -32.077877794330813947),
+    (bernoulli, [-700.0, -35.0], -37.079441541679836401),
+    (poisson, [1.0, 700.0], 697.92055845832016407),
+]
+
+
+class TestJFRCenter1dAccuracy:
+    @pytest.mark.parametrize("family", sorted(ORACLE_SETS))
+    def test_matches_the_quadrature_oracle(self, family):
+        make, draw = ORACLE_SETS[family]
+        gen = make()
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            ts = draw(rng)
+            w = rng.uniform(0.2, 1.0, size=4)
+            w /= w.sum()
+            expect = oracle_center(gen, ts, w)
+            assert abs(jfr_center_1d(gen, ts, w) - expect) <= 1e-12 * max(1.0, abs(expect))
+
+    @pytest.mark.parametrize("make, thetas, expect", PINNED)
+    def test_pinned_high_precision_values(self, make, thetas, expect):
+        assert jfr_center_1d(make(), thetas) == pytest.approx(expect, rel=1e-14, abs=0.0)
+
+    def test_saturated_set_lies_between_its_centroids(self):
+        """Bernoulli [30, 60]: sig(60) rounds to 1, so the left centroid is only
+        about 1e-3 accurate, but the center stays between the centroids and
+        near the mirror image of the pinned [-60, -30] value."""
+        theta_under = 30.0 + math.log(2.0) - math.log1p(math.exp(-30.0))
+        center = jfr_center_1d(stable_bernoulli(), [30.0, 60.0])
+        assert theta_under < center < 45.0
+        assert center == pytest.approx(32.077877794330813947, abs=1e-2)
+
+    def test_a_cancelling_second_derivative_fails_the_piece_check(self):
+        # sig(t) (1 - sig(t)) loses its relative accuracy toward t = 37 and is
+        # 0 above: no halving makes the halves agree
+        with pytest.raises(NumericalError, match="h quadrature"):
+            jfr_center_1d(bernoulli(), [30.0, 60.0])
+
+
+class TestNewton:
+    """The safeguarded Newton routine both roots of the scalar center share."""
+
+    def test_a_step_function_stops_at_two_adjacent_floats(self):
+        # every Newton step is 1 long, out of the bracket or not halving, so
+        # the routine bisects until the bracket stops shrinking
+        root = 1.0 / 3.0
+        x = _newton(lambda t: (-1.0 if t < root else 1.0, 1.0), 0.0, 1.0)
+        assert abs(x - root) <= 2.0 * math.ulp(root)
+
+    def test_steps_that_do_not_halve_are_bisections(self):
+        # from far right of the root, Newton on e^t = 1 moves about 1 per step:
+        # 350 steps without the halving rule, a few dozen with it
+        calls = []
+
+        def fun(t):
+            calls.append(t)
+            return math.exp(t) - 1.0, math.exp(t)
+
+        assert abs(_newton(fun, -1.0, 700.0)) <= 1e-15
+        assert len(calls) <= 60
+
+    def test_a_zero_slope_bisects(self):
+        x = _newton(lambda t: (t - 0.3, 0.0), 0.0, 1.0)
+        assert abs(x - 0.3) <= math.ulp(0.3)
+
+    def test_a_point_bracket_returns_the_point(self):
+        assert _newton(lambda t: (1e-20, 1.0), 2.5, 2.5) == 2.5

@@ -79,11 +79,9 @@ FAILING_COVS = [np.eye(2).tolist()] * 4
 
 _COVS = [np.eye(2), 2.0 * np.eye(2), 3.0 * np.eye(2)]
 _SQUARED = ScalarGenerator(
-    f=lambda t: 0.5 * t * t,
     f_prime=lambda t: t,
     f_second=lambda t: 1.0,
     domain=(-math.inf, math.inf),
-    theta_ref=0.0,
 )
 
 # Each entry point on a set of three points, taking only the weights.
@@ -117,6 +115,12 @@ def test_bad_weights_rejected_by_the_weight_check(entry, bad):
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_valid_weights_accepted(entry):
     ENTRY_POINTS[entry]([0.2, 0.3, 0.5])
+
+
+def test_points_that_are_not_a_2d_array_are_a_domain_error():
+    """A 3-D stack of points used to pass and fail later in a raw einsum."""
+    with pytest.raises(DomainError, match="2-D array"):
+        WeightedParamSet(np.ones((2, 1, 1)), None)
 
 
 def test_spectral_kernel_classifies_nan_matrix():
