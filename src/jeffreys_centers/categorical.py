@@ -6,10 +6,9 @@ centroid (Lambert-W fixed point + safeguarded Newton on the multiplier), the
 closed-form Jeffreys-Fisher-Rao center, and the inductive Gauss-Bregman center.
 
 The Newton solve starts from the multiplier the closed-form JFR center implies
-and keeps W between its steps.  The one :func:`lambert_w0` call, at that start,
-is itself started from the W the JFR center implies, so no W is evaluated from
-scratch; each later W starts its Halley iteration from the previous one, moved
-along dW/dlambda = W / (1 + W).
+and keeps W between its steps: the one :func:`lambert_w0` call is at that
+start, and each later W continues Fritsch-Shafer-Crowley steps on
+w + log w = log x from the previous one.
 
 All inputs live on the open simplex: empty bins must be smoothed by the caller
 before ingestion.
@@ -26,8 +25,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .legendre import CenterDiagnostics, GeneratorSpec, check_weights
-from .special_functions import _w0_halley, _w_start, lambert_w0
+from .legendre import CenterDiagnostics, GeneratorSpec, _float_array, check_weights
+from .special_functions import _w0_shifted, lambert_w0
 
 __all__ = [
     "SimplexPoint",
@@ -86,7 +85,7 @@ class SimplexPoint:
     probs: np.ndarray
 
     def __post_init__(self):
-        p = np.atleast_1d(np.asarray(self.probs, dtype=float))
+        p = np.atleast_1d(_float_array(self.probs, "SimplexPoint"))
         if p.ndim != 1 or p.size < 2:
             raise DomainError("SimplexPoint needs a vector of at least 2 bins")
         _check_simplex(p, "SimplexPoint")
@@ -119,7 +118,7 @@ class HistogramSet:
     weights: Optional[np.ndarray]
 
     def __post_init__(self):
-        rows = np.atleast_2d(np.asarray(self.rows, dtype=float))
+        rows = np.atleast_2d(_float_array(self.rows, "histogram rows"))
         weights = check_weights(self.weights, rows.shape[0])
         _check_simplex(rows, "histogram")
         object.__setattr__(self, "rows", _read_only(rows))
@@ -168,7 +167,7 @@ def cat_to_natural(p: SimplexPoint) -> np.ndarray:
 
 def cat_from_natural(theta) -> SimplexPoint:
     """Inverse of :func:`cat_to_natural` via a stabilized softmax."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    theta = np.atleast_1d(_float_array(theta, "theta"))
     logits = np.concatenate([theta, [0.0]])
     logits -= logits.max()
     e = np.exp(logits)
@@ -224,8 +223,8 @@ def c_of_lambda(a: SimplexPoint, g: SimplexPoint, lam: float) -> np.ndarray:
     Positive but not necessarily normalized; its mass is monotone decreasing
     in ``lam``.
     """
-    av = a.probs if isinstance(a, SimplexPoint) else np.asarray(a, dtype=float)
-    gv = g.probs if isinstance(g, SimplexPoint) else np.asarray(g, dtype=float)
+    av = a.probs if isinstance(a, SimplexPoint) else _float_array(a, "a")
+    gv = g.probs if isinstance(g, SimplexPoint) else _float_array(g, "g")
     return av / lambert_w0((av / gv) * np.exp(1.0 + lam))
 
 
@@ -276,16 +275,12 @@ def jeffreys_centroid_cat(
     that ends more than 1e-9 off unit mass checks the masses at both bracket
     ends and raises :class:`NumericalError` if they do not straddle 1.
 
-    W_j is evaluated by :func:`lambert_w0` only at lambda_J, from a start
-    rather than from scratch: at the fixed point W_j = a_j / c_j, so the JFR
-    center gives a_j / c_JFR,j, which two Newton steps on
-    w + log w = log x_j refine (see :func:`_w_start`).  The log gap they start
-    from, log x_j - log(a_j / c_JFR,j) = log(c_JFR,j / g_j) + 1 + lambda_J,
-    reuses the logarithms of lambda_J.  After a step dlambda, Halley starts
-    from the predictor W_j exp(dlambda / (1 + W_j)), which follows
-    dW/dlambda = W / (1 + W) and stays positive, and stops on lambert_w0's
-    residual test ``|w e^w - x| <= 1e-12 max(1, |x|)``; most iterates need at
-    most one step.
+    W_j is evaluated by :func:`lambert_w0` only at lambda_J.  W_j solves
+    w + log w = log x_j with log x_j = log(a_j / g_j) + 1 + lambda, so after a
+    step dlambda the previous W's residual is exactly dlambda: the first
+    Fritsch-Shafer-Crowley step from it needs no logarithm, and it is the
+    last when |dlambda| <= 1e-4 (see :func:`_w0_shifted`).  Every W is at
+    rounding.
     """
     if not epsilon > 0.0:
         raise DomainError("epsilon must be positive")
@@ -297,13 +292,8 @@ def jeffreys_centroid_cat(
     bracket_lo = lam_lo = float((a + np.log(g)).max() - 1.0)
     lam_hi = 0.0
     c_jfr = _jfr_probs(a, g)
-    log_ratio = np.log(c_jfr / g)
-    lam = min(max(-float((c_jfr * log_ratio).sum()), lam_lo), lam_hi)
-    x = r * math.exp(lam)
-    # u = 1 + log x - log(a / c_JFR); W0(x) <= x, so a start above x is
-    # lowered to x, where u = 1
-    u = np.maximum(log_ratio + (2.0 + lam), 1.0)
-    w = lambert_w0(x, _w_start(np.minimum(a / c_jfr, x), u))
+    lam = min(max(-float((c_jfr * np.log(c_jfr / g)).sum()), lam_lo), lam_hi)
+    w = lambert_w0(r * math.exp(lam))
     c_raw = a / w
     s = float(c_raw.sum())
     iterations = 0
@@ -319,7 +309,7 @@ def jeffreys_centroid_cat(
             step = 0.5 * (lam_lo + lam_hi) - lam
         if step != 0.0:  # a zero step keeps lam, and c_raw is already its candidate
             lam += step
-            w = _w0_halley(r * math.exp(lam), w * np.exp(step / (1.0 + w)))
+            w = _w0_shifted(r * math.exp(lam), w, step)
             c_raw = a / w
             s = float(c_raw.sum())
         iterations += 1

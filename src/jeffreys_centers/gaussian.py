@@ -31,6 +31,7 @@ from .legendre import (
     CenterDiagnostics,
     GeneratorSpec,
     WeightedParamSet,
+    _float_array,
     check_weights,
 )
 from .special_functions import ToleranceConfig
@@ -85,7 +86,7 @@ class GaussianParam:
     cov: SPDMatrix
 
     def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
+        mean = np.atleast_1d(_float_array(self.mean, "mean"))
         cov = self.cov if isinstance(self.cov, SPDMatrix) else SPDMatrix(self.cov)
         if mean.shape != (cov.dim,):
             raise DomainError(
@@ -167,7 +168,7 @@ def mvn_from_natural(x: np.ndarray, d: int) -> GaussianParam:
     and -theta_M is invertible with a covariance that passes the
     :class:`SPDMatrix` check, the one spectral check of the readback.
     """
-    x = np.asarray(x, dtype=float)
+    x = _float_array(x, "flat naturals")
     if d < 1 or x.shape != (d + d * (d + 1) // 2,):
         raise DomainError(f"flat naturals of shape {x.shape} do not have dimension {d}")
     if not np.isfinite(x).all():
@@ -525,5 +526,5 @@ def jeffreys_centroid_centered(
     mean and the weighted harmonic covariance mean; the common mean is kept.
     """
     cov = sld_centroid(covs, weights)
-    mu = np.zeros(cov.dim) if mean is None else np.atleast_1d(np.asarray(mean, dtype=float))
+    mu = np.zeros(cov.dim) if mean is None else np.atleast_1d(_float_array(mean, "mean"))
     return GaussianParam(mu, cov)

@@ -29,6 +29,15 @@ __all__ = [
 ]
 
 
+def _float_array(x, what: str) -> np.ndarray:
+    """``np.asarray(x, dtype=float)`` for caller input: a ragged or
+    non-numeric ``x`` is a :class:`DomainError` naming ``what``."""
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{what} is not an array of numbers: {exc}") from None
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """A Legendre-type convex generator F with its gradient machinery.
@@ -57,7 +66,7 @@ class GeneratorSpec:
     name: str = "generator"
 
     def require_domain(self, theta: np.ndarray, what: str = "parameter") -> np.ndarray:
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
+        theta = np.atleast_1d(_float_array(theta, what))
         if theta.shape != (self.dim,):
             raise DomainError(
                 f"{self.name}: {what} has shape {theta.shape}, expected ({self.dim},)"
@@ -78,7 +87,7 @@ def check_weights(weights: Optional[Sequence], n: int) -> np.ndarray:
         raise DomainError("empty set")
     if weights is None:
         return np.full(n, 1.0 / n)
-    w = np.asarray(weights, dtype=float)
+    w = _float_array(weights, "weights")
     if w.shape != (n,):
         raise DomainError(f"weights of shape {w.shape} for {n} points")
     if not (np.isfinite(w).all() and (w > 0.0).all()):
@@ -96,7 +105,7 @@ class WeightedParamSet:
     weights: Optional[np.ndarray]
 
     def __post_init__(self):
-        points = np.atleast_2d(np.asarray(self.points, dtype=float))
+        points = np.atleast_2d(_float_array(self.points, "points"))
         if points.ndim != 2:
             raise DomainError(f"points must be a 2-D array, got shape {points.shape}")
         object.__setattr__(self, "weights", check_weights(self.weights, points.shape[0]))

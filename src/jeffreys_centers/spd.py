@@ -18,7 +18,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .legendre import check_weights
+from .legendre import _float_array, check_weights
 
 __all__ = [
     "SPDMatrix",
@@ -45,7 +45,7 @@ class SPDMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = np.atleast_2d(np.asarray(self.entries, dtype=float))
+        m = np.atleast_2d(_float_array(self.entries, "SPDMatrix entries"))
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
             raise DomainError(f"expected a non-empty square matrix, got shape {m.shape}")
         if not np.isfinite(m).all():
@@ -64,7 +64,7 @@ class SPDMatrix:
 
 
 def _as_array(x) -> np.ndarray:
-    return x.entries if isinstance(x, SPDMatrix) else np.asarray(x, dtype=float)
+    return x.entries if isinstance(x, SPDMatrix) else _float_array(x, "matrix")
 
 
 def _check_same_dim(x: np.ndarray, y: np.ndarray) -> None:

@@ -1,10 +1,9 @@
 """Scalar special functions: the principal Lambert W branch.
 
-The Lambert W implementation is a Halley iteration with a piecewise seed
-(series near the branch point, log-based for large arguments).  The same
-Halley loop also runs from a start the caller supplies: :func:`lambert_w0`
-takes one, which the histogram Jeffreys solve draws from its closed-form JFR
-center, and the solve starts each later W from the previous one.
+For x > 0, W0 solves w + log w = log x by Fritsch-Shafer-Crowley steps (CACM
+16(2), 1973, Alg. 443; Veberič, CPC 183, 2012) from Winitzki's start.  Nothing
+is exponentiated, so every finite x is covered.  For -1/e <= x <= 0, Halley's
+iteration on w e^w = x runs from a piecewise seed.
 """
 
 from __future__ import annotations
@@ -15,24 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
+from .legendre import _float_array
 
 __all__ = ["ToleranceConfig", "lambert_w0"]
 
 _NEG_INV_E = -math.exp(-1.0)
 
-# A caller's start is used where it lies in [_START_MIN, _START_MAX] and x is
-# at most _START_MAX e^_START_MAX (3.2e302).  There every product of Halley's
-# step stays finite, so no floating-point warning can arise, and the step
-# measures the start's error: toward w = -1 it shrinks with w + 1 however far
-# the root is.
-_START_MIN = -0.5
-_START_MAX = 690.0
-_START_MAX_X = _START_MAX * math.exp(_START_MAX)
-# Sizes of the first Halley step from a start, absolute where |w| >= 1 and
-# relative below: past _START_FAR the start is not used, and past _START_NEAR
-# a second step follows (see _from_start).
-_START_FAR = 0.1
-_START_NEAR = 1e-6
+# One FSC step from residual z leaves a relative error of about 1.4 z^4, so
+# the step taken from max|z| <= _FSC_LAST lands at rounding (1.4e-16): it is
+# the last one, and no further log is taken to confirm it.
+_FSC_LAST = 1e-4
 
 
 @dataclass(frozen=True)
@@ -40,9 +31,9 @@ class ToleranceConfig:
     """Stopping control for iterative routines.
 
     ``rel_tol`` is the precision parameter of the double-sequence algorithms
-    and ``max_iter`` caps their loops.  The scalar functions of this module
-    run at the fixed ``DEFAULT_TOL``.  The histogram multiplier's safeguarded
-    Newton solve takes its own ``epsilon`` and ``max_iter``.
+    and ``max_iter`` caps their loops.  :func:`lambert_w0` runs at the fixed
+    ``DEFAULT_TOL`` (on x > 0 it stops at rounding).  The histogram
+    multiplier's Newton solve takes its own ``epsilon`` and ``max_iter``.
     """
 
     rel_tol: float = 1e-12
@@ -59,119 +50,71 @@ DEFAULT_TOL = ToleranceConfig()
 
 
 def _w0_seed(x: np.ndarray) -> np.ndarray:
-    # Branch-point series for x near -1/e, log1p in the middle range,
-    # two-term asymptotic expansion for large x.  Each branch is evaluated on
-    # the whole array with its argument clamped into range.
+    # Branch-point series for x near -1/e, log1p above; each branch is
+    # evaluated on the whole array with its argument clamped into range.
     p = np.sqrt(np.maximum(2.0 * (math.e * np.minimum(x, -0.25) + 1.0), 0.0))
     near = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0)))
-    l1 = np.log(np.maximum(x, math.e))
-    return np.where(x < -0.25, near, np.where(x > math.e, l1 - np.log(l1), np.log1p(x)))
+    return np.where(x < -0.25, near, np.log1p(x))
 
 
-def _halley_step(w: np.ndarray, ew: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Halley's step for ``w e^w = x`` at ``w``, from ``ew = e^w`` and the
-    residual ``f = w e^w - x``: the new iterate is ``w`` minus it."""
-    wp1 = w + 1.0
-    # wp1 stays positive away from the branch point
-    return f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
-
-
-def _w0_halley(x: np.ndarray, w: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def _w0_halley(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Halley iteration for ``w e^w = x`` on the W0 branch, from the start ``w``.
 
-    No input check: ``x`` must be a finite array above -1/e and ``w`` a start
+    No input check: ``x`` must be a finite array in (-1/e, 0] and ``w`` a start
     above -1 (past it Halley's step leaves the branch).  Stops once
-    ``|w e^w - x| <= rel_tol * max(1, |x|)`` holds for every entry; a start
-    that already meets it is returned after one residual evaluation.
+    ``|w e^w - x| <= rel_tol * |x|`` holds for every entry.
     """
-    target = tol.rel_tol * np.maximum(1.0, np.abs(x))
-    for _ in range(tol.max_iter):
+    target = DEFAULT_TOL.rel_tol * np.abs(x)
+    for _ in range(DEFAULT_TOL.max_iter):
         ew = np.exp(w)
         f = w * ew - x
         if (np.abs(f) <= target).all():
-            break
-        w = w - _halley_step(w, ew, f)
-    else:
-        if (np.abs(w * np.exp(w) - x) > target).any():
-            raise NumericalError("lambert_w0 failed to converge")
-    return w
+            return w
+        wp1 = w + 1.0  # positive away from the branch point
+        w = w - f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
+    raise NumericalError("lambert_w0 failed to converge")
 
 
-def _from_start(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The caller's start after Halley's first step, or the piecewise seed.
-
-    The step is taken even where the start already meets the residual test,
-    which lets an error of up to about 1e-12 pass, 1e-11 relative where
-    |x| < 1.  Halley's error after a step of size s is about s^3, so the
-    largest step decides:
-
-    - past ``_START_FAR`` the seed is used instead: far from the root Halley
-      moves w by at most about 2 a step;
-    - past ``_START_NEAR`` a second step follows, so that a start off by 1e-5
-      still lands at rounding level rather than where the test lets it pass.
-    """
-    ew = np.exp(w)
-    dw = _halley_step(w, ew, w * ew - x)
-    w = w - dw
-    # the floor keeps w = 0 from dividing by 0; there dw is the start, at most 690
-    moved = (np.abs(dw) / np.maximum(np.minimum(np.abs(w), 1.0), 1e-300)).max()
-    if not moved <= _START_FAR:
-        return _w0_seed(x)
-    if moved > _START_NEAR:
-        ew = np.exp(w)
-        w = w - _halley_step(w, ew, w * ew - x)
-    return w
+def _w0_fsc(x: np.ndarray, w: np.ndarray, z) -> np.ndarray:
+    """W0 of x > 0 by FSC steps on w + log w = log x from ``w``, given its
+    residual ``z = log(x / w) - w``; no input check.  The ratio form of z keeps
+    the digits that log x - log w loses for small x."""
+    for _ in range(DEFAULT_TOL.max_iter):
+        last = np.abs(z).max(initial=0.0) <= _FSC_LAST
+        wp1 = 1.0 + w
+        q = 2.0 * wp1 * (wp1 + (2.0 / 3.0) * z)
+        w = w + w * z * (q - z) / (wp1 * (q - 2.0 * z))
+        if last:
+            return w
+        z = np.log(x / w) - w
+    raise NumericalError("lambert_w0 failed to converge")
 
 
-def _w_start(w: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Two Newton steps on w + log w = log x from ``w``, given
-    ``u = 1 + log x - log w >= 1``.
-
-    A step maps w to w u / (1 + w).  w + log w is concave, so each step lands
-    at or below the root W0(x), and u stays at least 1.
-    """
-    t = 1.0 + w
-    w1 = w * u / t
-    u = u + np.log(t / u)  # w / w1 = t / u
-    return w1 * u / (1.0 + w1)
+def _w0_pos(x: np.ndarray) -> np.ndarray:
+    """W0 of x > 0 from Winitzki's start, within 2% of W0 for every x > 0."""
+    l = np.log1p(x)
+    w = l * (1.0 - np.log1p(l) / (2.0 + l))
+    return _w0_fsc(x, w, np.log(x / w) - w)
 
 
-def _w0_log(x: np.ndarray) -> np.ndarray:
-    """W0 of x > _START_MAX_X from w + log w = log x, where nothing overflows.
+def _w0_shifted(x: np.ndarray, w: np.ndarray, dlam: float) -> np.ndarray:
+    """W0 of x > 0 given ``w = W0(x e^-dlam)``, whose residual at x is dlam.
 
-    The start L - log L (L = log x, here between 696 and 710) lies below the
-    root by less than 0.01, and Newton's error shrinks to its square times
-    about 1 / (2 w^2) at each step: the two steps of :func:`_w_start` reach
-    rounding.
-    """
-    log_x = np.log(x)
-    w = log_x - np.log(log_x)
-    return _w_start(w, 1.0 + log_x - np.log(w))
+    FSC steps from w converge for |dlam| <= 2.5 over w in [1e-12, 700], but
+    from w <= 1e-3 a jump of +3 takes the log of a negative number: a jump
+    larger than 1 starts from Winitzki's start instead."""
+    return _w0_fsc(x, w, dlam) if abs(dlam) <= 1.0 else _w0_pos(x)
 
 
-def lambert_w0(x, start=None):
+def lambert_w0(x):
     """Principal branch W0 of the Lambert W function.
 
-    Solves ``w * exp(w) = x`` for ``x >= -1/e`` with residual
-    ``|w e^w - x| <= rel_tol * max(1, |x|)``.  Accepts scalars or arrays.
-
-    ``start``, if given, is an estimate of W0(x): finite, above -1 and of the
-    shape of ``x``.  Halley then takes one step from it in place of the
-    piecewise seed, two if that step is larger than 1e-6, and iterates on to
-    the residual test.  The start is not used, and the whole array starts
-    from the seed, where some entry of it lies outside [-0.5, 690], some x
-    exceeds 3.2e302, or the first step moves some entry by more than 0.1
-    (absolutely where |w| >= 1, relatively below); a poor start then costs
-    one Halley step more than none.  Entries above 3.2e302, where Halley's
-    products can overflow, are solved as w + log w = log x instead.
+    Solves ``w * exp(w) = x`` for finite ``x >= -1/e``; accepts scalars or
+    arrays.  Entries above 0 are solved to rounding, those in [-1/e, 0] to
+    ``|w e^w - x| <= 1e-12 |x|``, with W0(-1/e) = -1 exactly.
     """
-    arr = np.asarray(x, dtype=float)
+    arr = _float_array(x, "lambert_w0 input")
     scalar = arr.ndim == 0
-    if start is not None:
-        w = np.asarray(start, dtype=float)
-        if w.shape != arr.shape:
-            raise DomainError(f"lambert_w0 start has shape {w.shape}, x has {arr.shape}")
-        w = np.atleast_1d(w)
     arr = np.atleast_1d(arr)
     if not arr.size:
         return np.empty_like(arr)
@@ -182,24 +125,16 @@ def lambert_w0(x, start=None):
         if not np.isfinite(arr).all():
             raise DomainError("lambert_w0 requires finite input")
         raise DomainError(f"lambert_w0 requires x >= -1/e = {_NEG_INV_E!r}")
-    started = False
-    if start is not None:
-        w_lo, w_hi = w.min(), w.max()
-        if not (w_lo > -1.0 and w_hi < math.inf):
-            raise DomainError("lambert_w0 requires a finite start above -1")
-        started = _START_MIN <= w_lo and w_hi <= _START_MAX and hi <= _START_MAX_X
-
-    # W0(-1/e) = -1 exactly, where Halley's step divides by w + 1 = 0, and
-    # above _START_MAX_X Halley's products can overflow: those entries iterate
-    # on x = 0 (W0(0) = 0, already converged) and are set afterwards.
-    aside = lo == _NEG_INV_E or hi > _START_MAX_X
-    if aside:
-        at_branch = arr == _NEG_INV_E
-        huge = arr > _START_MAX_X
-        w_huge = _w0_log(arr[huge])
-        arr = np.where(at_branch | huge, 0.0, arr)
-    w = _w0_halley(arr, _from_start(arr, w) if started else _w0_seed(arr))
-    if aside:
-        w[at_branch] = -1.0
-        w[huge] = w_huge
+    if lo > 0.0:
+        w = _w0_pos(arr)
+    else:
+        w = np.empty_like(arr)
+        pos = arr > 0.0
+        w[pos] = _w0_pos(arr[pos])
+        # Halley divides by w + 1 = 0 at x = -1/e: iterate on 0 there, pin -1 after
+        at_branch = arr[~pos] == _NEG_INV_E
+        xn = np.where(at_branch, 0.0, arr[~pos])
+        wn = _w0_halley(xn, _w0_seed(xn))
+        wn[at_branch] = -1.0
+        w[~pos] = wn
     return float(w[0]) if scalar else w

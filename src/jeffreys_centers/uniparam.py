@@ -19,7 +19,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .legendre import check_weights
+from .legendre import _float_array, check_weights
 
 __all__ = ["ScalarGenerator", "jfr_center_1d"]
 
@@ -134,7 +134,7 @@ def jfr_center_1d(
     [min theta_i, max theta_i].  With lo < hi the two centroids, m solves
     int_lo^m sqrt(f'') = (1/2) int_lo^hi sqrt(f'') by Newton on [lo, hi].
     """
-    ts = np.atleast_1d(np.asarray(thetas, dtype=float))
+    ts = np.atleast_1d(_float_array(thetas, "thetas"))
     if ts.ndim != 1:
         raise DomainError(f"thetas must be one-dimensional, got shape {ts.shape}")
     w = check_weights(weights, ts.size)

@@ -54,12 +54,13 @@ def random_simplex(rng: np.random.Generator, d: int, floor: float = 1e-12) -> np
 
 
 def polished_w0(x) -> np.ndarray:
-    """W0(x) to rounding, away from the branch point: the cold lambert_w0 value
-    and one more Halley step.
+    """W0(x) to rounding, away from the branch point: the lambert_w0 value and
+    one more Halley step on w e^w = x.
 
-    The cold value alone meets |w e^w - x| <= 1e-12 max(1, |x|), which lets up
-    to about 1e-11 relative error pass where |x| < 1 (below x = 1e-6 the cold
-    value is log1p(x), x/2 off).
+    For x > 0 lambert_w0 is already at rounding, from Fritsch-Shafer-Crowley
+    steps on w + log w = log x, so the step is an independent check of it.  For
+    x < 0 the value meets only |w e^w - x| <= 1e-12 |x|, and the step polishes
+    it.
     """
     x = np.asarray(x, dtype=float)
     w = lambert_w0(x)

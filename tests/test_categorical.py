@@ -1,5 +1,6 @@
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,10 +31,11 @@ from jeffreys_centers import (
 )
 from jeffreys_centers import categorical, special_functions
 from jeffreys_centers.bench import sample_histogram_pair
-from jeffreys_centers.special_functions import _w0_halley, lambert_w0
+from jeffreys_centers.special_functions import _w0_shifted, lambert_w0
 
 from conftest import polished_w0, random_simplex
 
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TABLE2 = np.array([[1 / 3, 1 / 3, 1 / 3], [0.9, 0.05, 0.05]])
 
 
@@ -360,9 +362,9 @@ class TestNewtonSolve:
         # Found by search from the JFR seed: the second Newton iterate lands
         # where the computed mass is exactly 1, so the next Newton iterate
         # equals the bracket's upper end.  Rejecting it as outside the bracket
-        # bisects from there (11 iterations instead of 3).
+        # bisects from there (7 iterations instead of 3).
         hset = HistogramSet.uniform(
-            [[0.5895020620840481, 0.4104979379159519], [0.0244906774933632, 0.9755093225066368]]
+            [[0.9855902777657048, 0.014409722234295153], [0.786808680829478, 0.21319131917052203]]
         )
         a = hset.means[0]
         masses = []
@@ -376,9 +378,9 @@ class TestNewtonSolve:
             return wrapped
 
         # the solve's candidate is a / W: W comes from a cold lambert_w0 at
-        # the JFR seed, and from the warm-started Halley loop at each iterate
+        # the JFR seed, and is carried from the previous W at each iterate
         monkeypatch.setattr(categorical, "lambert_w0", recording(lambert_w0))
-        monkeypatch.setattr(categorical, "_w0_halley", recording(_w0_halley))
+        monkeypatch.setattr(categorical, "_w0_shifted", recording(_w0_shifted))
         res = jeffreys_centroid_cat(hset)
         assert 1.0 in masses
         assert res.diagnostics.iterations <= 6
@@ -429,20 +431,19 @@ class TestNewtonSolve:
         # one step, to the midpoint of [lambda_J, 0], ends the solve
         assert res.diagnostics.iterations == 1 and res.lam == 0.5 * lam
 
-    def test_halley_from_the_predictor_across_the_bracket(self):
-        # W(0) carried to lambda_lo, a step of about -7.4 at d = 4096: the
-        # predictor W exp(dlambda / (1 + W)) is positive, so Halley stays on
-        # the W0 branch and meets lambert_w0's residual test within 4 steps
+    def test_a_jump_larger_than_one_restarts_w(self):
+        # W(0) carried to lambda_lo, a step of about -7.4 at d = 4096: FSC
+        # steps from W(0) would take the log of a negative number (a
+        # floating-point warning fails the test), so W restarts from
+        # Winitzki's start and lands at rounding
         rng = np.random.default_rng([303, 4096])
         a, g = HistogramSet.uniform(rng.dirichlet(np.ones(4096), size=2)).means
         r = (a / g) * math.e
         lam_lo = float(np.max(a + np.log(g)) - 1.0)
         assert lam_lo < -7.0
-        w = lambert_w0(r)
         x = r * math.exp(lam_lo)
-        w = _w0_halley(x, w * np.exp(lam_lo / (1.0 + w)), ToleranceConfig(max_iter=4))
-        assert np.all(np.abs(w * np.exp(w) - x) <= 1e-12 * np.maximum(1.0, x))
-        assert np.abs(w / lambert_w0(x) - 1.0).max() <= 1e-10
+        w = _w0_shifted(x, lambert_w0(r), lam_lo)
+        assert np.abs(w / polished_w0(x) - 1.0).max() <= 4.5e-16
 
     # Newton iterations of the solve from lambda = 0 (the cold reference) and
     # from the JFR seed, on Table 2's alpha = 10^-k, k = 1..16
@@ -475,13 +476,9 @@ class TestNewtonSolve:
         # W times a constant divides every candidate mass by it: the Table 2
         # set's masses, 0.999 at lambda = 0 to 1.53 at lambda_lo, move all
         # above (scale 0.5) or all below (scale 2) unit mass
+        monkeypatch.setattr(categorical, "lambert_w0", lambda x: scale * lambert_w0(x))
         monkeypatch.setattr(
-            categorical,
-            "lambert_w0",
-            lambda x, start=None: scale * lambert_w0(x, None if start is None else start / scale),
-        )
-        monkeypatch.setattr(
-            categorical, "_w0_halley", lambda x, w: scale * _w0_halley(x, w / scale)
+            categorical, "_w0_shifted", lambda x, w, dlam: scale * _w0_shifted(x, w / scale, dlam)
         )
         with pytest.raises(NumericalError, match="does not straddle unit mass"):
             jeffreys_centroid_cat(HistogramSet.uniform(TABLE2))
@@ -494,7 +491,8 @@ class TestNewtonSolve:
 
 
 class TestStartedW:
-    """The solve's one lambert_w0 call, started from the W the JFR center implies."""
+    """The solve's W: one cold lambert_w0 call at the JFR multiplier, then each
+    W carried from the previous one by Fritsch-Shafer-Crowley steps."""
 
     TINY_BIN_EXPONENTS = [20, 50, 100, 150, 200, 250, 300]
     DIRICHLET = [
@@ -512,6 +510,7 @@ class TestStartedW:
         assert np.abs(res.center.probs - bisect_lambda(hset)[1]).max() <= 1e-12
 
     def test_the_seed_is_never_evaluated(self, monkeypatch):
+        # Halley's seed serves x <= 0 only; every x of the solve is positive
         seeded = []
         seed = special_functions._w0_seed
         monkeypatch.setattr(
@@ -522,29 +521,72 @@ class TestStartedW:
         assert seeded == []
 
     @pytest.mark.parametrize("family", ["DIRICHLET", "TABLE2", "TINY"])
-    def test_first_w_is_exact_in_at_most_the_cold_halley_steps(self, monkeypatch, family):
-        steps = []
-        step = special_functions._halley_step
-        monkeypatch.setattr(
-            special_functions, "_halley_step", lambda *args: steps.append(1) or step(*args)
-        )
-        first = []
+    def test_every_w_is_exact(self, monkeypatch, family):
+        first, carried = [], []
 
-        def recording(x, start=None):
-            before = len(steps)
-            w = lambert_w0(x, start)
-            first.append((x, w, len(steps) - before))
-            return w
+        def recording(fn, into):
+            def wrapped(x, *args):
+                w = fn(x, *args)
+                into.append((x, w))
+                return w
 
-        monkeypatch.setattr(categorical, "lambert_w0", recording)
+            return wrapped
+
+        monkeypatch.setattr(categorical, "lambert_w0", recording(lambert_w0, first))
+        monkeypatch.setattr(categorical, "_w0_shifted", recording(_w0_shifted, carried))
         for hset in getattr(self, family):
             jeffreys_centroid_cat(hset)
         assert len(first) == len(getattr(self, family))  # one call per solve
-        for x, w, started in first:
-            before = len(steps)
-            lambert_w0(x)
-            assert started <= len(steps) - before <= 3
-            assert np.abs(w / polished_w0(x) - 1.0).max() <= 2e-15
+        for x, w in first + carried:
+            assert np.abs(w / polished_w0(x) - 1.0).max() <= 1e-15
+
+
+class TestHighPrecisionCenters:
+    """The solve against centers frozen from a 40-digit mpmath solve of the
+    same fixed point from the same float rows, to 1e-15 relative per bin."""
+
+    # hist-pairs sets of seed 300 (perfbench/workloads.py): 37, 73 and 127
+    # are the first 150 sets' hardest for a W that stops short of rounding
+    HIST_PAIRS = {
+        37: [
+            0.07021118971072875, 0.05581700253606738, 0.0759655750411061,
+            0.08531281295702013, 0.04627944798503962, 0.06562393964477321,
+            0.08123989591562115, 0.08793533694684622, 0.020240045017079652,
+            0.19160969605042114, 0.013276975295670651, 0.01908934397872483,
+            0.08428238911807306, 0.04467734387067439, 0.0351148421755364,
+            0.023324163756617347,
+        ],
+        73: [
+            0.014564912898727848, 0.1000914076220442, 0.04669429917959348,
+            0.048029234522198684, 0.059430495238077294, 0.03310379486485668,
+            0.08008334244572632, 0.04142542402800666, 0.04985939479232907,
+            0.01820473971711162, 0.04160988872607848, 0.15751190395582595,
+            0.021622210105451296, 0.07713208296933849, 0.17903211367077834,
+            0.031604755263855595,
+        ],
+        127: [
+            0.04416972040353235, 0.00819444549472449, 0.2568914654497829,
+            0.06061313746467636, 0.06765588855282986, 0.04704170672875663,
+            0.031111459248501346, 0.03901045378517526, 0.03760854695418622,
+            0.09273053355115961, 0.0643634742495549, 0.02838109615307773,
+            0.12179509261118437, 0.04839365308148856, 0.03431628474160549,
+            0.01772304152976391,
+        ],
+    }
+    TABLE2_1E6 = [0.9291523635050027, 0.03542381824749865, 0.03542381824749865]
+
+    def test_hist_pairs_sets(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import workloads
+
+        for k, center in self.HIST_PAIRS.items():
+            hset = HistogramSet.uniform(workloads.hist_inputs(300, k, 2, 16)["rows"])
+            probs = jeffreys_centroid_cat(hset).center.probs
+            assert np.abs(probs / np.array(center) - 1.0).max() <= 1e-15
+
+    def test_table2(self):
+        probs = jeffreys_centroid_cat(table2_hset(1e-6)).center.probs
+        assert np.abs(probs / np.array(self.TABLE2_1E6) - 1.0).max() <= 1e-15
 
 
 class TestJFRCenter:

@@ -1,10 +1,12 @@
-"""The public names: every ``__all__`` entry resolves, and removed names stay gone.
+"""The public names: every ``__all__`` entry resolves, and removed names and
+parameters stay gone.
 
 A name deleted from a module but still listed in its ``__all__`` (or the
 reverse, a half-done removal that leaves the package exporting it) fails here.
 """
 
 import importlib
+import inspect
 import pkgutil
 import types
 
@@ -78,6 +80,21 @@ def test_removed_name_is_gone(module, name):
     mod = importlib.import_module(module)
     assert name not in getattr(mod, "__all__", ())
     assert not hasattr(mod, name)
+
+
+# (module, function, parameter) of parameters removed from public functions
+REMOVED_PARAMETERS = [
+    # lambert_w0's caller-supplied start: the histogram solve continues its
+    # own Fritsch-Shafer-Crowley steps from the previous W instead
+    ("jeffreys_centers", "lambert_w0", "start"),
+    ("jeffreys_centers.special_functions", "lambert_w0", "start"),
+]
+
+
+@pytest.mark.parametrize("module, function, parameter", REMOVED_PARAMETERS)
+def test_removed_parameter_is_gone(module, function, parameter):
+    fn = getattr(importlib.import_module(module), function)
+    assert parameter not in inspect.signature(fn).parameters
 
 
 def test_package_exports_its_names_not_its_submodules():

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -13,7 +12,6 @@ from jeffreys_centers import (
     shannon_generator,
 )
 
-from conftest import polished_w0
 from oracles import elliptic_k
 
 
@@ -32,15 +30,14 @@ def bisect_w(x: float, tol: float = 1e-13) -> float:
 
 
 def reference_w0(x: np.ndarray) -> np.ndarray:
-    """Reference: lambert_w0's piecewise seed and Halley loop written out in
-    one function, at the default tolerance."""
+    """Reference for x <= 0: lambert_w0's piecewise seed and Halley loop
+    written out in one function, at the default tolerance."""
     at_branch = x == -math.exp(-1.0)
     arr = np.where(at_branch, 0.0, x)
     p = np.sqrt(np.maximum(2.0 * (math.e * np.minimum(arr, -0.25) + 1.0), 0.0))
     near = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0)))
-    l1 = np.log(np.maximum(arr, math.e))
-    w = np.where(arr < -0.25, near, np.where(arr > math.e, l1 - np.log(l1), np.log1p(arr)))
-    target = 1e-12 * np.maximum(1.0, np.abs(arr))
+    w = np.where(arr < -0.25, near, np.log1p(arr))
+    target = 1e-12 * np.abs(arr)
     for _ in range(100):
         ew = np.exp(w)
         f = w * ew - arr
@@ -56,6 +53,32 @@ def reference_w0(x: np.ndarray) -> np.ndarray:
 W_OF_ONE = 0.5671432904097838
 # frozen from a 30-digit quadrature/mpmath evaluation of the defining integral
 K_HALF = 1.685750354812596
+# (x, W0(x)) frozen from a 40-digit mpmath lambertw of each float x
+W0_PINNED = [
+    (-0.36, -0.8060843159708176),
+    (-0.3, -0.4894022271802149),
+    (-0.1, -0.11183255915896297),
+    (-0.001, -0.001001001502671886),
+    (-1e-08, -1.0000000100000002e-08),
+    (-1e-20, -1e-20),
+    (-1e-300, -1e-300),
+    (5e-324, 5e-324),
+    (1e-300, 1e-300),
+    (1e-100, 1e-100),
+    (1e-20, 1e-20),
+    (1e-08, 9.999999900000002e-09),
+    (1e-05, 9.999900001499974e-06),
+    (0.001, 0.0009990014973385308),
+    (0.1, 0.09127652716086226),
+    (1.0, 0.5671432904097838),
+    (10.0, 1.7455280027406994),
+    (1000.0, 5.249602852401596),
+    (1e20, 42.306755091738395),
+    (1e100, 224.8431064451185),
+    (1e300, 684.2472086297608),
+    (1e308, 702.6413620341068),
+    (1.7976931348623157e308, 703.2270331047702),
+]
 
 
 class TestLambertW:
@@ -107,7 +130,7 @@ class TestLambertW:
 
     def test_mixed_array_every_seed_branch(self):
         # the branch point, the series range (-1/e, -0.25), zero, the log1p
-        # range and the asymptotic range above e, in one array
+        # range of Halley's seed and x > 0, in one array
         xs = np.array(
             [-math.exp(-1.0), -0.36, -0.3, -0.26, 0.0, 0.5, 1.0, 2.0, math.e, 3.0, 10.0]
             + [50.0, 500.0]
@@ -120,15 +143,13 @@ class TestLambertW:
         assert np.abs(w - oracle).max() <= 1e-12
 
     def test_bit_identical_to_the_reference_loop(self):
-        # every seed branch, from the branch point to 1e300; each value is
+        # both seed branches, from the branch point to -1e-300; each value is
         # also evaluated alone, where the loop stops once that value converges
         xs = np.concatenate(
             [
                 [-math.exp(-1.0)],
                 np.linspace(-math.exp(-1.0), 0.0, 200)[1:],
-                np.linspace(0.0, 10.0, 201),
-                np.geomspace(1e-300, 1.0, 100),
-                np.geomspace(10.0, 1e300, 300),
+                -np.geomspace(1e-300, 0.25, 100),
             ]
         )
         assert np.array_equal(lambert_w0(xs), reference_w0(xs))
@@ -137,82 +158,43 @@ class TestLambertW:
 
     @pytest.mark.parametrize("x", [5e307, 1e308, np.finfo(float).max])
     def test_largest_inputs(self, x):
-        # Halley's (w + 2) f overflows from about 5e307 on; a floating-point
-        # warning fails the test
+        # w e^w overflows here, but nothing is exponentiated for x > 0; a
+        # floating-point warning fails the test
         w = lambert_w0(x)
         assert abs(w + math.log(w) - math.log(x)) <= 1e-15 * math.log(x)
         both = lambert_w0(np.array([x, -math.exp(-1.0), 1.0]))
         assert both[0] == w and both[1] == -1.0 and both[2] == lambert_w0(1.0)
 
 
-class TestLambertWStart:
-    """lambert_w0 from a start the caller supplies."""
+    def test_pinned_high_precision_values(self):
+        # to rounding (two ulps) for x > 0 and on [-1e-8, 0); further left
+        # Halley's test |w e^w - x| <= 1e-12 |x| allows dw = 1e-12 |x| /
+        # (e^w (1 + w)), which grows toward the branch point
+        xs, ws = (np.array(col) for col in zip(*W0_PINNED))
+        for w in (lambert_w0(xs), np.array([lambert_w0(x) for x in xs])):
+            near = xs >= -1e-8
+            assert np.all(np.abs(w[near] / ws[near] - 1.0) <= 4.5e-16)
+            far = ~near
+            allowed = 1e-12 * np.abs(xs[far]) / (np.exp(ws[far]) * (1.0 + ws[far]))
+            assert np.all(np.abs(w[far] - ws[far]) <= allowed)
 
-    XS = np.concatenate([np.geomspace(1e-300, 1e300, 601), np.linspace(0.01, 20.0, 200)])
-
-    @pytest.mark.parametrize("start", [
-        [0.3, float("nan")], [0.3, float("inf")], [-float("inf"), 0.3], [0.3, -1.0],
-        [-2.0, 0.3], [0.3], [[0.3, 0.8]],
-    ])
-    def test_bad_start(self, start):
-        with pytest.raises(DomainError, match="start"):
-            lambert_w0(np.array([0.5, 2.0]), np.array(start))
-
-    def test_scalar_x_needs_a_scalar_start(self):
-        assert lambert_w0(1.0, 0.5) == pytest.approx(W_OF_ONE, abs=1e-15)
-        with pytest.raises(DomainError, match="shape"):
-            lambert_w0(1.0, np.array([0.5]))
-
-    @pytest.mark.parametrize("start", [None, np.array([0.5, 0.5])])
     @pytest.mark.parametrize("x, message", [
         ([1.0, float("nan")], "finite input"), ([float("inf"), 1.0], "finite input"),
         ([1.0, -float("inf")], "finite input"), ([1.0, -0.5], "x >= -1/e"),
+        ([-1.0, 1.0], "x >= -1/e"),
     ])
-    def test_input_errors_keep_their_messages(self, x, message, start):
+    def test_input_errors_keep_their_messages(self, x, message):
         with pytest.raises(DomainError, match=message):
-            lambert_w0(np.array(x), start)
+            lambert_w0(np.array(x))
 
-    def test_branch_point_is_pinned(self):
-        xs = np.array([-math.exp(-1.0), 1.0])
-        for start in ([-0.9, 0.6], [0.0, W_OF_ONE], [5.0, W_OF_ONE]):
-            w = lambert_w0(xs, np.array(start))
-            assert w[0] == -1.0 and w[1] == pytest.approx(W_OF_ONE, abs=1e-15)
-        assert lambert_w0(-math.exp(-1.0), -0.5) == -1.0
+    def test_branch_point_is_pinned_in_an_array(self):
+        w = lambert_w0(np.array([-math.exp(-1.0), 1.0, -0.2]))
+        assert w[0] == -1.0 and w[1] == W_OF_ONE and w[2] == lambert_w0(-0.2)
 
-    @pytest.mark.parametrize("start", [None, np.array([])])
-    def test_empty_input(self, start):
-        w = lambert_w0(np.array([]), start)
+    @pytest.mark.parametrize("x", [np.array([]), []], ids=["array", "list"])
+    def test_empty_input(self, x):
+        w = lambert_w0(x)
         assert isinstance(w, np.ndarray) and w.shape == (0,)
-
-    @pytest.mark.parametrize("rel", [-1e-3, -1e-5, 1e-9, 1e-4, 0.0])
-    def test_close_start_lands_at_rounding(self, rel):
-        # the span of the histogram solve's starts; the cold value itself can
-        # be up to 1e-11 off where x < 1, so the reference is polished
-        exact = polished_w0(self.XS)
-        w = lambert_w0(self.XS, exact * (1.0 + rel))
-        assert np.abs(w / exact - 1.0).max() <= 2e-15
-
-    @pytest.mark.parametrize("factor", [0.5, 2.0])
-    def test_poor_start_gives_the_cold_value(self, factor):
-        # far from the root Halley crawls by about 2 a step, and from 2 W at
-        # x = 1e300 e^w overflows: such a start is dropped for the seed
-        cold = lambert_w0(self.XS)
-        assert np.array_equal(lambert_w0(self.XS, factor * cold), cold)
-        for x, w in zip(self.XS[::20], cold[::20]):
-            assert lambert_w0(np.array([x]), np.array([factor * w]))[0] == lambert_w0(x)
-
-    def test_any_valid_start_meets_the_residual_test(self):
-        # next to the branch point, at x = 0, up to 1e305, and starts from
-        # just above -1 to 1e300; a floating-point warning fails the test
-        xs = [-math.exp(-1.0) + 1e-16, -0.36, -0.2, -1e-10, 0.0, 1e-300, 1e-8, 1.0, 1e10,
-              1e100, 1e280, 1e302, 1e303, 1e305]
-        starts = [-1.0 + 2.0**-52, -0.6, -0.5, -0.2, 0.0, 1e-300, 1.0, 10.0, 300.0, 689.0,
-                  690.0, 700.0, 1e300]
-        for x, s in itertools.product(xs, starts):
-            pair = np.array([x, 0.5])
-            w = lambert_w0(pair, np.array([s, 0.35]))
-            assert np.all(w >= -1.0)
-            assert np.all(np.abs(w * np.exp(w) - pair) <= 1e-12 * np.maximum(1.0, pair))
 
 
 class TestEllipticK:

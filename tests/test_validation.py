@@ -123,6 +123,22 @@ def test_points_that_are_not_a_2d_array_are_a_domain_error():
         WeightedParamSet(np.ones((2, 1, 1)), None)
 
 
+RAGGED = {
+    "HistogramSet": lambda: HistogramSet([[0.5, 0.5], [1.0]], None),
+    "SPDMatrix": lambda: SPDMatrix([[1.0], [0, 1.0]]),
+    "GaussianParam": lambda: GaussianParam([0.0, [1.0]], np.eye(2)),
+    "WeightedParamSet": lambda: WeightedParamSet([[1.0], [2.0, 3.0]], None),
+    "jfr_center_1d": lambda: jfr_center_1d(_SQUARED, [[1.0, 2.0], [3.0]]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(RAGGED))
+def test_ragged_input_is_a_domain_error(entry):
+    """numpy refuses a ragged nested list with a raw ValueError."""
+    with pytest.raises(DomainError, match="not an array of numbers"):
+        RAGGED[entry]()
+
+
 def test_spectral_kernel_classifies_nan_matrix():
     with pytest.raises(NumericalError):
         _spectral(np.full((3, 3), np.nan), np.sqrt)
