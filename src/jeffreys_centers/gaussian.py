@@ -76,6 +76,10 @@ _NEWTON_HALVINGS = 10
 # (1e-14 to 5e-13 seen): where the full step does not lower the norm from
 # here, Newton stops without halving.
 _ROUNDING_FLOOR = 1e-12
+# Domain verdicts an mvn generator keeps, the oldest dropped first: clearing
+# them all when full would lose, after an odd count of points, the pair a
+# Gauss-Bregman step hands on, which the next step checks again on entry.
+_VERDICTS_KEPT = 4
 
 
 @dataclass(frozen=True)
@@ -186,13 +190,26 @@ def mvn_generator(dim: int) -> GeneratorSpec:
     The gradient maps theta to the moment parameter (mu, mu mu^T + Sigma); the
     reciprocal gradient inverts it.  The domain is the open cone -theta_M > 0;
     the reciprocal gradient's covariance must pass the SPD rule of :mod:`spd`.
+    Each callable raises DomainError unless its argument has the flat shape.
+    ``in_domain`` keeps the verdicts of the last few points it decided, keyed
+    by their float64 bytes, so a point checked again (as a Gauss-Bregman step
+    re-checks its two iterates on entry) costs no second eigensolve.
     """
     if dim < 1:
         raise DomainError("dimension must be >= 1")
     d = dim
+    flat_dim = d + d * (d + 1) // 2
+    name = f"mvn(d={d})"
+    verdicts = {}
+
+    def flat(x, what: str) -> np.ndarray:
+        x = _float_array(x, what)
+        if x.shape != (flat_dim,):
+            raise DomainError(f"{name}: {what} has shape {x.shape}, expected ({flat_dim},)")
+        return x
 
     def eval_F(x: np.ndarray) -> float:
-        tv, tm = mvn_unflatten(x, d)
+        tv, tm = mvn_unflatten(flat(x, "natural parameter"), d)
         neg2tm = -2.0 * tm
         sign, logdet = np.linalg.slogdet(neg2tm)
         if sign <= 0.0:
@@ -203,30 +220,37 @@ def mvn_generator(dim: int) -> GeneratorSpec:
         )
 
     def eval_grad(x: np.ndarray) -> np.ndarray:
-        mu, cov = _natural_to_source(x, d)
-        return mvn_flatten(mu, np.outer(mu, mu) + cov)
+        mu, cov = _natural_to_source(flat(x, "natural parameter"), d)
+        return mvn_flatten(mu, mu[:, None] * mu + cov)
 
     def eval_grad_inv(e: np.ndarray) -> np.ndarray:
-        ev, em = mvn_unflatten(e, d)
-        cov = em - np.outer(ev, ev)
+        ev, em = mvn_unflatten(flat(e, "moment parameter"), d)
+        cov = em - ev[:, None] * ev
         _check_spd(cov, "moment parameter covariance")
         return _source_to_natural(ev, cov)
 
     def in_domain(x: np.ndarray) -> bool:
-        # The open cone, without the condition bound: -theta_M of a member near
-        # the bound is its inverted covariance, whose computed condition can pass it.
-        if not np.isfinite(x).all():
-            return False
-        _, tm = mvn_unflatten(x, d)
-        return bool(_eigvalsh(-tm)[0] > 0.0)
+        x = flat(x, "natural parameter")
+        key = x.tobytes()
+        verdict = verdicts.get(key)
+        if verdict is None:
+            # The open cone, without the condition bound: -theta_M of a member near
+            # the bound is its inverted covariance, whose computed condition can pass it.
+            verdict = bool(np.isfinite(x).all()) and bool(
+                _eigvalsh(-mvn_unflatten(x, d)[1])[0] > 0.0
+            )
+            if len(verdicts) >= _VERDICTS_KEPT:
+                del verdicts[next(iter(verdicts))]  # the oldest
+            verdicts[key] = verdict
+        return verdict
 
     return GeneratorSpec(
-        dim=d + d * (d + 1) // 2,
+        dim=flat_dim,
         eval_F=eval_F,
         eval_grad=eval_grad,
         eval_grad_inv=eval_grad_inv,
         in_domain=in_domain,
-        name=f"mvn(d={d})",
+        name=name,
     )
 
 

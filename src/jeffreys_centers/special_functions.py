@@ -32,7 +32,7 @@ class ToleranceConfig:
 
     ``rel_tol`` is the precision parameter of the double-sequence algorithms
     and ``max_iter`` caps their loops.  :func:`lambert_w0` runs at the fixed
-    ``DEFAULT_TOL`` (on x > 0 it stops at rounding).  The histogram
+    ``DEFAULT_TOL`` (it stops at rounding).  The histogram
     multiplier's Newton solve takes its own ``epsilon`` and ``max_iter``.
     """
 
@@ -61,17 +61,20 @@ def _w0_halley(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Halley iteration for ``w e^w = x`` on the W0 branch, from the start ``w``.
 
     No input check: ``x`` must be a finite array in (-1/e, 0] and ``w`` a start
-    above -1 (past it Halley's step leaves the branch).  Stops once
-    ``|w e^w - x| <= rel_tol * |x|`` holds for every entry.
+    above -1 (past it Halley's step leaves the branch).  The step taken from
+    residuals that all pass ``|w e^w - x| <= rel_tol * |x|`` is the last: the
+    test alone would leave dw = rel_tol |x| / (e^w (1 + w)), and Halley's
+    cubic convergence takes that to rounding in one step.
     """
     target = DEFAULT_TOL.rel_tol * np.abs(x)
     for _ in range(DEFAULT_TOL.max_iter):
         ew = np.exp(w)
         f = w * ew - x
-        if (np.abs(f) <= target).all():
-            return w
+        last = (np.abs(f) <= target).all()
         wp1 = w + 1.0  # positive away from the branch point
         w = w - f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
+        if last:
+            return w
     raise NumericalError("lambert_w0 failed to converge")
 
 
@@ -110,8 +113,7 @@ def lambert_w0(x):
     """Principal branch W0 of the Lambert W function.
 
     Solves ``w * exp(w) = x`` for finite ``x >= -1/e``; accepts scalars or
-    arrays.  Entries above 0 are solved to rounding, those in [-1/e, 0] to
-    ``|w e^w - x| <= 1e-12 |x|``, with W0(-1/e) = -1 exactly.
+    arrays.  Every entry is solved to rounding, with W0(-1/e) = -1 exactly.
     """
     arr = _float_array(x, "lambert_w0 input")
     scalar = arr.ndim == 0

@@ -16,6 +16,7 @@ from jeffreys_centers import (
     ToleranceConfig,
     WeightedParamSet,
     fisher_rao_midpoint_mvn,
+    gb_center,
     gb_center_mvn,
     geometric_mean,
     jeffreys_centroid_centered,
@@ -35,6 +36,7 @@ from jeffreys_centers import (
     symmetrized_logdet,
 )
 from jeffreys_centers import gaussian
+from jeffreys_centers.gauss_bregman import GB_TOL
 from jeffreys_centers.gaussian import (
     _embed_array,
     _index_tables,
@@ -50,6 +52,16 @@ TIGHT = ToleranceConfig(rel_tol=1e-12, max_iter=300)
 
 def random_gaussian(rng, d, mean_scale=1.0):
     return GaussianParam(mean_scale * rng.normal(size=d), random_spd(rng, d))
+
+
+def counting(counts, name, fn):
+    """fn, counting its calls in counts[name]."""
+
+    def call(*args):
+        counts[name] += 1
+        return fn(*args)
+
+    return call
 
 
 def random_affine(rng, d):
@@ -169,6 +181,24 @@ class TestGenerator:
                 SPDMatrix(np.linalg.inv(s1.entries)), SPDMatrix(np.linalg.inv(s2.entries))
             )
             assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize("name", ["eval_F", "eval_grad", "eval_grad_inv", "in_domain"])
+    def test_wrong_length_is_a_domain_error(self, name):
+        # at d = 2 a 3-vector used to broadcast: eval_grad returned a 5-vector
+        # and in_domain decided on a garbage matrix
+        fn = getattr(mvn_generator(2), name)
+        for x in (np.ones(3), np.ones(6), np.ones((5, 1)), 1.0):
+            with pytest.raises(DomainError, match="shape"):
+                fn(x)
+
+    def test_a_list_of_the_right_length_is_accepted(self, rng):
+        gen = mvn_generator(2)
+        theta = mvn_to_natural(random_gaussian(rng, 2))
+        eta = gen.eval_grad(theta)
+        assert gen.eval_F(list(theta)) == gen.eval_F(theta)
+        assert np.array_equal(gen.eval_grad(list(theta)), eta)
+        assert np.array_equal(gen.eval_grad_inv(list(eta)), gen.eval_grad_inv(eta))
+        assert gen.in_domain(list(theta)) and not gen.in_domain(list(-theta))
 
 
 class TestDivergences:
@@ -786,6 +816,72 @@ class TestGBCenterMvn:
         assert k > 0
         assert counts == {"in_domain": n + 2 + 4 * k, "eval_grad": n + 2 * k,
                           "eval_grad_inv": 1 + k}
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    @pytest.mark.parametrize("tol", [GB_TOL, ToleranceConfig(rel_tol=1e-8, max_iter=3)],
+                             ids=["default", "max_iter=3"])
+    def test_bit_identical_to_the_plain_domain_test(self, rng, d, tol):
+        """The generator's remembered verdicts change no bit of the result."""
+        gs = [random_gaussian(rng, d, mean_scale=3.0) for _ in range(4)]
+        center, diag = gb_center_mvn(gs, tol=tol)
+
+        def plain(x):
+            if not np.isfinite(x).all():
+                return False
+            return bool(np.linalg.eigvalsh(-mvn_unflatten(x, d)[1])[0] > 0.0)
+
+        gen = dataclasses.replace(mvn_generator(d), in_domain=plain)
+        pset = WeightedParamSet(np.array([mvn_to_natural(g) for g in gs]), None)
+        theta, ref_diag = gb_center(gen, pset, tol)
+        ref = mvn_from_natural(theta, d)
+        assert center.mean.tobytes() == ref.mean.tobytes()
+        assert center.cov.entries.tobytes() == ref.cov.entries.tobytes()
+        assert np.float64(diag.final_gap).tobytes() == np.float64(ref_diag.final_gap).tobytes()
+        assert (diag.status, diag.iterations) == (ref_diag.status, ref_diag.iterations)
+
+    # odd member counts too: the pair a step hands on must be kept whatever
+    # number of points was checked before it
+    @pytest.mark.parametrize("d, n", [(1, 2), (2, 4), (3, 3), (5, 4), (2, 5)])
+    def test_each_point_is_decomposed_once(self, rng, monkeypatch, d, n):
+        """Each distinct point costs one cone eigensolve, however often it is
+        checked, and each reciprocal gradient one SPD-rule eigensolve."""
+        counts = Counter()
+        make = gaussian.mvn_generator
+
+        def counted(dim):
+            spec = make(dim)
+            return dataclasses.replace(
+                spec, in_domain=counting(counts, "in_domain", spec.in_domain)
+            )
+
+        monkeypatch.setattr(gaussian, "mvn_generator", counted)
+        monkeypatch.setattr(gaussian, "_eigvalsh", counting(counts, "cone", gaussian._eigvalsh))
+        monkeypatch.setattr(gaussian, "_check_spd", counting(counts, "spd", gaussian._check_spd))
+        _, diag = gb_center_mvn([random_gaussian(rng, d) for _ in range(n)])
+        k = diag.iterations
+        assert k > 0
+        assert counts == {"in_domain": n + 2 + 4 * k, "cone": n + 2 + 2 * k, "spd": 1 + k}
+
+    def test_remembered_verdicts_follow_the_content(self, rng, monkeypatch):
+        calls = Counter()
+        monkeypatch.setattr(gaussian, "_eigvalsh", counting(calls, "cone", gaussian._eigvalsh))
+        gen = mvn_generator(2)
+        x = mvn_to_natural(random_gaussian(rng, 2))
+        assert gen.in_domain(x) and gen.in_domain(x.copy())
+        assert calls["cone"] == 1
+        # the key is the content, not the array: a write in place is seen
+        x[2:] = -x[2:]
+        assert not gen.in_domain(x)
+        assert calls["cone"] == 2
+        # the memory is bounded: after 10 other points x is decomposed again
+        for _ in range(10):
+            gen.in_domain(mvn_to_natural(random_gaussian(rng, 2)))
+        assert calls["cone"] == 12
+        assert not gen.in_domain(x)
+        assert calls["cone"] == 13
+        # a non-finite point is outside the domain, every time
+        nan = np.full(5, np.nan)
+        assert gen.in_domain(nan) is False and gen.in_domain(nan) is False
 
     def test_univariate_grid_oracle(self):
         gs = [
