@@ -39,10 +39,12 @@ from .spd import (
     SPDMatrix,
     _check_spd,
     _check_spectrum,
+    _computed_spd,
     _eigh,
     _eigvalsh,
     _log_divided_differences,
     _log_eigs,
+    _weighted_sum,
     geometric_mean,
     sld_centroid,
 )
@@ -169,8 +171,8 @@ def mvn_from_natural(x: np.ndarray, d: int) -> GaussianParam:
     """The d-variate normal of the flat natural parameters x.
 
     Raises DomainError unless x is finite, has the flat length of dimension d
-    and -theta_M is invertible with a covariance that passes the
-    :class:`SPDMatrix` check, the one spectral check of the readback.
+    and -theta_M is invertible with a covariance that passes the SPD rule of
+    :mod:`spd`, the one spectral check of the readback.
     """
     x = _float_array(x, "flat naturals")
     if d < 1 or x.shape != (d + d * (d + 1) // 2,):
@@ -181,7 +183,7 @@ def mvn_from_natural(x: np.ndarray, d: int) -> GaussianParam:
         mean, cov = _natural_to_source(x, d)
     except np.linalg.LinAlgError as exc:
         raise DomainError(f"-theta_M is singular: {exc}") from exc
-    return GaussianParam(mean, SPDMatrix(cov))
+    return GaussianParam(mean, _computed_spd(cov, "readback covariance"))
 
 
 def mvn_generator(dim: int) -> GeneratorSpec:
@@ -344,17 +346,18 @@ def sided_kl_centroids_mvn(
     with _internal_failure("sided KL centroids"):
         try:
             precs = np.linalg.inv(covs)
-            prec = np.tensordot(w, precs, 1)
+            prec = _weighted_sum(w, precs)
             cov_r = _sym_inv(0.5 * (prec + prec.T))
         except np.linalg.LinAlgError as exc:
             raise DomainError(f"the precision mean is singular: {exc}") from exc
         mean_r = cov_r @ np.einsum("i,ijk,ik->j", w, precs, means)
         mean_l = w @ means
         dev = means - mean_l
-        cov_l = np.tensordot(w, covs, 1) + (w[:, None] * dev).T @ dev
+        cov_l = _weighted_sum(w, covs) + (w[:, None] * dev).T @ dev
+        cov_l = 0.5 * (cov_l + cov_l.T)  # the product's rounding is not symmetric
         return (
-            GaussianParam(mean_r, SPDMatrix(cov_r)),
-            GaussianParam(mean_l, SPDMatrix(cov_l)),
+            GaussianParam(mean_r, _computed_spd(cov_r, "right centroid covariance")),
+            GaussianParam(mean_l, _computed_spd(cov_l, "left centroid covariance")),
         )
 
 
@@ -509,7 +512,9 @@ def fisher_rao_midpoint_mvn(p0: GaussianParam, p1: GaussianParam) -> GaussianPar
     G = geometric_mean(np.eye(2 * d + 1), G1).entries
     S = _sym_inv(G[:d, :d])
     cov = L @ S @ L.T
-    return GaussianParam(p0.mean + L @ (S @ G[:d, d]), SPDMatrix(0.5 * (cov + cov.T)))
+    return GaussianParam(
+        p0.mean + L @ (S @ G[:d, d]), _computed_spd(0.5 * (cov + cov.T), "midpoint covariance")
+    )
 
 
 def jfr_center_mvn(

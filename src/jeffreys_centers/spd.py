@@ -8,6 +8,8 @@ Gauss-Bregman center of the centered pair N(0, X), N(0, Y).
 
 One symmetric-eigendecomposition kernel, which turns a failed decomposition
 into a NumericalError, serves every matrix function and the one SPD rule.
+Caller input is parsed into an :class:`SPDMatrix`; a matrix the library
+computed is wrapped by :func:`_computed_spd`, which applies the rule alone.
 """
 
 from __future__ import annotations
@@ -38,8 +40,12 @@ _TINY = float(np.finfo(float).tiny)
 class SPDMatrix:
     """A symmetric positive-definite matrix with verified spectral positivity.
 
-    Construction symmetrizes (M + M^T)/2, rejecting relative asymmetry above
-    1e-8, then applies :func:`_check_spd`.
+    Constructing one parses caller input: the entries must convert to a finite
+    non-empty square matrix, whose relative asymmetry above 1e-8 is rejected
+    and which is symmetrized to (M + M^T)/2; then the SPD rule of
+    :func:`_check_spd` applies.  The matrices the library computes, which are
+    symmetric by construction, skip the parse but not the rule: they are built
+    by :func:`_computed_spd`.
     """
 
     entries: np.ndarray
@@ -63,8 +69,29 @@ class SPDMatrix:
         return self.entries.shape[0]
 
 
+def _computed_spd(sym: np.ndarray, what: str) -> SPDMatrix:
+    """An SPDMatrix of the symmetric matrix ``sym`` that the library computed.
+
+    Its entries are tested for finiteness and its spectrum for the SPD rule,
+    a failure being a DomainError naming ``what``; the parse of caller input
+    is skipped, so ``sym`` must already be exactly symmetric.
+    """
+    if not np.isfinite(sym).all():
+        raise DomainError(f"{what} entries must be finite")
+    _check_spd(sym, what)
+    out = object.__new__(SPDMatrix)
+    object.__setattr__(out, "entries", sym)
+    return out
+
+
 def _as_array(x) -> np.ndarray:
-    return x.entries if isinstance(x, SPDMatrix) else _float_array(x, "matrix")
+    """The entries of an SPDMatrix, or a raw array that must be finite."""
+    if isinstance(x, SPDMatrix):
+        return x.entries
+    a = _float_array(x, "matrix")
+    if not np.isfinite(a).all():
+        raise DomainError("matrix entries must be finite")
+    return a
 
 
 def _check_same_dim(x: np.ndarray, y: np.ndarray) -> None:
@@ -94,10 +121,10 @@ def _eigvalsh(m: np.ndarray) -> np.ndarray:
 def _check_spectrum(w: np.ndarray, what: str = "matrix") -> None:
     """The one SPD rule on the ascending eigenvalues ``w`` of a symmetric matrix:
     positive definite with condition number at most ``_MAX_CONDITION``, else a
-    DomainError naming ``what``."""
-    if w[0] <= 0.0:
+    DomainError naming ``what``.  Written so that a NaN fails both tests."""
+    if not w[0] > 0.0:
         raise DomainError(f"{what} is not positive definite (min eig {w[0]:.3g})")
-    if w[-1] / w[0] > _MAX_CONDITION:
+    if not w[-1] / w[0] <= _MAX_CONDITION:
         raise DomainError(f"{what} condition number {w[-1] / w[0]:.3g} exceeds {_MAX_CONDITION:g}")
 
 
@@ -118,7 +145,7 @@ def _spectral(m: np.ndarray, *fns: Callable[[np.ndarray], np.ndarray]) -> List[n
 
 
 def _positive(w: np.ndarray) -> np.ndarray:
-    if w[0] <= 0.0:
+    if not w[0] > 0.0:
         raise NumericalError("matrix function of a non-positive-definite argument")
     return w
 
@@ -167,7 +194,7 @@ def geometric_mean(x: SPDMatrix, y: SPDMatrix) -> SPDMatrix:
     """
     xa, ya = _as_array(x), _as_array(y)
     _check_same_dim(xa, ya)
-    return SPDMatrix(_geomean(xa, ya))
+    return _computed_spd(_geomean(xa, ya), "geometric mean")
 
 
 def trace_metric_distance(p1: SPDMatrix, p2: SPDMatrix) -> float:
@@ -201,11 +228,16 @@ def symmetrized_logdet(x: SPDMatrix, y: SPDMatrix) -> float:
     return float(np.trace(np.linalg.solve(xa, ya)) + np.trace(np.linalg.solve(ya, xa)) - 2 * d)
 
 
-def _same_dim_arrays(mats: Sequence[SPDMatrix]) -> list:
+def _same_dim_stack(mats: Sequence[SPDMatrix]) -> np.ndarray:
     arrays = [_as_array(m) for m in mats]
     for m in arrays[1:]:
         _check_same_dim(arrays[0], m)
-    return arrays
+    return np.array(arrays)
+
+
+def _weighted_sum(w: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """sum_i w_i stack[i] of a stack of n equal-shape arrays, as one matrix product."""
+    return (w @ stack.reshape(w.size, -1)).reshape(stack.shape[1:])
 
 
 def sld_centroid(mats: Sequence[SPDMatrix], weights: Optional[Sequence] = None) -> SPDMatrix:
@@ -214,7 +246,7 @@ def sld_centroid(mats: Sequence[SPDMatrix], weights: Optional[Sequence] = None) 
     A is the weighted arithmetic mean and H the weighted harmonic mean.
     """
     w = check_weights(weights, len(mats))
-    arrays = _same_dim_arrays(mats)
-    a = sum(wi * m for wi, m in zip(w, arrays))
-    h = np.linalg.inv(sum(wi * np.linalg.inv(m) for wi, m in zip(w, arrays)))
-    return SPDMatrix(_geomean(a, 0.5 * (h + h.T)))
+    stack = _same_dim_stack(mats)
+    a = _weighted_sum(w, stack)
+    h = np.linalg.inv(_weighted_sum(w, np.linalg.inv(stack)))
+    return _computed_spd(_geomean(a, 0.5 * (h + h.T)), "A#H centroid")

@@ -26,7 +26,7 @@ from jeffreys_centers import (
     jeffreys_loss,
 )
 from jeffreys_centers.special_functions import DEFAULT_TOL
-from jeffreys_centers.spd import _as_array, _check_same_dim, _geomean, _power, _same_dim_arrays
+from jeffreys_centers.spd import _as_array, _check_same_dim, _geomean, _power, _same_dim_stack
 
 # cube root of machine epsilon, the standard centered-difference step scale
 _FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
@@ -202,7 +202,7 @@ def sld_grad_residual(
     differences; near zero exactly at the symmetrized log-det centroid.
     """
     w = check_weights(weights, len(mats))
-    arrays = _same_dim_arrays(mats)
+    arrays = _same_dim_stack(mats)
     xa = _as_array(x)
     d = xa.shape[0]
 

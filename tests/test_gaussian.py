@@ -35,7 +35,7 @@ from jeffreys_centers import (
     symmetrized_bregman,
     symmetrized_logdet,
 )
-from jeffreys_centers import gaussian
+from jeffreys_centers import gaussian, spd
 from jeffreys_centers.gauss_bregman import GB_TOL
 from jeffreys_centers.gaussian import (
     _embed_array,
@@ -970,3 +970,40 @@ class TestSameMeanCoincidence:
         for other in (gb, jfr):
             assert np.abs(other.cov.entries - closed.cov.entries).max() < 1e-8
             assert np.abs(other.mean).max() < 1e-8
+
+
+class TestEveryRuleCheckKept:
+    """Each center applies the SPD rule as often as when every matrix it
+    computed went through the caller-input parse: computed matrices skip only
+    the parse, never the rule."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        counts = Counter()
+        rule = counting(counts, "rule", spd._check_spectrum)
+        monkeypatch.setattr(spd, "_check_spectrum", rule)
+        monkeypatch.setattr(gaussian, "_check_spectrum", rule)
+        return counts
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_jfr(self, rng, checks, d):
+        """Both sided centroids, the aligned lift, I # G1 and the midpoint."""
+        gs = [random_gaussian(rng, d) for _ in range(4)]
+        checks.clear()
+        jfr_center_mvn(gs)
+        assert checks == {"rule": 5}
+
+    def test_centered_closed_form(self, rng, checks):
+        covs = [random_spd(rng, 3) for _ in range(4)]
+        checks.clear()
+        jeffreys_centroid_centered(covs)
+        assert checks == {"rule": 1}
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_gb(self, rng, checks, d):
+        """One per reciprocal gradient (1 + k for k steps) and the readback."""
+        gs = [random_gaussian(rng, d) for _ in range(4)]
+        checks.clear()
+        _, diag = gb_center_mvn(gs)
+        assert diag.iterations > 0
+        assert checks == {"rule": 2 + diag.iterations}

@@ -16,7 +16,8 @@ from jeffreys_centers import (
     trace_metric_distance,
 )
 
-from jeffreys_centers.spd import _log_divided_differences
+from jeffreys_centers.errors import NumericalError
+from jeffreys_centers.spd import _check_spectrum, _log_divided_differences, _positive
 
 from conftest import ah_limit, random_spd
 from oracles import g_invariance_residual, sld_grad_residual, spd_power, spd_sqrt
@@ -44,6 +45,30 @@ class TestSPDMatrix:
     def test_rejects_ill_conditioned(self):
         with pytest.raises(DomainError):
             SPDMatrix(np.diag([1e13, 0.5]))
+
+
+class TestNaN:
+    """NaN fails every comparison, so a test written as `bad > limit` lets it through."""
+
+    @pytest.mark.parametrize("w", [[np.nan, 1.0], [1.0, np.nan], [np.nan, np.nan]])
+    def test_spd_rule_rejects_a_nan_spectrum(self, w):
+        with pytest.raises(DomainError):
+            _check_spectrum(np.array(w))
+
+    def test_matrix_functions_reject_a_nan_least_eigenvalue(self):
+        with pytest.raises(NumericalError):
+            _positive(np.array([np.nan, 1.0]))
+
+    @pytest.mark.parametrize(
+        "fn", [geometric_mean, trace_metric_distance, logdet_div, symmetrized_logdet]
+    )
+    def test_raw_non_finite_input_is_a_domain_error(self, fn):
+        eye = np.eye(2)
+        for bad in (np.full((2, 2), np.nan), np.diag([np.inf, 1.0])):
+            with pytest.raises(DomainError, match="finite"):
+                fn(eye, bad)
+            with pytest.raises(DomainError, match="finite"):
+                fn(bad, eye)
 
 
 class TestSqrtPower:
@@ -320,3 +345,27 @@ def test_only_spd_calls_the_eigensolver():
             ):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_only_caller_input_is_parsed():
+    """Inside the package, SPDMatrix(...) parses caller input only, where a
+    GaussianParam coerces its covariance: every matrix the library computes is
+    wrapped by spd._computed_spd, which applies the SPD rule without the parse."""
+    package = Path(__file__).resolve().parent.parent / "src" / "jeffreys_centers"
+    callers = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name == "SPDMatrix":
+                    callers.append(f"{path.name}:{'.'.join(scope)}")
+            visit(child, scope)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), [])
+    assert callers == ["gaussian.py:GaussianParam.__post_init__"]
