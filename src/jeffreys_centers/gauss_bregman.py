@@ -26,7 +26,6 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import DomainError
 from .legendre import (
     CenterDiagnostics,
     GeneratorSpec,
@@ -44,18 +43,16 @@ GB_TOL = ToleranceConfig(rel_tol=1e-8, max_iter=200)
 def gb_step(
     gen: GeneratorSpec, theta_bar: np.ndarray, theta_under: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """One double-sequence step: arithmetic and (grad F) quasi-arithmetic midpoints."""
+    """One double-sequence step: arithmetic and (grad F) quasi-arithmetic midpoints.
+
+    Both iterates are checked with ``gen.require_domain``, a failure being a
+    DomainError.  The two midpoints returned are not: each is checked where it
+    is next used, as the next step's input or as :func:`gb_center`'s result.
+    """
     tb = gen.require_domain(theta_bar, "arithmetic iterate")
     tu = gen.require_domain(theta_under, "quasi-arithmetic iterate")
-    new_bar = 0.5 * (tb + tu)
-    new_under = np.asarray(
-        gen.eval_grad_inv(0.5 * (gen.eval_grad(tb) + gen.eval_grad(tu))), dtype=float
-    )
-    if not gen.in_domain(new_bar):
-        raise DomainError(f"{gen.name}: arithmetic midpoint left the domain")
-    if not (np.isfinite(new_under).all() and gen.in_domain(new_under)):
-        raise DomainError(f"{gen.name}: quasi-arithmetic midpoint left the domain")
-    return new_bar, new_under
+    new_under = gen.eval_grad_inv(0.5 * (gen.eval_grad(tb) + gen.eval_grad(tu)))
+    return 0.5 * (tb + tu), np.asarray(new_under, dtype=float)
 
 
 def _gap(theta_bar: np.ndarray, theta_under: np.ndarray) -> float:
@@ -84,17 +81,20 @@ def gb_center(
     and returns the final arithmetic iterate theta_bar with its diagnostics,
     whose ``final_gap`` is the gap divided by that scale.  The status is
     "max_iter" when the gap target was not met.
+
+    Each pair of iterates is domain-checked once, where it is next used: by
+    the next :func:`gb_step` on entry, or, for the pair the loop stops at, here
+    before the center is returned.  A pair outside the domain is a DomainError.
     """
     t0 = time.perf_counter_ns()
     theta_bar = right_bregman_centroid(pset)
     theta_under = quasi_arithmetic_center(gen, pset)
-    gen.require_domain(theta_bar, "initial arithmetic centroid")
-    gen.require_domain(theta_under, "initial quasi-arithmetic centroid")
-
     gap = _gap(theta_bar, theta_under)
     iterations = 0
     while gap > tol.rel_tol and iterations < tol.max_iter:
         theta_bar, theta_under = gb_step(gen, theta_bar, theta_under)
         gap = _gap(theta_bar, theta_under)
         iterations += 1
+    gen.require_domain(theta_bar, "final arithmetic iterate")
+    gen.require_domain(theta_under, "final quasi-arithmetic iterate")
     return theta_bar, CenterDiagnostics.after(t0, iterations, gap, tol.rel_tol)

@@ -78,10 +78,6 @@ _NEWTON_HALVINGS = 10
 # (1e-14 to 5e-13 seen): where the full step does not lower the norm from
 # here, Newton stops without halving.
 _ROUNDING_FLOOR = 1e-12
-# Domain verdicts an mvn generator keeps, the oldest dropped first: clearing
-# them all when full would lose, after an odd count of points, the pair a
-# Gauss-Bregman step hands on, which the next step checks again on entry.
-_VERDICTS_KEPT = 4
 
 
 @dataclass(frozen=True)
@@ -193,16 +189,12 @@ def mvn_generator(dim: int) -> GeneratorSpec:
     reciprocal gradient inverts it.  The domain is the open cone -theta_M > 0;
     the reciprocal gradient's covariance must pass the SPD rule of :mod:`spd`.
     Each callable raises DomainError unless its argument has the flat shape.
-    ``in_domain`` keeps the verdicts of the last few points it decided, keyed
-    by their float64 bytes, so a point checked again (as a Gauss-Bregman step
-    re-checks its two iterates on entry) costs no second eigensolve.
     """
     if dim < 1:
         raise DomainError("dimension must be >= 1")
     d = dim
     flat_dim = d + d * (d + 1) // 2
     name = f"mvn(d={d})"
-    verdicts = {}
 
     def flat(x, what: str) -> np.ndarray:
         x = _float_array(x, what)
@@ -233,18 +225,9 @@ def mvn_generator(dim: int) -> GeneratorSpec:
 
     def in_domain(x: np.ndarray) -> bool:
         x = flat(x, "natural parameter")
-        key = x.tobytes()
-        verdict = verdicts.get(key)
-        if verdict is None:
-            # The open cone, without the condition bound: -theta_M of a member near
-            # the bound is its inverted covariance, whose computed condition can pass it.
-            verdict = bool(np.isfinite(x).all()) and bool(
-                _eigvalsh(-mvn_unflatten(x, d)[1])[0] > 0.0
-            )
-            if len(verdicts) >= _VERDICTS_KEPT:
-                del verdicts[next(iter(verdicts))]  # the oldest
-            verdicts[key] = verdict
-        return verdict
+        # The open cone, without the condition bound: -theta_M of a member near
+        # the bound is its inverted covariance, whose computed condition can pass it.
+        return bool(np.isfinite(x).all()) and bool(_eigvalsh(-mvn_unflatten(x, d)[1])[0] > 0.0)
 
     return GeneratorSpec(
         dim=flat_dim,

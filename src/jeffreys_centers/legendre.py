@@ -66,12 +66,15 @@ class GeneratorSpec:
     name: str = "generator"
 
     def require_domain(self, theta: np.ndarray, what: str = "parameter") -> np.ndarray:
+        """``theta`` as a float vector of length ``dim``, else a DomainError
+        naming ``what``.  A non-finite theta is outside the domain, whatever
+        ``in_domain`` answers."""
         theta = np.atleast_1d(_float_array(theta, what))
         if theta.shape != (self.dim,):
             raise DomainError(
                 f"{self.name}: {what} has shape {theta.shape}, expected ({self.dim},)"
             )
-        if not self.in_domain(theta):
+        if not (np.isfinite(theta).all() and self.in_domain(theta)):
             raise DomainError(f"{self.name}: {what} {theta!r} outside the domain")
         return theta
 

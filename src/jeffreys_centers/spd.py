@@ -229,7 +229,9 @@ def symmetrized_logdet(x: SPDMatrix, y: SPDMatrix) -> float:
 
 
 def _same_dim_stack(mats: Sequence[SPDMatrix]) -> np.ndarray:
-    arrays = [_as_array(m) for m in mats]
+    """The members' entries as one stack; raw members are caller input,
+    parsed by :class:`SPDMatrix`."""
+    arrays = [(m if isinstance(m, SPDMatrix) else SPDMatrix(m)).entries for m in mats]
     for m in arrays[1:]:
         _check_same_dim(arrays[0], m)
     return np.array(arrays)

@@ -3,6 +3,7 @@ import pytest
 
 from jeffreys_centers import (
     GaussianParam,
+    GeneratorSpec,
     SPDMatrix,
     ToleranceConfig,
     fisher_rao_midpoint_mvn,
@@ -11,6 +12,7 @@ from jeffreys_centers import (
     gb_center_mvn,
     geometric_mean,
     lambert_w0,
+    make_separable_generator,
     trace_metric_distance,
 )
 
@@ -44,6 +46,18 @@ def ah_limit(x: SPDMatrix, y: SPDMatrix, tol: ToleranceConfig = AH_TOL):
     zero = np.zeros(x.dim)
     center, diag = gb_center_mvn([GaussianParam(zero, x), GaussianParam(zero, y)], None, tol)
     return center.cov, diag
+
+
+def positive_burg(dim: int = 1) -> GeneratorSpec:
+    """Burg's generator with the domain test t > 0 alone, which +inf passes."""
+    return make_separable_generator(
+        dim,
+        f=lambda t: -np.log(t),
+        f_prime=lambda t: -1.0 / t,
+        f_prime_inv=lambda e: -1.0 / e,
+        in_domain_scalar=lambda t: t > 0.0,
+        name="positive",
+    )
 
 
 def random_simplex(rng: np.random.Generator, d: int, floor: float = 1e-12) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from jeffreys_centers import (
 )
 from jeffreys_centers.gauss_bregman import GB_TOL
 
+from conftest import positive_burg
 from oracles import elliptic_k
 
 TIGHT = ToleranceConfig(rel_tol=1e-13, max_iter=300)
@@ -55,18 +57,15 @@ class TestGBStep:
         nb, nu = gb_step(shannon_generator(1), [1.0], [4.0])
         assert nb[0] == pytest.approx(2.5) and nu[0] == pytest.approx(2.0)
 
-    def test_domain_escape_detected(self):
-        # artificial generator whose domain excludes the arithmetic midpoint
-        gen = GeneratorSpec(
-            dim=1,
-            eval_F=lambda t: float(0.5 * t @ t),
-            eval_grad=lambda t: t,
-            eval_grad_inv=lambda e: e,
-            in_domain=lambda t: bool(abs(t[0] - 1.75) > 0.1),
-            name="gapped",
-        )
-        with pytest.raises(DomainError):
-            gb_step(gen, np.array([1.5]), np.array([2.0]))
+    @pytest.mark.parametrize(
+        "bar, under, what",
+        [([-1.0], [2.0], "arithmetic iterate"), ([1.0], [np.inf], "quasi-arithmetic iterate")],
+        ids=["negative", "infinite"],
+    )
+    def test_inputs_outside_the_domain_rejected(self, bar, under, what):
+        # unchecked, ([1], [inf]) would step to (inf, 2): -1/inf = -0 averages finitely
+        with pytest.raises(DomainError, match=f"^positive: {what}"):
+            gb_step(positive_burg(), bar, under)
 
 
 class TestGBCenter:
@@ -126,6 +125,52 @@ class TestGBCenter:
         for (tb, tu), (nb, nu) in gb_steps:
             g0, g1 = np.linalg.norm(tb - tu), np.linalg.norm(nb - nu)
             assert g1 < g0 or g0 == 0
+
+    def test_domain_escape_detected(self):
+        # The domain excludes 2.25, the first arithmetic midpoint of {1, 4}
+        # under Shannon's generator (its starts are 2.5 and 2): the escape is
+        # caught where the midpoint is next used, as the next step's input or
+        # as the result of a run capped at one step.
+        gen = make_separable_generator(
+            1,
+            f=lambda t: t * np.log(t) - t,
+            f_prime=np.log,
+            f_prime_inv=np.exp,
+            in_domain_scalar=lambda t: (t > 0) & (np.abs(t - 2.25) > 0.005),
+            name="gapped",
+        )
+        pair = WeightedParamSet.of([[1.0], [4.0]])
+        with pytest.raises(DomainError, match="^gapped: arithmetic iterate"):
+            gb_center(gen, pair)
+        with pytest.raises(DomainError, match="^gapped: final arithmetic iterate"):
+            gb_center(gen, pair, ToleranceConfig(rel_tol=1e-8, max_iter=1))
+
+    @pytest.mark.parametrize("make", [burg_generator, shannon_generator])
+    @pytest.mark.parametrize(
+        "points, tol, status",
+        [
+            ([[2.0, 0.5]] * 3, GB_TOL, "converged"),
+            ([[0.5, 2.0], [7.0, 1.0], [3.0, 0.2]], GB_TOL, "converged"),
+            ([[0.1, 1.0], [9.0, 2.0]], ToleranceConfig(rel_tol=1e-12, max_iter=2), "max_iter"),
+        ],
+        ids=["k=0", "k>0", "max_iter"],
+    )
+    def test_each_iterate_checked_once(self, make, points, tol, status):
+        """n member checks of the quasi-arithmetic start, then each pair once:
+        the starts and every stepped pair on entry to the next step, the last
+        pair before it is returned."""
+        gen = make(2)
+        calls = []
+
+        def in_domain(theta):
+            calls.append(theta)
+            return gen.in_domain(theta)
+
+        counted = dataclasses.replace(gen, in_domain=in_domain)
+        _, diag = gb_center(counted, WeightedParamSet.of(points), tol)
+        k = diag.iterations
+        assert diag.status == status and (k > 0) == (points[0] != points[1])
+        assert len(calls) == len(points) + 2 + 2 * k
 
     def test_nonconvergence_reported(self):
         gen = shannon_generator(1)

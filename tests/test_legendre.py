@@ -20,7 +20,7 @@ from jeffreys_centers import (
     symmetrized_bregman,
 )
 
-from conftest import random_simplex
+from conftest import positive_burg, random_simplex
 from oracles import energy_grad_residual
 
 
@@ -146,6 +146,21 @@ class TestBregman:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             bregman_div(burg_generator(1), [-1.0], [1.0])
+
+    def test_non_finite_argument_rejected(self):
+        # F(inf) - F(1) - (inf - 1) F'(1) = -inf + inf: a NaN, unless refused
+        with pytest.raises(DomainError, match="first argument"):
+            bregman_div(positive_burg(), [np.inf], [1.0])
+
+
+class TestRequireDomain:
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_is_outside_whatever_in_domain_answers(self, bad):
+        gen = positive_burg(2)
+        assert gen.in_domain(np.array([np.inf, 1.0]))
+        with pytest.raises(DomainError, match="positive: query"):
+            gen.require_domain([1.0, bad], "query")
+        assert gen.require_domain([1.0, 2.0]).tolist() == [1.0, 2.0]
 
 
 class TestSymmetrizedBregman:

@@ -10,6 +10,7 @@ from jeffreys_centers import (
     SPDMatrix,
     ToleranceConfig,
     geometric_mean,
+    jeffreys_centroid_centered,
     logdet_div,
     sld_centroid,
     symmetrized_logdet,
@@ -267,6 +268,25 @@ class TestSldCentroid:
             d = rng.normal(size=(3, 3)) * 1e-3
             assert loss(c.entries + d + d.T) >= base - 1e-12
 
+    @pytest.mark.parametrize(
+        "center",
+        [sld_centroid, lambda mats: jeffreys_centroid_centered(mats).cov],
+        ids=["sld_centroid", "jeffreys_centroid_centered"],
+    )
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.diag([1.0, -1.0]), "not positive definite"),
+            (np.array([[1.0, 0.5], [0.0, 1.0]]), "asymmetry"),
+            (np.diag([1e14, 1.0]), "condition number"),
+        ],
+        ids=["indefinite", "asymmetric", "ill-conditioned"],
+    )
+    def test_raw_members_are_parsed_as_caller_input(self, center, bad, message):
+        for mats in ([bad, np.eye(2)], [np.eye(2), bad.tolist()]):
+            with pytest.raises(DomainError, match=message):
+                center(mats)
+
     def test_weight_validation(self, rng):
         mats = [random_spd(rng, 2), random_spd(rng, 2)]
         with pytest.raises(DomainError):
@@ -349,7 +369,8 @@ def test_only_spd_calls_the_eigensolver():
 
 def test_only_caller_input_is_parsed():
     """Inside the package, SPDMatrix(...) parses caller input only, where a
-    GaussianParam coerces its covariance: every matrix the library computes is
+    GaussianParam coerces its covariance and where sld_centroid takes raw
+    members: every matrix the library computes is
     wrapped by spd._computed_spd, which applies the SPD rule without the parse."""
     package = Path(__file__).resolve().parent.parent / "src" / "jeffreys_centers"
     callers = []
@@ -368,4 +389,4 @@ def test_only_caller_input_is_parsed():
 
     for path in sorted(package.glob("*.py")):
         visit(ast.parse(path.read_text(), filename=str(path)), [])
-    assert callers == ["gaussian.py:GaussianParam.__post_init__"]
+    assert callers == ["gaussian.py:GaussianParam.__post_init__", "spd.py:_same_dim_stack"]
