@@ -221,36 +221,41 @@ def c_of_lambda(a: SimplexPoint, g: SimplexPoint, lam: float) -> np.ndarray:
     """Candidate center c_j(lambda) = a_j / W0((a_j/g_j) e^{1+lambda}).
 
     Positive but not necessarily normalized; its mass is monotone decreasing
-    in ``lam``.
+    in ``lam``.  Raw ``a`` and ``g`` are parsed as :class:`SimplexPoint`.
     """
-    av = a.probs if isinstance(a, SimplexPoint) else _float_array(a, "a")
-    gv = g.probs if isinstance(g, SimplexPoint) else _float_array(g, "g")
-    return av / lambert_w0((av / gv) * np.exp(1.0 + lam))
+    a, g = (p if isinstance(p, SimplexPoint) else SimplexPoint(p) for p in (a, g))
+    _check_same_dim(a.dim, g.dim)
+    return a.probs / lambert_w0((a.probs / g.probs) * np.exp(1.0 + lam))
+
+
+def _check_same_dim(d1: int, d2: int) -> None:
+    if d1 != d2:
+        raise DomainError(f"dimension mismatch: {d1} vs {d2} bins")
 
 
 def kl_cat(p: SimplexPoint, q: SimplexPoint) -> float:
     """Kullback-Leibler divergence KL(p : q) on the open simplex."""
+    _check_same_dim(p.dim, q.dim)
     pv, qv = p.probs, q.probs
-    if pv.size != qv.size:
-        raise DomainError("dimension mismatch")
     return float(np.sum(pv * np.log(pv / qv)))
 
 
 def jeffreys_cat(p: SimplexPoint, q: SimplexPoint) -> float:
     """Jeffreys divergence KL(p:q) + KL(q:p)."""
+    _check_same_dim(p.dim, q.dim)
     pv, qv = p.probs, q.probs
-    if pv.size != qv.size:
-        raise DomainError("dimension mismatch")
     return float(np.sum((pv - qv) * np.log(pv / qv)))
 
 
 def tv_cat(p: SimplexPoint, q: SimplexPoint) -> float:
     """Total variation distance, half the l1 gap."""
+    _check_same_dim(p.dim, q.dim)
     return 0.5 * float(np.abs(p.probs - q.probs).sum())
 
 
 def jeffreys_loss_cat(hset: HistogramSet, c: SimplexPoint) -> float:
     """Weighted Jeffreys loss sum_i w_i D_J(p_i, c)."""
+    _check_same_dim(hset.dim, c.dim)
     cv = c.probs
     diff = hset.rows - cv
     logs = np.log(hset.rows / cv)

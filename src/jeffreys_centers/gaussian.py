@@ -37,8 +37,8 @@ from .legendre import (
 from .special_functions import ToleranceConfig
 from .spd import (
     SPDMatrix,
+    _as_spd,
     _check_spd,
-    _check_spectrum,
     _computed_spd,
     _eigh,
     _eigvalsh,
@@ -89,7 +89,7 @@ class GaussianParam:
 
     def __post_init__(self):
         mean = np.atleast_1d(_float_array(self.mean, "mean"))
-        cov = self.cov if isinstance(self.cov, SPDMatrix) else SPDMatrix(self.cov)
+        cov = _as_spd(self.cov)
         if mean.shape != (cov.dim,):
             raise DomainError(
                 f"mean shape {mean.shape} incompatible with covariance dim {cov.dim}"
@@ -491,8 +491,9 @@ def fisher_rao_midpoint_mvn(p0: GaussianParam, p1: GaussianParam) -> GaussianPar
     cov_w = np.linalg.solve(L, np.linalg.solve(L, p1.cov.entries).T)  # L^-1 Sigma1 L^-T
     G1, eigenvalues = _align_fiber(_embed_array(mean_w, 0.5 * (cov_w + cov_w.T)), d)
     with _internal_failure("Fisher-Rao midpoint"):
-        _check_spectrum(eigenvalues, "whitened lift")
-    G = geometric_mean(np.eye(2 * d + 1), G1).entries
+        lift = _computed_spd(G1, "whitened lift", eigenvalues)
+    n = 2 * d + 1
+    G = geometric_mean(_computed_spd(np.eye(n), "identity", np.ones(n)), lift).entries
     S = _sym_inv(G[:d, :d])
     cov = L @ S @ L.T
     return GaussianParam(
@@ -538,5 +539,4 @@ def jeffreys_centroid_centered(
     mean and the weighted harmonic covariance mean; the common mean is kept.
     """
     cov = sld_centroid(covs, weights)
-    mu = np.zeros(cov.dim) if mean is None else np.atleast_1d(_float_array(mean, "mean"))
-    return GaussianParam(mu, cov)
+    return GaussianParam(np.zeros(cov.dim) if mean is None else mean, cov)

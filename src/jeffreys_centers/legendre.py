@@ -169,13 +169,8 @@ class CenterDiagnostics:
 
 
 def _check_set(gen: GeneratorSpec, pset: WeightedParamSet) -> None:
-    if pset.dim != gen.dim:
-        raise DomainError(
-            f"{gen.name}: set dimension {pset.dim} != generator dimension {gen.dim}"
-        )
     for i, theta in enumerate(pset.points):
-        if not gen.in_domain(theta):
-            raise DomainError(f"{gen.name}: point {i} outside the domain")
+        gen.require_domain(theta, f"point {i}")
 
 
 def bregman_div(gen: GeneratorSpec, theta1, theta2) -> float:
@@ -212,6 +207,8 @@ def jeffreys_loss(gen: GeneratorSpec, pset: WeightedParamSet, theta) -> float:
     """Weighted symmetrized-Bregman loss sum_i w_i S_F(theta_i, theta)."""
     t = gen.require_domain(theta, "query point")
     _check_set(gen, pset)
+    grad_t = gen.eval_grad(t)
     return float(
-        sum(w * symmetrized_bregman(gen, p, t) for w, p in zip(pset.weights, pset.points))
+        sum(w * float((p - t) @ (gen.eval_grad(p) - grad_t))
+            for w, p in zip(pset.weights, pset.points))
     )

@@ -69,29 +69,25 @@ class SPDMatrix:
         return self.entries.shape[0]
 
 
-def _computed_spd(sym: np.ndarray, what: str) -> SPDMatrix:
+def _computed_spd(sym: np.ndarray, what: str, w: Optional[np.ndarray] = None) -> SPDMatrix:
     """An SPDMatrix of the symmetric matrix ``sym`` that the library computed.
 
     Its entries are tested for finiteness and its spectrum for the SPD rule,
     a failure being a DomainError naming ``what``; the parse of caller input
-    is skipped, so ``sym`` must already be exactly symmetric.
+    is skipped, so ``sym`` must already be exactly symmetric.  A caller that
+    has the ascending eigenvalues ``w`` of ``sym`` passes them, sparing a decomposition.
     """
     if not np.isfinite(sym).all():
         raise DomainError(f"{what} entries must be finite")
-    _check_spd(sym, what)
+    _check_spectrum(_eigvalsh(sym) if w is None else w, what)
     out = object.__new__(SPDMatrix)
     object.__setattr__(out, "entries", sym)
     return out
 
 
-def _as_array(x) -> np.ndarray:
-    """The entries of an SPDMatrix, or a raw array that must be finite."""
-    if isinstance(x, SPDMatrix):
-        return x.entries
-    a = _float_array(x, "matrix")
-    if not np.isfinite(a).all():
-        raise DomainError("matrix entries must be finite")
-    return a
+def _as_spd(x) -> SPDMatrix:
+    """``x`` if it is an SPDMatrix; else caller input, parsed as one."""
+    return x if isinstance(x, SPDMatrix) else SPDMatrix(x)
 
 
 def _check_same_dim(x: np.ndarray, y: np.ndarray) -> None:
@@ -176,7 +172,7 @@ def _sqrt_pair(m: np.ndarray) -> List[np.ndarray]:
 
 
 def _power(m: np.ndarray, p: float) -> np.ndarray:
-    return _spectral(m, lambda w: w**p)[0]
+    return _spectral(m, lambda w: _positive(w) ** p)[0]
 
 
 def _geomean(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -192,46 +188,43 @@ def geometric_mean(x: SPDMatrix, y: SPDMatrix) -> SPDMatrix:
     The trace-metric geodesic midpoint; solves the Riccati equation
     Z X^{-1} Z = Y.
     """
-    xa, ya = _as_array(x), _as_array(y)
+    xa, ya = _as_spd(x).entries, _as_spd(y).entries
     _check_same_dim(xa, ya)
     return _computed_spd(_geomean(xa, ya), "geometric mean")
 
 
 def trace_metric_distance(p1: SPDMatrix, p2: SPDMatrix) -> float:
     """Affine-invariant geodesic distance ||log(P1^{-1/2} P2 P1^{-1/2})||_F."""
-    a, b = _as_array(p1), _as_array(p2)
+    a, b = _as_spd(p1).entries, _as_spd(p2).entries
     _check_same_dim(a, b)
     amh = _power(a, -0.5)
-    eig = _eigvalsh(amh @ b @ amh)
-    if eig[0] <= 0.0:
-        raise NumericalError("similarity transform lost positive definiteness")
-    return float(np.sqrt(np.sum(np.log(eig) ** 2)))
+    return float(np.sqrt(np.sum(_log_eigs(_eigvalsh(amh @ b @ amh)) ** 2)))
 
 
 def logdet_div(x: SPDMatrix, y: SPDMatrix) -> float:
-    """Log-det Bregman divergence tr(X Y^{-1}) - log det(X Y^{-1}) - d."""
-    xa, ya = _as_array(x), _as_array(y)
+    """Log-det Bregman divergence tr(X Y^{-1}) - log det(X Y^{-1}) - d, never below 0."""
+    xa, ya = _as_spd(x).entries, _as_spd(y).entries
     _check_same_dim(xa, ya)
     d = xa.shape[0]
     m = np.linalg.solve(ya, xa)
     sign, logdet = np.linalg.slogdet(m)
     if sign <= 0.0:
         raise NumericalError("log-det argument is not positive definite")
-    return float(np.trace(m) - logdet - d)
+    return max(0.0, float(np.trace(m) - logdet - d))
 
 
 def symmetrized_logdet(x: SPDMatrix, y: SPDMatrix) -> float:
-    """Symmetrized log-det divergence tr(X^{-1} Y + Y^{-1} X - 2 I)."""
-    xa, ya = _as_array(x), _as_array(y)
+    """Symmetrized log-det divergence tr(X^{-1} Y + Y^{-1} X - 2 I), never below 0."""
+    xa, ya = _as_spd(x).entries, _as_spd(y).entries
     _check_same_dim(xa, ya)
     d = xa.shape[0]
-    return float(np.trace(np.linalg.solve(xa, ya)) + np.trace(np.linalg.solve(ya, xa)) - 2 * d)
+    s = np.trace(np.linalg.solve(xa, ya)) + np.trace(np.linalg.solve(ya, xa)) - 2 * d
+    return max(0.0, float(s))
 
 
 def _same_dim_stack(mats: Sequence[SPDMatrix]) -> np.ndarray:
-    """The members' entries as one stack; raw members are caller input,
-    parsed by :class:`SPDMatrix`."""
-    arrays = [(m if isinstance(m, SPDMatrix) else SPDMatrix(m)).entries for m in mats]
+    """The members' entries as one stack; raw members are parsed by :func:`_as_spd`."""
+    arrays = [_as_spd(m).entries for m in mats]
     for m in arrays[1:]:
         _check_same_dim(arrays[0], m)
     return np.array(arrays)

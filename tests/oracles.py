@@ -26,7 +26,7 @@ from jeffreys_centers import (
     jeffreys_loss,
 )
 from jeffreys_centers.special_functions import DEFAULT_TOL
-from jeffreys_centers.spd import _as_array, _check_same_dim, _geomean, _power, _same_dim_stack
+from jeffreys_centers.spd import _as_spd, _check_same_dim, _geomean, _power, _same_dim_stack
 
 # cube root of machine epsilon, the standard centered-difference step scale
 _FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
@@ -185,7 +185,7 @@ def energy_grad_residual(gen: GeneratorSpec, pset: WeightedParamSet, theta) -> f
 
 def spd_power(x: SPDMatrix, p: float) -> SPDMatrix:
     """Matrix power X^p through the spectral decomposition."""
-    return SPDMatrix(_power(_as_array(x), p))
+    return SPDMatrix(_power(_as_spd(x).entries, p))
 
 
 def spd_sqrt(x: SPDMatrix) -> SPDMatrix:
@@ -203,7 +203,7 @@ def sld_grad_residual(
     """
     w = check_weights(weights, len(mats))
     arrays = _same_dim_stack(mats)
-    xa = _as_array(x)
+    xa = _as_spd(x).entries
     d = xa.shape[0]
 
     def loss(m: np.ndarray) -> float:
@@ -226,7 +226,7 @@ def sld_grad_residual(
 
 def g_invariance_residual(a: SPDMatrix, h: SPDMatrix) -> float:
     """Frobenius residual of G(A,H) = G((A+H)/2, 2(A^{-1}+H^{-1})^{-1})."""
-    aa, ha = _as_array(a), _as_array(h)
+    aa, ha = _as_spd(a).entries, _as_spd(h).entries
     _check_same_dim(aa, ha)
     lhs = _geomean(aa, ha)
     harm = 2.0 * np.linalg.inv(np.linalg.inv(aa) + np.linalg.inv(ha))

@@ -292,6 +292,18 @@ class TestCOfLambda:
         a, g = arithmetic_mean(hset), normalized_geometric_mean(hset)
         assert abs(c_of_lambda(a, g, res.lam).sum() - 1.0) < 1e-8
 
+    @pytest.mark.parametrize(
+        "a, g, match",
+        [
+            ([0.0, 1.0], [0.5, 0.5], "non-positive bin"),  # was [nan, 0.727]
+            ([0.5, 0.5], [0.5, np.inf], "non-finite"),
+            ([0.5, 0.5], [0.2, 0.3, 0.5], "dimension mismatch"),
+        ],
+    )
+    def test_raw_means_are_parsed_as_simplex_points(self, a, g, match):
+        with pytest.raises(DomainError, match=match):
+            c_of_lambda(a, g, 0.0)
+
 
 class TestJeffreysCentroid:
     def test_all_rows_equal(self, rng):
@@ -686,6 +698,22 @@ class TestDivergences:
                 kl_cat(p, q) + kl_cat(q, p), rel=1e-12, abs=1e-12
             )
             assert 0.0 <= tv_cat(p, q) < 1.0
+
+    @pytest.mark.parametrize(
+        "name", ["kl_cat", "jeffreys_cat", "tv_cat", "jeffreys_loss_cat", "approximation_factor"]
+    )
+    def test_dimension_mismatch_is_a_domain_error(self, name):
+        p, q = SimplexPoint([0.5, 0.5]), SimplexPoint([0.2, 0.3, 0.5])
+        hset = HistogramSet.uniform([p.probs, [0.25, 0.75]])
+        call = {
+            "kl_cat": lambda: kl_cat(p, q),
+            "jeffreys_cat": lambda: jeffreys_cat(p, q),
+            "tv_cat": lambda: tv_cat(p, q),
+            "jeffreys_loss_cat": lambda: jeffreys_loss_cat(hset, q),
+            "approximation_factor": lambda: approximation_factor(hset, q, p),
+        }[name]
+        with pytest.raises(DomainError, match="dimension mismatch: 2 vs 3 bins"):
+            call()
 
 
 class TestApproximationFactor:

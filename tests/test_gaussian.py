@@ -967,16 +967,17 @@ class TestEveryRuleCheckKept:
         counts = Counter()
         rule = counting(counts, "rule", spd._check_spectrum)
         monkeypatch.setattr(spd, "_check_spectrum", rule)
-        monkeypatch.setattr(gaussian, "_check_spectrum", rule)
         return counts
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     def test_jfr(self, rng, checks, d):
-        """Both sided centroids, the aligned lift, I # G1 and the midpoint."""
+        """Both sided centroids, the aligned lift, the identity, I # G1 and the
+        midpoint.  The lift and the identity are checked on the spectra already
+        at hand, the alignment's eigenvalues and all ones."""
         gs = [random_gaussian(rng, d) for _ in range(4)]
         checks.clear()
         jfr_center_mvn(gs)
-        assert checks == {"rule": 5}
+        assert checks == {"rule": 6}
 
     def test_centered_closed_form(self, rng, checks):
         covs = [random_spd(rng, 3) for _ in range(4)]

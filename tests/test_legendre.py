@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from jeffreys_centers import (
     bregman_div,
     burg_generator,
     cat_generator,
+    gb_center,
     jeffreys_loss,
     lambert_w0,
     mvn_generator,
@@ -270,6 +273,52 @@ class TestJeffreysLossAndResidual:
         pset = WeightedParamSet.of([[1.0], [4.0]])
         assert energy_grad_residual(gen, pset, [c]) < 1e-6
         assert energy_grad_residual(gen, pset, [c + 0.3]) > 1e-3
+
+
+class TestSetMembers:
+    """Each member of a set goes through require_domain, the check of every
+    generic input, in every function that takes a set."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            quasi_arithmetic_center,  # Burg's center of {inf, 1} under t > 0 was [2.0]
+            lambda gen, pset: jeffreys_loss(gen, pset, [1.0]),
+            gb_center,
+        ],
+        ids=["quasi_arithmetic_center", "jeffreys_loss", "gb_center"],
+    )
+    def test_non_finite_member_rejected(self, call):
+        with pytest.raises(DomainError, match="point 0"):
+            call(positive_burg(), WeightedParamSet.of([[np.inf], [1.0]]))
+
+    def test_member_of_the_wrong_dimension_rejected(self):
+        with pytest.raises(DomainError, match=r"point 0 has shape \(1,\), expected \(2,\)"):
+            quasi_arithmetic_center(burg_generator(2), WeightedParamSet.of([[1.0], [2.0]]))
+
+    def test_jeffreys_loss_checks_each_point_once(self):
+        gen = burg_generator(1)
+        counts = Counter()
+
+        def counted(name):
+            fn = getattr(gen, name)
+
+            def call(theta):
+                counts[name] += 1
+                return fn(theta)
+
+            return call
+
+        counted_gen = dataclasses.replace(
+            gen, in_domain=counted("in_domain"), eval_grad=counted("eval_grad")
+        )
+        pset = WeightedParamSet([[1.0], [2.0], [4.0]], [0.5, 0.25, 0.25])
+        loss = jeffreys_loss(counted_gen, pset, [1.5])
+        # one check and one gradient per point, the query included
+        assert counts == {"in_domain": 4, "eval_grad": 4}
+        assert loss == sum(
+            w * symmetrized_bregman(gen, p, [1.5]) for w, p in zip(pset.weights, pset.points)
+        )
 
 
 class TestWeightedParamSet:

@@ -1,9 +1,12 @@
 import ast
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jeffreys_centers import (
     DomainError,
@@ -70,6 +73,99 @@ class TestNaN:
                 fn(eye, bad)
             with pytest.raises(DomainError, match="finite"):
                 fn(bad, eye)
+
+    def test_valid_pair_near_the_condition_bound_never_warns(self):
+        """X^{-1/2} Y X^{-1/2} can lose definiteness in rounding when X and Y
+        are both near the bound; the square root of a negative eigenvalue is
+        then a NumericalError, not a NaN."""
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            d = 2 + seed % 2
+            x, y = raw_matrix("spd", d, rng, 11.0), raw_matrix("spd", d, rng, 11.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    assert np.isfinite(geometric_mean(x, y).entries).all()
+                except (DomainError, NumericalError):
+                    pass
+
+
+# The kinds of raw matrix a caller can pass; only the first is valid input.
+KINDS = ("spd", "indefinite", "singular", "asymmetric", "ill-conditioned", "non-finite")
+
+
+def raw_matrix(kind: str, d: int, rng: np.random.Generator, decades: float = 6.0) -> np.ndarray:
+    """A raw d x d matrix of one of KINDS.  The spd kind's eigenvalues span
+    ``decades`` decades around 1; an asymmetric one is 1e-6 off symmetric,
+    relative, and an ill-conditioned one has condition number 10^12.5 to 10^16."""
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    lam = 10.0 ** rng.uniform(-decades / 2, decades / 2, size=d)
+    if kind == "indefinite":
+        lam[0] = -lam[0]
+    elif kind == "singular":
+        lam[0] = 0.0
+    elif kind == "ill-conditioned":
+        lam[0] = lam[1:].max() * 10.0 ** -rng.uniform(12.5, 16.0)
+    m = (q * lam) @ q.T
+    m = 0.5 * (m + m.T)
+    if kind == "asymmetric":
+        m[0, -1] += 1e-6 * np.abs(m).max()
+    elif kind == "non-finite":
+        m[rng.integers(d), rng.integers(d)] = rng.choice([np.nan, np.inf, -np.inf])
+    return m
+
+
+class TestRawInputIsParsed:
+    """A raw matrix argument of a public SPD function is caller input, parsed as
+    an SPDMatrix: invalid input is a DomainError (exit code 2), never a value, a
+    raw LinAlgError or a NumericalError."""
+
+    @pytest.mark.parametrize(
+        "fn", [geometric_mean, trace_metric_distance, logdet_div, symmetrized_logdet]
+    )
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            (np.diag([1.0, -1.0]), "not positive definite"),
+            (np.zeros((2, 2)), "not positive definite"),
+            (np.array([[1.0, 5.0], [0.0, 1.0]]), "asymmetry"),
+            (np.diag([1e-14, 1.0]), "condition number"),
+        ],
+        ids=["indefinite", "zero", "asymmetric", "condition-1e14"],
+    )
+    def test_invalid_raw_matrix_is_a_domain_error(self, fn, bad, match):
+        for x, y in ((bad, np.eye(2)), (np.eye(2), bad)):
+            with pytest.raises(DomainError, match=match):
+                fn(x, y)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        kinds=st.tuples(st.sampled_from(KINDS), st.sampled_from(KINDS)),
+        d=st.sampled_from([2, 3]),
+        same=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_a_finite_result_or_a_domain_error(self, kinds, d, same, seed):
+        """Each pair of raw matrices gives a finite result, non-negative for
+        the distance and the divergences, when both are valid, and a
+        DomainError otherwise.  No warning (a NaN) escapes."""
+        rng = np.random.default_rng(seed)
+        x = raw_matrix(kinds[0], d, rng)
+        y = x.copy() if same else raw_matrix(kinds[1], d, rng)
+        valid = kinds[0] == "spd" and (same or kinds[1] == "spd")
+        for fn in (geometric_mean, trace_metric_distance, logdet_div, symmetrized_logdet,
+                   lambda x, y: sld_centroid([x, y])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                if not valid:
+                    with pytest.raises(DomainError):
+                        fn(x, y)
+                    continue
+                out = fn(x, y)
+            if isinstance(out, SPDMatrix):
+                assert np.isfinite(out.entries).all()
+            else:
+                assert math.isfinite(out) and out >= 0.0
 
 
 class TestSqrtPower:
@@ -368,10 +464,10 @@ def test_only_spd_calls_the_eigensolver():
 
 
 def test_only_caller_input_is_parsed():
-    """Inside the package, SPDMatrix(...) parses caller input only, where a
-    GaussianParam coerces its covariance and where sld_centroid takes raw
-    members: every matrix the library computes is
-    wrapped by spd._computed_spd, which applies the SPD rule without the parse."""
+    """Inside the package, SPDMatrix(...) is called at one site, spd._as_spd,
+    through which every raw matrix of the caller is parsed: every matrix the
+    library computes is wrapped by spd._computed_spd, which applies the SPD
+    rule without the parse."""
     package = Path(__file__).resolve().parent.parent / "src" / "jeffreys_centers"
     callers = []
 
@@ -389,4 +485,4 @@ def test_only_caller_input_is_parsed():
 
     for path in sorted(package.glob("*.py")):
         visit(ast.parse(path.read_text(), filename=str(path)), [])
-    assert callers == ["gaussian.py:GaussianParam.__post_init__", "spd.py:_same_dim_stack"]
+    assert callers == ["spd.py:_as_spd"]
