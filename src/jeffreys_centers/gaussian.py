@@ -104,6 +104,18 @@ class GaussianParam:
         return self.mean.size
 
 
+def _computed_gaussian(mean: np.ndarray, cov: np.ndarray, what: str) -> GaussianParam:
+    """N(mean, cov) of a mean and a symmetric covariance the library computed: no parse,
+    but the SPD rule and a finite mean, a failure being a DomainError naming ``what``."""
+    cov = _computed_spd(cov, f"{what} covariance")
+    if not np.isfinite(mean).all():
+        raise DomainError(f"{what} mean entries must be finite")
+    out = object.__new__(GaussianParam)
+    object.__setattr__(out, "mean", mean)
+    object.__setattr__(out, "cov", cov)
+    return out
+
+
 # --- flattening of (vector, symmetric matrix) pairs -------------------------
 
 class _IndexTables(NamedTuple):
@@ -111,7 +123,10 @@ class _IndexTables(NamedTuple):
     strict_upper: Tuple[np.ndarray, np.ndarray]  # gauge parameters of the fiber
     strict_lower: Tuple[np.ndarray, np.ndarray]
     upper_flat: np.ndarray  # vech order: raveled upper triangle, row-major
-    vech_of: np.ndarray  # vech position of each raveled matrix entry
+    flat_of: np.ndarray  # (d, d): the flat position of each matrix entry
+    scale_of: np.ndarray  # (d, d): x[flat_of] / scale_of is theta_M, in one pass
+    neg_scale_of: np.ndarray  # ... is -theta_M
+    neg_half_scale_of: np.ndarray  # ... is -2 theta_M: x / (-s/2) is -2 (x / s) bit for bit
 
 
 @functools.lru_cache(maxsize=None)
@@ -120,11 +135,11 @@ def _index_tables(d: int) -> _IndexTables:
     (r, c), (sr, sc) = np.triu_indices(d), np.triu_indices(d, 1)
     vech_of = np.empty((d, d), dtype=np.intp)
     vech_of[r, c] = vech_of[c, r] = np.arange(r.size)
-    arrays = (np.where(r == c, 1.0, np.sqrt(2.0)), sr, sc, r * d + c, vech_of.ravel())
+    s = np.where(r == c, 1.0, np.sqrt(2.0))
+    arrays = (s, sr, sc, r * d + c, d + vech_of, *(k * s[vech_of] for k in (1, -1, -0.5)))
     for a in arrays:
         a.setflags(write=False)
-    scale, sr, sc, upper_flat, vech_flat = arrays
-    return _IndexTables(scale, (sr, sc), (sc, sr), upper_flat, vech_flat)
+    return _IndexTables(s, (sr, sc), (sc, sr), *arrays[3:])
 
 
 def mvn_flatten(vec: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -136,7 +151,7 @@ def mvn_flatten(vec: np.ndarray, mat: np.ndarray) -> np.ndarray:
 def mvn_unflatten(x: np.ndarray, d: int) -> Tuple[np.ndarray, np.ndarray]:
     """Inverse of :func:`mvn_flatten`."""
     t = _index_tables(d)
-    return x[:d], (x[d:] / t.scale)[t.vech_of].reshape(d, d)
+    return x[:d], x[t.flat_of] / t.scale_of
 
 
 def _sym_inv(m: np.ndarray) -> np.ndarray:
@@ -153,9 +168,9 @@ def _source_to_natural(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
 
 def _natural_to_source(x: np.ndarray, d: int) -> Tuple[np.ndarray, np.ndarray]:
     """(mean, covariance) of the flat naturals x of dimension d; no domain check."""
-    tv, tm = mvn_unflatten(x, d)
-    cov = _sym_inv(-2.0 * tm)
-    return cov @ tv, cov
+    t = _index_tables(d)
+    cov = _sym_inv(x[t.flat_of] / t.neg_half_scale_of)
+    return cov @ x[:d], cov
 
 
 def mvn_to_natural(p: GaussianParam) -> np.ndarray:
@@ -179,9 +194,10 @@ def mvn_from_natural(x: np.ndarray, d: int) -> GaussianParam:
         mean, cov = _natural_to_source(x, d)
     except np.linalg.LinAlgError as exc:
         raise DomainError(f"-theta_M is singular: {exc}") from exc
-    return GaussianParam(mean, _computed_spd(cov, "readback covariance"))
+    return _computed_gaussian(mean, cov, "readback")
 
 
+@functools.lru_cache(maxsize=None)
 def mvn_generator(dim: int) -> GeneratorSpec:
     """Cumulant generator of the d-variate normal family on flattened naturals.
 
@@ -189,12 +205,14 @@ def mvn_generator(dim: int) -> GeneratorSpec:
     reciprocal gradient inverts it.  The domain is the open cone -theta_M > 0;
     the reciprocal gradient's covariance must pass the SPD rule of :mod:`spd`.
     Each callable raises DomainError unless its argument has the flat shape.
+    Each dimension's spec is built once: it is frozen and its callables hold no state.
     """
     if dim < 1:
         raise DomainError("dimension must be >= 1")
     d = dim
     flat_dim = d + d * (d + 1) // 2
     name = f"mvn(d={d})"
+    t = _index_tables(d)
 
     def flat(x, what: str) -> np.ndarray:
         x = _float_array(x, what)
@@ -225,9 +243,15 @@ def mvn_generator(dim: int) -> GeneratorSpec:
 
     def in_domain(x: np.ndarray) -> bool:
         x = flat(x, "natural parameter")
-        # The open cone, without the condition bound: -theta_M of a member near
-        # the bound is its inverted covariance, whose computed condition can pass it.
-        return bool(np.isfinite(x).all()) and bool(_eigvalsh(-mvn_unflatten(x, d)[1])[0] > 0.0)
+        if not np.isfinite(x).all():
+            return False
+        # The open cone, by a Cholesky factor of -theta_M; no condition bound, since -theta_M of
+        # a member near the bound is its inverted covariance, whose computed condition can pass it.
+        try:
+            np.linalg.cholesky(x[t.flat_of] / t.neg_scale_of)
+        except np.linalg.LinAlgError:
+            return False
+        return True
 
     return GeneratorSpec(
         dim=flat_dim,
@@ -339,8 +363,8 @@ def sided_kl_centroids_mvn(
         cov_l = _weighted_sum(w, covs) + (w[:, None] * dev).T @ dev
         cov_l = 0.5 * (cov_l + cov_l.T)  # the product's rounding is not symmetric
         return (
-            GaussianParam(mean_r, _computed_spd(cov_r, "right centroid covariance")),
-            GaussianParam(mean_l, _computed_spd(cov_l, "left centroid covariance")),
+            _computed_gaussian(mean_r, cov_r, "right centroid"),
+            _computed_gaussian(mean_l, cov_l, "left centroid"),
         )
 
 
@@ -496,9 +520,7 @@ def fisher_rao_midpoint_mvn(p0: GaussianParam, p1: GaussianParam) -> GaussianPar
     G = geometric_mean(_computed_spd(np.eye(n), "identity", np.ones(n)), lift).entries
     S = _sym_inv(G[:d, :d])
     cov = L @ S @ L.T
-    return GaussianParam(
-        p0.mean + L @ (S @ G[:d, d]), _computed_spd(0.5 * (cov + cov.T), "midpoint covariance")
-    )
+    return _computed_gaussian(p0.mean + L @ (S @ G[:d, d]), 0.5 * (cov + cov.T), "midpoint")
 
 
 def jfr_center_mvn(

@@ -69,7 +69,8 @@ class GeneratorSpec:
         """``theta`` as a float vector of length ``dim``, else a DomainError
         naming ``what``.  A non-finite theta is outside the domain, whatever
         ``in_domain`` answers."""
-        theta = np.atleast_1d(_float_array(theta, what))
+        if (theta := _float_array(theta, what)).ndim == 0:
+            theta = theta.reshape(1)
         if theta.shape != (self.dim,):
             raise DomainError(
                 f"{self.name}: {what} has shape {theta.shape}, expected ({self.dim},)"

@@ -214,12 +214,13 @@ def logdet_div(x: SPDMatrix, y: SPDMatrix) -> float:
 
 
 def symmetrized_logdet(x: SPDMatrix, y: SPDMatrix) -> float:
-    """Symmetrized log-det divergence tr(X^{-1} Y + Y^{-1} X - 2 I), never below 0."""
+    """Symmetrized log-det divergence tr(X^{-1} Y + Y^{-1} X - 2 I), as the sum of squares
+    |C - C^{-T}|_F^2 with C = A^{-1} B, X = A A^T, Y = B B^T: no cancellation near X = Y."""
     xa, ya = _as_spd(x).entries, _as_spd(y).entries
     _check_same_dim(xa, ya)
-    d = xa.shape[0]
-    s = np.trace(np.linalg.solve(xa, ya)) + np.trace(np.linalg.solve(ya, xa)) - 2 * d
-    return max(0.0, float(s))
+    a, b = np.linalg.cholesky(xa), np.linalg.cholesky(ya)
+    diff = np.linalg.solve(a, b) - np.linalg.solve(b, a).T
+    return float(np.sum(diff * diff))
 
 
 def _same_dim_stack(mats: Sequence[SPDMatrix]) -> np.ndarray:

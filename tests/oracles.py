@@ -2,8 +2,10 @@
 
 Each one is independent of the library path it checks: scipy quadrature and
 bracketed root finding for the scalar h coordinate and the elliptic integral,
-centered finite differences for optimality residuals, and spectral matrix
-powers.  None of them runs in the library.
+centered finite differences for optimality residuals, spectral matrix
+powers, exact rational arithmetic for the symmetrized log-det divergence, and
+the Gaussian conversions composed one step at a time.  None of them runs in
+the library.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -232,3 +235,74 @@ def g_invariance_residual(a: SPDMatrix, h: SPDMatrix) -> float:
     harm = 2.0 * np.linalg.inv(np.linalg.inv(aa) + np.linalg.inv(ha))
     rhs = _geomean(0.5 * (aa + ha), 0.5 * (harm + harm.T))
     return float(np.linalg.norm(lhs - rhs))
+
+
+def exact_symmetrized_logdet(x: np.ndarray, y: np.ndarray) -> float:
+    """tr(X^{-1} Y + Y^{-1} X) - 2d in exact rational arithmetic."""
+
+    def solve_trace(m, rhs):  # tr(m^{-1} rhs) by Gauss-Jordan elimination
+        d = len(m)
+        aug = [[Fraction(v) for v in row] + [Fraction(v) for v in r] for row, r in zip(m, rhs)]
+        for c in range(d):
+            p = next(i for i in range(c, d) if aug[i][c] != 0)
+            aug[c], aug[p] = aug[p], aug[c]
+            aug[c] = [v / aug[c][c] for v in aug[c]]
+            for i in range(d):
+                if i != c and aug[i][c] != 0:
+                    aug[i] = [v - aug[i][c] * w for v, w in zip(aug[i], aug[c])]
+        return sum(aug[i][d + i] for i in range(d))
+
+    return float(solve_trace(x.tolist(), y.tolist()) + solve_trace(y.tolist(), x.tolist())
+                 - 2 * len(x))
+
+
+# --- the Gaussian conversions, composed step by step ----------------------------
+
+def _vech_tables(d: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scale (1 on the diagonal, sqrt(2) off it), raveled upper-triangle
+    positions, and the vech position of each raveled matrix entry."""
+    r, c = np.triu_indices(d)
+    vech_of = np.empty((d, d), dtype=np.intp)
+    vech_of[r, c] = vech_of[c, r] = np.arange(r.size)
+    return np.where(r == c, 1.0, np.sqrt(2.0)), r * d + c, vech_of.ravel()
+
+
+def _flatten(vec: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    scale, upper, _ = _vech_tables(vec.size)
+    return np.concatenate([vec, mat.ravel()[upper] * scale])
+
+
+def _unflatten(x: np.ndarray, d: int) -> Tuple[np.ndarray, np.ndarray]:
+    scale, _, vech_of = _vech_tables(d)
+    return x[:d], (x[d:] / scale)[vech_of].reshape(d, d)
+
+
+def _sym_inv(m: np.ndarray) -> np.ndarray:
+    inv = np.linalg.inv(m)
+    return 0.5 * (inv + inv.T)
+
+
+def mvn_to_natural_composed(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """Flat naturals of N(mean, cov): invert, scale by -1/2 and flatten, one step at a time."""
+    prec = _sym_inv(cov)
+    return _flatten(prec @ mean, -0.5 * prec)
+
+
+def mvn_from_natural_composed(x: np.ndarray, d: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(mean, covariance) of the flat naturals x: unflatten, scale theta_M by
+    -2 and invert, one step at a time."""
+    tv, tm = _unflatten(x, d)
+    cov = _sym_inv(-2.0 * tm)
+    return cov @ tv, cov
+
+
+def mvn_grad_composed(x: np.ndarray, d: int) -> np.ndarray:
+    """The moment parameter (mu, mu mu^T + Sigma) of the flat naturals x."""
+    mu, cov = mvn_from_natural_composed(x, d)
+    return _flatten(mu, mu[:, None] * mu + cov)
+
+
+def mvn_grad_inv_composed(e: np.ndarray, d: int) -> np.ndarray:
+    """The flat naturals of the moment parameter e."""
+    ev, em = _unflatten(e, d)
+    return mvn_to_natural_composed(ev, em - ev[:, None] * ev)

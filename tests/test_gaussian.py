@@ -45,7 +45,13 @@ from jeffreys_centers.gaussian import (
 )
 
 from conftest import embedded_equidistance_residual, random_spd, random_spd_unit
-from oracles import energy_grad_residual
+from oracles import (
+    energy_grad_residual,
+    mvn_from_natural_composed,
+    mvn_grad_composed,
+    mvn_grad_inv_composed,
+    mvn_to_natural_composed,
+)
 
 TIGHT = ToleranceConfig(rel_tol=1e-12, max_iter=300)
 
@@ -206,6 +212,92 @@ class TestGenerator:
         theta = mvn_to_natural(random_gaussian(rng, 2))
         theta[0] = bad
         assert mvn_generator(2).in_domain(theta) is False
+
+
+    def test_one_spec_per_dimension(self):
+        assert mvn_generator(3) is mvn_generator(3)
+        assert mvn_generator(3) is not mvn_generator(4)
+
+
+class TestConeTest:
+    """in_domain decides the open cone -theta_M > 0 by a Cholesky factorization."""
+
+    @staticmethod
+    def _eigen_verdict(x, d):
+        return bool(np.isfinite(x).all()) and bool(
+            np.linalg.eigvalsh(-mvn_unflatten(x, d)[1])[0] > 0.0
+        )
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_agrees_with_the_least_eigenvalue(self, d):
+        rng = np.random.default_rng(d)
+        gen = mvn_generator(d)
+        verdicts = Counter()
+        for _ in range(250):
+            q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+            lam = 10.0 ** rng.uniform(-3.0, 3.0, size=d)
+            if rng.uniform() < 0.5:  # outside: flip the signs of some eigenvalues
+                lam *= np.where(rng.uniform(size=d) < 0.5, -1.0, 1.0)
+            neg_theta_M = (q * lam) @ q.T
+            x = mvn_flatten(rng.normal(size=d), -0.5 * (neg_theta_M + neg_theta_M.T))
+            verdict = gen.in_domain(x)
+            assert verdict is self._eigen_verdict(x, d)
+            verdicts[verdict] += 1
+        assert min(verdicts[True], verdicts[False]) > 50
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 8])
+    @pytest.mark.parametrize(
+        "neg_theta_M",
+        [
+            lambda d: np.zeros((d, d)),
+            # integer entries, so the factorization meets an exact zero pivot
+            lambda d: np.outer(np.arange(1.0, d + 1), np.arange(1.0, d + 1)),
+            lambda d: np.diag(np.r_[1.0, -np.ones(d - 1)]),
+            lambda d: -np.eye(d),
+        ],
+        ids=["zero", "rank_one", "indefinite", "negative"],
+    )
+    def test_boundary_and_outside(self, d, neg_theta_M):
+        assert mvn_generator(d).in_domain(mvn_flatten(np.ones(d), -neg_theta_M(d))) is False
+
+    @pytest.mark.parametrize("theta_M", [0.0, 1.0], ids=["zero", "negative"])
+    def test_univariate_boundary_and_outside(self, theta_M):
+        assert mvn_generator(1).in_domain(np.array([1.0, theta_M])) is False
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["theta_v", "theta_M diagonal", "theta_M off-diagonal"])
+    def test_non_finite(self, bad, where):
+        x = mvn_flatten(np.ones(3), -0.5 * np.eye(3))
+        x[{"theta_v": 0, "theta_M diagonal": 3, "theta_M off-diagonal": 4}[where]] = bad
+        assert mvn_generator(3).in_domain(x) is False
+
+
+class TestConversionsBitIdentical:
+    """The fused conversions compute what the step-by-step compositions in
+    oracles compute, bit for bit."""
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_gradient_and_its_inverse(self, d):
+        rng = np.random.default_rng(100 + d)
+        gen = mvn_generator(d)
+        for _ in range(50):
+            g = random_gaussian(rng, d, mean_scale=10.0 ** rng.uniform(-2.0, 2.0))
+            x = mvn_to_natural(g)
+            eta = gen.eval_grad(x)
+            assert eta.tobytes() == mvn_grad_composed(x, d).tobytes()
+            assert gen.eval_grad_inv(eta).tobytes() == mvn_grad_inv_composed(eta, d).tobytes()
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_public_conversions(self, d):
+        rng = np.random.default_rng(200 + d)
+        for _ in range(50):
+            g = random_gaussian(rng, d, mean_scale=10.0 ** rng.uniform(-2.0, 2.0))
+            x = mvn_to_natural(g)
+            assert x.tobytes() == mvn_to_natural_composed(g.mean, g.cov.entries).tobytes()
+            back = mvn_from_natural(x, d)
+            mean, cov = mvn_from_natural_composed(x, d)
+            assert back.mean.tobytes() == mean.tobytes()
+            assert back.cov.entries.tobytes() == cov.tobytes()
 
 
 class TestDivergences:
@@ -710,7 +802,8 @@ class TestIndexTables:
     def test_tables_are_read_only(self):
         t = _index_tables(4)
         assert _index_tables(4) is t
-        arrays = [t.scale, *t.strict_upper, *t.strict_lower, t.upper_flat, t.vech_of]
+        arrays = [a for f in t for a in (f if isinstance(f, tuple) else (f,))]
+        assert len(arrays) == 10
         for a in arrays:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
@@ -849,8 +942,8 @@ class TestGBCenterMvn:
 
     @pytest.mark.parametrize("d, n", [(1, 2), (2, 4), (3, 3), (5, 4), (2, 5)])
     def test_each_point_is_decomposed_once(self, rng, monkeypatch, d, n):
-        """Each point is checked once, at the cost of one cone eigensolve, and
-        each reciprocal gradient costs one SPD-rule eigensolve."""
+        """Each point is checked once, at the cost of one cone factorization,
+        and each reciprocal gradient costs one SPD-rule eigensolve."""
         counts = Counter()
         make = gaussian.mvn_generator
 
@@ -861,7 +954,7 @@ class TestGBCenterMvn:
             )
 
         monkeypatch.setattr(gaussian, "mvn_generator", counted)
-        monkeypatch.setattr(gaussian, "_eigvalsh", counting(counts, "cone", gaussian._eigvalsh))
+        monkeypatch.setattr(np.linalg, "cholesky", counting(counts, "cone", np.linalg.cholesky))
         monkeypatch.setattr(gaussian, "_check_spd", counting(counts, "spd", gaussian._check_spd))
         _, diag = gb_center_mvn([random_gaussian(rng, d) for _ in range(n)])
         k = diag.iterations

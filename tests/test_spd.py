@@ -24,7 +24,13 @@ from jeffreys_centers.errors import NumericalError
 from jeffreys_centers.spd import _check_spectrum, _log_divided_differences, _positive
 
 from conftest import ah_limit, random_spd
-from oracles import g_invariance_residual, sld_grad_residual, spd_power, spd_sqrt
+from oracles import (
+    exact_symmetrized_logdet,
+    g_invariance_residual,
+    sld_grad_residual,
+    spd_power,
+    spd_sqrt,
+)
 
 
 class TestSPDMatrix:
@@ -333,6 +339,49 @@ class TestLogDet:
             lam = np.linalg.eigvals(np.linalg.inv(x.entries) @ y.entries).real
             expect = float(np.sum((np.sqrt(lam) - 1.0 / np.sqrt(lam)) ** 2))
             assert symmetrized_logdet(x, y) == pytest.approx(expect, rel=1e-10)
+
+    @staticmethod
+    def _of_condition(rng, d, cond):
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        m = (q * np.logspace(0.0, np.log10(cond), d)) @ q.T
+        return 0.5 * (m + m.T)
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 8])
+    def test_equal_pair_at_condition_1e6(self, rng, d):
+        """The traces of X^{-1} Y and Y^{-1} X cancel at X = Y, leaving about
+        cond * 1e-16 * d (5.6e-11 seen); the eigenvalue sum does not cancel."""
+        for _ in range(10):
+            x = self._of_condition(rng, d, 1e6)
+            assert 0.0 <= symmetrized_logdet(x, x) <= 1e-18
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 8])
+    def test_near_equal_pair_at_condition_1e4(self, rng, d):
+        """Y = (1 + eps) X has divergence d eps^2 / (1 + eps); at eps = 1e-6 the
+        trace form was off by 13% of it."""
+        eps = 1e-6
+        for _ in range(10):
+            x = self._of_condition(rng, d, 1e4)
+            expect = d * eps**2 / (1.0 + eps)
+            got = symmetrized_logdet(x, (1.0 + eps) * x)
+            assert got == pytest.approx(expect, rel=1e-5, abs=0.0)
+
+    def test_valid_pairs_far_apart(self):
+        """Pairs whose spectra span 11 decades each, against exact rational
+        arithmetic.  X^{-1} Y can have condition near 1e22: a sum over its
+        eigenvalues, whose small ones no eigensolve resolves, was off by up to
+        1.6e-2 (2e-6 here, 1.4e-7 for the trace form)."""
+        worst = 0.0
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            d = 2 + seed % 2
+            x, y = raw_matrix("spd", d, rng, 11.0), raw_matrix("spd", d, rng, 11.0)
+            try:
+                xs, ys = SPDMatrix(x), SPDMatrix(y)
+            except DomainError:
+                continue
+            expect = exact_symmetrized_logdet(xs.entries, ys.entries)
+            worst = max(worst, abs(symmetrized_logdet(xs, ys) - expect) / expect)
+        assert worst <= 1e-5
 
 
 class TestSldCentroid:
