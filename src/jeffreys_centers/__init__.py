@@ -36,9 +36,6 @@ from .categorical import (
     approximation_factor,
     arithmetic_mean,
     c_of_lambda,
-    cat_from_natural,
-    cat_generator,
-    cat_to_natural,
     gb_center_cat,
     jeffreys_cat,
     jeffreys_centroid_cat,
@@ -99,9 +96,6 @@ __all__ = [
     "approximation_factor",
     "arithmetic_mean",
     "c_of_lambda",
-    "cat_from_natural",
-    "cat_generator",
-    "cat_to_natural",
     "gb_center_cat",
     "jeffreys_cat",
     "jeffreys_centroid_cat",

@@ -1,7 +1,6 @@
 """Categorical (normalized histogram) family.
 
-Coordinate conversions to/from the natural log-ratio parameters, the weighted
-arithmetic and normalized geometric means, the exact numerical Jeffreys
+The weighted arithmetic and normalized geometric means, the exact numerical Jeffreys
 centroid (Lambert-W fixed point + safeguarded Newton on the multiplier), the
 closed-form Jeffreys-Fisher-Rao center, and the inductive Gauss-Bregman center.
 
@@ -25,16 +24,13 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .legendre import CenterDiagnostics, GeneratorSpec, _float_array, check_weights
+from .legendre import CenterDiagnostics, _float_array, check_weights
 from .special_functions import _w0_shifted, lambert_w0
 
 __all__ = [
     "SimplexPoint",
     "HistogramSet",
     "JeffreysCatResult",
-    "cat_to_natural",
-    "cat_from_natural",
-    "cat_generator",
     "arithmetic_mean",
     "normalized_geometric_mean",
     "c_of_lambda",
@@ -157,52 +153,6 @@ class JeffreysCatResult:
     lam: float
     mass_residual: float
     diagnostics: CenterDiagnostics
-
-
-def cat_to_natural(p: SimplexPoint) -> np.ndarray:
-    """Natural parameters theta_i = log(p_i / p_d), a (d-1)-vector."""
-    q = p.probs
-    return np.log(q[:-1] / q[-1])
-
-
-def cat_from_natural(theta) -> SimplexPoint:
-    """Inverse of :func:`cat_to_natural` via a stabilized softmax."""
-    theta = np.atleast_1d(_float_array(theta, "theta"))
-    logits = np.concatenate([theta, [0.0]])
-    logits -= logits.max()
-    e = np.exp(logits)
-    return SimplexPoint(e / e.sum())
-
-
-def cat_generator(dim: int) -> GeneratorSpec:
-    """Cumulant generator F(theta) = log(1 + sum exp(theta_i)) over (d-1) log-ratios."""
-    if dim < 2:
-        raise DomainError("categorical family needs at least 2 bins")
-
-    def eval_F(theta: np.ndarray) -> float:
-        m = max(0.0, float(theta.max()))
-        return m + float(np.log(np.exp(-m) + np.sum(np.exp(theta - m))))
-
-    def eval_grad(theta: np.ndarray) -> np.ndarray:
-        logits = np.concatenate([theta, [0.0]])
-        logits -= logits.max()
-        e = np.exp(logits)
-        return (e / e.sum())[:-1]
-
-    def eval_grad_inv(eta: np.ndarray) -> np.ndarray:
-        tail = 1.0 - eta.sum()
-        if tail <= 0.0 or np.any(eta <= 0.0):
-            raise DomainError("moment parameter outside the open simplex")
-        return np.log(eta / tail)
-
-    return GeneratorSpec(
-        dim=dim - 1,
-        eval_F=eval_F,
-        eval_grad=eval_grad,
-        eval_grad_inv=eval_grad_inv,
-        in_domain=lambda th: bool(np.all(np.isfinite(th))),
-        name=f"categorical(d={dim})",
-    )
 
 
 def arithmetic_mean(hset: HistogramSet) -> SimplexPoint:

@@ -46,7 +46,9 @@ from .spd import (
     _log_eigs,
     _weighted_sum,
     geometric_mean,
+    logdet_div,
     sld_centroid,
+    symmetrized_logdet,
 )
 
 __all__ = [
@@ -266,37 +268,19 @@ def mvn_generator(dim: int) -> GeneratorSpec:
 # --- divergences -------------------------------------------------------------
 
 def kl_mvn(p: GaussianParam, q: GaussianParam) -> float:
-    """KL(p : q) between two normals in closed form."""
-    if p.dim != q.dim:
-        raise DomainError("dimension mismatch")
-    d = p.dim
-    sq_inv = np.linalg.inv(q.cov.entries)
+    """KL(p : q) = (logdet_div(S_p, S_q) + dm^T S_q^{-1} dm) / 2 with dm = mu_q - mu_p."""
+    div = logdet_div(p.cov, q.cov)  # first, as it checks that the dimensions agree
     dm = q.mean - p.mean
-    _, logdet_q = np.linalg.slogdet(q.cov.entries)
-    _, logdet_p = np.linalg.slogdet(p.cov.entries)
-    return 0.5 * float(
-        np.trace(sq_inv @ p.cov.entries) + dm @ sq_inv @ dm - d + logdet_q - logdet_p
-    )
+    return 0.5 * (div + float(dm @ np.linalg.solve(q.cov.entries, dm)))
 
 
 def jeffreys_mvn(p: GaussianParam, q: GaussianParam) -> float:
-    """Jeffreys divergence KL(p:q) + KL(q:p).
-
-    Equals ((mu2-mu1)^T (S1^{-1}+S2^{-1}) (mu2-mu1)
-           + tr(S1^{-1} S2 + S2^{-1} S1) - 2d) / 2.
-    """
-    if p.dim != q.dim:
-        raise DomainError("dimension mismatch")
-    d = p.dim
-    s1_inv = np.linalg.inv(p.cov.entries)
-    s2_inv = np.linalg.inv(q.cov.entries)
+    """Jeffreys divergence KL(p:q) + KL(q:p)
+    = (symmetrized_logdet(S_p, S_q) + dm^T (S_p^{-1} + S_q^{-1}) dm) / 2."""
+    div = symmetrized_logdet(p.cov, q.cov)
     dm = q.mean - p.mean
-    return 0.5 * float(
-        dm @ (s1_inv + s2_inv) @ dm
-        + np.trace(s1_inv @ q.cov.entries)
-        + np.trace(s2_inv @ p.cov.entries)
-        - 2 * d
-    )
+    maha = dm @ (np.linalg.solve(p.cov.entries, dm) + np.linalg.solve(q.cov.entries, dm))
+    return 0.5 * (div + float(maha))
 
 
 @contextmanager

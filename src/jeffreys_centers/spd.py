@@ -10,6 +10,7 @@ One symmetric-eigendecomposition kernel, which turns a failed decomposition
 into a NumericalError, serves every matrix function and the one SPD rule.
 Caller input is parsed into an :class:`SPDMatrix`; a matrix the library
 computed is wrapped by :func:`_computed_spd`, which applies the rule alone.
+The two-matrix divergences, the Gaussian ones' log-det part, read one Cholesky quotient.
 """
 
 from __future__ import annotations
@@ -193,32 +194,43 @@ def geometric_mean(x: SPDMatrix, y: SPDMatrix) -> SPDMatrix:
     return _computed_spd(_geomean(xa, ya), "geometric mean")
 
 
+def _factor_pair(x: SPDMatrix, y: SPDMatrix) -> Tuple[np.ndarray, np.ndarray]:
+    """Cholesky factors A, B of X = A A^T, Y = B B^T, raw input parsed by :func:`_as_spd`;
+    the quotient A^{-1} B has the square root of the condition of X^{-1} Y."""
+    xa, ya = _as_spd(x).entries, _as_spd(y).entries
+    _check_same_dim(xa, ya)
+    return np.linalg.cholesky(xa), np.linalg.cholesky(ya)
+
+
+def _singular_values(m: np.ndarray) -> np.ndarray:
+    """Singular values (descending); a failure as in :func:`_eigh`."""
+    try:
+        return np.linalg.svd(m, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"singular value decomposition failed: {exc}") from exc
+
+
 def trace_metric_distance(p1: SPDMatrix, p2: SPDMatrix) -> float:
-    """Affine-invariant geodesic distance ||log(P1^{-1/2} P2 P1^{-1/2})||_F."""
-    a, b = _as_spd(p1).entries, _as_spd(p2).entries
-    _check_same_dim(a, b)
-    amh = _power(a, -0.5)
-    return float(np.sqrt(np.sum(_log_eigs(_eigvalsh(amh @ b @ amh)) ** 2)))
+    """Affine-invariant geodesic distance ||log(P1^{-1/2} P2 P1^{-1/2})||_F, as 2 ||log s||
+    over the singular values s of A^{-1} B with P1 = A A^T, P2 = B B^T."""
+    a, b = _factor_pair(p1, p2)
+    return 2.0 * float(np.sqrt(np.sum(np.log(_singular_values(np.linalg.solve(a, b))) ** 2)))
 
 
 def logdet_div(x: SPDMatrix, y: SPDMatrix) -> float:
-    """Log-det Bregman divergence tr(X Y^{-1}) - log det(X Y^{-1}) - d, never below 0."""
-    xa, ya = _as_spd(x).entries, _as_spd(y).entries
-    _check_same_dim(xa, ya)
-    d = xa.shape[0]
-    m = np.linalg.solve(ya, xa)
-    sign, logdet = np.linalg.slogdet(m)
-    if sign <= 0.0:
-        raise NumericalError("log-det argument is not positive definite")
-    return max(0.0, float(np.trace(m) - logdet - d))
+    """Log-det Bregman divergence tr(X Y^{-1}) - log det(X Y^{-1}) - d, as the sum of
+    t - log1p(t) with t = (s - 1)(s + 1) over the singular values s of B^{-1} A,
+    X = A A^T, Y = B B^T: non-negative terms of order t^2 near X = Y, where the traces cancel."""
+    a, b = _factor_pair(x, y)
+    s = _singular_values(np.linalg.solve(b, a))
+    t = (s - 1.0) * (s + 1.0)
+    return float(np.sum(t - np.log1p(t)))
 
 
 def symmetrized_logdet(x: SPDMatrix, y: SPDMatrix) -> float:
     """Symmetrized log-det divergence tr(X^{-1} Y + Y^{-1} X - 2 I), as the sum of squares
     |C - C^{-T}|_F^2 with C = A^{-1} B, X = A A^T, Y = B B^T: no cancellation near X = Y."""
-    xa, ya = _as_spd(x).entries, _as_spd(y).entries
-    _check_same_dim(xa, ya)
-    a, b = np.linalg.cholesky(xa), np.linalg.cholesky(ya)
+    a, b = _factor_pair(x, y)
     diff = np.linalg.solve(a, b) - np.linalg.solve(b, a).T
     return float(np.sum(diff * diff))
 

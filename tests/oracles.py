@@ -3,16 +3,18 @@
 Each one is independent of the library path it checks: scipy quadrature and
 bracketed root finding for the scalar h coordinate and the elliptic integral,
 centered finite differences for optimality residuals, spectral matrix
-powers, exact rational arithmetic for the symmetrized log-det divergence, and
-the Gaussian conversions composed one step at a time.  None of them runs in
-the library.
+powers, exact rational and decimal arithmetic for the two-matrix divergences,
+the Gaussian conversions composed one step at a time, and the categorical
+generator over log-ratio naturals.  None of them runs in the library.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -23,11 +25,13 @@ from jeffreys_centers import (
     GeneratorSpec,
     NumericalError,
     ScalarGenerator,
+    SimplexPoint,
     SPDMatrix,
     WeightedParamSet,
     check_weights,
     jeffreys_loss,
 )
+from jeffreys_centers.legendre import _float_array
 from jeffreys_centers.special_functions import DEFAULT_TOL
 from jeffreys_centers.spd import _as_spd, _check_same_dim, _geomean, _power, _same_dim_stack
 
@@ -237,23 +241,102 @@ def g_invariance_residual(a: SPDMatrix, h: SPDMatrix) -> float:
     return float(np.linalg.norm(lhs - rhs))
 
 
+def _exact_det(m: list) -> int:
+    """Determinant of a small square integer matrix, by cofactors."""
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * _exact_det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)))
+
+
+def _exact_quotient(m: np.ndarray, rhs: np.ndarray) -> Tuple[list, int]:
+    """(N, q), integers with m^{-1} rhs = N / q exactly, rhs a matrix or a vector taken as
+    one column: both are scaled by one power of two to integers, and N = adj(m) rhs,
+    q = det(m) (small d only)."""
+    rhs = np.asarray(rhs, dtype=float).reshape(len(m), -1)
+    ratios = [[[v.as_integer_ratio() for v in row] for row in a.tolist()] for a in (m, rhs)]
+    scale = max(den for a in ratios for row in a for _, den in row)
+    mi, ri = ([[num * (scale // den) for num, den in row] for row in a] for a in ratios)
+    d = len(mi)
+    adj = [[(-1) ** (i + j) * _exact_det([r[:i] + r[i + 1:] for k, r in enumerate(mi) if k != j])
+            for j in range(d)] for i in range(d)]
+    n = [[sum(adj[i][k] * ri[k][c] for k in range(d)) for c in range(len(ri[0]))] for i in range(d)]
+    return n, _exact_det(mi)
+
+
+def _exact_trace(m: np.ndarray, rhs: np.ndarray) -> Fraction:
+    """tr(m^{-1} rhs) in exact rational arithmetic."""
+    n, q = _exact_quotient(m, rhs)
+    return Fraction(sum(n[i][i] for i in range(len(n))), q)
+
+
+def _decimal(q: Fraction) -> Decimal:
+    return Decimal(q.numerator) / Decimal(q.denominator)
+
+
 def exact_symmetrized_logdet(x: np.ndarray, y: np.ndarray) -> float:
     """tr(X^{-1} Y + Y^{-1} X) - 2d in exact rational arithmetic."""
+    return float(_exact_trace(x, y) + _exact_trace(y, x) - 2 * len(x))
 
-    def solve_trace(m, rhs):  # tr(m^{-1} rhs) by Gauss-Jordan elimination
-        d = len(m)
-        aug = [[Fraction(v) for v in row] + [Fraction(v) for v in r] for row, r in zip(m, rhs)]
-        for c in range(d):
-            p = next(i for i in range(c, d) if aug[i][c] != 0)
-            aug[c], aug[p] = aug[p], aug[c]
-            aug[c] = [v / aug[c][c] for v in aug[c]]
-            for i in range(d):
-                if i != c and aug[i][c] != 0:
-                    aug[i] = [v - aug[i][c] * w for v, w in zip(aug[i], aug[c])]
-        return sum(aug[i][d + i] for i in range(d))
 
-    return float(solve_trace(x.tolist(), y.tolist()) + solve_trace(y.tolist(), x.tolist())
-                 - 2 * len(x))
+def exact_logdet_div(x: np.ndarray, y: np.ndarray) -> float:
+    """tr(Y^{-1} X) - log det(Y^{-1} X) - d: the trace and the determinant in exact
+    rational arithmetic, the log and the difference in 60-digit decimals."""
+    n, q = _exact_quotient(y, x)
+    d = len(x)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        trace = _decimal(Fraction(sum(n[i][i] for i in range(d)), q) - d)
+        return float(trace - _decimal(Fraction(_exact_det(n), q**d)).ln())
+
+
+def exact_mahalanobis(cov: np.ndarray, v: np.ndarray) -> float:
+    """v^T cov^{-1} v in exact rational arithmetic."""
+    n, q = _exact_quotient(cov, v)
+    return float(Fraction(sum(Fraction(vi) * ni[0] for vi, ni in zip(v.tolist(), n)), q))
+
+
+def _largest_root(coeffs: list) -> Decimal:
+    """Largest root of the polynomial with the given Decimal coefficients (highest degree
+    first), all of whose roots are real and positive, by Newton's method from
+    -c1/c0, the sum of the roots, above which it descends monotonically."""
+    x = -coeffs[1] / coeffs[0]
+    for _ in range(2000):
+        p = dp = Decimal(0)
+        for c in coeffs:
+            dp = dp * x + p
+            p = p * x + c
+        step = p / dp
+        x -= step
+        if abs(step) <= x.scaleb(-70):
+            return x
+    raise AssertionError("Newton did not converge")
+
+
+def exact_trace_metric_distance(x: np.ndarray, y: np.ndarray) -> float:
+    """||log(X^{-1/2} Y X^{-1/2})||_F for d <= 3, from the eigenvalues of M = X^{-1} Y.
+
+    The characteristic polynomial's coefficients (sums of principal minors of M)
+    are exact rationals; its largest root and the reciprocal of the largest root
+    of the reversed polynomial are found by Newton's method in 80-digit decimals,
+    and for d = 3 the middle one is det M over their product."""
+    d = len(x)
+    assert d <= 3, "the closed form covers d <= 3"
+    n, q = _exact_quotient(x, y)
+    e = [Fraction(sum(_exact_det([[n[i][j] for j in s] for i in s])
+                      for s in itertools.combinations(range(d), k)), q**k)
+         for k in range(d + 1)]
+    with localcontext() as ctx:
+        ctx.prec = 80
+        coeffs = [_decimal((-1) ** k * ek) for k, ek in enumerate(e)]
+        hi = _largest_root(coeffs)
+        lam = [hi]
+        if d > 1:
+            lo = 1 / _largest_root(coeffs[::-1])
+            lam.append(lo)
+        if d == 3:
+            lam.append(_decimal(e[3]) / (hi * lo))
+        return float(sum(v.ln() ** 2 for v in lam).sqrt())
 
 
 # --- the Gaussian conversions, composed step by step ----------------------------
@@ -306,3 +389,51 @@ def mvn_grad_inv_composed(e: np.ndarray, d: int) -> np.ndarray:
     """The flat naturals of the moment parameter e."""
     ev, em = _unflatten(e, d)
     return mvn_to_natural_composed(ev, em - ev[:, None] * ev)
+
+
+# --- the categorical family on log-ratio naturals, for the generic layer ------
+
+def cat_to_natural(p: SimplexPoint) -> np.ndarray:
+    """Natural parameters theta_i = log(p_i / p_d), a (d-1)-vector."""
+    q = p.probs
+    return np.log(q[:-1] / q[-1])
+
+
+def cat_from_natural(theta) -> SimplexPoint:
+    """Inverse of :func:`cat_to_natural` via a stabilized softmax."""
+    theta = np.atleast_1d(_float_array(theta, "theta"))
+    logits = np.concatenate([theta, [0.0]])
+    logits -= logits.max()
+    e = np.exp(logits)
+    return SimplexPoint(e / e.sum())
+
+
+def cat_generator(dim: int) -> GeneratorSpec:
+    """Cumulant generator F(theta) = log(1 + sum exp(theta_i)) over (d-1) log-ratios."""
+    if dim < 2:
+        raise DomainError("categorical family needs at least 2 bins")
+
+    def eval_F(theta: np.ndarray) -> float:
+        m = max(0.0, float(theta.max()))
+        return m + float(np.log(np.exp(-m) + np.sum(np.exp(theta - m))))
+
+    def eval_grad(theta: np.ndarray) -> np.ndarray:
+        logits = np.concatenate([theta, [0.0]])
+        logits -= logits.max()
+        e = np.exp(logits)
+        return (e / e.sum())[:-1]
+
+    def eval_grad_inv(eta: np.ndarray) -> np.ndarray:
+        tail = 1.0 - eta.sum()
+        if tail <= 0.0 or np.any(eta <= 0.0):
+            raise DomainError("moment parameter outside the open simplex")
+        return np.log(eta / tail)
+
+    return GeneratorSpec(
+        dim=dim - 1,
+        eval_F=eval_F,
+        eval_grad=eval_grad,
+        eval_grad_inv=eval_grad_inv,
+        in_domain=lambda th: bool(np.all(np.isfinite(th))),
+        name=f"categorical(d={dim})",
+    )

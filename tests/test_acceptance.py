@@ -18,7 +18,6 @@ from jeffreys_centers import (
     ToleranceConfig,
     WeightedParamSet,
     burg_generator,
-    cat_to_natural,
     gb_center,
     gb_center_cat,
     gb_center_mvn,
@@ -42,7 +41,7 @@ from jeffreys_centers import (
 from jeffreys_centers.bench import RunConfig, run_table1, run_table2
 
 from conftest import ah_limit, embedded_equidistance_residual, random_simplex, random_spd_unit
-from oracles import elliptic_k, energy_grad_residual, g_invariance_residual
+from oracles import cat_to_natural, elliptic_k, energy_grad_residual, g_invariance_residual
 
 TIGHT = ToleranceConfig(rel_tol=1e-12, max_iter=300)
 

@@ -1,10 +1,10 @@
 """The library runs on numpy alone.
 
-With scipy blocked, the package imports and every public center runs; the
-histogram and Gaussian centers also leave scipy's optimize and integrate
-modules unloaded where scipy is installed; and the import alone does not load
-``numpy.polynomial``, whose Gauss-Legendre nodes the scalar JFR center builds
-on first use.
+With scipy blocked, the package imports and every public center, divergence
+and loss runs; the histogram and Gaussian centers also leave scipy's optimize
+and integrate modules unloaded where scipy is installed; and the import alone
+does not load ``numpy.polynomial``, whose Gauss-Legendre nodes the scalar JFR
+center builds on first use.
 """
 
 import os
@@ -66,8 +66,21 @@ jc.sld_centroid([g.cov for g in gs])
 pair = jc.WeightedParamSet.of([[1.0], [4.0]])
 for gen in (jc.burg_generator(1), jc.shannon_generator(1), jc.squared_generator(1)):
     jc.gb_center(gen, pair)
-jc.gb_center(jc.cat_generator(3), jc.WeightedParamSet.of([jc.cat_to_natural(jc.SimplexPoint(r)) for r in rows]))
 jc.gb_center(jc.mvn_generator(2), jc.WeightedParamSet.of([jc.mvn_to_natural(g) for g in gs]))
+
+p, q = (jc.SimplexPoint(r) for r in rows)
+for div in (jc.kl_cat, jc.jeffreys_cat, jc.tv_cat):
+    div(p, q)
+jc.jeffreys_loss_cat(hset, p)
+for div in (jc.kl_mvn, jc.jeffreys_mvn):
+    div(*gs)
+jc.jeffreys_loss_mvn(gs, None, gs[0])
+for div in (jc.logdet_div, jc.symmetrized_logdet, jc.trace_metric_distance):
+    div(gs[0].cov, gs[1].cov)
+burg = jc.burg_generator(1)
+jc.bregman_div(burg, [1.0], [4.0])
+jc.symmetrized_bregman(burg, [1.0], [4.0])
+jc.jeffreys_loss(burg, pair, [2.0])
 
 poisson = jc.ScalarGenerator(f_prime=math.exp, f_second=math.exp, domain=(-math.inf, math.inf))
 jc.jfr_center_1d(poisson, [0.5, 1.0, 3.0])

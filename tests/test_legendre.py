@@ -11,7 +11,6 @@ from jeffreys_centers import (
     WeightedParamSet,
     bregman_div,
     burg_generator,
-    cat_generator,
     gb_center,
     jeffreys_loss,
     lambert_w0,
@@ -24,7 +23,7 @@ from jeffreys_centers import (
 )
 
 from conftest import positive_burg, random_simplex
-from oracles import energy_grad_residual
+from oracles import cat_generator, energy_grad_residual
 
 
 def mixed_bregman(gen: GeneratorSpec, theta1, theta, theta2) -> float:

@@ -1,6 +1,7 @@
 import ast
 import math
 import warnings
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -10,10 +11,13 @@ from hypothesis import strategies as st
 
 from jeffreys_centers import (
     DomainError,
+    GaussianParam,
     SPDMatrix,
     ToleranceConfig,
     geometric_mean,
     jeffreys_centroid_centered,
+    jeffreys_mvn,
+    kl_mvn,
     logdet_div,
     sld_centroid,
     symmetrized_logdet,
@@ -25,7 +29,10 @@ from jeffreys_centers.spd import _check_spectrum, _log_divided_differences, _pos
 
 from conftest import ah_limit, random_spd
 from oracles import (
+    exact_logdet_div,
+    exact_mahalanobis,
     exact_symmetrized_logdet,
+    exact_trace_metric_distance,
     g_invariance_residual,
     sld_grad_residual,
     spd_power,
@@ -349,39 +356,108 @@ class TestLogDet:
     @pytest.mark.parametrize("d", [2, 3, 5, 8])
     def test_equal_pair_at_condition_1e6(self, rng, d):
         """The traces of X^{-1} Y and Y^{-1} X cancel at X = Y, leaving about
-        cond * 1e-16 * d (5.6e-11 seen); the eigenvalue sum does not cancel."""
+        cond * 1e-16 * d (5.6e-11 seen for symmetrized_logdet, 8.9e-16 for
+        logdet_div, 2.3e-11 for kl_mvn, 4.5e-11 for jeffreys_mvn); the sums over
+        the singular values of the Cholesky quotient do not cancel.  The distance
+        is a norm of logs, whose rounding is not squared (2e-10 read through
+        X^{-1/2} X X^{-1/2}, 7e-14 through the quotient)."""
         for _ in range(10):
             x = self._of_condition(rng, d, 1e6)
-            assert 0.0 <= symmetrized_logdet(x, x) <= 1e-18
+            for name, fn in DIVERGENCES.items():
+                bound = 1e-12 if name == "trace_metric_distance" else 1e-18
+                assert 0.0 <= fn(x, x, np.zeros(d)) <= bound, name
 
     @pytest.mark.parametrize("d", [2, 3, 5, 8])
     def test_near_equal_pair_at_condition_1e4(self, rng, d):
-        """Y = (1 + eps) X has divergence d eps^2 / (1 + eps); at eps = 1e-6 the
-        trace form was off by 13% of it."""
-        eps = 1e-6
+        """Y = c X with c = 1 + eps has every eigenvalue of X^{-1} Y equal to c, so
+        each divergence has a closed form, evaluated in 40-digit decimals; at
+        eps = 1e-6 the trace forms were off by up to 13% (symmetrized_logdet),
+        3.5e-4 (logdet_div), 77% (kl_mvn) and 28% (jeffreys_mvn) of it."""
+        c = 1.0 + 1e-6
+        with localcontext() as ctx:
+            ctx.prec = 40
+            cd, n = Decimal(c), Decimal(d)
+            sld, ld = n * (cd - 1) ** 2 / cd, n * (cd.ln() - (cd - 1) / cd)
+            expect = {
+                "symmetrized_logdet": float(sld),
+                "logdet_div": float(ld),
+                "trace_metric_distance": float(n.sqrt() * cd.ln()),
+                "kl_mvn": float(ld / 2),
+                "jeffreys_mvn": float(sld / 2),
+            }
         for _ in range(10):
             x = self._of_condition(rng, d, 1e4)
-            expect = d * eps**2 / (1.0 + eps)
-            got = symmetrized_logdet(x, (1.0 + eps) * x)
-            assert got == pytest.approx(expect, rel=1e-5, abs=0.0)
+            for name, fn in DIVERGENCES.items():
+                got = fn(x, c * x, np.zeros(d))
+                assert got == pytest.approx(expect[name], rel=1e-5, abs=0.0), name
+
+    @staticmethod
+    def _worst_errors(seeds, decades):
+        """Worst relative error of each divergence against its exact value over seeded
+        pairs of 2 x 2 or 3 x 3 SPD matrices, each spanning ``decades`` decades, and
+        normals with those covariances whose means differ by a N(0, I) draw."""
+        worst = dict.fromkeys(DIVERGENCES, 0.0)
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            d = 2 + seed % 2
+            x, y = raw_matrix("spd", d, rng, decades), raw_matrix("spd", d, rng, decades)
+            try:
+                x, y = SPDMatrix(x).entries, SPDMatrix(y).entries
+            except DomainError:
+                continue
+            dm = rng.normal(size=d)
+            ld, sld = exact_logdet_div(x, y), exact_symmetrized_logdet(x, y)
+            my = exact_mahalanobis(y, dm)
+            expect = {
+                "symmetrized_logdet": sld,
+                "logdet_div": ld,
+                "trace_metric_distance": exact_trace_metric_distance(x, y),
+                "kl_mvn": (ld + my) / 2,
+                "jeffreys_mvn": (sld + exact_mahalanobis(x, dm) + my) / 2,
+            }
+            for name, fn in DIVERGENCES.items():
+                worst[name] = max(worst[name], abs(fn(x, y, dm) - expect[name]) / expect[name])
+        return worst
 
     def test_valid_pairs_far_apart(self):
         """Pairs whose spectra span 11 decades each, against exact rational
         arithmetic.  X^{-1} Y can have condition near 1e22: a sum over its
         eigenvalues, whose small ones no eigensolve resolves, was off by up to
-        1.6e-2 (2e-6 here, 1.4e-7 for the trace form)."""
-        worst = 0.0
-        for seed in range(100):
-            rng = np.random.default_rng(seed)
-            d = 2 + seed % 2
-            x, y = raw_matrix("spd", d, rng, 11.0), raw_matrix("spd", d, rng, 11.0)
-            try:
-                xs, ys = SPDMatrix(x), SPDMatrix(y)
-            except DomainError:
-                continue
-            expect = exact_symmetrized_logdet(xs.entries, ys.entries)
-            worst = max(worst, abs(symmetrized_logdet(xs, ys) - expect) / expect)
-        assert worst <= 1e-5
+        1.6e-2 (2e-6 here for symmetrized_logdet, 1.4e-7 for its trace form), and
+        logdet_div through Y^{-1} X raised NumericalError on 2 of these pairs."""
+        worst = self._worst_errors(range(100), 11.0)
+        assert max(worst.values()) <= 1e-5, worst
+
+    def test_valid_pairs_near_the_bound(self):
+        """Spectra spanning 11.9 decades, so X^{-1} Y reaches condition 1e23: forming
+        X^{-1/2} Y X^{-1/2} or Y^{-1} X raised NumericalError on 19 of these 1000
+        pairs in trace_metric_distance and in logdet_div each, and the trace distance
+        was 0.18 off on one it kept.  The Cholesky quotient has the square root of
+        that condition, and its factors' rounding, cond(Y) * 1e-16, bounds the rest
+        (1.7e-5 for logdet_div, 2.6e-5 for symmetrized_logdet)."""
+        worst = self._worst_errors(range(1000), 11.9)
+        assert max(worst.values()) <= 1e-4, worst
+
+
+def _gaussian_pair(fn):
+    """fn of N(0, X) and N(dm, Y), as a function of (X, Y, dm)."""
+    return lambda x, y, dm: fn(GaussianParam(np.zeros_like(dm), x), GaussianParam(dm, y))
+
+
+def _spd_pair(fn):
+    """fn of (X, Y), as a function of (X, Y, dm) that ignores dm."""
+    return lambda x, y, dm: fn(x, y)
+
+
+# Each two-matrix divergence as a function of (X, Y, dm); dm, the difference of
+# the two normals' means, enters only the Gaussian ones.
+DIVERGENCES = {
+    "symmetrized_logdet": _spd_pair(symmetrized_logdet),
+    "logdet_div": _spd_pair(logdet_div),
+    "trace_metric_distance": _spd_pair(trace_metric_distance),
+    "kl_mvn": _gaussian_pair(kl_mvn),
+    "jeffreys_mvn": _gaussian_pair(jeffreys_mvn),
+}
 
 
 class TestSldCentroid:

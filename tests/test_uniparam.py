@@ -15,13 +15,12 @@ from jeffreys_centers import (
     NumericalError,
     ScalarGenerator,
     SimplexPoint,
-    cat_to_natural,
     jfr_center_1d,
     jfr_center_cat,
 )
 from jeffreys_centers import uniparam
 from jeffreys_centers.uniparam import _newton
-from oracles import AnchoredGenerator, _monotone_root, h_inverse, h_of
+from oracles import AnchoredGenerator, _monotone_root, cat_to_natural, h_inverse, h_of
 
 
 def squared() -> AnchoredGenerator:

@@ -22,10 +22,17 @@ from jeffreys_centers import (
     SPDMatrix,
     WeightedParamSet,
     gb_center_mvn,
+    geometric_mean,
     jeffreys_centroid_centered,
+    jeffreys_loss_mvn,
+    jeffreys_mvn,
     jfr_center_1d,
     jfr_center_mvn,
+    kl_mvn,
+    logdet_div,
     sld_centroid,
+    symmetrized_logdet,
+    trace_metric_distance,
 )
 from jeffreys_centers.cli import main
 from jeffreys_centers.gaussian import fisher_rao_midpoint_mvn, sided_kl_centroids_mvn
@@ -152,6 +159,32 @@ def test_empty_matrix_is_a_domain_error():
 def test_empty_gaussian_is_a_domain_error():
     with pytest.raises(DomainError, match="non-empty square matrix"):
         GaussianParam(np.zeros(0), np.zeros((0, 0)))
+
+
+_X2, _X3 = SPDMatrix(np.diag([1.0, 2.0])), SPDMatrix(np.diag([1.0, 2.0, 3.0]))
+_G2, _G3 = GaussianParam(np.zeros(2), _X2), GaussianParam(np.ones(3), _X3)
+
+MIXED_DIMENSIONS = {
+    "kl_mvn": lambda: kl_mvn(_G2, _G3),
+    "jeffreys_mvn": lambda: jeffreys_mvn(_G2, _G3),
+    "jeffreys_loss_mvn": lambda: jeffreys_loss_mvn([_G2, _G2], None, _G3),
+    "fisher_rao_midpoint_mvn": lambda: fisher_rao_midpoint_mvn(_G2, _G3),
+    "jfr_center_mvn": lambda: jfr_center_mvn([_G2, _G3]),
+    "gb_center_mvn": lambda: gb_center_mvn([_G2, _G3]),
+    "logdet_div": lambda: logdet_div(_X2, _X3),
+    "symmetrized_logdet": lambda: symmetrized_logdet(_X2, _X3),
+    "trace_metric_distance": lambda: trace_metric_distance(_X2, _X3),
+    "geometric_mean": lambda: geometric_mean(_X2, _X3),
+    "sld_centroid": lambda: sld_centroid([_X2, _X3]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(MIXED_DIMENSIONS))
+def test_mixed_dimensions_are_a_domain_error(entry):
+    """Every two-argument function checks the dimensions before it computes: a mean
+    difference taken first is a raw numpy broadcast ValueError."""
+    with pytest.raises(DomainError, match="dimension"):
+        MIXED_DIMENSIONS[entry]()
 
 
 def _gaussians(means, covs):
