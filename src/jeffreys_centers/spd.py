@@ -219,12 +219,15 @@ def trace_metric_distance(p1: SPDMatrix, p2: SPDMatrix) -> float:
 
 def logdet_div(x: SPDMatrix, y: SPDMatrix) -> float:
     """Log-det Bregman divergence tr(X Y^{-1}) - log det(X Y^{-1}) - d, as the sum of
-    t - log1p(t) with t = (s - 1)(s + 1) over the singular values s of B^{-1} A,
-    X = A A^T, Y = B B^T: non-negative terms of order t^2 near X = Y, where the traces cancel."""
+    t - log(s^2) with t = (s - 1)(s + 1) over the singular values s of B^{-1} A,
+    X = A A^T, Y = B B^T: non-negative terms of order t^2 near X = Y, where the traces cancel.
+    The log is log1p(t) there, and 2 log(s) for s^2 < 1/2, where 1 + t loses the digits
+    of s^2 (all of them below 1.1e-16, where t rounds to -1)."""
     a, b = _factor_pair(x, y)
     s = _singular_values(np.linalg.solve(b, a))
     t = (s - 1.0) * (s + 1.0)
-    return float(np.sum(t - np.log1p(t)))
+    log_s2 = np.where(t > -0.5, np.log1p(np.maximum(t, -0.5)), 2.0 * np.log(s))
+    return float(np.sum(t - log_s2))
 
 
 def symmetrized_logdet(x: SPDMatrix, y: SPDMatrix) -> float:

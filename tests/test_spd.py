@@ -391,6 +391,34 @@ class TestLogDet:
                 got = fn(x, c * x, np.zeros(d))
                 assert got == pytest.approx(expect[name], rel=1e-5, abs=0.0), name
 
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("c", [2.0**-56, 13.0 * 2.0**-55])
+    def test_pairs_of_different_scale(self, rng, d, c):
+        """Y = c X with X of integer entries, so that c X is exact and every eigenvalue
+        of X^{-1} Y is c.  SPD matrices have no floor on their scale; an eigenvalue s^2
+        of Y^{-1} X below 1.1e-16 made t = s^2 - 1 round to -1 and log1p(t) read -inf
+        (logdet_div and kl_mvn were inf at c = 2^-56), and at c = 3.6e-16, between two
+        neighbours of 1, log1p(t) read the log of the one that 1 + t rounds to."""
+        with localcontext() as ctx:
+            ctx.prec = 60
+            distance = float(Decimal(d).sqrt() * abs(Decimal(c).ln()))
+        for _ in range(5):
+            x = np.round(1e3 * self._of_condition(rng, d, 1e4))
+            dm = rng.normal(size=d)
+            for p, q in ((x, c * x), (c * x, x)):
+                ld, sld = exact_logdet_div(p, q), exact_symmetrized_logdet(p, q)
+                mq = exact_mahalanobis(q, dm)
+                expect = {
+                    "symmetrized_logdet": sld,
+                    "logdet_div": ld,
+                    "trace_metric_distance": distance,
+                    "kl_mvn": (ld + mq) / 2,
+                    "jeffreys_mvn": (sld + exact_mahalanobis(p, dm) + mq) / 2,
+                }
+                for name, fn in DIVERGENCES.items():
+                    got = fn(p, q, dm)
+                    assert got == pytest.approx(expect[name], rel=1e-12, abs=0.0), name
+
     @staticmethod
     def _worst_errors(seeds, decades):
         """Worst relative error of each divergence against its exact value over seeded
