@@ -484,10 +484,10 @@ def fisher_rao_midpoint_mvn(p0: GaussianParam, p1: GaussianParam) -> GaussianPar
     (2d+1)-dimensional SPD lift is the identity.  The lift G1 of the whitened
     p1 is gauge-aligned, the trace-metric midpoint I # G1 is read back as a
     normal N(m, S) off its top-left block and the adjacent column, and mapped
-    back to N(mu0 + L m, L S L^T).  The midpoint loses about cond(G1) * 1e-16
-    of relative accuracy, and the condition number grows like the fourth power
-    of the separation in p0's standard deviations, so an aligned lift past the
-    condition bound of the SPD rule of :mod:`spd` raises NumericalError.  The
+    back to N(mu0 + L m, L S L^T).  The midpoint loses about sqrt(cond(G1)) *
+    1e-15 of relative accuracy, and the condition number grows like the fourth
+    power of the separation in p0's standard deviations, so an aligned lift past
+    the condition bound of the SPD rule of :mod:`spd` raises NumericalError.  The
     rule reads the eigenvalues the alignment returns with the lift, so the
     lift is not decomposed again for it.
     """

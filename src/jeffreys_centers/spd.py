@@ -1,22 +1,23 @@
 """Symmetric positive-definite matrix kernel.
 
-The two-point matrix geometric mean X#Y from spectral square roots, the
-affine-invariant (trace metric) geodesic distance, log-det Bregman
-divergences, and the closed-form symmetrized log-det centroid A#H.  The
-arithmetic-harmonic double sequence converging to X#Y is the Gaussian
-Gauss-Bregman center of the centered pair N(0, X), N(0, Y).
+The two-point matrix geometric mean X#Y, the affine-invariant (trace metric)
+geodesic distance, log-det Bregman divergences, and the closed-form
+symmetrized log-det centroid A#H.  The arithmetic-harmonic double sequence
+converging to X#Y is the Gaussian Gauss-Bregman center of the centered pair
+N(0, X), N(0, Y).
 
 One symmetric-eigendecomposition kernel, which turns a failed decomposition
-into a NumericalError, serves every matrix function and the one SPD rule.
-Caller input is parsed into an :class:`SPDMatrix`; a matrix the library
-computed is wrapped by :func:`_computed_spd`, which applies the rule alone.
-The two-matrix divergences, the Gaussian ones' log-det part, read one Cholesky quotient.
+into a NumericalError, serves the one SPD rule and the matrix logarithm's
+eigenvalues.  Caller input is parsed into an :class:`SPDMatrix`; a matrix the
+library computed is wrapped by :func:`_computed_spd`, which applies the rule
+alone.  X#Y, A#H and the two-matrix divergences, the Gaussian ones' log-det
+part, read one Cholesky quotient A^{-1} B of X = A A^T, Y = B B^T.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -130,17 +131,6 @@ def _check_spd(m: np.ndarray, what: str = "matrix") -> None:
     _check_spectrum(_eigvalsh(m), what)
 
 
-def _spectral(m: np.ndarray, *fns: Callable[[np.ndarray], np.ndarray]) -> List[np.ndarray]:
-    """Spectral functions V f(w) V^T of a symmetric matrix, one per ``fns``,
-    from a single eigendecomposition; each output is symmetrized."""
-    w, v = _eigh(m)
-    outs = []
-    for f in fns:
-        out = (v * f(w)) @ v.T
-        outs.append(0.5 * (out + out.T))
-    return outs
-
-
 def _positive(w: np.ndarray) -> np.ndarray:
     if not w[0] > 0.0:
         raise NumericalError("matrix function of a non-positive-definite argument")
@@ -167,33 +157,6 @@ def _log_divided_differences(w: np.ndarray) -> np.ndarray:
     return np.where(close, 1.0 - t / 2.0 + t * t / 3.0, np.log1p(t_far) / t_far) / lo
 
 
-def _sqrt_pair(m: np.ndarray) -> List[np.ndarray]:
-    """M^{1/2} and M^{-1/2} of a positive-definite M from one eigendecomposition."""
-    return _spectral(m, lambda w: _positive(w) ** 0.5, lambda w: w**-0.5)
-
-
-def _power(m: np.ndarray, p: float) -> np.ndarray:
-    return _spectral(m, lambda w: _positive(w) ** p)[0]
-
-
-def _geomean(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    xh, xmh = _sqrt_pair(x)
-    mid = _power(xmh @ y @ xmh, 0.5)
-    out = xh @ mid @ xh
-    return 0.5 * (out + out.T)
-
-
-def geometric_mean(x: SPDMatrix, y: SPDMatrix) -> SPDMatrix:
-    """Matrix geometric mean X # Y = X^{1/2}(X^{-1/2} Y X^{-1/2})^{1/2} X^{1/2}.
-
-    The trace-metric geodesic midpoint; solves the Riccati equation
-    Z X^{-1} Z = Y.
-    """
-    xa, ya = _as_spd(x).entries, _as_spd(y).entries
-    _check_same_dim(xa, ya)
-    return _computed_spd(_geomean(xa, ya), "geometric mean")
-
-
 def _factor_pair(x: SPDMatrix, y: SPDMatrix) -> Tuple[np.ndarray, np.ndarray]:
     """Cholesky factors A, B of X = A A^T, Y = B B^T, raw input parsed by :func:`_as_spd`;
     the quotient A^{-1} B has the square root of the condition of X^{-1} Y."""
@@ -202,19 +165,39 @@ def _factor_pair(x: SPDMatrix, y: SPDMatrix) -> Tuple[np.ndarray, np.ndarray]:
     return np.linalg.cholesky(xa), np.linalg.cholesky(ya)
 
 
-def _singular_values(m: np.ndarray) -> np.ndarray:
-    """Singular values (descending); a failure as in :func:`_eigh`."""
+def _svd(m: np.ndarray, compute_uv: bool = False):
+    """Singular values (descending) of ``m``, or U, s, V^T if ``compute_uv``;
+    a failure as in :func:`_eigh`."""
     try:
-        return np.linalg.svd(m, compute_uv=False)
+        return np.linalg.svd(m, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"singular value decomposition failed: {exc}") from exc
+
+
+def _geomean_of_factors(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """X # Y = (A U) diag(s) (A U)^T for X = A A^T, Y = B B^T and A^{-1} B = U diag(s) V^T,
+    since A^{-1} Y A^{-T} = U diag(s^2) U^T (Iannazzo, NLAA 2016): no matrix of the
+    condition of X^{-1} Y is formed."""
+    u, s, _ = _svd(np.linalg.solve(a, b), compute_uv=True)
+    au = a @ u
+    out = (au * s) @ au.T
+    return 0.5 * (out + out.T)
+
+
+def geometric_mean(x: SPDMatrix, y: SPDMatrix) -> SPDMatrix:
+    """Matrix geometric mean X # Y = X^{1/2}(X^{-1/2} Y X^{-1/2})^{1/2} X^{1/2}.
+
+    The trace-metric geodesic midpoint; solves the Riccati equation
+    Z X^{-1} Z = Y.  Computed from the Cholesky quotient by :func:`_geomean_of_factors`.
+    """
+    return _computed_spd(_geomean_of_factors(*_factor_pair(x, y)), "geometric mean")
 
 
 def trace_metric_distance(p1: SPDMatrix, p2: SPDMatrix) -> float:
     """Affine-invariant geodesic distance ||log(P1^{-1/2} P2 P1^{-1/2})||_F, as 2 ||log s||
     over the singular values s of A^{-1} B with P1 = A A^T, P2 = B B^T."""
     a, b = _factor_pair(p1, p2)
-    return 2.0 * float(np.sqrt(np.sum(np.log(_singular_values(np.linalg.solve(a, b))) ** 2)))
+    return 2.0 * float(np.sqrt(np.sum(np.log(_svd(np.linalg.solve(a, b))) ** 2)))
 
 
 def logdet_div(x: SPDMatrix, y: SPDMatrix) -> float:
@@ -224,7 +207,7 @@ def logdet_div(x: SPDMatrix, y: SPDMatrix) -> float:
     The log is log1p(t) there, and 2 log(s) for s^2 < 1/2, where 1 + t loses the digits
     of s^2 (all of them below 1.1e-16, where t rounds to -1)."""
     a, b = _factor_pair(x, y)
-    s = _singular_values(np.linalg.solve(b, a))
+    s = _svd(np.linalg.solve(b, a))
     t = (s - 1.0) * (s + 1.0)
     log_s2 = np.where(t > -0.5, np.log1p(np.maximum(t, -0.5)), 2.0 * np.log(s))
     return float(np.sum(t - log_s2))
@@ -254,10 +237,12 @@ def _weighted_sum(w: np.ndarray, stack: np.ndarray) -> np.ndarray:
 def sld_centroid(mats: Sequence[SPDMatrix], weights: Optional[Sequence] = None) -> SPDMatrix:
     """Symmetrized log-det centroid A # H of a weighted SPD set.
 
-    A is the weighted arithmetic mean and H the weighted harmonic mean.
+    A is the weighted arithmetic mean and H the weighted harmonic mean; A # H is
+    read from their Cholesky factors by the kernel of :func:`geometric_mean`.
     """
     w = check_weights(weights, len(mats))
     stack = _same_dim_stack(mats)
     a = _weighted_sum(w, stack)
     h = np.linalg.inv(_weighted_sum(w, np.linalg.inv(stack)))
-    return _computed_spd(_geomean(a, 0.5 * (h + h.T)), "A#H centroid")
+    g = _geomean_of_factors(np.linalg.cholesky(a), np.linalg.cholesky(0.5 * (h + h.T)))
+    return _computed_spd(g, "A#H centroid")

@@ -2,7 +2,7 @@
 
 Each one is independent of the library path it checks: scipy quadrature and
 bracketed root finding for the scalar h coordinate and the elliptic integral,
-centered finite differences for optimality residuals, spectral matrix
+centered finite differences for optimality residuals, eigendecomposition matrix
 powers, exact rational and decimal arithmetic for the two-matrix divergences,
 the Gaussian conversions composed one step at a time, and the categorical
 generator over log-ratio naturals.  None of them runs in the library.
@@ -29,11 +29,12 @@ from jeffreys_centers import (
     SPDMatrix,
     WeightedParamSet,
     check_weights,
+    geometric_mean,
     jeffreys_loss,
 )
 from jeffreys_centers.legendre import _float_array
 from jeffreys_centers.special_functions import DEFAULT_TOL
-from jeffreys_centers.spd import _as_spd, _check_same_dim, _geomean, _power, _same_dim_stack
+from jeffreys_centers.spd import _as_spd, _same_dim_stack
 
 # cube root of machine epsilon, the standard centered-difference step scale
 _FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
@@ -191,8 +192,10 @@ def energy_grad_residual(gen: GeneratorSpec, pset: WeightedParamSet, theta) -> f
 
 
 def spd_power(x: SPDMatrix, p: float) -> SPDMatrix:
-    """Matrix power X^p through the spectral decomposition."""
-    return SPDMatrix(_power(_as_spd(x).entries, p))
+    """Matrix power X^p = V diag(w^p) V^T through the eigendecomposition of X."""
+    w, v = np.linalg.eigh(_as_spd(x).entries)
+    out = (v * w**p) @ v.T
+    return SPDMatrix(0.5 * (out + out.T))
 
 
 def spd_sqrt(x: SPDMatrix) -> SPDMatrix:
@@ -234,19 +237,29 @@ def sld_grad_residual(
 def g_invariance_residual(a: SPDMatrix, h: SPDMatrix) -> float:
     """Frobenius residual of G(A,H) = G((A+H)/2, 2(A^{-1}+H^{-1})^{-1})."""
     aa, ha = _as_spd(a).entries, _as_spd(h).entries
-    _check_same_dim(aa, ha)
-    lhs = _geomean(aa, ha)
+    lhs = geometric_mean(aa, ha).entries
     harm = 2.0 * np.linalg.inv(np.linalg.inv(aa) + np.linalg.inv(ha))
-    rhs = _geomean(0.5 * (aa + ha), 0.5 * (harm + harm.T))
+    rhs = geometric_mean(0.5 * (aa + ha), 0.5 * (harm + harm.T)).entries
     return float(np.linalg.norm(lhs - rhs))
 
 
-def _exact_det(m: list) -> int:
-    """Determinant of a small square integer matrix, by cofactors."""
+def _exact_det(m: list):
+    """Determinant of a small square matrix of exact or decimal numbers, by cofactors."""
     if not m:
         return 1
     return sum((-1) ** j * m[0][j] * _exact_det([row[:j] + row[j + 1:] for row in m[1:]])
                for j in range(len(m)))
+
+
+def _mat_mul(a: list, b: list) -> list:
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
+            for i in range(len(a))]
+
+
+def _adjugate(m: list) -> list:
+    """adj(m) of a small square matrix, entry (i, j) the (j, i) cofactor."""
+    return [[(-1) ** (i + j) * _exact_det([r[:i] + r[i + 1:] for k, r in enumerate(m) if k != j])
+             for j in range(len(m))] for i in range(len(m))]
 
 
 def _exact_quotient(m: np.ndarray, rhs: np.ndarray) -> Tuple[list, int]:
@@ -257,11 +270,7 @@ def _exact_quotient(m: np.ndarray, rhs: np.ndarray) -> Tuple[list, int]:
     ratios = [[[v.as_integer_ratio() for v in row] for row in a.tolist()] for a in (m, rhs)]
     scale = max(den for a in ratios for row in a for _, den in row)
     mi, ri = ([[num * (scale // den) for num, den in row] for row in a] for a in ratios)
-    d = len(mi)
-    adj = [[(-1) ** (i + j) * _exact_det([r[:i] + r[i + 1:] for k, r in enumerate(mi) if k != j])
-            for j in range(d)] for i in range(d)]
-    n = [[sum(adj[i][k] * ri[k][c] for k in range(d)) for c in range(len(ri[0]))] for i in range(d)]
-    return n, _exact_det(mi)
+    return _mat_mul(_adjugate(mi), ri), _exact_det(mi)
 
 
 def _exact_trace(m: np.ndarray, rhs: np.ndarray) -> Fraction:
@@ -337,6 +346,43 @@ def exact_trace_metric_distance(x: np.ndarray, y: np.ndarray) -> float:
         if d == 3:
             lam.append(_decimal(e[3]) / (hi * lo))
         return float(sum(v.ln() ** 2 for v in lam).sqrt())
+
+
+def _cofactor_inverse(m: list) -> list:
+    """Inverse of a small square matrix of exact or decimal numbers, adj(m) / det(m)."""
+    det = _exact_det(m)
+    return [[v / det for v in row] for row in _adjugate(m)]
+
+
+def _frame_norm(e: list, p: list) -> float:
+    """||P^{-1/2} E P^{-1/2}||_F of symmetric E and SPD P, as sqrt(tr((E P^{-1})^2))."""
+    q = _mat_mul(e, _cofactor_inverse(p))
+    return math.sqrt(float(sum(q[i][j] * q[j][i] for i in range(len(q)) for j in range(len(q)))))
+
+
+def geometric_mean_error(x: np.ndarray, y: np.ndarray, g: np.ndarray) -> float:
+    """The error ||R^{-1/2} (G - R) R^{-1/2}||_F of a computed G against R = X # Y.
+
+    For 2 x 2 it is read off Bhatia's closed form R = sqrt(ab) S / sqrt(det S),
+    S = X/a + Y/b, a = sqrt(det X), b = sqrt(det Y), in 80-digit decimals.  For
+    d >= 3 it is bounded by half the Riccati residual F = G X^{-1} G - Y read in
+    Y's frame, ||Y^{-1/2} F Y^{-1/2}||_F / 2, in exact rational arithmetic: with
+    E = R^{-1/2} (G - R) R^{-1/2} and M = R^{-1/2} Y R^{-1/2} = Q diag(m) Q^T, the
+    residual's entries in Q's basis are E_ij (sqrt(m_i / m_j) + sqrt(m_j / m_i)) to
+    first order in E, each at least 2 |E_ij|.
+    """
+    if len(x) == 2:
+        with localcontext() as ctx:
+            ctx.prec = 80
+            xd, yd, gd = ([[Decimal(v) for v in row] for row in m.tolist()] for m in (x, y, g))
+            a, b = _exact_det(xd).sqrt(), _exact_det(yd).sqrt()
+            s = [[u / a + v / b for u, v in zip(ru, rv)] for ru, rv in zip(xd, yd)]
+            c = (a * b).sqrt() / _exact_det(s).sqrt()
+            r = [[c * v for v in row] for row in s]
+            return _frame_norm([[u - v for u, v in zip(ru, rv)] for ru, rv in zip(gd, r)], r)
+    xq, yq, gq = ([[Fraction(v) for v in row] for row in m.tolist()] for m in (x, y, g))
+    f = _mat_mul(_mat_mul(gq, _cofactor_inverse(xq)), gq)
+    return _frame_norm([[u - v for u, v in zip(ru, rv)] for ru, rv in zip(f, yq)], yq) / 2
 
 
 # --- the Gaussian conversions, composed step by step ----------------------------

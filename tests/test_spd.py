@@ -34,6 +34,7 @@ from oracles import (
     exact_symmetrized_logdet,
     exact_trace_metric_distance,
     g_invariance_residual,
+    geometric_mean_error,
     sld_grad_residual,
     spd_power,
     spd_sqrt,
@@ -89,8 +90,8 @@ class TestNaN:
 
     def test_valid_pair_near_the_condition_bound_never_warns(self):
         """X^{-1/2} Y X^{-1/2} can lose definiteness in rounding when X and Y
-        are both near the bound; the square root of a negative eigenvalue is
-        then a NumericalError, not a NaN."""
+        are both near the bound, and its square root once warned and gave a NaN;
+        X # Y must be a value or a classified error, never a warning."""
         for seed in range(300):
             rng = np.random.default_rng(seed)
             d = 2 + seed % 2
@@ -126,6 +127,21 @@ def raw_matrix(kind: str, d: int, rng: np.random.Generator, decades: float = 6.0
     elif kind == "non-finite":
         m[rng.integers(d), rng.integers(d)] = rng.choice([np.nan, np.inf, -np.inf])
     return m
+
+
+def valid_pairs(seeds, decades: float):
+    """(X, Y, rng) for each seed whose two spd-kind raw_matrix draws, 2 x 2 or
+    3 x 3 by the seed's parity and spanning ``decades`` decades each, are both
+    valid; rng has made just those two draws."""
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        d = 2 + seed % 2
+        x, y = raw_matrix("spd", d, rng, decades), raw_matrix("spd", d, rng, decades)
+        try:
+            x, y = SPDMatrix(x).entries, SPDMatrix(y).entries
+        except DomainError:
+            continue
+        yield x, y, rng
 
 
 class TestRawInputIsParsed:
@@ -227,6 +243,18 @@ class TestGeometricMean:
                 SPDMatrix(np.linalg.inv(x.entries)), SPDMatrix(np.linalg.inv(y.entries))
             ).entries
             assert np.abs(lhs - rhs).max() / np.abs(rhs).max() < 1e-10
+
+    def test_valid_pairs_near_the_bound(self):
+        """The 1000 seeded pairs of TestLogDet.test_valid_pairs_near_the_bound, where
+        X^{-1} Y reaches condition 1e23.  Formed as X^{1/2} (X^{-1/2} Y X^{-1/2})^{1/2}
+        X^{1/2}, X # Y raised NumericalError on 21 of them, and 163 of the other values
+        were off by more than 1e-4 (7 by more than 100%) while passing the SPD rule.
+        The Cholesky quotient has the square root of that condition: worst 1.3e-5."""
+        worst = max(
+            geometric_mean_error(x, y, geometric_mean(x, y).entries)
+            for x, y, _ in valid_pairs(range(1000), 11.9)
+        )
+        assert worst <= 1e-4
 
 
 class TestLogDerivative:
@@ -425,15 +453,8 @@ class TestLogDet:
         pairs of 2 x 2 or 3 x 3 SPD matrices, each spanning ``decades`` decades, and
         normals with those covariances whose means differ by a N(0, I) draw."""
         worst = dict.fromkeys(DIVERGENCES, 0.0)
-        for seed in seeds:
-            rng = np.random.default_rng(seed)
-            d = 2 + seed % 2
-            x, y = raw_matrix("spd", d, rng, decades), raw_matrix("spd", d, rng, decades)
-            try:
-                x, y = SPDMatrix(x).entries, SPDMatrix(y).entries
-            except DomainError:
-                continue
-            dm = rng.normal(size=d)
+        for x, y, rng in valid_pairs(seeds, decades):
+            dm = rng.normal(size=x.shape[0])
             ld, sld = exact_logdet_div(x, y), exact_symmetrized_logdet(x, y)
             my = exact_mahalanobis(y, dm)
             expect = {

@@ -36,7 +36,7 @@ from jeffreys_centers import (
 )
 from jeffreys_centers.cli import main
 from jeffreys_centers.gaussian import fisher_rao_midpoint_mvn, sided_kl_centroids_mvn
-from jeffreys_centers.spd import _spectral
+from jeffreys_centers.spd import _eigh
 
 from conftest import embedded_equidistance_residual
 
@@ -148,7 +148,7 @@ def test_ragged_input_is_a_domain_error(entry):
 
 def test_spectral_kernel_classifies_nan_matrix():
     with pytest.raises(NumericalError):
-        _spectral(np.full((3, 3), np.nan), np.sqrt)
+        _eigh(np.full((3, 3), np.nan))
 
 
 def test_empty_matrix_is_a_domain_error():
