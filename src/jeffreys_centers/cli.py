@@ -276,8 +276,11 @@ def _compute_gaussian(args) -> dict:
         tol = GB_TOL if args.epsilon is None else replace(GB_TOL, rel_tol=args.epsilon)
         center, diag = gb_center_mvn(gaussians, weights, tol)
     elif args.method == "jeffreys":
-        means = np.array([g.mean for g in gaussians])
-        if np.abs(means - means[0]).max() > 1e-12:
+        # Same mean: each member's offset from the first mean is at most 1e-12 of
+        # its own standard deviations, sqrt(dm^T S_i^{-1} dm), at any scale.
+        mu0 = gaussians[0].mean
+        if any((g.mean - mu0) @ np.linalg.solve(g.cov.entries, g.mean - mu0) > 1e-24
+               for g in gaussians):
             raise CliError(
                 "exact Jeffreys centroid is only available for same-mean Gaussian sets"
             )

@@ -10,8 +10,10 @@ One symmetric-eigendecomposition kernel, which turns a failed decomposition
 into a NumericalError, serves the one SPD rule and the matrix logarithm's
 eigenvalues.  Caller input is parsed into an :class:`SPDMatrix`; a matrix the
 library computed is wrapped by :func:`_computed_spd`, which applies the rule
-alone.  X#Y, A#H and the two-matrix divergences, the Gaussian ones' log-det
-part, read one Cholesky quotient A^{-1} B of X = A A^T, Y = B B^T.
+alone.  X#Y and the two-matrix divergences, the Gaussian ones' log-det part,
+read one Cholesky quotient A^{-1} B of X = A A^T, Y = B B^T.  A#H is read from
+chol(A)^T chol(P), P the weighted mean of the inverses, so H = P^{-1} is never
+formed; it and X#Y share one congruence (A U) diag(s) (A U)^T of an SVD.
 """
 
 from __future__ import annotations
@@ -174,11 +176,10 @@ def _svd(m: np.ndarray, compute_uv: bool = False):
         raise NumericalError(f"singular value decomposition failed: {exc}") from exc
 
 
-def _geomean_of_factors(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """X # Y = (A U) diag(s) (A U)^T for X = A A^T, Y = B B^T and A^{-1} B = U diag(s) V^T,
-    since A^{-1} Y A^{-T} = U diag(s^2) U^T (Iannazzo, NLAA 2016): no matrix of the
-    condition of X^{-1} Y is formed."""
-    u, s, _ = _svd(np.linalg.solve(a, b), compute_uv=True)
+def _congruence(a: np.ndarray, u: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """(A U) diag(s) (A U)^T, symmetrized: the one X # Y kernel, for X = A A^T and
+    U diag(s) U^T = A^{-1} (X # Y) A^{-T} read off an SVD, so that no matrix of the
+    condition of X^{-1} Y is formed (Iannazzo, NLAA 2016)."""
     au = a @ u
     out = (au * s) @ au.T
     return 0.5 * (out + out.T)
@@ -188,9 +189,12 @@ def geometric_mean(x: SPDMatrix, y: SPDMatrix) -> SPDMatrix:
     """Matrix geometric mean X # Y = X^{1/2}(X^{-1/2} Y X^{-1/2})^{1/2} X^{1/2}.
 
     The trace-metric geodesic midpoint; solves the Riccati equation
-    Z X^{-1} Z = Y.  Computed from the Cholesky quotient by :func:`_geomean_of_factors`.
+    Z X^{-1} Z = Y.  With X = A A^T, Y = B B^T and A^{-1} B = U diag(s) V^T,
+    A^{-1} Y A^{-T} = U diag(s^2) U^T, so X # Y = (A U) diag(s) (A U)^T.
     """
-    return _computed_spd(_geomean_of_factors(*_factor_pair(x, y)), "geometric mean")
+    a, b = _factor_pair(x, y)
+    u, s, _ = _svd(np.linalg.solve(a, b), compute_uv=True)
+    return _computed_spd(_congruence(a, u, s), "geometric mean")
 
 
 def trace_metric_distance(p1: SPDMatrix, p2: SPDMatrix) -> float:
@@ -237,12 +241,21 @@ def _weighted_sum(w: np.ndarray, stack: np.ndarray) -> np.ndarray:
 def sld_centroid(mats: Sequence[SPDMatrix], weights: Optional[Sequence] = None) -> SPDMatrix:
     """Symmetrized log-det centroid A # H of a weighted SPD set.
 
-    A is the weighted arithmetic mean and H the weighted harmonic mean; A # H is
-    read from their Cholesky factors by the kernel of :func:`geometric_mean`.
+    A is the weighted arithmetic mean and H = P^{-1} the weighted harmonic mean,
+    P the weighted mean of the inverses.  H is never formed: with A = L L^T,
+    P = R R^T and L^T R = U diag(s) V^T, the quotient L^{-1} R^{-T} of A and H is
+    U diag(1/s) V^T, so A # H = (L U) diag(1/s) (L U)^T.  A failed inversion or
+    factorization is a NumericalError.
     """
     w = check_weights(weights, len(mats))
     stack = _same_dim_stack(mats)
-    a = _weighted_sum(w, stack)
-    h = np.linalg.inv(_weighted_sum(w, np.linalg.inv(stack)))
-    g = _geomean_of_factors(np.linalg.cholesky(a), np.linalg.cholesky(0.5 * (h + h.T)))
-    return _computed_spd(g, "A#H centroid")
+    try:
+        prec = _weighted_sum(w, np.linalg.inv(stack))
+        l = np.linalg.cholesky(_weighted_sum(w, stack))
+        # Computed inverses are not exactly symmetric, and cholesky reads one
+        # triangle: near the 1e12 bound, P's lower triangle alone put A # H 42% off.
+        r = np.linalg.cholesky(0.5 * (prec + prec.T))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"A#H centroid: {exc}") from exc
+    u, s, _ = _svd(l.T @ r, compute_uv=True)
+    return _computed_spd(_congruence(l, u, 1.0 / s), "A#H centroid")

@@ -360,8 +360,9 @@ def _frame_norm(e: list, p: list) -> float:
     return math.sqrt(float(sum(q[i][j] * q[j][i] for i in range(len(q)) for j in range(len(q)))))
 
 
-def geometric_mean_error(x: np.ndarray, y: np.ndarray, g: np.ndarray) -> float:
-    """The error ||R^{-1/2} (G - R) R^{-1/2}||_F of a computed G against R = X # Y.
+def _exact_geomean_error(x: list, y: list, g: list) -> float:
+    """The error ||R^{-1/2} (G - R) R^{-1/2}||_F of G against R = X # Y, for matrices of
+    exact rationals.
 
     For 2 x 2 it is read off Bhatia's closed form R = sqrt(ab) S / sqrt(det S),
     S = X/a + Y/b, a = sqrt(det X), b = sqrt(det Y), in 80-digit decimals.  For
@@ -374,15 +375,41 @@ def geometric_mean_error(x: np.ndarray, y: np.ndarray, g: np.ndarray) -> float:
     if len(x) == 2:
         with localcontext() as ctx:
             ctx.prec = 80
-            xd, yd, gd = ([[Decimal(v) for v in row] for row in m.tolist()] for m in (x, y, g))
+            xd, yd, gd = ([[_decimal(v) for v in row] for row in m] for m in (x, y, g))
             a, b = _exact_det(xd).sqrt(), _exact_det(yd).sqrt()
             s = [[u / a + v / b for u, v in zip(ru, rv)] for ru, rv in zip(xd, yd)]
             c = (a * b).sqrt() / _exact_det(s).sqrt()
             r = [[c * v for v in row] for row in s]
             return _frame_norm([[u - v for u, v in zip(ru, rv)] for ru, rv in zip(gd, r)], r)
-    xq, yq, gq = ([[Fraction(v) for v in row] for row in m.tolist()] for m in (x, y, g))
-    f = _mat_mul(_mat_mul(gq, _cofactor_inverse(xq)), gq)
-    return _frame_norm([[u - v for u, v in zip(ru, rv)] for ru, rv in zip(f, yq)], yq) / 2
+    f = _mat_mul(_mat_mul(g, _cofactor_inverse(x)), g)
+    return _frame_norm([[u - v for u, v in zip(ru, rv)] for ru, rv in zip(f, y)], y) / 2
+
+
+def _fractions(m: np.ndarray) -> list:
+    return [[Fraction(v) for v in row] for row in np.asarray(m, dtype=float).tolist()]
+
+
+def geometric_mean_error(x: np.ndarray, y: np.ndarray, g: np.ndarray) -> float:
+    """The error of a computed G against X # Y, as :func:`_exact_geomean_error` reads it."""
+    return _exact_geomean_error(_fractions(x), _fractions(y), _fractions(g))
+
+
+def sld_centroid_error(mats: Sequence[np.ndarray], weights: Sequence[float],
+                       g: np.ndarray) -> float:
+    """The error of a computed G against the symmetrized log-det centroid A # H, as
+    :func:`_exact_geomean_error` reads it, with the weighted arithmetic mean A and
+    harmonic mean H of the members formed in exact rational arithmetic (small d only)."""
+    w = [Fraction(float(v)) for v in weights]
+    ms = [_fractions(m) for m in mats]
+    d = len(ms[0])
+
+    def mean(terms: list) -> list:
+        return [[sum(wi * t[i][j] for wi, t in zip(w, terms)) for j in range(d)]
+                for i in range(d)]
+
+    a = mean(ms)
+    h = _cofactor_inverse(mean([_cofactor_inverse(m) for m in ms]))
+    return _exact_geomean_error(a, h, _fractions(g))
 
 
 # --- the Gaussian conversions, composed step by step ----------------------------

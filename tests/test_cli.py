@@ -188,6 +188,32 @@ class TestCompute:
         assert code == 2
         assert "same-mean" in err
 
+    @pytest.mark.parametrize(
+        "members, code",
+        [
+            # 100 standard deviations apart, though the means differ by only 1e-13
+            ([([0.0], [[1e-30]]), ([1e-13], [[4e-30]])], 2),
+            # 1e-13 standard deviations apart, though the means differ by 1e-3
+            ([([0.0, 0.0], [[1e20, 0.0], [0.0, 1e20]]),
+              ([1e-3, 0.0], [[2e20, 0.0], [0.0, 1e20]])], 0),
+        ],
+        ids=["tiny-scale-apart", "huge-scale-same"],
+    )
+    def test_gaussian_same_mean_is_read_in_standard_deviations(
+        self, tmp_path, capsys, members, code
+    ):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps([{"mean": m, "cov": c} for m, c in members]))
+        got, out, err = run(
+            ["compute", "--family", "gaussian", "--method", "jeffreys", "--input", str(path)],
+            capsys,
+        )
+        assert got == code
+        if code == 2:
+            assert "same-mean" in err
+        else:
+            assert json.loads(out)["center"]["mean"] == members[0][0]
+
     def test_gaussian_same_mean_jeffreys(self, gaussian_json_file, capsys):
         code, out, _ = run(
             [

@@ -998,6 +998,31 @@ class TestGBCenterMvn:
 
 
 class TestCenteredClosedForm:
+    # Per d: (<cov, V>, tr cov) of the closed-form centroid of four covariances
+    # of scales 10^U(-1, 1) with weights U(0.2, 1), normalized, all drawn from
+    # default_rng(d), and V from default_rng(1000 + d); values computed when
+    # A # H was read off chol(A) and chol(H).
+    FINGERPRINTS = {
+        1: (1.5993162455439627, 1.7154110909465932),
+        2: (0.8230453356271225, 9.439229542132598),
+        3: (-0.22714701491042355, 1.1267038110368548),
+        5: (-31.725070679967615, 46.65415603048181),
+        8: (-93.93656442982119, 159.0656978225796),
+    }
+
+    @pytest.mark.parametrize("d", sorted(FINGERPRINTS))
+    def test_centers_unchanged(self, d):
+        rng = np.random.default_rng(d)
+        covs = [random_spd(rng, d, spread=10.0 ** rng.uniform(-1, 1)) for _ in range(4)]
+        w = rng.uniform(0.2, 1.0, size=4)
+        w /= w.sum()
+        v = np.random.default_rng(1000 + d).normal(size=(d, d))
+        mean = np.arange(d, dtype=float)
+        center = jeffreys_centroid_centered(covs, w, mean=mean)
+        assert np.array_equal(center.mean, mean)
+        cov = center.cov.entries
+        assert [np.sum(cov * v), np.trace(cov)] == pytest.approx(self.FINGERPRINTS[d], rel=1e-12)
+
     def test_all_equal(self, rng):
         c = random_spd(rng, 3)
         out = jeffreys_centroid_centered([c, c], mean=np.zeros(3))

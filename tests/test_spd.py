@@ -1,5 +1,6 @@
 import ast
 import math
+from collections import Counter
 import warnings
 from decimal import Decimal, localcontext
 from pathlib import Path
@@ -35,6 +36,7 @@ from oracles import (
     exact_trace_metric_distance,
     g_invariance_residual,
     geometric_mean_error,
+    sld_centroid_error,
     sld_grad_residual,
     spd_power,
     spd_sqrt,
@@ -563,6 +565,43 @@ class TestSldCentroid:
             sld_centroid(mats, [0.7, 0.7])
         with pytest.raises(DomainError):
             sld_centroid([], None)
+
+    def test_valid_pairs_near_the_bound(self):
+        """The 1000 seeded pairs of TestLogDet.test_valid_pairs_near_the_bound, with
+        uniform weights.  The inversions of the members bound the error (4.6e-6 when
+        A # H was read off chol(A) and chol(H)); with H never formed, symmetrizing the
+        precision mean P before its factorization is what keeps it there: from P's
+        lower triangle alone one 3 x 3 pair was 0.42 off."""
+        worst = max(
+            sld_centroid_error([x, y], [0.5, 0.5], sld_centroid([x, y]).entries)
+            for x, y, _ in valid_pairs(range(1000), 11.9)
+        )
+        assert worst <= 1e-5
+
+    def test_lapack_calls(self, rng, monkeypatch):
+        """One call inverts the members as one stack, factors A and the precision
+        mean P, takes one SVD and the output's eigenvalues, and solves nothing: the
+        harmonic mean H = P^{-1} is never formed."""
+        mats = [random_spd(rng, 3) for _ in range(4)]
+        calls = Counter()
+        for name in ("inv", "cholesky", "svd", "eigvalsh", "eigh", "solve"):
+            def counted(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        sld_centroid(mats)
+        assert calls == Counter(inv=1, cholesky=2, svd=1, eigvalsh=1)
+
+    @pytest.mark.parametrize("name", ["inv", "cholesky"])
+    def test_a_failed_factorization_is_a_numerical_error(self, rng, monkeypatch, name):
+        mats = [random_spd(rng, 2), random_spd(rng, 2)]
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("forced failure")
+
+        monkeypatch.setattr(np.linalg, name, fail)
+        with pytest.raises(NumericalError, match="forced failure"):
+            sld_centroid(mats)
 
 
 class TestNakamura:
