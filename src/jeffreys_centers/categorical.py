@@ -1,13 +1,11 @@
 """Categorical (normalized histogram) family.
 
 The weighted arithmetic and normalized geometric means, the exact numerical Jeffreys
-centroid (Lambert-W fixed point + safeguarded Newton on the multiplier), the
+centroid (Lambert-W fixed point + bracketed Newton on the multiplier), the
 closed-form Jeffreys-Fisher-Rao center, and the inductive Gauss-Bregman center.
 
-The Newton solve starts from the multiplier the closed-form JFR center implies
-and keeps W between its steps: the one :func:`lambert_w0` call is at that
-start, and each later W continues Fritsch-Shafer-Crowley steps on
-w + log w = log x from the previous one.
+The multiplier is solved by ``special_functions._bracketed_newton`` from the
+JFR center's multiplier, with W carried from step to step in its closure.
 
 All inputs live on the open simplex: empty bins must be smoothed by the caller
 before ingestion.
@@ -19,13 +17,13 @@ import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .errors import DomainError, NumericalError
 from .legendre import CenterDiagnostics, _float_array, check_weights
-from .special_functions import _w0_shifted, lambert_w0
+from .special_functions import _bracketed_newton, _w0_shifted, lambert_w0
 
 __all__ = [
     "SimplexPoint",
@@ -215,17 +213,15 @@ def jeffreys_loss_cat(hset: HistogramSet, c: SimplexPoint) -> float:
 def jeffreys_centroid_cat(
     hset: HistogramSet, epsilon: float = 1e-10, max_iter: int = 200
 ) -> JeffreysCatResult:
-    """Numerical Jeffreys centroid via safeguarded Newton on the multiplier lambda.
+    """Numerical Jeffreys centroid via bracketed Newton on the multiplier lambda.
 
     The unit-mass root of s(lambda) = sum_j c_j(lambda) lies in the bracket
     [max_j(a_j + log g_j) - 1, 0].  At the root lambda = -KL(c : g), so Newton
     starts at the multiplier the closed-form JFR center implies,
     lambda_J = -KL(c_JFR : g), clamped into the bracket.  The slope is
     s'(lambda) = -sum_j c_j / (1 + W_j) = -sum_j c_j^2 / (c_j + a_j), read off
-    the candidate itself since W_j = a_j / c_j.  Each step narrows the bracket
-    on the sign of s - 1 and falls back to its midpoint when the Newton iterate
-    leaves the closed bracket.  The solve stops once the step or the bracket is
-    at most ``epsilon`` wide; that width is ``final_gap``.  The returned center
+    the candidate itself since W_j = a_j / c_j.  :func:`_bracketed_newton`
+    solves 1 - s = 0 to ``epsilon``; its last gap is ``final_gap``.  The center
     is renormalized; the raw mass defect is kept in ``mass_residual``.  A solve
     that ends more than 1e-9 off unit mass checks the masses at both bracket
     ends and raises :class:`NumericalError` if they do not straddle 1.
@@ -244,40 +240,29 @@ def jeffreys_centroid_cat(
     t0 = time.perf_counter_ns()
     a, g = hset.means
     r = (a / g) * math.e  # W_j's argument is r_j e^lambda
-    bracket_lo = lam_lo = float((a + np.log(g)).max() - 1.0)
-    lam_hi = 0.0
+    lam_lo = float((a + np.log(g)).max() - 1.0)
     c_jfr = _jfr_probs(a, g)
-    lam = min(max(-float((c_jfr * np.log(c_jfr / g)).sum()), lam_lo), lam_hi)
-    w = lambert_w0(r * math.exp(lam))
-    c_raw = a / w
-    s = float(c_raw.sum())
-    iterations = 0
-    gap = lam_hi - lam_lo
-    while gap > epsilon and iterations < max_iter:
-        if s > 1.0:
-            lam_lo = lam
-        else:
-            lam_hi = lam
-        step = (s - 1.0) / float((c_raw * c_raw / (c_raw + a)).sum())
-        # closed test: an exact root (s == 1) gives step 0, a bracket end
-        if not lam_lo <= lam + step <= lam_hi:
-            step = 0.5 * (lam_lo + lam_hi) - lam
-        if step != 0.0:  # a zero step keeps lam, and c_raw is already its candidate
-            lam += step
-            w = _w0_shifted(r * math.exp(lam), w, step)
-            c_raw = a / w
-            s = float(c_raw.sum())
-        iterations += 1
-        gap = min(abs(step), lam_hi - lam_lo)
+    lam = min(max(-float((c_jfr * np.log(c_jfr / g)).sum()), lam_lo), 0.0)
+    w = c_raw = s = None  # W, the candidate and its mass at the last point solved
+
+    def defect(lam_k: float, dlam: float) -> Tuple[float, Callable[[], float]]:  # 1 - s, slope
+        nonlocal w, c_raw, s
+        x = r * math.exp(lam_k)
+        w = _w0_shifted(x, w, dlam) if dlam else lambert_w0(x)
+        c_raw = a / w
+        s = float(c_raw.sum())
+        return 1.0 - s, lambda c=c_raw: float((c * c / (c + a)).sum())
+
+    lam, iterations, gap = _bracketed_newton(defect, lam_lo, 0.0, lam, lambda _: epsilon, max_iter)
     if abs(s - 1.0) > 1e-9:
         # s is monotone in lambda, so a bracket whose ends do not straddle
         # unit mass always ends the solve off it: only then are they checked
-        s_lo = float((a / lambert_w0(r * math.exp(bracket_lo))).sum())
+        s_lo = float((a / lambert_w0(r * math.exp(lam_lo))).sum())
         s_hi = float((a / lambert_w0(r)).sum())
         if s_lo < 1.0 - 1e-9 or s_hi > 1.0 + 1e-9:
             raise NumericalError(
                 f"multiplier bracket does not straddle unit mass: "
-                f"s({bracket_lo:.6g})={s_lo:.12g}, s(0)={s_hi:.12g}"
+                f"s({lam_lo:.6g})={s_lo:.12g}, s(0)={s_hi:.12g}"
             )
     center = SimplexPoint(c_raw / s)
     fixed_point_residual = abs(lam + float((center.probs * np.log(center.probs / g)).sum()))

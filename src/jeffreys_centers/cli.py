@@ -63,6 +63,7 @@ EXIT_PARSE = 2
 EXIT_NUMERIC = 3
 
 _ROW_SUM_SLACK = 1e-6
+_EPSILON_METHODS = {("categorical", "jeffreys"), ("categorical", "gb"), ("gaussian", "gb")}
 
 
 class CliError(Exception):
@@ -300,6 +301,8 @@ def _compute_gaussian(args) -> dict:
 
 
 def cmd_compute(args) -> int:
+    if args.epsilon is not None and (args.family, args.method) not in _EPSILON_METHODS:
+        raise CliError("--epsilon applies to categorical jeffreys and gb, and gaussian gb only")
     report = (
         _compute_categorical(args)
         if args.family == "categorical"
@@ -371,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also score against the numerical Jeffreys centroid (categorical)",
     )
-    comp.add_argument("--epsilon", type=float, help="method stopping tolerance")
+    comp.add_argument("--epsilon", type=float, help="stopping tolerance of the iterating methods")
     comp.add_argument("--output", help="report path (stdout when omitted)")
     comp.set_defaults(fn=cmd_compute)
 

@@ -1,4 +1,5 @@
-"""Scalar special functions: the principal Lambert W branch.
+"""Scalar special functions: the principal Lambert W branch, and the one bracketed
+Newton that solves the histogram multiplier and both roots of the scalar JFR center.
 
 For x > 0, W0 solves w + log w = log x by Fritsch-Shafer-Crowley steps (CACM
 16(2), 1973, Alg. 443; Veberič, CPC 183, 2012) from Winitzki's start.  Nothing
@@ -140,3 +141,25 @@ def lambert_w0(x):
         wn[at_branch] = -1.0
         w[~pos] = wn
     return float(w[0]) if scalar else w
+
+
+def _bracketed_newton(fun, lo: float, hi: float, x: float, tol, max_steps: int):
+    """Root in [lo, hi] of an increasing ``fun(x, dx) -> (value, slope)`` from x,
+    as (x, steps, gap), fun last called at x.  dx is the step that reached x
+    (0.0 at the start); ``slope()`` is called only before a step.  A Newton step
+    leaving the closed sign bracket or over half the last step is a bisection,
+    which on two adjacent floats moves to one of them, then takes a zero step.
+    Stops once gap = min(|step|, hi - lo) <= tol(x), or after max_steps."""
+    value, slope = fun(x, 0.0)
+    steps, step, gap = 0, hi - lo, hi - lo
+    while gap > tol(x) and steps < max_steps:
+        lo, hi = (x, hi) if value < 0.0 else (lo, x)
+        last, step = step, -value / d if (d := slope()) > 0.0 else math.inf
+        if not lo <= x + step <= hi or abs(step) > 0.5 * abs(last):
+            step = 0.5 * (lo + hi) - x
+        if step != 0.0:
+            x += step
+            value, slope = fun(x, step)
+        steps += 1
+        gap = min(abs(step), hi - lo)
+    return x, steps, gap

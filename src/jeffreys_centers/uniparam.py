@@ -2,10 +2,11 @@
 
 The Fisher-Rao geometry of a uni-order family is Euclidean in the coordinate
 h(theta) = int sqrt(f''(u)) du, so the JFR center is the h-quasi-arithmetic
-midpoint of the two sided KL centroids.  Both roots it takes stay inside
-intervals the input fixes: the left centroid lies between the smallest and
-the largest theta_i, and the center between the two centroids, so no bracket
-grows and no integral leaves the two centroids.
+midpoint of the two sided KL centroids.  Both roots it takes are solved by
+``special_functions._bracketed_newton`` inside intervals the input fixes: the
+left centroid lies between the smallest and the largest theta_i, and the
+center between the two centroids, so no bracket grows and no integral leaves
+the two centroids.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 from .legendre import _float_array, check_weights
+from .special_functions import _bracketed_newton
 
 __all__ = ["ScalarGenerator", "jfr_center_1d"]
 
@@ -28,7 +30,7 @@ __all__ = ["ScalarGenerator", "jfr_center_1d"]
 _GL_NODES = 20
 _H_REL_TOL = 1e-12
 _MAX_SPLITS = 200
-# Newton stops on a step of _STEP_TOL relative or a bracket of adjacent floats.
+# Newton stops on a step or bracket of _STEP_TOL relative, or raises after _MAX_STEPS.
 _STEP_TOL = 4e-16
 _MAX_STEPS = 200
 
@@ -99,28 +101,14 @@ def _h_pieces(gen: ScalarGenerator, a: float, b: float) -> Tuple[List[float], Li
     return starts, before
 
 
-def _newton(fun: Callable[[float], Tuple[float, float]], lo: float, hi: float) -> float:
-    """Root in [lo, hi] of an increasing function, ``fun(x) -> (value, slope)``.
-
-    Newton from the midpoint, keeping the sign bracket; a step that leaves the
-    bracket or is not at most half the last step is a bisection instead.
-    """
-    x = 0.5 * (lo + hi)
-    step = prev = hi - lo
-    for _ in range(_MAX_STEPS):
-        value, slope = fun(x)
-        if value == 0.0:
-            return x
-        lo, hi = (lo, x) if value > 0.0 else (x, hi)
-        prev, step = step, value / slope if slope > 0.0 else math.inf
-        if abs(step) <= _STEP_TOL * abs(x):
-            return min(max(x - step, lo), hi)
-        if not lo < x - step < hi or abs(step) > 0.5 * abs(prev):
-            step = x - 0.5 * (lo + hi)
-            if not lo < x - step < hi:  # the bracket is two adjacent floats
-                return x
-        x -= step
-    raise NumericalError(f"Newton did not converge in {_MAX_STEPS} steps on [{lo!r}, {hi!r}]")
+def _newton(fun, lo: float, hi: float) -> float:
+    """:func:`_bracketed_newton` on ``fun(x)`` from the midpoint; out of steps, raises."""
+    x, _, gap = _bracketed_newton(
+        lambda t, _: fun(t), lo, hi, 0.5 * (lo + hi), lambda t: _STEP_TOL * abs(t), _MAX_STEPS
+    )
+    if gap > _STEP_TOL * abs(x):
+        raise NumericalError(f"Newton did not converge in {_MAX_STEPS} steps on [{lo!r}, {hi!r}]")
+    return x
 
 
 def jfr_center_1d(
@@ -143,20 +131,20 @@ def jfr_center_1d(
     slopes = [_call(gen.f_prime, t) for t in ts]
     if min(ts) < max(ts) and min(slopes) == max(slopes):
         raise NumericalError("f' is one float at every theta: the left centroid is not determined")
-    target = float(w @ slopes)
+    eta = float(w @ slopes)
     theta_under = _newton(
-        lambda t: (_call(gen.f_prime, t) - target, _call(gen.f_second, t)), min(ts), max(ts)
+        lambda t: (_call(gen.f_prime, t) - eta, lambda: _call(gen.f_second, t)), min(ts), max(ts)
     )
     if theta_under == theta_bar:
         return theta_bar
     lo, hi = sorted((theta_bar, theta_under))
     starts, before = _h_pieces(gen, lo, hi)
 
-    def h_minus_half(m: float) -> Tuple[float, float]:
+    def h_minus_half(m: float) -> Tuple[float, Callable[[], float]]:
         # the pieces before m, then one rule on each half of the rest
         k = bisect.bisect_right(starts, m) - 1
         mid = 0.5 * (starts[k] + m)
         value = before[k] + _gl(gen, starts[k], mid) + _gl(gen, mid, m) - 0.5 * before[-1]
-        return value, _sqrt_f2(gen, m)
+        return value, lambda: _sqrt_f2(gen, m)
 
     return _newton(h_minus_half, lo, hi)

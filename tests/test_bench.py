@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -143,3 +145,24 @@ class TestTable2:
         assert rows["jfr"].tv_eps == pytest.approx(2.495e-05, rel=0.05)
         assert rows["gb"].info_eps == pytest.approx(1.338e-06, rel=0.05)
         assert rows["gb"].tv_eps == pytest.approx(3.480e-04, rel=0.05)
+
+
+class TestGoldenCsv:
+    """The --no-timing CSVs, byte for byte, against SHA-256 digests taken
+    before the histogram solve moved to the shared bracketed Newton.  Table 1
+    runs 100 trials per dimension to stay under a second; the default 1000
+    (digest 797c83e5...) is checked by hand with ``centers bench table1
+    --no-timing``."""
+
+    def test_table1(self):
+        config = RunConfig(seed=0, trials=100, dims=(2, 4, 8, 16, 32, 64, 128, 256))
+        text = table1_csv(run_table1(config, timing=False))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "9e8ed8998f3599bcfbf5963e2699461ad15eee1a461623f8a33ba145cd5db86a"
+        )
+
+    def test_table2(self):
+        text = table2_csv(run_table2(timing=False))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "b25b5d025f3580a0dbb68921da6415f0be32c377c0b87f3644374394f74d387e"
+        )

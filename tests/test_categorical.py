@@ -499,6 +499,32 @@ class TestNewtonSolve:
         assert res.diagnostics.status == "max_iter"
         assert res.diagnostics.final_gap > 1e-10
 
+    # (lam, iterations, final_gap, mass_residual, center . u) of the solve at
+    # the default epsilon, keyed by Table 2's alpha or by d of the Dirichlet
+    # pair sample_histogram_pair(0, d, 0), with u drawn from
+    # default_rng(1000 + bins); values computed while the solve ran its own
+    # inline Newton loop, before it moved to special_functions.
+    FINGERPRINTS = {
+        ("alpha", 1e-1): (-0.0021897681012637772, 2, 4.5589378573761456e-12, 0.0, -0.9341837255074239),
+        ("alpha", 1e-6): (-0.21043137369952902, 4, 9.671483765707115e-11, 0.0, -1.0040865563529304),
+        ("alpha", 1e-11): (-0.27448897607075246, 4, 2.9069742121813725e-13, 0.0, -1.0131512166873633),
+        ("d", 2): (-0.008354481209371403, 3, 0.0, 0.0, -0.5966474021715126),
+        ("d", 16): (-0.007798018862311944, 3, 4.424279776771911e-16, 1.1102230246251565e-16, -0.0554920386915343),
+        ("d", 256): (-0.015044492398732946, 3, 1.9400385835068093e-14, 0.0, 0.08337504159734767),
+    }
+
+    @pytest.mark.parametrize("key", FINGERPRINTS, ids=lambda k: f"{k[0]}={k[1]:g}")
+    def test_solve_unchanged(self, key):
+        kind, value = key
+        hset = table2_hset(value) if kind == "alpha" else HistogramSet.uniform(
+            sample_histogram_pair(0, value, 0)
+        )
+        res = jeffreys_centroid_cat(hset)
+        u = np.random.default_rng(1000 + hset.dim).normal(size=hset.dim)
+        diag = res.diagnostics
+        got = (res.lam, diag.iterations, diag.final_gap, res.mass_residual, float(res.center.probs @ u))
+        assert got == self.FINGERPRINTS[key]
+
 
 class TestStartedW:
     """The solve's W: one cold lambert_w0 call at the JFR multiplier, then each

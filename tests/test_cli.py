@@ -13,6 +13,11 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 # The iterative methods that take --epsilon, and the input fixture of each family.
 EPSILON_METHODS = [("categorical", "jeffreys"), ("categorical", "gb"), ("gaussian", "gb")]
+NON_ITERATING_METHODS = [
+    ("categorical", "jfr"), ("categorical", "arithmetic"), ("categorical", "geometric"),
+    ("categorical", "unnormalized"), ("gaussian", "jfr"), ("gaussian", "jeffreys"),
+    ("gaussian", "arithmetic"), ("gaussian", "geometric"),
+]
 FAMILY_INPUT = {"categorical": "table2_csv_file", "gaussian": "gaussian_json_file"}
 
 
@@ -324,6 +329,19 @@ class TestCompute:
         )
         assert code == 2
         assert "invalid input" in err
+
+    @pytest.mark.parametrize("family, method", NON_ITERATING_METHODS)
+    def test_epsilon_of_a_method_that_does_not_iterate_exits_2(
+        self, family, method, request, capsys
+    ):
+        path = request.getfixturevalue(FAMILY_INPUT[family])
+        code, out, err = run(
+            ["compute", "--family", family, "--method", method, "--input", str(path),
+             "--epsilon", "1e-3"],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert "--epsilon applies to categorical jeffreys and gb, and gaussian gb only" in err
 
     @pytest.mark.parametrize(
         "bad",

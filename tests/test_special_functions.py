@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from jeffreys_centers import (
     DomainError,
@@ -11,6 +14,7 @@ from jeffreys_centers import (
     lambert_w0,
     shannon_generator,
 )
+from jeffreys_centers.special_functions import _bracketed_newton
 
 from oracles import elliptic_k
 
@@ -298,3 +302,108 @@ class TestToleranceConfig:
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             ToleranceConfig(**kwargs)
+
+
+def recorded(fun):
+    """``fun(x) -> (value, slope)`` as the solver's ``fun(x, dx)``, which returns
+    the slope as a callable; the list of (x, dx, value) it is called with; and
+    the list of the x whose slope is called."""
+    calls, slopes = [], []
+
+    def wrapped(x, dx):
+        value, slope = fun(x)
+        calls.append((x, dx, value))
+
+        def called_slope():
+            slopes.append(x)
+            return slope
+
+        return value, called_slope
+
+    return wrapped, calls, slopes
+
+
+def cubic(a, b, c):
+    """a x^3 + b x + c, each value correctly rounded, and its slope.  Where no
+    value near the root underflows to 0, each sign is exact."""
+    fa, fb, fc = Fraction(a), Fraction(b), Fraction(c)
+    return lambda x: (float(fa * Fraction(x) ** 3 + fb * Fraction(x) + fc), 3.0 * a * x * x + b)
+
+
+def check_calls(calls, lo, hi):
+    """The solver's contract on its calls: dx is 0.0 at the start and then the
+    exact increment, and each x lies in the sign bracket the earlier values
+    leave inside [lo, hi]."""
+    assert calls[0][1] == 0.0
+    for (x0, _, _), (x1, dx, _) in zip(calls, calls[1:]):
+        assert dx != 0.0 and x1 == x0 + dx
+    for k, (x, _, _) in enumerate(calls):
+        below = [lo] + [t for t, _, v in calls[:k] if v < 0.0]
+        above = [hi] + [t for t, _, v in calls[:k] if v >= 0.0]
+        assert max(below) <= x <= min(above)
+
+
+class TestBracketedNewton:
+    """The one scalar root solver: the histogram multiplier and both roots of
+    the scalar JFR center run it."""
+
+    @pytest.mark.parametrize(
+        "fun, lo, hi, x",
+        [
+            (lambda t: (math.exp(t) - 1.0, math.exp(t)), -1.0, 700.0, 350.0),
+            (lambda t: (-1.0 if t < 1.0 / 3.0 else 1.0, 1.0), 0.0, 1.0, 0.9),
+            (lambda t: (t - 0.3, 0.0), 0.0, 1.0, 0.0),
+            (cubic(1.0, 1e-3, -2.0), -5.0, 5.0, 5.0),
+        ],
+        ids=["far-start", "step", "zero-slope", "cubic"],
+    )
+    def test_calls_keep_the_contract(self, fun, lo, hi, x):
+        wrapped, calls, slopes = recorded(fun)
+        root, steps, gap = _bracketed_newton(wrapped, lo, hi, x, lambda t: 4e-16 * abs(t), 200)
+        check_calls(calls, lo, hi)
+        assert calls[-1][0] == root
+        assert steps < 200 and gap <= 4e-16 * abs(root)
+        # one slope per step, each at the point the step is taken from
+        assert len(slopes) == steps and slopes[0] == x
+        assert set(slopes) <= {t for t, _, _ in calls}
+
+    def test_a_capped_solve_returns_without_raising(self):
+        # a zero slope only bisects: from 0.5, the fifth bisection steps 1/64
+        x, steps, gap = _bracketed_newton(
+            lambda t, _: (t - 0.3, lambda: 0.0), 0.0, 1.0, 0.5, lambda t: 0.0, 5
+        )
+        assert steps == 5 and gap == 1.0 / 64.0 and abs(x - 0.3) <= 1.0 / 32.0
+
+    def test_a_point_bracket_returns_its_point(self):
+        wrapped, calls, slopes = recorded(lambda t: (1e-20, 1.0))
+        assert _bracketed_newton(wrapped, 2.5, 2.5, 2.5, lambda t: 0.0, 10) == (2.5, 0, 0.0)
+        assert calls == [(2.5, 0.0, 1e-20)] and slopes == []
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        a=st.floats(1e-6, 1e3),
+        b=st.floats(1e-6, 1e3),
+        c=st.floats(-1e3, 1e3),
+        lo=st.floats(-1e4, -1.0),
+        hi=st.floats(1.0, 1e4),
+        start=st.floats(0.0, 1.0),
+        rel=st.sampled_from([0.0, 4e-16, 1e-12, 1e-6]),
+    )
+    def test_increasing_cubics(self, a, b, c, lo, hi, start, rel):
+        """The root is found to the tolerance, or to the two adjacent floats
+        that bracket it, and every call keeps the bracket.  |c| >= 1e-3 keeps
+        the root at least 1e-6 from 0, so no value near it underflows."""
+        fun = cubic(a, b, c)
+        assume(abs(c) >= 1e-3 and fun(lo)[0] < 0.0 <= fun(hi)[0])
+        wrapped, calls, _ = recorded(fun)
+        x, steps, _ = _bracketed_newton(
+            wrapped, lo, hi, lo + start * (hi - lo), lambda t: rel * abs(t), 200
+        )
+        check_calls(calls, lo, hi)
+        assert steps < 200
+        # the root's bracket of adjacent floats, by bisection on exact signs
+        r_lo, r_hi = lo, hi
+        while r_lo < 0.5 * (r_lo + r_hi) < r_hi:
+            mid = 0.5 * (r_lo + r_hi)
+            r_lo, r_hi = (mid, r_hi) if fun(mid)[0] < 0.0 else (r_lo, mid)
+        assert x in (r_lo, r_hi) or min(abs(x - r_lo), abs(x - r_hi)) <= 2.0 * rel * abs(x)
