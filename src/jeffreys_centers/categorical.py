@@ -1,11 +1,9 @@
 """Categorical (normalized histogram) family.
 
 The weighted arithmetic and normalized geometric means, the exact numerical Jeffreys
-centroid (Lambert-W fixed point + bracketed Newton on the multiplier), the
-closed-form Jeffreys-Fisher-Rao center, and the inductive Gauss-Bregman center.
-
-The multiplier is solved by ``special_functions._bracketed_newton`` from the
-JFR center's multiplier, with W carried from step to step in its closure.
+centroid (a Lambert-W fixed point whose multiplier ``special_functions._bracketed_newton``
+solves from the JFR center's), the closed-form Jeffreys-Fisher-Rao center, and the
+inductive Gauss-Bregman center.
 
 All inputs live on the open simplex: empty bins must be smoothed by the caller
 before ingestion.
@@ -17,7 +15,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -245,15 +243,18 @@ def jeffreys_centroid_cat(
     lam = min(max(-float((c_jfr * np.log(c_jfr / g)).sum()), lam_lo), 0.0)
     w = c_raw = s = None  # W, the candidate and its mass at the last point solved
 
-    def defect(lam_k: float, dlam: float) -> Tuple[float, Callable[[], float]]:  # 1 - s, slope
+    def defect(lam_k: float, dlam: float) -> float:  # 1 - s
         nonlocal w, c_raw, s
         x = r * math.exp(lam_k)
         w = _w0_shifted(x, w, dlam) if dlam else lambert_w0(x)
         c_raw = a / w
         s = float(c_raw.sum())
-        return 1.0 - s, lambda c=c_raw: float((c * c / (c + a)).sum())
+        return 1.0 - s
 
-    lam, iterations, gap = _bracketed_newton(defect, lam_lo, 0.0, lam, lambda _: epsilon, max_iter)
+    def slope(_: float) -> float:  # -s' at the last lambda solved
+        return float((c_raw * c_raw / (c_raw + a)).sum())
+
+    lam, iterations, gap = _bracketed_newton(defect, slope, lam_lo, 0.0, lam, max_iter, epsilon)
     if abs(s - 1.0) > 1e-9:
         # s is monotone in lambda, so a bracket whose ends do not straddle
         # unit mass always ends the solve off it: only then are they checked

@@ -143,23 +143,24 @@ def lambert_w0(x):
     return float(w[0]) if scalar else w
 
 
-def _bracketed_newton(fun, lo: float, hi: float, x: float, tol, max_steps: int):
-    """Root in [lo, hi] of an increasing ``fun(x, dx) -> (value, slope)`` from x,
-    as (x, steps, gap), fun last called at x.  dx is the step that reached x
-    (0.0 at the start); ``slope()`` is called only before a step.  A Newton step
-    leaving the closed sign bracket or over half the last step is a bisection,
-    which on two adjacent floats moves to one of them, then takes a zero step.
-    Stops once gap = min(|step|, hi - lo) <= tol(x), or after max_steps."""
-    value, slope = fun(x, 0.0)
+def _bracketed_newton(fun, slope, lo, hi, x, max_steps, atol=0.0, rtol=0.0):
+    """Root in [lo, hi] of an increasing ``fun(x, dx) -> value`` from x, as
+    (x, steps, gap), fun last called at x; dx is the step that reached x (0.0 at
+    the start), and its slope(x) is called before each step.  A zero value is a
+    root and steps 0, whatever the slope; a Newton step leaving the closed sign
+    bracket or over half the last step is a bisection, which on two adjacent
+    floats moves to one of them, then steps 0.  Stops once gap = min(|step|,
+    hi - lo) <= atol + rtol |x|, or after max_steps."""
+    value = fun(x, 0.0)
     steps, step, gap = 0, hi - lo, hi - lo
-    while gap > tol(x) and steps < max_steps:
+    while gap > atol + rtol * abs(x) and steps < max_steps:
         lo, hi = (x, hi) if value < 0.0 else (lo, x)
-        last, step = step, -value / d if (d := slope()) > 0.0 else math.inf
+        last, step = step, -value / d if (d := slope(x)) > 0.0 else math.inf if value else 0.0
         if not lo <= x + step <= hi or abs(step) > 0.5 * abs(last):
             step = 0.5 * (lo + hi) - x
         if step != 0.0:
             x += step
-            value, slope = fun(x, step)
+            value = fun(x, step)
         steps += 1
         gap = min(abs(step), hi - lo)
     return x, steps, gap

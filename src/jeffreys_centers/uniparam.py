@@ -101,10 +101,10 @@ def _h_pieces(gen: ScalarGenerator, a: float, b: float) -> Tuple[List[float], Li
     return starts, before
 
 
-def _newton(fun, lo: float, hi: float) -> float:
+def _newton(fun, slope, lo: float, hi: float) -> float:
     """:func:`_bracketed_newton` on ``fun(x)`` from the midpoint; out of steps, raises."""
     x, _, gap = _bracketed_newton(
-        lambda t, _: fun(t), lo, hi, 0.5 * (lo + hi), lambda t: _STEP_TOL * abs(t), _MAX_STEPS
+        lambda t, _: fun(t), slope, lo, hi, 0.5 * (lo + hi), _MAX_STEPS, rtol=_STEP_TOL
     )
     if gap > _STEP_TOL * abs(x):
         raise NumericalError(f"Newton did not converge in {_MAX_STEPS} steps on [{lo!r}, {hi!r}]")
@@ -132,19 +132,17 @@ def jfr_center_1d(
     if min(ts) < max(ts) and min(slopes) == max(slopes):
         raise NumericalError("f' is one float at every theta: the left centroid is not determined")
     eta = float(w @ slopes)
-    theta_under = _newton(
-        lambda t: (_call(gen.f_prime, t) - eta, lambda: _call(gen.f_second, t)), min(ts), max(ts)
-    )
+    f_second = functools.partial(_call, gen.f_second)
+    theta_under = _newton(lambda t: _call(gen.f_prime, t) - eta, f_second, min(ts), max(ts))
     if theta_under == theta_bar:
         return theta_bar
     lo, hi = sorted((theta_bar, theta_under))
     starts, before = _h_pieces(gen, lo, hi)
 
-    def h_minus_half(m: float) -> Tuple[float, Callable[[], float]]:
+    def h_minus_half(m: float) -> float:
         # the pieces before m, then one rule on each half of the rest
         k = bisect.bisect_right(starts, m) - 1
         mid = 0.5 * (starts[k] + m)
-        value = before[k] + _gl(gen, starts[k], mid) + _gl(gen, mid, m) - 0.5 * before[-1]
-        return value, lambda: _sqrt_f2(gen, m)
+        return before[k] + _gl(gen, starts[k], mid) + _gl(gen, mid, m) - 0.5 * before[-1]
 
-    return _newton(h_minus_half, lo, hi)
+    return _newton(h_minus_half, functools.partial(_sqrt_f2, gen), lo, hi)

@@ -152,7 +152,8 @@ class TestGoldenCsv:
     before the histogram solve moved to the shared bracketed Newton.  Table 1
     runs 100 trials per dimension to stay under a second; the default 1000
     (digest 797c83e5...) is checked by hand with ``centers bench table1
-    --no-timing``."""
+    --no-timing``.  The CSVs print 6 digits, but a numpy or BLAS build whose
+    exp, log or reductions round differently can still move one of them."""
 
     def test_table1(self):
         config = RunConfig(seed=0, trials=100, dims=(2, 4, 8, 16, 32, 64, 128, 256))

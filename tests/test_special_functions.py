@@ -305,22 +305,21 @@ class TestToleranceConfig:
 
 
 def recorded(fun):
-    """``fun(x) -> (value, slope)`` as the solver's ``fun(x, dx)``, which returns
-    the slope as a callable; the list of (x, dx, value) it is called with; and
-    the list of the x whose slope is called."""
+    """``fun(x) -> (value, slope)`` as the solver's ``fun(x, dx) -> value`` and
+    ``slope(x)``; the list of (x, dx, value) fun is called with; and the list
+    of the x slope is called at."""
     calls, slopes = [], []
 
     def wrapped(x, dx):
-        value, slope = fun(x)
+        value = fun(x)[0]
         calls.append((x, dx, value))
+        return value
 
-        def called_slope():
-            slopes.append(x)
-            return slope
+    def slope(x):
+        slopes.append(x)
+        return fun(x)[1]
 
-        return value, called_slope
-
-    return wrapped, calls, slopes
+    return wrapped, slope, calls, slopes
 
 
 def cubic(a, b, c):
@@ -358,8 +357,8 @@ class TestBracketedNewton:
         ids=["far-start", "step", "zero-slope", "cubic"],
     )
     def test_calls_keep_the_contract(self, fun, lo, hi, x):
-        wrapped, calls, slopes = recorded(fun)
-        root, steps, gap = _bracketed_newton(wrapped, lo, hi, x, lambda t: 4e-16 * abs(t), 200)
+        wrapped, slope, calls, slopes = recorded(fun)
+        root, steps, gap = _bracketed_newton(wrapped, slope, lo, hi, x, 200, rtol=4e-16)
         check_calls(calls, lo, hi)
         assert calls[-1][0] == root
         assert steps < 200 and gap <= 4e-16 * abs(root)
@@ -369,15 +368,20 @@ class TestBracketedNewton:
 
     def test_a_capped_solve_returns_without_raising(self):
         # a zero slope only bisects: from 0.5, the fifth bisection steps 1/64
-        x, steps, gap = _bracketed_newton(
-            lambda t, _: (t - 0.3, lambda: 0.0), 0.0, 1.0, 0.5, lambda t: 0.0, 5
-        )
+        x, steps, gap = _bracketed_newton(lambda t, _: t - 0.3, lambda t: 0.0, 0.0, 1.0, 0.5, 5)
         assert steps == 5 and gap == 1.0 / 64.0 and abs(x - 0.3) <= 1.0 / 32.0
 
     def test_a_point_bracket_returns_its_point(self):
-        wrapped, calls, slopes = recorded(lambda t: (1e-20, 1.0))
-        assert _bracketed_newton(wrapped, 2.5, 2.5, 2.5, lambda t: 0.0, 10) == (2.5, 0, 0.0)
+        wrapped, slope, calls, slopes = recorded(lambda t: (1e-20, 1.0))
+        assert _bracketed_newton(wrapped, slope, 2.5, 2.5, 2.5, 10) == (2.5, 0, 0.0)
         assert calls == [(2.5, 0.0, 1e-20)] and slopes == []
+
+    def test_an_exact_root_takes_a_zero_step_whatever_its_slope(self):
+        # x^3 and its slope are both 0 at 0: a Newton step from there would
+        # divide by the zero slope and bisect away from the root
+        wrapped, slope, calls, slopes = recorded(lambda t: (t**3, 3.0 * t * t))
+        assert _bracketed_newton(wrapped, slope, -1.0, 1.0, 0.0, 200, rtol=4e-16) == (0.0, 1, 0.0)
+        assert calls == [(0.0, 0.0, 0.0)] and slopes == [0.0]
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(
@@ -395,10 +399,9 @@ class TestBracketedNewton:
         the root at least 1e-6 from 0, so no value near it underflows."""
         fun = cubic(a, b, c)
         assume(abs(c) >= 1e-3 and fun(lo)[0] < 0.0 <= fun(hi)[0])
-        wrapped, calls, _ = recorded(fun)
-        x, steps, _ = _bracketed_newton(
-            wrapped, lo, hi, lo + start * (hi - lo), lambda t: rel * abs(t), 200
-        )
+        wrapped, slope, calls, _ = recorded(fun)
+        x0 = lo + start * (hi - lo)
+        x, steps, _ = _bracketed_newton(wrapped, slope, lo, hi, x0, 200, rtol=rel)
         check_calls(calls, lo, hi)
         assert steps < 200
         # the root's bracket of adjacent floats, by bisection on exact signs

@@ -372,7 +372,7 @@ class TestNewton:
         # every Newton step is 1 long, out of the bracket or not halving, so
         # the routine bisects until the bracket stops shrinking
         root = 1.0 / 3.0
-        x = _newton(lambda t: (-1.0 if t < root else 1.0, lambda: 1.0), 0.0, 1.0)
+        x = _newton(lambda t: -1.0 if t < root else 1.0, lambda t: 1.0, 0.0, 1.0)
         assert abs(x - root) <= 2.0 * math.ulp(root)
 
     def test_steps_that_do_not_halve_are_bisections(self):
@@ -382,20 +382,28 @@ class TestNewton:
 
         def fun(t):
             calls.append(t)
-            return math.exp(t) - 1.0, lambda: math.exp(t)
+            return math.exp(t) - 1.0
 
-        assert abs(_newton(fun, -1.0, 700.0)) <= 1e-15
+        assert abs(_newton(fun, math.exp, -1.0, 700.0)) <= 1e-15
         assert len(calls) <= 60
 
     def test_a_zero_slope_bisects(self):
-        x = _newton(lambda t: (t - 0.3, lambda: 0.0), 0.0, 1.0)
+        x = _newton(lambda t: t - 0.3, lambda t: 0.0, 0.0, 1.0)
         assert abs(x - 0.3) <= math.ulp(0.3)
 
+    def test_an_exact_root_with_a_zero_slope_is_returned(self):
+        # the midpoint 0 is the root of t^3, and f'' = 3t^2 vanishes there
+        assert _newton(lambda t: t**3, lambda t: 3.0 * t * t, -1.0, 1.0) == 0.0
+        gen = ScalarGenerator(
+            f_prime=lambda t: t**3, f_second=lambda t: 3.0 * t * t, domain=(-math.inf, math.inf)
+        )
+        assert jfr_center_1d(gen, [-1.0, 1.0]) == 0.0
+
     def test_a_point_bracket_returns_the_point(self):
-        assert _newton(lambda t: (1e-20, lambda: 1.0), 2.5, 2.5) == 2.5
+        assert _newton(lambda t: 1e-20, lambda t: 1.0, 2.5, 2.5) == 2.5
 
     def test_running_out_of_steps_raises(self):
         # a zero slope only bisects, and [0, 1e300] takes about 1000 halvings
         # to come within 4e-16 relative of the root
         with pytest.raises(NumericalError, match="did not converge in 200 steps"):
-            _newton(lambda t: (t - 1.0, lambda: 0.0), 0.0, 1e300)
+            _newton(lambda t: t - 1.0, lambda t: 0.0, 0.0, 1e300)
