@@ -3,7 +3,7 @@
 The weighted arithmetic and normalized geometric means, the exact numerical Jeffreys
 centroid (a Lambert-W fixed point whose multiplier ``special_functions._bracketed_newton``
 solves from the JFR center's), the closed-form Jeffreys-Fisher-Rao center, and the
-inductive Gauss-Bregman center.
+inductive Gauss-Bregman center (``gauss_bregman._double_sequence`` on probabilities).
 
 All inputs live on the open simplex: empty bins must be smoothed by the caller
 before ingestion.
@@ -20,6 +20,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import DomainError, NumericalError
+from .gauss_bregman import _double_sequence
 from .legendre import CenterDiagnostics, _float_array, check_weights
 from .special_functions import _bracketed_newton, _w0_shifted, lambert_w0
 
@@ -231,10 +232,7 @@ def jeffreys_centroid_cat(
     last when |dlambda| <= 1e-4 (see :func:`_w0_shifted`).  Every W is at
     rounding.
     """
-    if not epsilon > 0.0:
-        raise DomainError("epsilon must be positive")
-    if max_iter < 1:
-        raise DomainError(f"max_iter must be >= 1, got {max_iter}")
+    _check_stopping(epsilon, max_iter)
     t0 = time.perf_counter_ns()
     a, g = hset.means
     r = (a / g) * math.e  # W_j's argument is r_j e^lambda
@@ -273,6 +271,13 @@ def jeffreys_centroid_cat(
     )
 
 
+def _check_stopping(epsilon: float, max_iter: int) -> None:
+    if not epsilon > 0.0:
+        raise DomainError("epsilon must be positive")
+    if max_iter < 1:
+        raise DomainError(f"max_iter must be >= 1, got {max_iter}")
+
+
 def _jfr_probs(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     """The JFR center's bins from the sided means: see :func:`jfr_center_cat`."""
     num = (np.sqrt(a) + np.sqrt(g)) ** 2
@@ -301,23 +306,17 @@ def gb_center_cat(
     taken, and the last arithmetic iterate is returned.  The status is
     "max_iter" when the gap target was not met.
     """
-    if not epsilon > 0.0:
-        raise DomainError("epsilon must be positive")
-    if max_iter < 1:
-        raise DomainError(f"max_iter must be >= 1, got {max_iter}")
-    t0 = time.perf_counter_ns()
-    a, g = hset.means
-    gap = 0.5 * float(np.abs(a - g).sum())
-    iterations = 0
-    if gap > min(epsilon, _DEGENERATE_GAP):
-        while iterations < max_iter:
-            u = np.sqrt(a * g)
-            a, g = 0.5 * (a + g), u / u.sum()
-            gap = 0.5 * float(np.abs(a - g).sum())
-            iterations += 1
-            if gap <= epsilon:
-                break
-    return SimplexPoint(a), CenterDiagnostics.after(t0, iterations, gap, epsilon)
+    _check_stopping(epsilon, max_iter)
+    (a, _), diag = _double_sequence(
+        lambda: hset.means, _gb_step_cat, lambda p, q: 0.5 * float(np.abs(p - q).sum()),
+        epsilon, max_iter, min(epsilon, _DEGENERATE_GAP),
+    )
+    return SimplexPoint(a), diag
+
+
+def _gb_step_cat(a: np.ndarray, g: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    u = np.sqrt(a * g)
+    return 0.5 * (a + g), u / u.sum()
 
 
 def unnormalized_center(hset: HistogramSet) -> Tuple[np.ndarray, float]:

@@ -12,10 +12,10 @@ count, the final gap, the stopping tolerance and the status.  Each step goes
 through the module's :func:`gb_step`, so a caller can observe the iterates by
 wrapping it.
 
-This is the package's one generic double sequence: Gauss's arithmetic-geometric
-mean is ``gb_center`` under the Shannon generator, and the arithmetic-harmonic
-matrix sequence converging to X#Y is the Gaussian GB center of the centered
-pair N(0, X), N(0, Y).
+Every family runs the one loop :func:`_double_sequence` with its own start, step,
+gap and first-step rule.  Gauss's arithmetic-geometric mean is ``gb_center``
+under the Shannon generator, and the arithmetic-harmonic matrix sequence
+converging to X#Y is the Gaussian GB center of the centered pair N(0, X), N(0, Y).
 """
 
 from __future__ import annotations
@@ -69,6 +69,18 @@ def _gap(theta_bar: np.ndarray, theta_under: np.ndarray) -> float:
     return gap / scale if scale > 0.0 else gap
 
 
+def _double_sequence(start, step, gap, tol, max_iter, owed):
+    """Step the pair ``start()`` returns while its gap exceeds ``tol`` (``owed`` before
+    the first step), at most ``max_iter`` times; the last pair and its diagnostics."""
+    t0 = time.perf_counter_ns()
+    bar, under = start()
+    iterations = 0
+    while (last := gap(bar, under)) > (tol if iterations else owed) and iterations < max_iter:
+        bar, under = step(bar, under)
+        iterations += 1
+    return (bar, under), CenterDiagnostics.after(t0, iterations, last, tol)
+
+
 def gb_center(
     gen: GeneratorSpec, pset: WeightedParamSet, tol: ToleranceConfig = GB_TOL
 ) -> Tuple[np.ndarray, CenterDiagnostics]:
@@ -86,15 +98,10 @@ def gb_center(
     the next :func:`gb_step` on entry, or, for the pair the loop stops at, here
     before the center is returned.  A pair outside the domain is a DomainError.
     """
-    t0 = time.perf_counter_ns()
-    theta_bar = right_bregman_centroid(pset)
-    theta_under = quasi_arithmetic_center(gen, pset)
-    gap = _gap(theta_bar, theta_under)
-    iterations = 0
-    while gap > tol.rel_tol and iterations < tol.max_iter:
-        theta_bar, theta_under = gb_step(gen, theta_bar, theta_under)
-        gap = _gap(theta_bar, theta_under)
-        iterations += 1
+    (theta_bar, theta_under), diag = _double_sequence(
+        lambda: (right_bregman_centroid(pset), quasi_arithmetic_center(gen, pset)),
+        lambda b, u: gb_step(gen, b, u), _gap, tol.rel_tol, tol.max_iter, tol.rel_tol
+    )
     gen.require_domain(theta_bar, "final arithmetic iterate")
     gen.require_domain(theta_under, "final quasi-arithmetic iterate")
-    return theta_bar, CenterDiagnostics.after(t0, iterations, gap, tol.rel_tol)
+    return theta_bar, diag

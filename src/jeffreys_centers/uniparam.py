@@ -30,7 +30,8 @@ __all__ = ["ScalarGenerator", "jfr_center_1d"]
 _GL_NODES = 20
 _H_REL_TOL = 1e-12
 _MAX_SPLITS = 200
-# Newton stops on a step or bracket of _STEP_TOL relative, or raises after _MAX_STEPS.
+# Newton stops on a step or bracket within _STEP_TOL (|x| + min |bracket end|), or raises
+# after _MAX_STEPS; the floor meets a root at 0, which relative steps alone never reach.
 _STEP_TOL = 4e-16
 _MAX_STEPS = 200
 
@@ -103,10 +104,11 @@ def _h_pieces(gen: ScalarGenerator, a: float, b: float) -> Tuple[List[float], Li
 
 def _newton(fun, slope, lo: float, hi: float) -> float:
     """:func:`_bracketed_newton` on ``fun(x)`` from the midpoint; out of steps, raises."""
+    atol = _STEP_TOL * min(abs(lo), abs(hi))
     x, _, gap = _bracketed_newton(
-        lambda t, _: fun(t), slope, lo, hi, 0.5 * (lo + hi), _MAX_STEPS, rtol=_STEP_TOL
+        lambda t, _: fun(t), slope, lo, hi, 0.5 * (lo + hi), _MAX_STEPS, atol, _STEP_TOL
     )
-    if gap > _STEP_TOL * abs(x):
+    if gap > atol + _STEP_TOL * abs(x):
         raise NumericalError(f"Newton did not converge in {_MAX_STEPS} steps on [{lo!r}, {hi!r}]")
     return x
 

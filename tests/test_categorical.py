@@ -678,11 +678,50 @@ class TestGBCenterCat:
             g = normalized_geometric_mean(hset).probs
             prev = 0.5 * np.abs(a - g).sum()
             for _ in range(30):
-                u = np.sqrt(a * g)
-                a, g = 0.5 * (a + g), u / u.sum()
+                a, g = categorical._gb_step_cat(a, g)
                 gap = 0.5 * np.abs(a - g).sum()
                 assert gap <= prev + 1e-15
                 prev = gap
+
+    # (iterations, final_gap, center . u) at the default epsilon, taken before
+    # the loop moved into gauss_bregman._double_sequence: Table 2's pair at
+    # alpha, and Table 1's seed-0 pair (d, trial), with u drawn from
+    # default_rng(1000 + d).  (iterations, final_gap) are pinned bit for bit;
+    # center . u is a BLAS dot product, held to 1e-15 relative.
+    FINGERPRINTS = {
+        ("alpha", 1e-1, 0): (1, 0.0006467553082500077, -0.9340970565430508),
+        ("alpha", 1e-6, 0): (2, 0.028506999299256056, -0.9976630805551611),
+        ("alpha", 1e-11, 0): (2, 0.06708122714557799, -1.000790570825682),
+        ("d", 2, 0): (1, 0.0015850419695515594, -0.5983343867602232),
+        ("d", 16, 0): (1, 0.003989151453257204, -0.052777697338041676),
+        ("d", 256, 0): (1, 0.00871597651386325, 0.08441137810986071),
+        ("d", 256, 11): (1, 0.004693239291956107, 0.09474964074816072),
+    }
+    # pinned sets whose first TV gap is already <= epsilon
+    WITHIN_EPSILON = [("alpha", 1e-1, 0), ("d", 16, 0), ("d", 256, 11)]
+
+    @staticmethod
+    def pinned_hset(key):
+        kind, value, trial = key
+        if kind == "alpha":
+            return table2_hset(value)
+        return HistogramSet.uniform(sample_histogram_pair(0, value, trial))
+
+    @pytest.mark.parametrize("key", FINGERPRINTS, ids=lambda k: "-".join(map(str, k)))
+    def test_center_unchanged(self, key):
+        hset = self.pinned_hset(key)
+        center, diag = gb_center_cat(hset)
+        u = np.random.default_rng(1000 + hset.dim).normal(size=hset.dim)
+        *loop, dot = self.FINGERPRINTS[key]
+        assert (diag.iterations, diag.final_gap) == tuple(loop)
+        assert float(center.probs @ u) == pytest.approx(dot, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("key", WITHIN_EPSILON, ids=lambda k: "-".join(map(str, k)))
+    def test_a_start_within_epsilon_takes_the_owed_step(self, key):
+        hset = self.pinned_hset(key)
+        a, g = hset.means
+        assert tv_cat(SimplexPoint(a), SimplexPoint(g)) <= categorical.GB_CAT_EPSILON
+        assert gb_center_cat(hset)[1].iterations == 1
 
     def test_converged_iteration_matches_generic_gb(self, rng):
         # run to convergence: the probability-space sequence and the generic

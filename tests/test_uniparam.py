@@ -399,6 +399,21 @@ class TestNewton:
         )
         assert jfr_center_1d(gen, [-1.0, 1.0]) == 0.0
 
+    @pytest.mark.parametrize(
+        "thetas, weights, sign",
+        [([-1.0, 2.0], [8 / 9, 1 / 9], -1.0), ([-2.0, 1.0], [1 / 9, 8 / 9], 1.0)],
+    )
+    def test_a_root_at_zero_that_no_iterate_hits_is_met(self, thetas, weights, sign):
+        # the weights put the left centroid at 0, where f'' = 3t^2 vanishes:
+        # Newton nears it linearly, so a step within 4e-16 |x| never comes and
+        # only the floor at the bracket's scale stops it.  With theta_bar = -2/3
+        # (the mirror: 2/3) and h = (sqrt 3 / 2) t |t|, the center is -sqrt(2)/3.
+        gen = ScalarGenerator(
+            f_prime=lambda t: t**3, f_second=lambda t: 3.0 * t * t, domain=(-math.inf, math.inf)
+        )
+        center = jfr_center_1d(gen, thetas, weights)
+        assert center == pytest.approx(sign * math.sqrt(2.0) / 3.0, rel=1e-15, abs=0.0)
+
     def test_a_point_bracket_returns_the_point(self):
         assert _newton(lambda t: 1e-20, lambda t: 1.0, 2.5, 2.5) == 2.5
 
