@@ -26,6 +26,7 @@ from . import __version__
 from .bench import (
     DEFAULT_ALPHAS,
     RunConfig,
+    _sci,
     run_table1,
     run_table2,
     table1_csv,
@@ -82,16 +83,13 @@ def _render(obj, indent: int = 0) -> str:
         )
         return "{\n" + items + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = ", ".join(_render(v, indent + 1) for v in obj)
-        return "[" + items + "]"
+        return "[" + ", ".join(_render(v, indent + 1) for v in obj) + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return f"{float(obj):.5e}"
+        return _sci(float(obj))
     return json.dumps(obj)
 
 
@@ -100,25 +98,6 @@ def render_report(report: dict) -> str:
 
 
 # --- input parsing ------------------------------------------------------------
-
-def _parse_positive_row(
-    fields: Sequence[str], row_index: int, kind: str
-) -> np.ndarray:
-    values = []
-    for col, token in enumerate(fields):
-        token = token.strip()
-        try:
-            v = float(token)
-        except ValueError:
-            raise CliError(
-                f"{kind} row {row_index}, column {col}: cannot parse {token!r} as a number"
-            )
-        values.append(v)
-    row = np.array(values, dtype=float)
-    if np.any(~np.isfinite(row)) or np.any(row <= 0.0):
-        raise CliError(f"{kind} row {row_index}: simplex violation (non-positive entry)")
-    return row
-
 
 def _renormalize(row: np.ndarray, row_index: int, kind: str) -> np.ndarray:
     total = row.sum()
@@ -129,18 +108,32 @@ def _renormalize(row: np.ndarray, row_index: int, kind: str) -> np.ndarray:
     return row / total
 
 
-def read_histograms(path: str) -> np.ndarray:
+def _read_csv(path: str, kind: str) -> List[np.ndarray]:
+    """The non-blank rows of a CSV file of numbers, each renormalized; the
+    library (:class:`HistogramSet`, ``check_weights``) checks their signs."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln for ln in (l.strip() for l in fh) if ln]
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}")
-    if not lines:
-        raise CliError(f"{path}: no histogram rows")
     rows = []
     for i, line in enumerate(lines):
-        row = _parse_positive_row(line.split(","), i, "histogram")
-        rows.append(_renormalize(row, i, "histogram"))
+        values = []
+        for col, token in enumerate(t.strip() for t in line.split(",")):
+            try:
+                values.append(float(token))
+            except ValueError:
+                raise CliError(
+                    f"{kind} row {i}, column {col}: cannot parse {token!r} as a number"
+                )
+        rows.append(_renormalize(np.array(values), i, kind))
+    return rows
+
+
+def read_histograms(path: str) -> np.ndarray:
+    rows = _read_csv(path, "histogram")
+    if not rows:
+        raise CliError(f"{path}: no histogram rows")
     dims = {r.size for r in rows}
     if len(dims) != 1:
         raise CliError(f"inconsistent histogram dimensions: {sorted(dims)}")
@@ -148,17 +141,12 @@ def read_histograms(path: str) -> np.ndarray:
 
 
 def read_weights(path: str, n: int) -> np.ndarray:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln for ln in (l.strip() for l in fh) if ln]
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}")
-    if len(lines) != 1:
+    rows = _read_csv(path, "weights")
+    if len(rows) != 1:
         raise CliError(f"{path}: weights file must contain exactly one CSV row")
-    row = _parse_positive_row(lines[0].split(","), 0, "weights")
-    if row.size != n:
-        raise CliError(f"{row.size} weights for {n} inputs")
-    return _renormalize(row, 0, "weights")
+    if rows[0].size != n:
+        raise CliError(f"{rows[0].size} weights for {n} inputs")
+    return rows[0]
 
 
 def read_gaussians(path: str) -> Tuple[List[GaussianParam], Optional[np.ndarray]]:
@@ -177,11 +165,10 @@ def read_gaussians(path: str) -> Tuple[List[GaussianParam], Optional[np.ndarray]
         if not isinstance(obj, dict) or "mean" not in obj or "cov" not in obj:
             raise CliError(f"gaussian entry {i}: expected an object with 'mean' and 'cov'")
         try:
-            g = GaussianParam(obj["mean"], obj["cov"])
+            gaussians.append(GaussianParam(obj["mean"], obj["cov"]))
             weights.append(float(obj["weight"]) if "weight" in obj else None)
         except (DomainError, TypeError, ValueError) as exc:
             raise CliError(f"gaussian entry {i}: {exc}")
-        gaussians.append(g)
     dims = {g.dim for g in gaussians}
     if len(dims) != 1:
         raise CliError(f"inconsistent Gaussian dimensions: {sorted(dims)}")
@@ -189,17 +176,10 @@ def read_gaussians(path: str) -> Tuple[List[GaussianParam], Optional[np.ndarray]
         return gaussians, None
     if any(w is None for w in weights):
         raise CliError("either every Gaussian carries a 'weight' or none does")
-    w = np.array([float(x) for x in weights])
-    if np.any(w <= 0.0):
-        raise CliError("Gaussian weights must be strictly positive")
-    return gaussians, _renormalize(w, 0, "weights")
+    return gaussians, _renormalize(np.array(weights), 0, "weights")
 
 
 # --- report helpers -----------------------------------------------------------
-
-def _gauss_dict(g: GaussianParam) -> dict:
-    return {"mean": list(g.mean), "cov": [list(r) for r in g.cov.entries]}
-
 
 def _write(text: str, output: Optional[str]) -> None:
     if output:
@@ -211,103 +191,102 @@ def _write(text: str, output: Optional[str]) -> None:
 
 # --- compute ------------------------------------------------------------------
 
-def _compute_categorical(args) -> dict:
+def _read_categorical(args) -> Tuple[HistogramSet, int, int]:
     rows = read_histograms(args.input)
     weights = read_weights(args.weights, rows.shape[0]) if args.weights else None
     hset = HistogramSet(rows, weights)
-    report: dict = {
-        "schema_version": 1,
-        "family": "categorical",
-        "method": args.method,
-        "n": hset.n,
-        "dim": hset.dim,
-    }
-    diag = CenterDiagnostics(status="exact")
-    eps = {} if args.epsilon is None else {"epsilon": args.epsilon}
-    if args.method == "jeffreys":
-        result = jeffreys_centroid_cat(hset, **eps)
-        center = result.center
-        diag = result.diagnostics
-        report["lambda"] = result.lam
-        report["mass_residual"] = result.mass_residual
-    elif args.method == "jfr":
-        center = jfr_center_cat(hset)
-    elif args.method == "gb":
-        center, diag = gb_center_cat(hset, **eps)
-    elif args.method == "arithmetic":
-        center = arithmetic_mean(hset)
-    elif args.method == "geometric":
-        center = normalized_geometric_mean(hset)
-    elif args.method == "unnormalized":
-        raw, mass = unnormalized_center(hset)
-        report["center"] = list(raw)
-        report["mass"] = mass
-        center = SimplexPoint(raw / mass)
-        report["jeffreys_loss"] = jeffreys_loss_cat(hset, center)
-        report["diagnostics"] = asdict(diag)
-        return report
-    report["center"] = list(center.probs)
-    report["jeffreys_loss"] = jeffreys_loss_cat(hset, center)
-    report["diagnostics"] = asdict(diag)
-    if args.reference and args.method != "jeffreys":
-        ref = jeffreys_centroid_cat(hset, 1e-10)
-        report["reference_center"] = list(ref.center.probs)
-        report["info_eps"] = approximation_factor(hset, center, ref.center)
-        report["tv_eps"] = tv_cat(center, ref.center)
-    return report
+    return hset, hset.n, hset.dim
 
 
-def _compute_gaussian(args) -> dict:
-    if args.reference:
-        raise CliError("--reference requires --family categorical")
+def _read_gaussian(args) -> Tuple[tuple, int, int]:
     gaussians, weights = read_gaussians(args.input)
     if args.weights:
         raise CliError("gaussian inputs carry weights in the JSON objects")
-    report: dict = {
-        "schema_version": 1,
-        "family": "gaussian",
-        "method": args.method,
-        "n": len(gaussians),
-        "dim": gaussians[0].dim,
-    }
-    diag = CenterDiagnostics(status="exact")
-    if args.method == "jfr":
-        center = jfr_center_mvn(gaussians, weights)
-    elif args.method == "gb":
-        tol = GB_TOL if args.epsilon is None else replace(GB_TOL, rel_tol=args.epsilon)
-        center, diag = gb_center_mvn(gaussians, weights, tol)
-    elif args.method == "jeffreys":
-        # Same mean: each member's offset from the first mean is at most 1e-12 of
-        # its own standard deviations, sqrt(dm^T S_i^{-1} dm), at any scale.
-        mu0 = gaussians[0].mean
-        if any((g.mean - mu0) @ np.linalg.solve(g.cov.entries, g.mean - mu0) > 1e-24
-               for g in gaussians):
-            raise CliError(
-                "exact Jeffreys centroid is only available for same-mean Gaussian sets"
-            )
-        center = jeffreys_centroid_centered(
-            [g.cov for g in gaussians], weights, mean=gaussians[0].mean
-        )
-    elif args.method == "arithmetic":
-        _, center = sided_kl_centroids_mvn(gaussians, weights)
-    elif args.method == "geometric":
-        center, _ = sided_kl_centroids_mvn(gaussians, weights)
-    elif args.method == "unnormalized":
-        raise CliError("method 'unnormalized' applies to the categorical family only")
-    report["center"] = _gauss_dict(center)
-    report["jeffreys_loss"] = jeffreys_loss_mvn(gaussians, weights, center)
-    report["diagnostics"] = asdict(diag)
-    return report
+    return (gaussians, weights), len(gaussians), gaussians[0].dim
+
+
+# family -> (read(args) -> (input, n, dim), loss(input, center), center -> report value)
+_FAMILIES = {
+    "categorical": (_read_categorical, jeffreys_loss_cat, lambda c: list(c.probs)),
+    "gaussian": (_read_gaussian, lambda gw, c: jeffreys_loss_mvn(*gw, c),
+                 lambda g: {"mean": list(g.mean), "cov": [list(r) for r in g.cov.entries]}),
+}
+
+
+def _exact(center, /, **fields) -> tuple:
+    """A closed-form center: no iteration to report."""
+    return center, CenterDiagnostics(status="exact"), fields
+
+
+def _categorical_jeffreys(hset: HistogramSet, eps: dict) -> tuple:
+    result = jeffreys_centroid_cat(hset, **eps)
+    fields = {"lambda": result.lam, "mass_residual": result.mass_residual}
+    return result.center, result.diagnostics, fields
+
+
+def _categorical_unnormalized(hset: HistogramSet, _) -> tuple:
+    # the report keeps the raw candidate; the scores read its renormalization
+    raw, mass = unnormalized_center(hset)
+    return _exact(SimplexPoint(raw / mass), center=list(raw), mass=mass)
+
+
+def _gaussian_gb(gw, eps: dict) -> tuple:
+    tol = replace(GB_TOL, rel_tol=eps["epsilon"]) if eps else GB_TOL
+    return (*gb_center_mvn(*gw, tol), {})
+
+
+def _gaussian_jeffreys(gw, _) -> tuple:
+    gaussians, weights = gw
+    # Same mean: each member's offset from the first mean is at most 1e-12 of
+    # its own standard deviations, sqrt(dm^T S_i^{-1} dm), at any scale.
+    mu0 = gaussians[0].mean
+    if any((g.mean - mu0) @ np.linalg.solve(g.cov.entries, g.mean - mu0) > 1e-24
+           for g in gaussians):
+        raise CliError("exact Jeffreys centroid is only available for same-mean Gaussian sets")
+    return _exact(jeffreys_centroid_centered([g.cov for g in gaussians], weights, mean=mu0))
+
+
+# family -> method -> call(input, {"epsilon": ...} or {}) -> (center, diagnostics, report fields)
+_METHODS = {
+    "categorical": {
+        "jeffreys": _categorical_jeffreys,
+        "jfr": lambda hset, _: _exact(jfr_center_cat(hset)),
+        "gb": lambda hset, eps: (*gb_center_cat(hset, **eps), {}),
+        "arithmetic": lambda hset, _: _exact(arithmetic_mean(hset)),
+        "geometric": lambda hset, _: _exact(normalized_geometric_mean(hset)),
+        "unnormalized": _categorical_unnormalized,
+    },
+    "gaussian": {
+        "jeffreys": _gaussian_jeffreys,
+        "jfr": lambda gw, _: _exact(jfr_center_mvn(*gw)),
+        "gb": _gaussian_gb,
+        "arithmetic": lambda gw, _: _exact(sided_kl_centroids_mvn(*gw)[1]),
+        "geometric": lambda gw, _: _exact(sided_kl_centroids_mvn(*gw)[0]),
+    },
+}
 
 
 def cmd_compute(args) -> int:
     if args.epsilon is not None and (args.family, args.method) not in _EPSILON_METHODS:
         raise CliError("--epsilon applies to categorical jeffreys and gb, and gaussian gb only")
-    report = (
-        _compute_categorical(args)
-        if args.family == "categorical"
-        else _compute_gaussian(args)
-    )
+    if args.reference and args.family != "categorical":
+        raise CliError("--reference requires --family categorical")
+    read, loss, report_center = _FAMILIES[args.family]
+    data, n, dim = read(args)
+    if args.method not in _METHODS[args.family]:
+        raise CliError(f"method {args.method!r} applies to the categorical family only")
+    eps = {} if args.epsilon is None else {"epsilon": args.epsilon}
+    center, diag, fields = _METHODS[args.family][args.method](data, eps)
+    report = {"schema_version": 1, "family": args.family, "method": args.method,
+              "n": n, "dim": dim, **fields}
+    report.setdefault("center", report_center(center))
+    report["jeffreys_loss"] = loss(data, center)
+    report["diagnostics"] = asdict(diag)
+    if args.reference and args.method != "jeffreys":
+        ref = jeffreys_centroid_cat(data, 1e-10)
+        report["reference_center"] = list(ref.center.probs)
+        report["info_eps"] = approximation_factor(data, center, ref.center)
+        report["tv_eps"] = tv_cat(center, ref.center)
     _write(render_report(report), args.output)
     return EXIT_OK
 
@@ -361,12 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     comp = sub.add_parser("compute", help="compute a center of an input set")
-    comp.add_argument("--family", choices=["categorical", "gaussian"], required=True)
-    comp.add_argument(
-        "--method",
-        choices=["jeffreys", "jfr", "gb", "arithmetic", "geometric", "unnormalized"],
-        required=True,
-    )
+    comp.add_argument("--family", choices=list(_METHODS), required=True)
+    comp.add_argument("--method", choices=list(_METHODS["categorical"]), required=True)
     comp.add_argument("--input", required=True, help="CSV of histograms or JSON of Gaussians")
     comp.add_argument("--weights", help="single-row CSV of weights (categorical only)")
     comp.add_argument(

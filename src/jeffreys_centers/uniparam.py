@@ -26,7 +26,9 @@ from .special_functions import _bracketed_newton
 __all__ = ["ScalarGenerator", "jfr_center_1d"]
 
 # Adaptive Gauss-Legendre: a piece whose one-rule value and two-halves value
-# differ by more than _H_REL_TOL relative is halved, _MAX_SPLITS times at most.
+# differ by more than _H_REL_TOL of the larger of that value and the whole
+# interval's is halved, _MAX_SPLITS times at most.  Near a zero of f'' a piece's
+# own value shrinks with its error, so a kink of sqrt f'' there needs that floor.
 _GL_NODES = 20
 _H_REL_TOL = 1e-12
 _MAX_SPLITS = 200
@@ -86,12 +88,13 @@ def _gl(gen: ScalarGenerator, a: float, b: float) -> float:
 def _h_pieces(gen: ScalarGenerator, a: float, b: float) -> Tuple[List[float], List[float]]:
     """The starts of the pieces of [a, b], left to right, and int_a sqrt(f'') up
     to each start and to b, each piece by one rule on each of its halves."""
-    todo, starts, before, splits = [(a, b, _gl(gen, a, b))], [], [0.0], 0
+    whole = _gl(gen, a, b)
+    todo, starts, before, splits = [(a, b, whole)], [], [0.0], 0
     while todo:
         lo, hi, coarse = todo.pop()
         mid = 0.5 * (lo + hi)
         left, right = _gl(gen, lo, mid), _gl(gen, mid, hi)
-        if abs(left + right - coarse) <= _H_REL_TOL * (left + right):
+        if abs(left + right - coarse) <= _H_REL_TOL * max(left + right, whole):
             starts.append(lo)
             before.append(before[-1] + left + right)
         elif splits == _MAX_SPLITS:

@@ -7,6 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from jeffreys_centers import (
+    HistogramSet,
+    SimplexPoint,
+    approximation_factor,
+    jeffreys_centroid_cat,
+    tv_cat,
+    unnormalized_center,
+)
 from jeffreys_centers.cli import main, render_report
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -428,3 +436,81 @@ def test_nan_epsilon_exits_2(command, table2_csv_file, capsys):
     code, out, _ = run(command + inputs + ["--epsilon", "nan"], capsys)
     assert code == 2
     assert out == ""
+
+
+# Report keys in order: the common head, each method's own fields, then the center,
+# its loss and its diagnostics.
+HEAD_KEYS = ["schema_version", "family", "method", "n", "dim"]
+TAIL_KEYS = ["center", "jeffreys_loss", "diagnostics"]
+OWN_KEYS = {
+    ("categorical", "jeffreys"): ["lambda", "mass_residual"] + TAIL_KEYS,
+    ("categorical", "unnormalized"): ["center", "mass", "jeffreys_loss", "diagnostics"],
+}
+REFERENCE_KEYS = ["reference_center", "info_eps", "tv_eps"]
+ALL_PAIRS = [
+    (family, method)
+    for family in ("categorical", "gaussian")
+    for method in ("jeffreys", "jfr", "gb", "arithmetic", "geometric", "unnormalized")
+]
+
+
+@pytest.mark.parametrize("family, method", ALL_PAIRS)
+def test_every_family_and_method_pair(family, method, request, capsys):
+    path = request.getfixturevalue(FAMILY_INPUT[family])
+    code, out, err = run(
+        ["compute", "--family", family, "--method", method, "--input", str(path)], capsys
+    )
+    if (family, method) == ("gaussian", "unnormalized"):
+        assert code == 2 and out == ""
+        assert err == (
+            "centers: error: method 'unnormalized' applies to the categorical family only\n"
+        )
+        return
+    assert code == 0
+    assert list(json.loads(out)) == HEAD_KEYS + OWN_KEYS.get((family, method), TAIL_KEYS)
+
+
+def test_unnormalized_reference_scores_the_renormalized_center(table2_csv_file, capsys):
+    code, out, _ = run(
+        ["compute", "--family", "categorical", "--method", "unnormalized",
+         "--input", str(table2_csv_file), "--reference"],
+        capsys,
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert list(report)[-3:] == REFERENCE_KEYS
+    assert report["info_eps"] >= 0.0
+    # the raw candidate is reported, the scores read its renormalization
+    hset = HistogramSet.uniform([[1 / 3, 1 / 3, 1 / 3], [0.9, 0.05, 0.05]])
+    raw, mass = unnormalized_center(hset)
+    ref = jeffreys_centroid_cat(hset, 1e-10).center
+    center = SimplexPoint(raw / mass)
+    assert report["info_eps"] == pytest.approx(approximation_factor(hset, center, ref), rel=1e-5)
+    assert report["tv_eps"] == pytest.approx(tv_cat(center, ref), rel=1e-5)
+
+
+@pytest.mark.parametrize("bad_row", ["1.2,-0.2", "1.0,0.0"], ids=["negative", "zero"])
+def test_bin_signs_are_checked_by_the_library(bad_row, tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"0.5,0.5\n{bad_row}\n")
+    code, _, err = run(
+        ["compute", "--family", "categorical", "--method", "jfr", "--input", str(path)], capsys
+    )
+    assert code == 2
+    assert err == "centers: invalid input: histogram row 1 has a non-finite or non-positive bin\n"
+
+
+def test_weight_signs_are_checked_by_the_library(table2_csv_file, tmp_path, capsys):
+    wpath = tmp_path / "w.csv"
+    wpath.write_text("-0.5,1.5\n")
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps([{"mean": [0.0], "cov": [[1.0]], "weight": -0.5},
+                                 {"mean": [0.0], "cov": [[2.0]], "weight": 1.5}]))
+    for family, inputs in [("categorical", ["--input", str(table2_csv_file),
+                                            "--weights", str(wpath)]),
+                           ("gaussian", ["--input", str(gpath)])]:
+        code, _, err = run(
+            ["compute", "--family", family, "--method", "arithmetic"] + inputs, capsys
+        )
+        assert code == 2
+        assert err == "centers: invalid input: weights must be finite and strictly positive\n"

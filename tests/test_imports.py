@@ -4,7 +4,8 @@ With scipy blocked, the package imports and every public center, divergence
 and loss runs; the histogram and Gaussian centers also leave scipy's optimize
 and integrate modules unloaded where scipy is installed; and the import alone
 does not load ``numpy.polynomial``, whose Gauss-Legendre nodes the scalar JFR
-center builds on first use.
+center builds on first use, nor the front end (``cli``, ``bench``), so a
+program that imports the library runs none of the command's code.
 """
 
 import os
@@ -101,6 +102,12 @@ import jeffreys_centers
 print("numpy.polynomial" in sys.modules)
 """
 
+FRONT_END_PROBE = """
+import sys
+import jeffreys_centers
+print(sorted(m for m in ("jeffreys_centers.cli", "jeffreys_centers.bench") if m in sys.modules))
+"""
+
 
 def run_probe(probe: str) -> str:
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -129,3 +136,7 @@ def test_every_public_center_runs_with_scipy_blocked():
 
 def test_the_import_leaves_numpy_polynomial_unloaded():
     assert run_probe(IMPORT_PROBE) == "False"
+
+
+def test_the_import_leaves_the_front_end_unloaded():
+    assert run_probe(FRONT_END_PROBE) == "[]"

@@ -358,6 +358,23 @@ class TestJFRCenter1dAccuracy:
         assert theta_under < center < 45.0
         assert center == pytest.approx(32.077877794330813947, abs=1e-2)
 
+    def test_a_kink_of_sqrt_f2_between_the_centroids_converges(self):
+        # f' = t^3: sqrt f'' = sqrt(3) |t| has a kink at 0, where a piece's own
+        # integral vanishes, so the piece check reads the whole interval's
+        # integral too.  h = (sqrt 3 / 2) t |t|, so m |m| = c with
+        # c = (theta_bar |theta_bar| + theta_under |theta_under|) / 2.
+        gen = ScalarGenerator(
+            f_prime=lambda t: t**3, f_second=lambda t: 3.0 * t * t, domain=(-math.inf, math.inf)
+        )
+        straddling = 0  # sets whose two centroids lie on both sides of the kink
+        for ts in np.random.default_rng(0).uniform(-2.0, 2.0, size=(300, 3)):
+            bar, under = ts.mean(), np.cbrt(np.mean(ts**3))
+            straddling += bar * under < 0.0
+            c = 0.5 * (bar * abs(bar) + under * abs(under))
+            expect = math.copysign(math.sqrt(abs(c)), c)
+            assert abs(jfr_center_1d(gen, ts) - expect) <= 1e-10 * abs(expect)
+        assert straddling >= 25
+
     def test_a_cancelling_second_derivative_fails_the_piece_check(self):
         # sig(t) (1 - sig(t)) loses its relative accuracy toward t = 37 and is
         # 0 above: no halving makes the halves agree
