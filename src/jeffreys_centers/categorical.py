@@ -30,7 +30,6 @@ __all__ = [
     "JeffreysCatResult",
     "arithmetic_mean",
     "normalized_geometric_mean",
-    "c_of_lambda",
     "jeffreys_centroid_cat",
     "jfr_center_cat",
     "gb_center_cat",
@@ -164,17 +163,6 @@ def normalized_geometric_mean(hset: HistogramSet) -> SimplexPoint:
     return SimplexPoint(u / u.sum())
 
 
-def c_of_lambda(a: SimplexPoint, g: SimplexPoint, lam: float) -> np.ndarray:
-    """Candidate center c_j(lambda) = a_j / W0((a_j/g_j) e^{1+lambda}).
-
-    Positive but not necessarily normalized; its mass is monotone decreasing
-    in ``lam``.  Raw ``a`` and ``g`` are parsed as :class:`SimplexPoint`.
-    """
-    a, g = (p if isinstance(p, SimplexPoint) else SimplexPoint(p) for p in (a, g))
-    _check_same_dim(a.dim, g.dim)
-    return a.probs / lambert_w0((a.probs / g.probs) * np.exp(1.0 + lam))
-
-
 def _check_same_dim(d1: int, d2: int) -> None:
     if d1 != d2:
         raise DomainError(f"dimension mismatch: {d1} vs {d2} bins")
@@ -214,10 +202,12 @@ def jeffreys_centroid_cat(
 ) -> JeffreysCatResult:
     """Numerical Jeffreys centroid via bracketed Newton on the multiplier lambda.
 
-    The unit-mass root of s(lambda) = sum_j c_j(lambda) lies in the bracket
-    [max_j(a_j + log g_j) - 1, 0].  At the root lambda = -KL(c : g), so Newton
-    starts at the multiplier the closed-form JFR center implies,
-    lambda_J = -KL(c_JFR : g), clamped into the bracket.  The slope is
+    The candidate c_j(lambda) = a_j / W0((a_j/g_j) e^{1+lambda}) has a mass
+    s(lambda) = sum_j c_j(lambda) decreasing in lambda, whose unit-mass root
+    lies in the bracket [max_j(a_j + log g_j) - 1, 0].  At the root
+    lambda = -KL(c : g), so Newton starts at the multiplier the closed-form
+    JFR center implies, lambda_J = -KL(c_JFR : g), clamped into the bracket.
+    The slope is
     s'(lambda) = -sum_j c_j / (1 + W_j) = -sum_j c_j^2 / (c_j + a_j), read off
     the candidate itself since W_j = a_j / c_j.  :func:`_bracketed_newton`
     solves 1 - s = 0 to ``epsilon``; its last gap is ``final_gap``.  The center
@@ -320,9 +310,10 @@ def _gb_step_cat(a: np.ndarray, g: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def unnormalized_center(hset: HistogramSet) -> Tuple[np.ndarray, float]:
-    """The lambda = 0 candidate c(0) and its mass s(0) <= 1 + slack."""
+    """The lambda = 0 candidate c(0) and its mass s(0) <= 1 + slack (see
+    :func:`jeffreys_centroid_cat`)."""
     a, g = hset.means
-    c0 = c_of_lambda(a, g, 0.0)
+    c0 = a / lambert_w0((a / g) * math.e)
     return c0, float(c0.sum())
 
 

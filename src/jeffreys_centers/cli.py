@@ -57,6 +57,8 @@ from .gaussian import (
 )
 from .legendre import CenterDiagnostics
 
+__all__ = ["main"]
+
 log = logging.getLogger("centers")
 
 EXIT_OK = 0
@@ -149,6 +151,14 @@ def read_weights(path: str, n: int) -> np.ndarray:
     return rows[0]
 
 
+def _json_numbers(value) -> bool:
+    """Whether ``value`` is a JSON number, or a list whose every leaf is one; a
+    boolean is not a number."""
+    if isinstance(value, list):
+        return all(_json_numbers(v) for v in value)
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def read_gaussians(path: str) -> Tuple[List[GaussianParam], Optional[np.ndarray]]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -164,6 +174,9 @@ def read_gaussians(path: str) -> Tuple[List[GaussianParam], Optional[np.ndarray]
     for i, obj in enumerate(data):
         if not isinstance(obj, dict) or "mean" not in obj or "cov" not in obj:
             raise CliError(f"gaussian entry {i}: expected an object with 'mean' and 'cov'")
+        for key in ("mean", "cov", "weight"):
+            if key in obj and not _json_numbers(obj[key]):
+                raise CliError(f"gaussian entry {i}: {key!r} is not made of JSON numbers")
         try:
             gaussians.append(GaussianParam(obj["mean"], obj["cov"]))
             weights.append(float(obj["weight"]) if "weight" in obj else None)

@@ -1,5 +1,7 @@
 """Exception types shared across the library."""
 
+__all__ = ["DomainError", "NumericalError"]
+
 
 class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""

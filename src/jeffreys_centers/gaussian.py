@@ -56,8 +56,6 @@ __all__ = [
     "mvn_to_natural",
     "mvn_from_natural",
     "mvn_generator",
-    "mvn_flatten",
-    "mvn_unflatten",
     "kl_mvn",
     "jeffreys_mvn",
     "jeffreys_loss_mvn",
@@ -144,14 +142,14 @@ def _index_tables(d: int) -> _IndexTables:
     return _IndexTables(s, (sr, sc), (sc, sr), *arrays[3:])
 
 
-def mvn_flatten(vec: np.ndarray, mat: np.ndarray) -> np.ndarray:
+def _flatten(vec: np.ndarray, mat: np.ndarray) -> np.ndarray:
     """Pack (vector, symmetric matrix) into the trace-isometric flat vector."""
     t = _index_tables(vec.size)
     return np.concatenate([vec, mat.ravel()[t.upper_flat] * t.scale])
 
 
-def mvn_unflatten(x: np.ndarray, d: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Inverse of :func:`mvn_flatten`."""
+def _unflatten(x: np.ndarray, d: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Inverse of :func:`_flatten`."""
     t = _index_tables(d)
     return x[:d], x[t.flat_of] / t.scale_of
 
@@ -165,7 +163,7 @@ def _sym_inv(m: np.ndarray) -> np.ndarray:
 def _source_to_natural(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
     """Flat naturals (Sigma^{-1} mu, -Sigma^{-1}/2) of N(mean, cov)."""
     prec = _sym_inv(cov)
-    return mvn_flatten(prec @ mean, -0.5 * prec)
+    return _flatten(prec @ mean, -0.5 * prec)
 
 
 def _natural_to_source(x: np.ndarray, d: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -223,7 +221,7 @@ def mvn_generator(dim: int) -> GeneratorSpec:
         return x
 
     def eval_F(x: np.ndarray) -> float:
-        tv, tm = mvn_unflatten(flat(x, "natural parameter"), d)
+        tv, tm = _unflatten(flat(x, "natural parameter"), d)
         neg2tm = -2.0 * tm
         sign, logdet = np.linalg.slogdet(neg2tm)
         if sign <= 0.0:
@@ -235,10 +233,10 @@ def mvn_generator(dim: int) -> GeneratorSpec:
 
     def eval_grad(x: np.ndarray) -> np.ndarray:
         mu, cov = _natural_to_source(flat(x, "natural parameter"), d)
-        return mvn_flatten(mu, mu[:, None] * mu + cov)
+        return _flatten(mu, mu[:, None] * mu + cov)
 
     def eval_grad_inv(e: np.ndarray) -> np.ndarray:
-        ev, em = mvn_unflatten(flat(e, "moment parameter"), d)
+        ev, em = _unflatten(flat(e, "moment parameter"), d)
         cov = em - ev[:, None] * ev
         _check_spd(cov, "moment parameter covariance")
         return _source_to_natural(ev, cov)

@@ -2,8 +2,7 @@
 
 Burg negentropy -log(theta) induces the harmonic mean and the Itakura-Saito
 divergence; Shannon negentropy theta*log(theta) - theta induces the geometric
-mean; the squared generator theta^2/2 induces the arithmetic mean and squared
-Euclidean distance.
+mean.
 """
 
 from __future__ import annotations
@@ -14,15 +13,10 @@ import numpy as np
 
 from .legendre import GeneratorSpec
 
-__all__ = [
-    "make_separable_generator",
-    "burg_generator",
-    "shannon_generator",
-    "squared_generator",
-]
+__all__ = ["burg_generator", "shannon_generator"]
 
 
-def make_separable_generator(
+def _separable(
     dim: int,
     f: Callable[[np.ndarray], np.ndarray],
     f_prime: Callable[[np.ndarray], np.ndarray],
@@ -43,7 +37,7 @@ def make_separable_generator(
 
 def burg_generator(dim: int = 1) -> GeneratorSpec:
     """F(theta) = -sum log(theta_i) on positive orthant; grad -1/theta."""
-    return make_separable_generator(
+    return _separable(
         dim,
         f=lambda th: -np.log(th),
         f_prime=lambda th: -1.0 / th,
@@ -55,7 +49,7 @@ def burg_generator(dim: int = 1) -> GeneratorSpec:
 
 def shannon_generator(dim: int = 1) -> GeneratorSpec:
     """F(theta) = sum theta_i log(theta_i) - theta_i on positive orthant; grad log."""
-    return make_separable_generator(
+    return _separable(
         dim,
         f=lambda th: th * np.log(th) - th,
         f_prime=np.log,
@@ -64,14 +58,3 @@ def shannon_generator(dim: int = 1) -> GeneratorSpec:
         name="shannon",
     )
 
-
-def squared_generator(dim: int = 1) -> GeneratorSpec:
-    """F(theta) = |theta|^2 / 2 on all of R^dim; grad is the identity."""
-    return make_separable_generator(
-        dim,
-        f=lambda th: 0.5 * th * th,
-        f_prime=lambda th: th,
-        f_prime_inv=lambda eta: eta,
-        in_domain_scalar=np.isfinite,
-        name="squared",
-    )

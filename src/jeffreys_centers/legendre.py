@@ -30,10 +30,13 @@ __all__ = [
 
 
 def _float_array(x, what: str) -> np.ndarray:
-    """``np.asarray(x, dtype=float)`` for caller input: a ragged or
-    non-numeric ``x`` is a :class:`DomainError` naming ``what``."""
+    """``np.asarray(x, dtype=float)`` for caller input: a ragged or non-numeric
+    ``x``, booleans and strings included, is a :class:`DomainError` naming ``what``."""
     try:
-        return np.asarray(x, dtype=float)
+        arr = np.asarray(x)
+        if arr.dtype.kind in "bUS":
+            raise TypeError(f"{arr.dtype} entries")
+        return arr.astype(float, copy=False)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"{what} is not an array of numbers: {exc}") from None
 

@@ -25,6 +25,9 @@ _NEG_INV_E = -math.exp(-1.0)
 # the step taken from max|z| <= _FSC_LAST lands at rounding (1.4e-16): it is
 # the last one, and no further log is taken to confirm it.
 _FSC_LAST = 1e-4
+# Halley's residual test, relative to |x|, and the step cap of both W0 loops.
+_W0_REL_TOL = 1e-12
+_W0_MAX_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -32,9 +35,8 @@ class ToleranceConfig:
     """Stopping control for iterative routines.
 
     ``rel_tol`` is the precision parameter of the double-sequence algorithms
-    and ``max_iter`` caps their loops.  :func:`lambert_w0` runs at the fixed
-    ``DEFAULT_TOL`` (it stops at rounding).  The histogram
-    multiplier's Newton solve takes its own ``epsilon`` and ``max_iter``.
+    and ``max_iter`` caps their loops.  The histogram multiplier's Newton
+    solve takes its own ``epsilon`` and ``max_iter``.
     """
 
     rel_tol: float = 1e-12
@@ -45,9 +47,6 @@ class ToleranceConfig:
             raise DomainError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
         if self.max_iter < 1:
             raise DomainError(f"max_iter must be >= 1, got {self.max_iter}")
-
-
-DEFAULT_TOL = ToleranceConfig()
 
 
 def _w0_seed(x: np.ndarray) -> np.ndarray:
@@ -63,12 +62,12 @@ def _w0_halley(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
     No input check: ``x`` must be a finite array in (-1/e, 0] and ``w`` a start
     above -1 (past it Halley's step leaves the branch).  The step taken from
-    residuals that all pass ``|w e^w - x| <= rel_tol * |x|`` is the last: the
-    test alone would leave dw = rel_tol |x| / (e^w (1 + w)), and Halley's
+    residuals that all pass ``|w e^w - x| <= _W0_REL_TOL * |x|`` is the last: the
+    test alone would leave dw = _W0_REL_TOL |x| / (e^w (1 + w)), and Halley's
     cubic convergence takes that to rounding in one step.
     """
-    target = DEFAULT_TOL.rel_tol * np.abs(x)
-    for _ in range(DEFAULT_TOL.max_iter):
+    target = _W0_REL_TOL * np.abs(x)
+    for _ in range(_W0_MAX_STEPS):
         ew = np.exp(w)
         f = w * ew - x
         last = (np.abs(f) <= target).all()
@@ -83,7 +82,7 @@ def _w0_fsc(x: np.ndarray, w: np.ndarray, z) -> np.ndarray:
     """W0 of x > 0 by FSC steps on w + log w = log x from ``w``, given its
     residual ``z = log(x / w) - w``; no input check.  The ratio form of z keeps
     the digits that log x - log w loses for small x."""
-    for _ in range(DEFAULT_TOL.max_iter):
+    for _ in range(_W0_MAX_STEPS):
         last = np.abs(z).max(initial=0.0) <= _FSC_LAST
         wp1 = 1.0 + w
         q = 2.0 * wp1 * (wp1 + (2.0 / 3.0) * z)

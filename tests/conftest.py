@@ -12,9 +12,9 @@ from jeffreys_centers import (
     gb_center_mvn,
     geometric_mean,
     lambert_w0,
-    make_separable_generator,
     trace_metric_distance,
 )
+from jeffreys_centers.generators import _separable
 
 
 def random_spd(rng: np.random.Generator, d: int, spread: float = 1.0) -> SPDMatrix:
@@ -50,7 +50,7 @@ def ah_limit(x: SPDMatrix, y: SPDMatrix, tol: ToleranceConfig = AH_TOL):
 
 def positive_burg(dim: int = 1) -> GeneratorSpec:
     """Burg's generator with the domain test t > 0 alone, which +inf passes."""
-    return make_separable_generator(
+    return _separable(
         dim,
         f=lambda t: -np.log(t),
         f_prime=lambda t: -1.0 / t,

@@ -4,8 +4,9 @@ Each one is independent of the library path it checks: scipy quadrature and
 bracketed root finding for the scalar h coordinate and the elliptic integral,
 centered finite differences for optimality residuals, eigendecomposition matrix
 powers, exact rational and decimal arithmetic for the two-matrix divergences,
-the Gaussian conversions composed one step at a time, and the categorical
-generator over log-ratio naturals.  None of them runs in the library.
+the Gaussian conversions composed one step at a time, the categorical
+generator over log-ratio naturals, the squared generator, and the histogram
+multiplier's candidate center evaluated cold.  None of them runs in the library.
 """
 
 from __future__ import annotations
@@ -31,9 +32,10 @@ from jeffreys_centers import (
     check_weights,
     geometric_mean,
     jeffreys_loss,
+    lambert_w0,
 )
+from jeffreys_centers.generators import _separable
 from jeffreys_centers.legendre import _float_array
-from jeffreys_centers.special_functions import DEFAULT_TOL
 from jeffreys_centers.spd import _as_spd, _same_dim_stack
 
 # cube root of machine epsilon, the standard centered-difference step scale
@@ -164,7 +166,7 @@ def elliptic_k(u: float) -> float:
         0.0,
         0.5 * math.pi,
         epsabs=1e-14,
-        epsrel=DEFAULT_TOL.rel_tol,
+        epsrel=1e-12,
         limit=200,
     )
     if err > 1e-6 * max(1.0, abs(val)):
@@ -510,3 +512,32 @@ def cat_generator(dim: int) -> GeneratorSpec:
         in_domain=lambda th: bool(np.all(np.isfinite(th))),
         name=f"categorical(d={dim})",
     )
+
+
+# --- the squared generator and the histogram candidate, for the generic layer -
+
+def squared_generator(dim: int = 1) -> GeneratorSpec:
+    """F(theta) = |theta|^2 / 2 on all of R^dim; grad is the identity.
+
+    It induces the arithmetic mean and the squared Euclidean distance.
+    """
+    return _separable(
+        dim,
+        f=lambda th: 0.5 * th * th,
+        f_prime=lambda th: th,
+        f_prime_inv=lambda eta: eta,
+        in_domain_scalar=np.isfinite,
+        name="squared",
+    )
+
+
+def c_of_lambda(a, g, lam: float) -> np.ndarray:
+    """Candidate center c_j(lambda) = a_j / W0((a_j/g_j) e^{1+lambda}), evaluated cold.
+
+    Positive but not necessarily normalized; its mass is monotone decreasing
+    in ``lam``.  Raw ``a`` and ``g`` are parsed as :class:`SimplexPoint`.
+    """
+    a, g = (p if isinstance(p, SimplexPoint) else SimplexPoint(p) for p in (a, g))
+    if a.dim != g.dim:
+        raise DomainError(f"dimension mismatch: {a.dim} vs {g.dim} bins")
+    return a.probs / lambert_w0((a.probs / g.probs) * np.exp(1.0 + lam))

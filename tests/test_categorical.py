@@ -14,7 +14,6 @@ from jeffreys_centers import (
     WeightedParamSet,
     approximation_factor,
     arithmetic_mean,
-    c_of_lambda,
     gb_center,
     gb_center_cat,
     jeffreys_cat,
@@ -31,7 +30,7 @@ from jeffreys_centers.bench import sample_histogram_pair
 from jeffreys_centers.special_functions import _w0_shifted, lambert_w0
 
 from conftest import polished_w0, random_simplex
-from oracles import cat_from_natural, cat_generator, cat_to_natural
+from oracles import c_of_lambda, cat_from_natural, cat_generator, cat_to_natural
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TABLE2 = np.array([[1 / 3, 1 / 3, 1 / 3], [0.9, 0.05, 0.05]])

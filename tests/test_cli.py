@@ -356,8 +356,17 @@ class TestCompute:
         [
             {"mean": [0.0], "cov": [[1.0]], "weight": "heavy"},
             {"mean": {"x": 0.0}, "cov": [[1.0]], "weight": 0.5},
+            # numpy would read these as floats: True as 1.0, "0.5" as 0.5
+            {"mean": ["1.0"], "cov": [[1.0]], "weight": 0.5},
+            {"mean": [True], "cov": [[1.0]], "weight": 0.5},
+            {"mean": [True, 1.0], "cov": [[1.0, 0.0], [0.0, 1.0]], "weight": 0.5},
+            {"mean": [0.0], "cov": [[True]], "weight": 0.5},
+            {"mean": [0.0], "cov": [[1.0]], "weight": "0.5"},
+            {"mean": [0.0], "cov": [[1.0]], "weight": True},
         ],
-        ids=["non-numeric weight", "mean object"],
+        ids=["non-numeric weight", "mean object", "numeric string in mean", "boolean mean",
+             "boolean beside a number in mean", "boolean in cov", "numeric string weight",
+             "boolean weight"],
     )
     def test_malformed_gaussian_entry_names_entry(self, bad, tmp_path, capsys):
         path = tmp_path / "bad.json"

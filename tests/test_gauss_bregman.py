@@ -12,11 +12,11 @@ from jeffreys_centers import (
     burg_generator,
     gb_center,
     gb_step,
-    make_separable_generator,
     quasi_arithmetic_center,
     shannon_generator,
 )
 from jeffreys_centers.gauss_bregman import GB_TOL
+from jeffreys_centers.generators import _separable
 
 from conftest import positive_burg
 from oracles import elliptic_k
@@ -96,7 +96,7 @@ class TestGBCenter:
             assert abs(nb[0] - nu[0]) <= 0.5 * abs(tb[0] - tu[0]) + 1e-15
 
     def test_separable_multivariate_halving(self, rng, gb_steps):
-        gen = make_separable_generator(
+        gen = _separable(
             3,
             f=lambda t: t * np.log(t) - t,
             f_prime=np.log,
@@ -131,7 +131,7 @@ class TestGBCenter:
         # under Shannon's generator (its starts are 2.5 and 2): the escape is
         # caught where the midpoint is next used, as the next step's input or
         # as the result of a run capped at one step.
-        gen = make_separable_generator(
+        gen = _separable(
             1,
             f=lambda t: t * np.log(t) - t,
             f_prime=np.log,
@@ -190,7 +190,7 @@ class TestGBCenter:
         assert diag.final_gap == abs(nb[0] - nu[0]) / abs(nb[0])
 
     def test_zero_arithmetic_iterate_reports_the_absolute_gap(self):
-        gen = make_separable_generator(
+        gen = _separable(
             1, f=np.exp, f_prime=np.exp, f_prime_inv=np.log,
             in_domain_scalar=np.isfinite, name="exp",
         )

@@ -39,9 +39,9 @@ from jeffreys_centers import gaussian, spd
 from jeffreys_centers.gauss_bregman import GB_TOL
 from jeffreys_centers.gaussian import (
     _embed_array,
+    _flatten,
     _index_tables,
-    mvn_flatten,
-    mvn_unflatten,
+    _unflatten,
 )
 
 from conftest import embedded_equidistance_residual, random_spd, random_spd_unit
@@ -81,15 +81,15 @@ class TestConversions:
     def test_standard_normal(self):
         g = GaussianParam(np.zeros(2), SPDMatrix(np.eye(2)))
         x = mvn_to_natural(g)
-        theta_v, theta_M = mvn_unflatten(x, 2)
+        theta_v, theta_M = _unflatten(x, 2)
         assert np.allclose(theta_v, 0.0)
         assert np.allclose(theta_M, -0.5 * np.eye(2))
-        eta_v, eta_M = mvn_unflatten(mvn_generator(2).eval_grad(x), 2)
+        eta_v, eta_M = _unflatten(mvn_generator(2).eval_grad(x), 2)
         assert np.allclose(eta_v, 0.0) and np.allclose(eta_M, np.eye(2))
 
     def test_moment_formula(self, rng):
         g = random_gaussian(rng, 3)
-        _, eta_M = mvn_unflatten(mvn_generator(3).eval_grad(mvn_to_natural(g)), 3)
+        _, eta_M = _unflatten(mvn_generator(3).eval_grad(mvn_to_natural(g)), 3)
         assert np.allclose(eta_M, np.outer(g.mean, g.mean) + g.cov.entries)
 
     def test_roundtrips(self, rng):
@@ -118,10 +118,10 @@ class TestConversions:
     def test_type_validation(self):
         with pytest.raises(DomainError):
             # -theta_M not SPD
-            mvn_from_natural(mvn_flatten(np.zeros(2), 0.5 * np.eye(2)), 2)
+            mvn_from_natural(_flatten(np.zeros(2), 0.5 * np.eye(2)), 2)
         with pytest.raises(DomainError):
             # eta_M - eta_v eta_v^T indefinite
-            mvn_generator(1).eval_grad_inv(mvn_flatten(np.array([2.0]), np.array([[1.0]])))
+            mvn_generator(1).eval_grad_inv(_flatten(np.array([2.0]), np.array([[1.0]])))
         with pytest.raises(DomainError):
             GaussianParam(np.zeros(3), SPDMatrix(np.eye(2)))
 
@@ -152,13 +152,13 @@ class TestConversions:
         ids=["negative", "indefinite", "zero", "rank_one", "ill_conditioned", "nan"],
     )
     def test_from_natural_outside_the_domain(self, neg_theta_M):
-        x = mvn_flatten(np.ones(2), -neg_theta_M)
+        x = _flatten(np.ones(2), -neg_theta_M)
         with pytest.raises(DomainError):
             mvn_from_natural(x, 2)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_from_natural_non_finite_theta_v(self, bad):
-        x = mvn_flatten(np.array([bad, 0.0]), -0.5 * np.eye(2))
+        x = _flatten(np.array([bad, 0.0]), -0.5 * np.eye(2))
         with pytest.raises(DomainError):
             mvn_from_natural(x, 2)
 
@@ -168,7 +168,7 @@ class TestGenerator:
         gen = mvn_generator(2)
         theta = mvn_to_natural(GaussianParam(np.zeros(2), SPDMatrix(np.eye(2))))
         eta = gen.eval_grad(theta)
-        expect = mvn_flatten(np.zeros(2), -0.5 * np.eye(2))
+        expect = _flatten(np.zeros(2), -0.5 * np.eye(2))
         # eta flat = (mu, vech(mu mu^T + Sigma)): for the standard normal the
         # matrix block is the identity, packed like theta_M = -I/2 scaled by -2
         assert np.allclose(eta, -2.0 * expect)
@@ -225,7 +225,7 @@ class TestConeTest:
     @staticmethod
     def _eigen_verdict(x, d):
         return bool(np.isfinite(x).all()) and bool(
-            np.linalg.eigvalsh(-mvn_unflatten(x, d)[1])[0] > 0.0
+            np.linalg.eigvalsh(-_unflatten(x, d)[1])[0] > 0.0
         )
 
     @pytest.mark.parametrize("d", range(1, 9))
@@ -239,7 +239,7 @@ class TestConeTest:
             if rng.uniform() < 0.5:  # outside: flip the signs of some eigenvalues
                 lam *= np.where(rng.uniform(size=d) < 0.5, -1.0, 1.0)
             neg_theta_M = (q * lam) @ q.T
-            x = mvn_flatten(rng.normal(size=d), -0.5 * (neg_theta_M + neg_theta_M.T))
+            x = _flatten(rng.normal(size=d), -0.5 * (neg_theta_M + neg_theta_M.T))
             verdict = gen.in_domain(x)
             assert verdict is self._eigen_verdict(x, d)
             verdicts[verdict] += 1
@@ -258,7 +258,7 @@ class TestConeTest:
         ids=["zero", "rank_one", "indefinite", "negative"],
     )
     def test_boundary_and_outside(self, d, neg_theta_M):
-        assert mvn_generator(d).in_domain(mvn_flatten(np.ones(d), -neg_theta_M(d))) is False
+        assert mvn_generator(d).in_domain(_flatten(np.ones(d), -neg_theta_M(d))) is False
 
     @pytest.mark.parametrize("theta_M", [0.0, 1.0], ids=["zero", "negative"])
     def test_univariate_boundary_and_outside(self, theta_M):
@@ -267,7 +267,7 @@ class TestConeTest:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["theta_v", "theta_M diagonal", "theta_M off-diagonal"])
     def test_non_finite(self, bad, where):
-        x = mvn_flatten(np.ones(3), -0.5 * np.eye(3))
+        x = _flatten(np.ones(3), -0.5 * np.eye(3))
         x[{"theta_v": 0, "theta_M diagonal": 3, "theta_M off-diagonal": 4}[where]] = bad
         assert mvn_generator(3).in_domain(x) is False
 
@@ -805,20 +805,20 @@ class TestIndexTables:
         """Exact up to the sqrt(2) scaling, which rounds off the diagonal."""
         vec, a = rng.normal(size=d), rng.normal(size=(d, d))
         mat = a + a.T
-        x = mvn_flatten(vec, mat)
+        x = _flatten(vec, mat)
         assert x.size == d + d * (d + 1) // 2
-        back_vec, back_mat = mvn_unflatten(x, d)
+        back_vec, back_mat = _unflatten(x, d)
         assert np.array_equal(back_vec, vec)
         assert np.array_equal(back_mat, back_mat.T)
         assert np.array_equal(np.diag(back_mat), np.diag(mat))
         np.testing.assert_array_max_ulp(back_mat, mat, maxulp=1)
-        np.testing.assert_array_max_ulp(mvn_flatten(back_vec, back_mat), x, maxulp=1)
+        np.testing.assert_array_max_ulp(_flatten(back_vec, back_mat), x, maxulp=1)
         # distinct powers of two scale exactly, so every entry must come back in place
         iu = np.triu_indices(d)
         powers = np.zeros((d, d))
         powers[iu] = 2.0 ** np.arange(iu[0].size)
         powers = np.maximum(powers, powers.T)
-        assert np.array_equal(mvn_unflatten(mvn_flatten(vec, powers), d)[1], powers)
+        assert np.array_equal(_unflatten(_flatten(vec, powers), d)[1], powers)
 
     def test_tables_are_read_only(self):
         t = _index_tables(4)
@@ -950,7 +950,7 @@ class TestGBCenterMvn:
         def plain(x):
             if not np.isfinite(x).all():
                 return False
-            return bool(np.linalg.eigvalsh(-mvn_unflatten(x, d)[1])[0] > 0.0)
+            return bool(np.linalg.eigvalsh(-_unflatten(x, d)[1])[0] > 0.0)
 
         gen = dataclasses.replace(mvn_generator(d), in_domain=plain)
         pset = WeightedParamSet(np.array([mvn_to_natural(g) for g in gs]), None)

@@ -1,11 +1,12 @@
 """The library runs on numpy alone.
 
 With scipy blocked, the package imports and every public center, divergence
-and loss runs; the histogram and Gaussian centers also leave scipy's optimize
-and integrate modules unloaded where scipy is installed; and the import alone
-does not load ``numpy.polynomial``, whose Gauss-Legendre nodes the scalar JFR
-center builds on first use, nor the front end (``cli``, ``bench``), so a
-program that imports the library runs none of the command's code.
+and loss runs, and so do the oracles that moved from the package to the tests;
+the histogram and Gaussian centers also leave scipy's optimize and integrate
+modules unloaded where scipy is installed; and the import alone does not load
+``numpy.polynomial``, whose Gauss-Legendre nodes the scalar JFR center builds
+on first use, nor the front end (``cli``, ``bench``), so a program that imports
+the library runs none of the command's code.
 """
 
 import os
@@ -13,7 +14,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 REPORT = """
 print(sorted(m for m in ("scipy.optimize", "scipy.integrate") if m in sys.modules))
@@ -49,12 +51,15 @@ sys.modules["scipy"] = None  # any import of scipy now raises ImportError
 import numpy as np
 import jeffreys_centers as jc
 from jeffreys_centers.cli import main
+from oracles import c_of_lambda, squared_generator
 
 rows = np.array([[0.2, 0.3, 0.5], [0.6, 0.3, 0.1]])
 hset = jc.HistogramSet.uniform(rows)
 jc.jeffreys_centroid_cat(hset)
 jc.jfr_center_cat(hset)
 jc.gb_center_cat(hset)
+jc.unnormalized_center(hset)
+c_of_lambda(*hset.means, 0.0)
 
 gs = [jc.GaussianParam([0.0, 0.0], [[1.0, 0.3], [0.3, 0.8]]),
       jc.GaussianParam([2.0, 1.0], [[1.5, -0.4], [-0.4, 0.6]])]
@@ -65,7 +70,7 @@ jc.jeffreys_centroid_centered([g.cov for g in gs])
 jc.sld_centroid([g.cov for g in gs])
 
 pair = jc.WeightedParamSet.of([[1.0], [4.0]])
-for gen in (jc.burg_generator(1), jc.shannon_generator(1), jc.squared_generator(1)):
+for gen in (jc.burg_generator(1), jc.shannon_generator(1), squared_generator(1)):
     jc.gb_center(gen, pair)
 jc.gb_center(jc.mvn_generator(2), jc.WeightedParamSet.of([jc.mvn_to_natural(g) for g in gs]))
 
@@ -110,7 +115,7 @@ print(sorted(m for m in ("jeffreys_centers.cli", "jeffreys_centers.bench") if m 
 
 
 def run_probe(probe: str) -> str:
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(TESTS)]))
     out = subprocess.run(
         [sys.executable, "-c", probe],
         env=env,

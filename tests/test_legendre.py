@@ -18,12 +18,11 @@ from jeffreys_centers import (
     quasi_arithmetic_center,
     right_bregman_centroid,
     shannon_generator,
-    squared_generator,
     symmetrized_bregman,
 )
 
 from conftest import positive_burg, random_simplex
-from oracles import cat_generator, energy_grad_residual
+from oracles import cat_generator, energy_grad_residual, squared_generator
 
 
 def mixed_bregman(gen: GeneratorSpec, theta1, theta, theta2) -> float:
@@ -75,9 +74,9 @@ def all_generators(dim_small: int = 3):
         a = rng.normal(size=(d, d))
         cov = a @ a.T + d * np.eye(d)
         prec = np.linalg.inv(cov)
-        from jeffreys_centers.gaussian import mvn_flatten
+        from jeffreys_centers.gaussian import _flatten
 
-        return mvn_flatten(prec @ rng.normal(size=d), -0.5 * prec)
+        return _flatten(prec @ rng.normal(size=d), -0.5 * prec)
 
     return [
         (burg_generator(3), pos),

@@ -5,10 +5,12 @@ A name deleted from a module but still listed in its ``__all__`` (or the
 reverse, a half-done removal that leaves the package exporting it) fails here.
 """
 
+import ast
 import importlib
 import inspect
 import pkgutil
 import types
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,8 @@ import jeffreys_centers
 MODULES = ["jeffreys_centers"] + sorted(
     f"jeffreys_centers.{m.name}" for m in pkgutil.iter_modules(jeffreys_centers.__path__)
 )
+
+FRONT_END = ("jeffreys_centers.bench", "jeffreys_centers.cli")
 
 REMOVED = [
     # Gaussian parameter types and conversions replaced by GaussianParam and
@@ -58,6 +62,18 @@ REMOVED = [
     "cat_generator",
     "cat_to_natural",
     "cat_from_natural",
+    # test-only names, now in tests/oracles.py: the squared generator of the
+    # generic-layer sweeps and the candidate center of the reference bisections
+    "squared_generator",
+    "c_of_lambda",
+    # helpers only their own module calls, now private: generators._separable,
+    # gaussian._flatten and gaussian._unflatten
+    "make_separable_generator",
+    "mvn_flatten",
+    "mvn_unflatten",
+    # the W0 loops' stopping constants, now special_functions._W0_REL_TOL and
+    # _W0_MAX_STEPS
+    "DEFAULT_TOL",
 ]
 
 
@@ -76,6 +92,7 @@ def test_every_exported_name_resolves(module):
         "jeffreys_centers.categorical",
         "jeffreys_centers.gaussian",
         "jeffreys_centers.gauss_bregman",
+        "jeffreys_centers.generators",
         "jeffreys_centers.legendre",
         "jeffreys_centers.spd",
         "jeffreys_centers.special_functions",
@@ -111,3 +128,14 @@ def test_package_exports_its_names_not_its_submodules():
     assert {"categorical", "errors", "gaussian", "legendre", "spd"} <= submodules
     assert len(jeffreys_centers.__all__) == len(set(jeffreys_centers.__all__))
     assert set(jeffreys_centers.__all__) == public - submodules
+
+
+def test_package_all_is_the_concatenation_of_its_submodules_all():
+    """Every submodule but the front end is star-imported, and the package's
+    ``__all__`` lists their ``__all__`` in import order."""
+    tree = ast.parse(Path(jeffreys_centers.__file__).read_text())
+    starred = [node.module for node in tree.body
+               if isinstance(node, ast.ImportFrom) and node.names[0].name == "*"]
+    assert sorted(starred) == sorted(m.split(".")[1] for m in MODULES[1:] if m not in FRONT_END)
+    expected = [name for m in starred for name in importlib.import_module(f"jeffreys_centers.{m}").__all__]
+    assert jeffreys_centers.__all__ == expected

@@ -1,11 +1,14 @@
-"""No module of the library imports a name it does not use, and none defines a
-private name that the library never uses.
+"""No module of the library imports a name it does not use, defines a private
+name that the library never uses, or exports a name without a caller.
 
 Each module's AST is walked: every name an import binds must be read somewhere
-in the module or be listed in its ``__all__`` (the package's re-exports), and
-every module-level private name must be read or imported somewhere in the
-package.  A deletion that leaves its import behind fails here, and so does a
-helper that only the tests still call: it belongs in the tests.
+in the module or be listed in its ``__all__`` (a star import re-exports its
+module's ``__all__``), and every module-level private name must be read or
+imported somewhere in the package.  Every module but ``__init__.py`` lists its
+public names in a literal ``__all__``, and each of them must be read by another
+module, a demo or the benchmark, or be on ``KERNEL`` with its reason.  A
+deletion that leaves its import behind fails here, and so does a helper or an
+export that only the tests still call: it belongs in the tests.
 """
 
 import ast
@@ -16,21 +19,33 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "jeffreys_centers"
 
 
+def _literal_all(tree: ast.Module):
+    """The module's ``__all__`` if it is assigned a literal list of names, else None."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            try:
+                return list(ast.literal_eval(node.value))
+            except ValueError:
+                return None
+    return None
+
+
 def _unused_imports(source: str) -> list:
+    """Names an import binds that the module neither reads nor lists in its
+    ``__all__``; a star import re-exports its module's ``__all__`` and binds none."""
     tree = ast.parse(source)
     imported = {}
-    exported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
-                imported[alias.asname or alias.name] = node.lineno
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            exported = set(ast.literal_eval(node.value))
+                if alias.name != "*":
+                    imported[alias.asname or alias.name] = node.lineno
+    exported = set(_literal_all(tree) or ())
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted(
         f"{name} (line {line})"
@@ -47,6 +62,19 @@ def test_every_import_is_used(path):
 def test_an_unused_import_is_caught():
     source = "from typing import List, Optional\nimport numpy as np\nx: Optional[int] = None\n"
     assert _unused_imports(source) == ["List (line 1)", "np (line 2)"]
+
+
+def test_an_unused_import_beside_a_star_import_is_caught():
+    source = "from .a import *\nfrom .b import c, d\n__all__ = [n for n in a.__all__]\nd()\n"
+    assert _unused_imports(source) == ["c (line 2)"]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.name
+)
+def test_every_module_lists_its_public_names_in_a_literal_all(path):
+    names = _literal_all(ast.parse(path.read_text()))
+    assert names and all(isinstance(n, str) for n in names)
 
 
 def _defined_private_names(tree: ast.Module) -> dict:
@@ -100,3 +128,59 @@ def test_an_unused_private_name_is_caught():
         "b.py": "from .a import _helper\n",
     }
     assert _unused_private_names(sources) == ["a.py:_Only (line 6)", "a.py:_UNUSED (line 2)"]
+
+
+REPO = SRC.parent.parent
+
+# Exported names that no other module of the package, no demo and no benchmark
+# reads, each kept on the surface for the reason given.
+KERNEL = {
+    "bench.BenchRecord": "the return type of run_table1",
+    "bench.Table2Row": "the return type of run_table2",
+    "bench.sample_histogram_pair": "Table 1's sampling rule",
+    "categorical.JeffreysCatResult": "the return type of jeffreys_centroid_cat",
+    "categorical.jeffreys_cat": "the Jeffreys divergence, which defines the Jeffreys centroid",
+    "categorical.kl_cat": "the KL divergence, which defines the sided centroids",
+    "gaussian.fisher_rao_midpoint_mvn": "the Fisher-Rao midpoint that defines the JFR center; "
+                                        "the benchmark's traces rebind it by a string",
+    "gaussian.kl_mvn": "the KL divergence, which defines the sided centroids",
+    "gaussian.mvn_from_natural": "the generic API's only way out of mvn_generator's coordinates",
+    "gaussian.mvn_to_natural": "the generic API's only way into mvn_generator's coordinates",
+    "legendre.bregman_div": "the Bregman divergence, which defines the sided centroids",
+    "legendre.jeffreys_loss": "the objective the generic Jeffreys centroid minimizes",
+    "legendre.symmetrized_bregman": "the divergence that defines the generic Jeffreys centroid",
+    "uniparam.ScalarGenerator": "the input of the paper's uniparametric JFR formula",
+    "uniparam.jfr_center_1d": "the paper's uniparametric JFR formula",
+}
+
+
+def _unused_exports(modules: dict, callers: list) -> list:
+    """``module.name`` of each name in a module's literal ``__all__`` that no
+    other module and no caller source reads as a variable or an attribute, or
+    imports; a string holding the name is not a read."""
+    trees = {module: ast.parse(source) for module, source in modules.items()}
+    reads = {module: _read_names(tree) for module, tree in trees.items()}
+    read_by_callers = set().union(*(_read_names(ast.parse(s)) for s in callers))
+    return sorted(
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name in _literal_all(tree) or ()
+        if name not in read_by_callers
+        and not any(name in names for other, names in reads.items() if other != module)
+    )
+
+
+def test_every_export_has_a_caller_or_a_reason():
+    modules = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
+    callers = [p.read_text() for d in ("demos", "perfbench") for p in sorted((REPO / d).glob("*.py"))]
+    assert _unused_exports(modules, callers) == sorted(KERNEL)
+
+
+def test_an_unused_export_is_caught():
+    modules = {
+        "a": '__all__ = ["used", "spare", "named"]\ndef used():\n    return spare()\n'
+             'def spare():\n    pass\ndef named():\n    pass\n',
+        "b": 'from .a import used\nREPORT = {"spare": used()}\n',
+    }
+    callers = ["import pkg\npkg.named()\n"]
+    assert _unused_exports(modules, callers) == ["a.spare"]

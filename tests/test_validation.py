@@ -21,6 +21,7 @@ from jeffreys_centers import (
     ScalarGenerator,
     SPDMatrix,
     WeightedParamSet,
+    check_weights,
     gb_center_mvn,
     geometric_mean,
     jeffreys_centroid_centered,
@@ -29,6 +30,7 @@ from jeffreys_centers import (
     jfr_center_1d,
     jfr_center_mvn,
     kl_mvn,
+    lambert_w0,
     logdet_div,
     sld_centroid,
     symmetrized_logdet,
@@ -144,6 +146,22 @@ def test_ragged_input_is_a_domain_error(entry):
     """numpy refuses a ragged nested list with a raw ValueError."""
     with pytest.raises(DomainError, match="not an array of numbers"):
         RAGGED[entry]()
+
+
+# Inputs numpy converts to floats without complaint: True to 1.0, "0.5" to 0.5.
+NOT_NUMBERS = {
+    "boolean weight": lambda: check_weights([True], 1),
+    "string weights": lambda: check_weights(["0.5", "0.5"], 2),
+    "string mean": lambda: GaussianParam(["1.0"], [[2.0]]),
+    "string covariance": lambda: GaussianParam([1.0], [["2.0"]]),
+    "string lambert_w0 input": lambda: lambert_w0("1.0"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NOT_NUMBERS))
+def test_booleans_and_strings_are_a_domain_error(entry):
+    with pytest.raises(DomainError, match="not an array of numbers"):
+        NOT_NUMBERS[entry]()
 
 
 def test_spectral_kernel_classifies_nan_matrix():
