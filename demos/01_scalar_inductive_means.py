@@ -34,15 +34,18 @@ print(f"  harmonic mean    {2 * x * y / (x + y):.12f}")
 
 # Burg generator F = -log t: the quasi-arithmetic midpoint is harmonic, so the
 # double sequence is the arithmetic-harmonic mean and converges to sqrt(xy).
-# The steps gb_center takes, one gb_step at a time from the sided centroids:
+# The steps gb_center takes, one gb_step at a time from the sided centroids.
+# A step carries the harmonic iterate with its moment coordinate eu = -1/tu
+# and averages that, so each step takes one gradient and one reciprocal one:
 burg = burg_generator(1)
 tb, tu = right_bregman_centroid(pair), quasi_arithmetic_center(burg, pair)
+eu = burg.eval_grad(tu)
 print("\narithmetic-harmonic double sequence (Burg generator):")
 for t in range(tight.max_iter + 1):
     print(f"  t={t}  a={tb[0]:.15f}  h={tu[0]:.15f}  gap={abs(tb[0] - tu[0]):.2e}")
     if abs(tb[0] - tu[0]) <= tight.rel_tol or t == tight.max_iter:
         break
-    tb, tu = gb_step(burg, tb, tu)
+    tb, tu, eu = gb_step(burg, tb, tu, eu)
 print(f"  limit {tb[0]:.15f}  vs sqrt(xy) {math.sqrt(x * y):.15f}")
 
 # Shannon generator F = t log t - t: the quasi-arithmetic midpoint is geometric,

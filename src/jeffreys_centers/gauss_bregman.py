@@ -6,6 +6,11 @@ a common limit for separable generators (dimension-wise gap halving).  For
 non-separable generators there is no convergence theorem; the iteration guards
 with ``max_iter`` and reports honestly.
 
+The arithmetic iterate theta_bar is averaged in natural coordinates theta and
+the quasi-arithmetic iterate theta_under in moment coordinates eta = grad F(theta),
+so theta_under is carried with its eta_under and a step evaluates one gradient
+and one reciprocal gradient.
+
 :func:`gb_center` returns ``(center, diagnostics)``, a
 :class:`~jeffreys_centers.legendre.CenterDiagnostics` holding the iteration
 count, the final gap, the stopping tolerance and the status.  Each step goes
@@ -26,10 +31,12 @@ from typing import Tuple
 
 import numpy as np
 
+from .errors import DomainError
 from .legendre import (
     CenterDiagnostics,
     GeneratorSpec,
     WeightedParamSet,
+    _float_array,
     quasi_arithmetic_center,
     right_bregman_centroid,
 )
@@ -41,18 +48,28 @@ GB_TOL = ToleranceConfig(rel_tol=1e-8, max_iter=200)
 
 
 def gb_step(
-    gen: GeneratorSpec, theta_bar: np.ndarray, theta_under: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """One double-sequence step: arithmetic and (grad F) quasi-arithmetic midpoints.
+    gen: GeneratorSpec, theta_bar: np.ndarray, theta_under: np.ndarray, eta_under: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One double-sequence step in dual coordinates, ``eta_under`` being the moment
+    parameter grad F(theta_under): ``((theta_bar + theta_under)/2,
+    (grad F)^{-1}(eta'), eta')`` with ``eta' = (grad F(theta_bar) + eta_under)/2``.
 
-    Both iterates are checked with ``gen.require_domain``, a failure being a
-    DomainError.  The two midpoints returned are not: each is checked where it
-    is next used, as the next step's input or as :func:`gb_center`'s result.
+    Both iterates are checked with ``gen.require_domain``, and ``eta_under`` must
+    be a finite float vector of length ``gen.dim``; a failure is a DomainError.
+    That ``eta_under`` is grad F(theta_under) is not checked: that would cost the
+    gradient the step saves.  The midpoints returned are not checked: each is
+    checked where it is next used, as the next step's input or as
+    :func:`gb_center`'s result.
     """
     tb = gen.require_domain(theta_bar, "arithmetic iterate")
     tu = gen.require_domain(theta_under, "quasi-arithmetic iterate")
-    new_under = gen.eval_grad_inv(0.5 * (gen.eval_grad(tb) + gen.eval_grad(tu)))
-    return 0.5 * (tb + tu), np.asarray(new_under, dtype=float)
+    eu = _float_array(eta_under, "moment iterate")
+    if eu.shape != (gen.dim,):
+        raise DomainError(f"{gen.name}: moment iterate has shape {eu.shape}, expected ({gen.dim},)")
+    if not np.isfinite(eu).all():
+        raise DomainError(f"{gen.name}: moment iterate {eu!r} is not finite")
+    eta = 0.5 * (gen.eval_grad(tb) + eu)
+    return 0.5 * (tb + tu), np.asarray(gen.eval_grad_inv(eta), dtype=float), eta
 
 
 def _gap(theta_bar: np.ndarray, theta_under: np.ndarray) -> float:
@@ -70,15 +87,16 @@ def _gap(theta_bar: np.ndarray, theta_under: np.ndarray) -> float:
 
 
 def _double_sequence(start, step, gap, tol, max_iter, owed):
-    """Step the pair ``start()`` returns while its gap exceeds ``tol`` (``owed`` before
-    the first step), at most ``max_iter`` times; the last pair and its diagnostics."""
+    """Step the iterates ``start()`` returns, a tuple led by the pair (bar, under),
+    while their gap exceeds ``tol`` (``owed`` before the first step), at most
+    ``max_iter`` times; the last iterates and their diagnostics."""
     t0 = time.perf_counter_ns()
-    bar, under = start()
+    state = start()
     iterations = 0
-    while (last := gap(bar, under)) > (tol if iterations else owed) and iterations < max_iter:
-        bar, under = step(bar, under)
+    while (last := gap(*state)) > (tol if iterations else owed) and iterations < max_iter:
+        state = step(*state)
         iterations += 1
-    return (bar, under), CenterDiagnostics.after(t0, iterations, last, tol)
+    return state, CenterDiagnostics.after(t0, iterations, last, tol)
 
 
 def gb_center(
@@ -94,13 +112,21 @@ def gb_center(
     whose ``final_gap`` is the gap divided by that scale.  The status is
     "max_iter" when the gap target was not met.
 
-    Each pair of iterates is domain-checked once, where it is next used: by
-    the next :func:`gb_step` on entry, or, for the pair the loop stops at, here
-    before the center is returned.  A pair outside the domain is a DomainError.
+    The gradient of the quasi-arithmetic start is evaluated once, before the
+    first step checks that start, and each step carries the moment parameter
+    on.  Each pair of iterates is domain-checked once, where it is next used:
+    by the next :func:`gb_step` on entry, or, for the pair the loop stops at,
+    here before the center is returned.  A pair outside the domain is a
+    DomainError.
     """
-    (theta_bar, theta_under), diag = _double_sequence(
-        lambda: (right_bregman_centroid(pset), quasi_arithmetic_center(gen, pset)),
-        lambda b, u: gb_step(gen, b, u), _gap, tol.rel_tol, tol.max_iter, tol.rel_tol
+
+    def start():
+        theta_under = quasi_arithmetic_center(gen, pset)
+        return right_bregman_centroid(pset), theta_under, gen.eval_grad(theta_under)
+
+    (theta_bar, theta_under, _), diag = _double_sequence(
+        start, lambda b, u, e: gb_step(gen, b, u, e), lambda b, u, _: _gap(b, u),
+        tol.rel_tol, tol.max_iter, tol.rel_tol,
     )
     gen.require_domain(theta_bar, "final arithmetic iterate")
     gen.require_domain(theta_under, "final quasi-arithmetic iterate")

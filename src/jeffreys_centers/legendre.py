@@ -29,13 +29,20 @@ __all__ = [
 ]
 
 
+_NOT_NUMBERS = (bool, np.bool_, str, bytes)
+
+
 def _float_array(x, what: str) -> np.ndarray:
     """``np.asarray(x, dtype=float)`` for caller input: a ragged or non-numeric
-    ``x``, booleans and strings included, is a :class:`DomainError` naming ``what``."""
+    ``x``, booleans and strings included, is a :class:`DomainError` naming ``what``.
+    Only an object array is scanned entry by entry, since ``astype`` would
+    convert its booleans and numeric strings one by one."""
     try:
         arr = np.asarray(x)
         if arr.dtype.kind in "bUS":
             raise TypeError(f"{arr.dtype} entries")
+        if arr.dtype.kind == "O" and any(isinstance(v, _NOT_NUMBERS) for v in arr.flat):
+            raise TypeError("boolean or string entries in an object array")
         return arr.astype(float, copy=False)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"{what} is not an array of numbers: {exc}") from None

@@ -117,14 +117,15 @@ def gb_steps(monkeypatch) -> list:
     """The library's own double-sequence iterates, recorded by wrapping gb_step.
 
     gb_center calls gb_step through the gauss_bregman module, so every step it
-    takes appends ((bar, under) before, (bar, under) after) to the list.
+    takes appends ((bar, under) before, (bar, under) after) to the list; the
+    moment iterate the step also carries is not recorded.
     """
     calls = []
     step = gauss_bregman.gb_step
 
-    def recording_step(gen, theta_bar, theta_under):
-        out = step(gen, theta_bar, theta_under)
-        calls.append(((np.array(theta_bar, dtype=float), np.array(theta_under, dtype=float)), out))
+    def recording_step(gen, theta_bar, theta_under, eta_under):
+        out = step(gen, theta_bar, theta_under, eta_under)
+        calls.append(((np.array(theta_bar, dtype=float), np.array(theta_under, dtype=float)), out[:2]))
         return out
 
     monkeypatch.setattr(gauss_bregman, "gb_step", recording_step)

@@ -5,8 +5,9 @@ bracketed root finding for the scalar h coordinate and the elliptic integral,
 centered finite differences for optimality residuals, eigendecomposition matrix
 powers, exact rational and decimal arithmetic for the two-matrix divergences,
 the Gaussian conversions composed one step at a time, the categorical
-generator over log-ratio naturals, the squared generator, and the histogram
-multiplier's candidate center evaluated cold.  None of them runs in the library.
+generator over log-ratio naturals, the squared generator, the histogram
+multiplier's candidate center evaluated cold, and the Gauss-Bregman step in
+primal coordinates.  None of them runs in the library.
 """
 
 from __future__ import annotations
@@ -28,12 +29,16 @@ from jeffreys_centers import (
     ScalarGenerator,
     SimplexPoint,
     SPDMatrix,
+    ToleranceConfig,
     WeightedParamSet,
     check_weights,
     geometric_mean,
     jeffreys_loss,
     lambert_w0,
+    quasi_arithmetic_center,
+    right_bregman_centroid,
 )
+from jeffreys_centers.gauss_bregman import _gap
 from jeffreys_centers.generators import _separable
 from jeffreys_centers.legendre import _float_array
 from jeffreys_centers.spd import _as_spd, _same_dim_stack
@@ -191,6 +196,29 @@ def energy_grad_residual(gen: GeneratorSpec, pset: WeightedParamSet, theta) -> f
             raise NumericalError("finite-difference step underflow")
         grad[k] = (jeffreys_loss(gen, pset, tp) - jeffreys_loss(gen, pset, tm)) / (2 * h)
     return float(np.linalg.norm(grad))
+
+
+def gb_step_primal(gen: GeneratorSpec, theta_bar, theta_under) -> Tuple[np.ndarray, np.ndarray]:
+    """The Gauss-Bregman step in primal coordinates: the arithmetic midpoint and
+    (grad F)^{-1}((grad F(theta_bar) + grad F(theta_under))/2), re-evaluating
+    grad F(theta_under) where the library's step carries it."""
+    tb = gen.require_domain(theta_bar, "arithmetic iterate")
+    tu = gen.require_domain(theta_under, "quasi-arithmetic iterate")
+    new_under = gen.eval_grad_inv(0.5 * (gen.eval_grad(tb) + gen.eval_grad(tu)))
+    return 0.5 * (tb + tu), np.asarray(new_under, dtype=float)
+
+
+def gb_center_primal(
+    gen: GeneratorSpec, pset: WeightedParamSet, tol: ToleranceConfig
+) -> Tuple[np.ndarray, int, str]:
+    """``gb_center``'s sequence run with :func:`gb_step_primal`, under its start,
+    gap and stopping rule: the last arithmetic iterate, the step count and the status."""
+    bar, under = right_bregman_centroid(pset), quasi_arithmetic_center(gen, pset)
+    steps = 0
+    while (gap := _gap(bar, under)) > tol.rel_tol and steps < tol.max_iter:
+        bar, under = gb_step_primal(gen, bar, under)
+        steps += 1
+    return bar, steps, "converged" if gap <= tol.rel_tol else "max_iter"
 
 
 def spd_power(x: SPDMatrix, p: float) -> SPDMatrix:

@@ -6,20 +6,24 @@ import pytest
 
 from jeffreys_centers import (
     DomainError,
+    GaussianParam,
     GeneratorSpec,
     ToleranceConfig,
     WeightedParamSet,
     burg_generator,
     gb_center,
     gb_step,
+    mvn_generator,
+    mvn_to_natural,
     quasi_arithmetic_center,
+    right_bregman_centroid,
     shannon_generator,
 )
 from jeffreys_centers.gauss_bregman import GB_TOL
 from jeffreys_centers.generators import _separable
 
-from conftest import positive_burg
-from oracles import elliptic_k
+from conftest import positive_burg, random_spd
+from oracles import elliptic_k, gb_center_primal
 
 TIGHT = ToleranceConfig(rel_tol=1e-13, max_iter=300)
 
@@ -42,20 +46,34 @@ def gb_invariance_check(
     return float(np.linalg.norm(lhs - rhs))
 
 
+def _step(gen, theta_bar, theta_under):
+    """gb_step from a pair, its moment iterate evaluated here."""
+    return gb_step(gen, theta_bar, theta_under, gen.eval_grad(np.atleast_1d(theta_under)))
+
+
 class TestGBStep:
     def test_fixed_point(self, rng):
         gen = shannon_generator(2)
         theta = rng.uniform(0.5, 2.0, size=2)
-        nb, nu = gb_step(gen, theta, theta)
+        nb, nu, ne = _step(gen, theta, theta)
         assert np.allclose(nb, theta) and np.allclose(nu, theta)
+        assert np.allclose(ne, gen.eval_grad(theta))
 
     def test_burg_means(self):
-        nb, nu = gb_step(burg_generator(1), [1.0], [4.0])
+        nb, nu, ne = _step(burg_generator(1), [1.0], [4.0])
         assert nb[0] == pytest.approx(2.5) and nu[0] == pytest.approx(1.6)
+        assert ne[0] == pytest.approx(-1.0 / 1.6)
 
     def test_shannon_means(self):
-        nb, nu = gb_step(shannon_generator(1), [1.0], [4.0])
+        nb, nu, ne = _step(shannon_generator(1), [1.0], [4.0])
         assert nb[0] == pytest.approx(2.5) and nu[0] == pytest.approx(2.0)
+        assert ne[0] == pytest.approx(math.log(2.0))
+
+    def test_moment_iterate_is_carried_not_recomputed(self):
+        # the step averages the eta it is given: Burg's eta = -1/theta, so the
+        # harmonic midpoint of 1 and 4 is read from -1/4, not recomputed from theta_under
+        nb, nu, ne = gb_step(burg_generator(1), [1.0], [4.0], [-0.5])
+        assert nb[0] == 2.5 and ne[0] == -0.75 and nu[0] == pytest.approx(4.0 / 3.0)
 
     @pytest.mark.parametrize(
         "bar, under, what",
@@ -65,7 +83,73 @@ class TestGBStep:
     def test_inputs_outside_the_domain_rejected(self, bar, under, what):
         # unchecked, ([1], [inf]) would step to (inf, 2): -1/inf = -0 averages finitely
         with pytest.raises(DomainError, match=f"^positive: {what}"):
-            gb_step(positive_burg(), bar, under)
+            gb_step(positive_burg(), bar, under, [-0.5])
+
+    @pytest.mark.parametrize(
+        "eta, message",
+        [
+            ([-0.5, -0.5], r"has shape \(2,\), expected \(3,\)"),
+            ([-0.5], r"has shape \(1,\), expected \(3,\)"),
+            (-0.5, r"has shape \(\), expected \(3,\)"),
+            ([[-0.5, -0.5, -0.5]], r"has shape \(1, 3\), expected \(3,\)"),
+            ([-0.5, np.nan, -0.5], r"array\(.*\) is not finite"),
+            ([-0.5, -0.5, -np.inf], r"array\(.*\) is not finite"),
+            (["-0.5", "-0.5", "-0.5"], "is not an array of numbers"),
+        ],
+        ids=["short", "one", "scalar", "2-D", "nan", "inf", "strings"],
+    )
+    def test_moment_iterate_parsed(self, eta, message):
+        with pytest.raises(DomainError, match=f"moment iterate {message}"):
+            gb_step(burg_generator(3), [1.0, 2.0, 3.0], [1.0, 2.0, 3.0], eta)
+
+
+class TestDualSequence:
+    """The dual step carries grad F(theta_under) where the primal step of
+    ``oracles.gb_step_primal`` re-evaluates it; both runs agree."""
+
+    TOLS = [GB_TOL, ToleranceConfig(rel_tol=1e-8, max_iter=3)]
+
+    @staticmethod
+    def _agree(gen, pset, tol):
+        center, diag = gb_center(gen, pset, tol)
+        ref, steps, status = gb_center_primal(gen, pset, tol)
+        assert (diag.iterations, diag.status) == (steps, status)
+        assert np.linalg.norm(center - ref) <= 1e-13 * np.linalg.norm(ref)
+        return steps
+
+    @pytest.mark.parametrize("make", [burg_generator, shannon_generator])
+    @pytest.mark.parametrize("tol", TOLS, ids=["default", "max_iter=3"])
+    def test_separable_generators_match_the_primal_sequence(self, rng, make, tol):
+        steps = 0
+        for _ in range(40):
+            n = int(rng.integers(2, 6))
+            pts = np.exp(rng.uniform(-3.0, 3.0, size=(n, 3)))
+            steps += self._agree(make(3), WeightedParamSet(pts, rng.dirichlet(np.ones(n))), tol)
+        assert steps > 0
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    @pytest.mark.parametrize("tol", TOLS, ids=["default", "max_iter=3"])
+    def test_mvn_generator_matches_the_primal_sequence(self, rng, d, tol):
+        steps = 0
+        for _ in range(10):
+            gs = [GaussianParam(3.0 * rng.normal(size=d), random_spd(rng, d)) for _ in range(4)]
+            pset = WeightedParamSet(np.array([mvn_to_natural(g) for g in gs]), None)
+            steps += self._agree(mvn_generator(d), pset, tol)
+        assert steps > 0
+
+    def test_burg_keeps_the_product_and_reaches_the_geometric_mean(self, rng, gb_steps):
+        """Burg's sequence is the arithmetic-harmonic one: a step keeps theta_bar *
+        theta_under, so the limit is sqrt(theta_bar_0 * theta_under_0) per coordinate."""
+        gen = burg_generator(3)
+        for _ in range(20):
+            gb_steps.clear()
+            pset = WeightedParamSet.of(np.exp(rng.uniform(-4.0, 4.0, size=(3, 3))))
+            a0, h0 = right_bregman_centroid(pset), quasi_arithmetic_center(gen, pset)
+            center, diag = gb_center(gen, pset, TIGHT)
+            assert diag.status == "converged" and len(gb_steps) == diag.iterations > 0
+            for (tb, tu), (nb, nu) in gb_steps:
+                np.testing.assert_allclose(nb * nu, tb * tu, rtol=1e-15, atol=0.0)
+            np.testing.assert_allclose(center, np.sqrt(a0 * h0), rtol=1e-13, atol=0.0)
 
 
 class TestGBCenter:

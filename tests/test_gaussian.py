@@ -910,8 +910,10 @@ class TestGBCenterMvn:
     @pytest.mark.parametrize("d, n", [(1, 2), (2, 4), (3, 3), (5, 4)])
     def test_every_domain_check_kept(self, rng, monkeypatch, d, n):
         """The generator is called as the generic double sequence calls it: the
-        quasi-arithmetic start maps and checks each member, and each pair of
-        iterates is checked once, as a step's input or as the result."""
+        quasi-arithmetic start maps and checks each member and takes the
+        gradient of its result once, each step takes one gradient and one
+        reciprocal gradient, and each pair of iterates is checked once, as a
+        step's input or as the result."""
         counts = Counter()
         make = gaussian.mvn_generator
 
@@ -934,7 +936,7 @@ class TestGBCenterMvn:
         _, diag = gb_center_mvn([random_gaussian(rng, d) for _ in range(n)])
         k = diag.iterations
         assert k > 0
-        assert counts == {"in_domain": n + 2 + 2 * k, "eval_grad": n + 2 * k,
+        assert counts == {"in_domain": n + 2 + 2 * k, "eval_grad": n + 1 + k,
                           "eval_grad_inv": 1 + k}
 
     @pytest.mark.parametrize("d", range(1, 9))

@@ -36,6 +36,7 @@ def test_traced_spans_fire_per_family(perfbench_modules, workload, family, sets)
     w = workloads.WORKLOADS[workload]
     rec = spans.Recorder()
     rebinding = spans.Rebinding(rec)  # exits naming any missing target
+    steps = []  # the Gauss-Bregman step count of each Gaussian set
     rebinding.install()
     try:
         for k in sets:
@@ -43,6 +44,8 @@ def test_traced_spans_fire_per_family(perfbench_modules, workload, family, sets)
             rec.set_index, rec.d = k, inp["d"]
             out = w.run_set(k, inp, rec.call)
             assert all(c.err is None for c in out.calls.values())
+            if family == "gaussian":
+                steps.append(out.calls["gb"].out[1].iterations)
     finally:
         rebinding.remove()
     agg = spans.aggregate(rec.spans)
@@ -61,3 +64,13 @@ def test_traced_spans_fire_per_family(perfbench_modules, workload, family, sets)
         # the span's extra is the solve's nfev, read with getattr(out, "nfev", 0):
         # a result without the field would read as zero evaluations
         assert agg["gaussian.align"]["extra"] > 0
+        # the generic GB center over a set of n members taking k steps: the
+        # quasi-arithmetic start maps the n members and takes the gradient of
+        # its result; a step takes one gradient and one reciprocal gradient,
+        # carrying the quasi-arithmetic iterate's moment parameter; every
+        # member and every pair of iterates is checked once
+        n = workloads.MVN_SET_SIZE
+        assert min(steps) > 0
+        assert agg["legendre.eval_grad"]["count"] == sum(n + 1 + k for k in steps)
+        assert agg["legendre.eval_grad_inv"]["count"] == sum(1 + k for k in steps)
+        assert agg["legendre.in_domain"]["count"] == sum(n + 2 + 2 * k for k in steps)

@@ -5,8 +5,9 @@ Each module's AST is walked: every name an import binds must be read somewhere
 in the module or be listed in its ``__all__`` (a star import re-exports its
 module's ``__all__``), and every module-level private name must be read or
 imported somewhere in the package.  Every module but ``__init__.py`` lists its
-public names in a literal ``__all__``, and each of them must be read by another
-module, a demo or the benchmark, or be on ``KERNEL`` with its reason.  A
+public names in a literal ``__all__``, and each of them must be imported from the
+package, or read as an attribute of a package module, by another module, a demo
+or the benchmark, or be on ``KERNEL`` with its reason.  A
 deletion that leaves its import behind fails here, and so does a helper or an
 export that only the tests still call: it belongs in the tests.
 """
@@ -141,6 +142,7 @@ KERNEL = {
     "categorical.JeffreysCatResult": "the return type of jeffreys_centroid_cat",
     "categorical.jeffreys_cat": "the Jeffreys divergence, which defines the Jeffreys centroid",
     "categorical.kl_cat": "the KL divergence, which defines the sided centroids",
+    "cli.main": "the entry point of the centers console script (pyproject.toml)",
     "gaussian.fisher_rao_midpoint_mvn": "the Fisher-Rao midpoint that defines the JFR center; "
                                         "the benchmark's traces rebind it by a string",
     "gaussian.kl_mvn": "the KL divergence, which defines the sided centroids",
@@ -154,13 +156,47 @@ KERNEL = {
 }
 
 
+PACKAGE = "jeffreys_centers"
+
+
+def _package_reads(tree: ast.Module, package_modules: set) -> set:
+    """Every name the source imports from the package or one of its modules, or
+    reads as an attribute of a name bound to the package or one of its modules.
+    A name read any other way, such as a same-named local, is not a package read."""
+    bound, read = set(), set()
+
+    def of_package(node):
+        return (isinstance(node, ast.Name) and node.id in bound) or (
+            isinstance(node, ast.Attribute) and node.attr in package_modules and of_package(node.value)
+        )
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(
+                alias.asname or PACKAGE
+                for alias in node.names
+                if alias.name.split(".")[0] == PACKAGE
+            )
+        elif isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == PACKAGE
+        ):
+            read.update(alias.name for alias in node.names)
+            bound.update(
+                alias.asname or alias.name for alias in node.names if alias.name in package_modules
+            )
+    read.update(
+        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and of_package(node.value)
+    )
+    return read
+
+
 def _unused_exports(modules: dict, callers: list) -> list:
     """``module.name`` of each name in a module's literal ``__all__`` that no
-    other module and no caller source reads as a variable or an attribute, or
-    imports; a string holding the name is not a read."""
+    other module and no caller source imports from the package or reads as an
+    attribute of a package module; a string holding the name is not a read."""
     trees = {module: ast.parse(source) for module, source in modules.items()}
-    reads = {module: _read_names(tree) for module, tree in trees.items()}
-    read_by_callers = set().union(*(_read_names(ast.parse(s)) for s in callers))
+    reads = {module: _package_reads(tree, set(trees)) for module, tree in trees.items()}
+    read_by_callers = set().union(*(_package_reads(ast.parse(s), set(trees)) for s in callers))
     return sorted(
         f"{module}.{name}"
         for module, tree in trees.items()
@@ -182,5 +218,19 @@ def test_an_unused_export_is_caught():
              'def spare():\n    pass\ndef named():\n    pass\n',
         "b": 'from .a import used\nREPORT = {"spare": used()}\n',
     }
-    callers = ["import pkg\npkg.named()\n"]
+    callers = ["import jeffreys_centers as pkg\npkg.named()\n"]
     assert _unused_exports(modules, callers) == ["a.spare"]
+
+
+def test_a_callers_own_name_does_not_hide_an_unused_export():
+    modules = {"cli": '__all__ = ["main"]\ndef main():\n    pass\n'}
+    # a same-named local, or an attribute of an object that is not a package module
+    hiding = ["def main():\n    pass\nmain()\n", "import other\nother.main()\n"]
+    assert _unused_exports(modules, hiding) == ["cli.main"]
+    for reading in [
+        "from jeffreys_centers.cli import main\n",
+        "from jeffreys_centers import cli\ncli.main()\n",
+        "import jeffreys_centers.cli\njeffreys_centers.cli.main()\n",
+        "import jeffreys_centers.cli as c\nc.main()\n",
+    ]:
+        assert _unused_exports(modules, hiding + [reading]) == []

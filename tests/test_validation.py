@@ -9,6 +9,7 @@ at extreme covariance scales are not misclassified as either.
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from jeffreys_centers import (
     HistogramSet,
     NumericalError,
     ScalarGenerator,
+    SimplexPoint,
     SPDMatrix,
     WeightedParamSet,
     check_weights,
@@ -155,6 +157,14 @@ NOT_NUMBERS = {
     "string mean": lambda: GaussianParam(["1.0"], [[2.0]]),
     "string covariance": lambda: GaussianParam([1.0], [["2.0"]]),
     "string lambert_w0 input": lambda: lambert_w0("1.0"),
+    # an object array is converted entry by entry, so it is scanned for them
+    "object string weights": lambda: check_weights(np.array(["0.5", "0.5"], dtype=object), 2),
+    "object boolean weight": lambda: check_weights(np.array([True], dtype=object), 1),
+    "object numpy boolean weight": lambda: check_weights(np.array([0.5, np.True_], dtype=object), 2),
+    "object string SimplexPoint": lambda: SimplexPoint(np.array([0.5, "0.5"], dtype=object)),
+    "object bytes SPDMatrix": lambda: SPDMatrix(np.array([[1.0, 0.0], [0.0, b"2"]], dtype=object)),
+    "object boolean mean": lambda: GaussianParam(np.array([True], dtype=object), [[2.0]]),
+    "object string covariance": lambda: GaussianParam([1.0], np.array([["2.0"]], dtype=object)),
 }
 
 
@@ -162,6 +172,14 @@ NOT_NUMBERS = {
 def test_booleans_and_strings_are_a_domain_error(entry):
     with pytest.raises(DomainError, match="not an array of numbers"):
         NOT_NUMBERS[entry]()
+
+
+def test_object_arrays_of_numbers_are_read():
+    half = np.array([Fraction(1, 2), 0.5], dtype=object)
+    assert check_weights(half, 2).tolist() == [0.5, 0.5]
+    assert SimplexPoint(half).probs.tolist() == [0.5, 0.5]
+    assert SPDMatrix(np.array([[2, 0], [0, 1.0]], dtype=object)).entries.dtype == float
+    assert GaussianParam(np.array([np.float32(1.0)], dtype=object), [[2.0]]).mean.tolist() == [1.0]
 
 
 def test_spectral_kernel_classifies_nan_matrix():
