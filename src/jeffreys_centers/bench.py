@@ -115,6 +115,14 @@ def _timed(fn):
     return out, time.perf_counter_ns() - t0
 
 
+def _info_eps(hset: HistogramSet, center, reference) -> float:
+    """:func:`approximation_factor`, or 0 where the reference loss is below 1e-15: there
+    the rows are identical, every center coincides and the ratio is rounding noise."""
+    if jeffreys_loss_cat(hset, reference) < 1e-15:
+        return 0.0
+    return approximation_factor(hset, center, reference)
+
+
 def _score_pair(rows: np.ndarray, epsilon: float):
     """Time the exact, JFR and GB centers of a uniform set of ``rows`` and
     score the two proxies against the exact one.
@@ -128,14 +136,8 @@ def _score_pair(rows: np.ndarray, epsilon: float):
     ref, t_ref = _timed(lambda: jeffreys_centroid_cat(hset, epsilon))
     jfr, t_jfr = _timed(lambda: jfr_center_cat(h_jfr))
     (gb, _), t_gb = _timed(lambda: gb_center_cat(h_gb, GB_CAT_EPSILON))
-    # identical rows have zero reference loss; every center coincides
-    degenerate = jeffreys_loss_cat(hset, ref.center) < 1e-15
     scores = {
-        method: (
-            0.0 if degenerate else approximation_factor(hset, center, ref.center),
-            tv_cat(center, ref.center),
-            t,
-        )
+        method: (_info_eps(hset, center, ref.center), tv_cat(center, ref.center), t)
         for method, center, t in (("jfr", jfr, t_jfr), ("gb", gb, t_gb))
     }
     return t_ref, scores

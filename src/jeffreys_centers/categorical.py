@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 from .gauss_bregman import _double_sequence
-from .legendre import CenterDiagnostics, _float_array, check_weights
+from .legendre import CenterDiagnostics, _check_simplex, _float_array, check_weights
 from .special_functions import _bracketed_newton, _w0_shifted, lambert_w0
 
 __all__ = [
@@ -52,24 +52,6 @@ GB_CAT_EPSILON = 0.1
 _DEGENERATE_GAP = 1e-14
 
 
-def _check_simplex(p: np.ndarray, what: str) -> None:
-    """Require a vector, or every row of a matrix, to lie on the open simplex.
-
-    The valid path is two reductions and builds no temporary of p's size: the
-    minimum is NaN if any bin is, and the mass is non-finite if any bin is
-    infinite.  The offending row is located only on the error path.
-    """
-    if p.size and p.min() > 0.0 and np.abs(p.sum(-1) - 1.0).max() <= 1e-12:
-        return
-    rows = np.atleast_2d(p)
-    bad_bin = ~(np.isfinite(rows) & (rows > 0.0)).all(axis=-1)
-    i = int(np.argmax(bad_bin | (np.abs(rows.sum(-1) - 1.0) > 1e-12)))
-    where = what if p.ndim == 1 else f"{what} row {i}"
-    if bad_bin[i]:
-        raise DomainError(f"{where} has a non-finite or non-positive bin")
-    raise DomainError(f"{where} mass {rows[i].sum()!r} differs from 1")
-
-
 @dataclass(frozen=True)
 class SimplexPoint:
     """A point of the open probability simplex."""
@@ -77,9 +59,9 @@ class SimplexPoint:
     probs: np.ndarray
 
     def __post_init__(self):
-        p = np.atleast_1d(_float_array(self.probs, "SimplexPoint"))
-        if p.ndim != 1 or p.size < 2:
-            raise DomainError("SimplexPoint needs a vector of at least 2 bins")
+        p = _float_array(self.probs, "SimplexPoint", (None,))
+        if p.size < 2:
+            raise DomainError(f"SimplexPoint needs at least 2 bins, got {p.size}")
         _check_simplex(p, "SimplexPoint")
         object.__setattr__(self, "probs", p)
 
@@ -110,7 +92,9 @@ class HistogramSet:
     weights: Optional[np.ndarray]
 
     def __post_init__(self):
-        rows = np.atleast_2d(_float_array(self.rows, "histogram rows"))
+        rows = _float_array(self.rows, "histogram rows", (None, None))
+        if rows.shape[1] < 2:
+            raise DomainError(f"histogram rows need at least 2 bins, got {rows.shape[1]}")
         weights = check_weights(self.weights, rows.shape[0])
         _check_simplex(rows, "histogram")
         object.__setattr__(self, "rows", _read_only(rows))

@@ -26,6 +26,7 @@ from . import __version__
 from .bench import (
     DEFAULT_ALPHAS,
     RunConfig,
+    _info_eps,
     _sci,
     run_table1,
     run_table2,
@@ -35,7 +36,6 @@ from .bench import (
 from .categorical import (
     HistogramSet,
     SimplexPoint,
-    approximation_factor,
     arithmetic_mean,
     gb_center_cat,
     jeffreys_centroid_cat,
@@ -49,13 +49,14 @@ from .errors import DomainError, NumericalError
 from .gauss_bregman import GB_TOL
 from .gaussian import (
     GaussianParam,
+    _checked_set,
     gb_center_mvn,
     jeffreys_centroid_centered,
     jeffreys_loss_mvn,
     jfr_center_mvn,
     sided_kl_centroids_mvn,
 )
-from .legendre import CenterDiagnostics
+from .legendre import CenterDiagnostics, _float_array
 
 __all__ = ["main"]
 
@@ -112,7 +113,7 @@ def _renormalize(row: np.ndarray, row_index: int, kind: str) -> np.ndarray:
 
 def _read_csv(path: str, kind: str) -> List[np.ndarray]:
     """The non-blank rows of a CSV file of numbers, each renormalized; the
-    library (:class:`HistogramSet`, ``check_weights``) checks their signs."""
+    library (:class:`HistogramSet`, ``check_weights``) checks their shapes and signs."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln for ln in (l.strip() for l in fh) if ln]
@@ -132,31 +133,11 @@ def _read_csv(path: str, kind: str) -> List[np.ndarray]:
     return rows
 
 
-def read_histograms(path: str) -> np.ndarray:
-    rows = _read_csv(path, "histogram")
-    if not rows:
-        raise CliError(f"{path}: no histogram rows")
-    dims = {r.size for r in rows}
-    if len(dims) != 1:
-        raise CliError(f"inconsistent histogram dimensions: {sorted(dims)}")
-    return np.array(rows)
-
-
-def read_weights(path: str, n: int) -> np.ndarray:
+def read_weights(path: str) -> np.ndarray:
     rows = _read_csv(path, "weights")
     if len(rows) != 1:
         raise CliError(f"{path}: weights file must contain exactly one CSV row")
-    if rows[0].size != n:
-        raise CliError(f"{rows[0].size} weights for {n} inputs")
     return rows[0]
-
-
-def _json_numbers(value) -> bool:
-    """Whether ``value`` is a JSON number, or a list whose every leaf is one; a
-    boolean is not a number."""
-    if isinstance(value, list):
-        return all(_json_numbers(v) for v in value)
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def read_gaussians(path: str) -> Tuple[List[GaussianParam], Optional[np.ndarray]]:
@@ -170,21 +151,15 @@ def read_gaussians(path: str) -> Tuple[List[GaussianParam], Optional[np.ndarray]
     if not isinstance(data, list) or not data:
         raise CliError(f"{path}: expected a non-empty JSON list of Gaussian objects")
     gaussians: List[GaussianParam] = []
-    weights: List[Optional[float]] = []
+    weights: List[Optional[np.ndarray]] = []
     for i, obj in enumerate(data):
         if not isinstance(obj, dict) or "mean" not in obj or "cov" not in obj:
             raise CliError(f"gaussian entry {i}: expected an object with 'mean' and 'cov'")
-        for key in ("mean", "cov", "weight"):
-            if key in obj and not _json_numbers(obj[key]):
-                raise CliError(f"gaussian entry {i}: {key!r} is not made of JSON numbers")
         try:
             gaussians.append(GaussianParam(obj["mean"], obj["cov"]))
-            weights.append(float(obj["weight"]) if "weight" in obj else None)
-        except (DomainError, TypeError, ValueError) as exc:
+            weights.append(_float_array(obj["weight"], "weight", ()) if "weight" in obj else None)
+        except DomainError as exc:
             raise CliError(f"gaussian entry {i}: {exc}")
-    dims = {g.dim for g in gaussians}
-    if len(dims) != 1:
-        raise CliError(f"inconsistent Gaussian dimensions: {sorted(dims)}")
     if all(w is None for w in weights):
         return gaussians, None
     if any(w is None for w in weights):
@@ -205,9 +180,8 @@ def _write(text: str, output: Optional[str]) -> None:
 # --- compute ------------------------------------------------------------------
 
 def _read_categorical(args) -> Tuple[HistogramSet, int, int]:
-    rows = read_histograms(args.input)
-    weights = read_weights(args.weights, rows.shape[0]) if args.weights else None
-    hset = HistogramSet(rows, weights)
+    rows = _read_csv(args.input, "histogram")
+    hset = HistogramSet(rows, read_weights(args.weights) if args.weights else None)
     return hset, hset.n, hset.dim
 
 
@@ -250,6 +224,7 @@ def _gaussian_gb(gw, eps: dict) -> tuple:
 
 def _gaussian_jeffreys(gw, _) -> tuple:
     gaussians, weights = gw
+    _checked_set(gaussians, weights)  # first: the same-mean test needs one dimension
     # Same mean: each member's offset from the first mean is at most 1e-12 of
     # its own standard deviations, sqrt(dm^T S_i^{-1} dm), at any scale.
     mu0 = gaussians[0].mean
@@ -298,7 +273,7 @@ def cmd_compute(args) -> int:
     if args.reference and args.method != "jeffreys":
         ref = jeffreys_centroid_cat(data, 1e-10)
         report["reference_center"] = list(ref.center.probs)
-        report["info_eps"] = approximation_factor(data, center, ref.center)
+        report["info_eps"] = _info_eps(data, center, ref.center)
         report["tv_eps"] = tv_cat(center, ref.center)
     _write(render_report(report), args.output)
     return EXIT_OK

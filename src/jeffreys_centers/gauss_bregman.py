@@ -63,9 +63,7 @@ def gb_step(
     """
     tb = gen.require_domain(theta_bar, "arithmetic iterate")
     tu = gen.require_domain(theta_under, "quasi-arithmetic iterate")
-    eu = _float_array(eta_under, "moment iterate")
-    if eu.shape != (gen.dim,):
-        raise DomainError(f"{gen.name}: moment iterate has shape {eu.shape}, expected ({gen.dim},)")
+    eu = _float_array(eta_under, "moment iterate", (gen.dim,))
     if not np.isfinite(eu).all():
         raise DomainError(f"{gen.name}: moment iterate {eu!r} is not finite")
     eta = 0.5 * (gen.eval_grad(tb) + eu)

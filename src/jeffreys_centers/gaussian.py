@@ -88,12 +88,8 @@ class GaussianParam:
     cov: SPDMatrix
 
     def __post_init__(self):
-        mean = np.atleast_1d(_float_array(self.mean, "mean"))
         cov = _as_spd(self.cov)
-        if mean.shape != (cov.dim,):
-            raise DomainError(
-                f"mean shape {mean.shape} incompatible with covariance dim {cov.dim}"
-            )
+        mean = _float_array(self.mean, "mean", (cov.dim,))
         if not np.isfinite(mean).all():
             raise DomainError("mean entries must be finite")
         object.__setattr__(self, "mean", mean)
@@ -131,7 +127,9 @@ class _IndexTables(NamedTuple):
 
 @functools.lru_cache(maxsize=None)
 def _index_tables(d: int) -> _IndexTables:
-    """Index tables of dimension d, built once and shared read-only."""
+    """Index tables of dimension d, built once and shared read-only; d < 1 is a DomainError."""
+    if d < 1:
+        raise DomainError(f"dimension must be >= 1, got {d}")
     (r, c), (sr, sc) = np.triu_indices(d), np.triu_indices(d, 1)
     vech_of = np.empty((d, d), dtype=np.intp)
     vech_of[r, c] = vech_of[c, r] = np.arange(r.size)
@@ -154,9 +152,13 @@ def _unflatten(x: np.ndarray, d: int) -> Tuple[np.ndarray, np.ndarray]:
     return x[:d], x[t.flat_of] / t.scale_of
 
 
-def _sym_inv(m: np.ndarray) -> np.ndarray:
-    """Inverse of a symmetric matrix, symmetrized against rounding."""
-    inv = np.linalg.inv(m)
+def _sym_inv(m: np.ndarray, what: str = "matrix") -> np.ndarray:
+    """Inverse of a symmetric matrix, symmetrized against rounding; a singular
+    ``m`` is a DomainError naming ``what``."""
+    try:
+        inv = np.linalg.inv(m)
+    except np.linalg.LinAlgError as exc:
+        raise DomainError(f"{what} is singular: {exc}") from exc
     return 0.5 * (inv + inv.T)
 
 
@@ -167,9 +169,9 @@ def _source_to_natural(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
 
 
 def _natural_to_source(x: np.ndarray, d: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(mean, covariance) of the flat naturals x of dimension d; no domain check."""
+    """(mean, covariance) of flat naturals x of dimension d; singular -theta_M: DomainError."""
     t = _index_tables(d)
-    cov = _sym_inv(x[t.flat_of] / t.neg_half_scale_of)
+    cov = _sym_inv(x[t.flat_of] / t.neg_half_scale_of, "-theta_M")
     return cov @ x[:d], cov
 
 
@@ -185,16 +187,10 @@ def mvn_from_natural(x: np.ndarray, d: int) -> GaussianParam:
     and -theta_M is invertible with a covariance that passes the SPD rule of
     :mod:`spd`, the one spectral check of the readback.
     """
-    x = _float_array(x, "flat naturals")
-    if d < 1 or x.shape != (d + d * (d + 1) // 2,):
-        raise DomainError(f"flat naturals of shape {x.shape} do not have dimension {d}")
+    x = _float_array(x, f"flat naturals of dimension {d}", (d + d * (d + 1) // 2,))
     if not np.isfinite(x).all():
         raise DomainError("flat naturals must be finite")
-    try:
-        mean, cov = _natural_to_source(x, d)
-    except np.linalg.LinAlgError as exc:
-        raise DomainError(f"-theta_M is singular: {exc}") from exc
-    return _computed_gaussian(mean, cov, "readback")
+    return _computed_gaussian(*_natural_to_source(x, d), "readback")
 
 
 @functools.lru_cache(maxsize=None)
@@ -204,54 +200,48 @@ def mvn_generator(dim: int) -> GeneratorSpec:
     The gradient maps theta to the moment parameter (mu, mu mu^T + Sigma); the
     reciprocal gradient inverts it.  The domain is the open cone -theta_M > 0;
     the reciprocal gradient's covariance must pass the SPD rule of :mod:`spd`.
-    Each callable raises DomainError unless its argument has the flat shape.
+    Each callable raises DomainError unless its argument has the flat shape, ``eval_F``
+    outside the domain too, and ``eval_grad`` and ``eval_grad_inv`` on a singular inverse.
     Each dimension's spec is built once: it is frozen and its callables hold no state.
     """
-    if dim < 1:
-        raise DomainError("dimension must be >= 1")
     d = dim
     flat_dim = d + d * (d + 1) // 2
     name = f"mvn(d={d})"
+    natural, moment = f"{name}: natural parameter", f"{name}: moment parameter"
     t = _index_tables(d)
 
-    def flat(x, what: str) -> np.ndarray:
-        x = _float_array(x, what)
-        if x.shape != (flat_dim,):
-            raise DomainError(f"{name}: {what} has shape {x.shape}, expected ({flat_dim},)")
-        return x
+    def cone_factor(x: np.ndarray) -> Optional[np.ndarray]:
+        """The Cholesky factor of -theta_M of the parsed naturals x, None outside the open cone
+        or where x is not finite.  No condition bound: -theta_M of a member near the bound is
+        its inverted covariance, whose computed condition can pass it."""
+        if not np.isfinite(x).all():
+            return None
+        try:
+            return np.linalg.cholesky(x[t.flat_of] / t.neg_scale_of)
+        except np.linalg.LinAlgError:
+            return None
 
     def eval_F(x: np.ndarray) -> float:
-        tv, tm = _unflatten(flat(x, "natural parameter"), d)
-        neg2tm = -2.0 * tm
-        sign, logdet = np.linalg.slogdet(neg2tm)
-        if sign <= 0.0:
-            raise DomainError("-2 theta_M is not positive definite")
-        tm_inv_tv = np.linalg.solve(tm, tv)
-        return float(
-            -0.25 * tv @ tm_inv_tv - 0.5 * logdet + 0.5 * d * np.log(2.0 * np.pi)
-        )
+        # with L L^T = -theta_M: |L^-1 theta_v|^2 / 4 - sum log(diag L / sqrt(pi)); the constant
+        # folded into each log loses fewer digits than one subtracted from their sum
+        x = _float_array(x, natural, (flat_dim,))
+        if (chol := cone_factor(x)) is None:
+            raise DomainError(f"{natural} {x!r} outside the domain")
+        z = np.linalg.solve(chol, x[:d])
+        return float(0.25 * (z @ z) - np.log(chol.diagonal() / np.sqrt(np.pi)).sum())
 
     def eval_grad(x: np.ndarray) -> np.ndarray:
-        mu, cov = _natural_to_source(flat(x, "natural parameter"), d)
+        mu, cov = _natural_to_source(_float_array(x, natural, (flat_dim,)), d)
         return _flatten(mu, mu[:, None] * mu + cov)
 
     def eval_grad_inv(e: np.ndarray) -> np.ndarray:
-        ev, em = _unflatten(flat(e, "moment parameter"), d)
+        ev, em = _unflatten(_float_array(e, moment, (flat_dim,)), d)
         cov = em - ev[:, None] * ev
         _check_spd(cov, "moment parameter covariance")
         return _source_to_natural(ev, cov)
 
     def in_domain(x: np.ndarray) -> bool:
-        x = flat(x, "natural parameter")
-        if not np.isfinite(x).all():
-            return False
-        # The open cone, by a Cholesky factor of -theta_M; no condition bound, since -theta_M of
-        # a member near the bound is its inverted covariance, whose computed condition can pass it.
-        try:
-            np.linalg.cholesky(x[t.flat_of] / t.neg_scale_of)
-        except np.linalg.LinAlgError:
-            return False
-        return True
+        return cone_factor(_float_array(x, natural, (flat_dim,))) is not None
 
     return GeneratorSpec(
         dim=flat_dim,
@@ -336,7 +326,7 @@ def sided_kl_centroids_mvn(
         try:
             precs = np.linalg.inv(covs)
             prec = _weighted_sum(w, precs)
-            cov_r = _sym_inv(0.5 * (prec + prec.T))
+            cov_r = _sym_inv(0.5 * (prec + prec.T), "the precision mean")
         except np.linalg.LinAlgError as exc:
             raise DomainError(f"the precision mean is singular: {exc}") from exc
         mean_r = cov_r @ np.einsum("i,ijk,ik->j", w, precs, means)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,23 +29,64 @@ __all__ = [
 ]
 
 
-_NOT_NUMBERS = (bool, np.bool_, str, bytes)
+def _has_non_number(x) -> bool:
+    """Whether a boolean or string leaf hides at any depth of ``x``'s lists, tuples and arrays."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.kind in "bUS" or (x.dtype.kind == "O" and any(map(_has_non_number, x.flat)))
+    if isinstance(x, (list, tuple)):
+        # a list of Python floats and ints, as a row read from text is, is passed in one sweep
+        return not set(map(type, x)) <= {float, int} and any(map(_has_non_number, x))
+    return isinstance(x, (bool, np.bool_, str, bytes))
 
 
-def _float_array(x, what: str) -> np.ndarray:
-    """``np.asarray(x, dtype=float)`` for caller input: a ragged or non-numeric
-    ``x``, booleans and strings included, is a :class:`DomainError` naming ``what``.
-    Only an object array is scanned entry by entry, since ``astype`` would
-    convert its booleans and numeric strings one by one."""
-    try:
-        arr = np.asarray(x)
-        if arr.dtype.kind in "bUS":
-            raise TypeError(f"{arr.dtype} entries")
-        if arr.dtype.kind == "O" and any(isinstance(v, _NOT_NUMBERS) for v in arr.flat):
-            raise TypeError("boolean or string entries in an object array")
-        return arr.astype(float, copy=False)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"{what} is not an array of numbers: {exc}") from None
+def _float_array(x, what: str, shape: Optional[Tuple[Optional[int], ...]] = None) -> np.ndarray:
+    """The one parse of a caller's array: ``x`` as a float64 ndarray of ``shape``.
+
+    A boolean or string leaf at any depth, or a ragged or non-numeric ``x``, is a
+    :class:`DomainError` "``what`` is not an array of numbers" (numpy alone reads True as
+    1.0 and "0.5" as 0.5); only lists, tuples and object arrays are scanned, and a float64
+    ndarray is returned as it is.  Input of fewer dimensions than ``shape`` gains leading
+    axes of length 1, as ``np.atleast_2d`` adds them; any other mismatch of ``shape``, where
+    None matches any length, is a DomainError "``what`` has shape ..., expected ...", and
+    ``shape=None`` takes every shape.  Values are not checked: finiteness and every domain
+    rule belong to the caller.
+    """
+    if not (type(x) is np.ndarray and x.dtype == np.float64):
+        try:
+            if _has_non_number(x):
+                raise TypeError("boolean or string entries")
+            x = np.asarray(x).astype(float, copy=False)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"{what} is not an array of numbers: {exc}") from None
+    if shape is None or x.shape == shape:
+        return x
+    given = x.shape
+    if x.ndim < len(shape):
+        x = x.reshape((1,) * (len(shape) - x.ndim) + given)
+    # None entries alone, as most callers pass, need no loop over the axes
+    if x.ndim == len(shape) and (shape.count(None) == x.ndim
+                                 or all(s in (None, n) for s, n in zip(shape, x.shape))):
+        return x
+    raise DomainError(f"{what} has shape {given}, expected {str(shape).replace('None', '*')}")
+
+
+def _check_simplex(p: np.ndarray, what: str) -> None:
+    """Require a vector, or every row of a matrix, to lie on the open simplex:
+    finite positive entries summing to 1 within 1e-12.
+
+    The valid path is two reductions and builds no temporary of p's size: the
+    minimum is NaN if any entry is, and the mass is non-finite if any entry is
+    infinite.  The offending row is located only on the error path.
+    """
+    if p.size and p.min() > 0.0 and np.abs(p.sum(-1) - 1.0).max() <= 1e-12:
+        return
+    rows = np.atleast_2d(p)
+    bad_entry = ~(np.isfinite(rows) & (rows > 0.0)).all(axis=-1)
+    i = int(np.argmax(bad_entry | (np.abs(rows.sum(-1) - 1.0) > 1e-12)))
+    where = what if p.ndim == 1 else f"{what} row {i}"
+    if bad_entry[i]:
+        raise DomainError(f"{where} has a non-finite or non-positive entry")
+    raise DomainError(f"{where} mass {rows[i].sum()!r} differs from 1")
 
 
 @dataclass(frozen=True)
@@ -76,15 +117,10 @@ class GeneratorSpec:
     name: str = "generator"
 
     def require_domain(self, theta: np.ndarray, what: str = "parameter") -> np.ndarray:
-        """``theta`` as a float vector of length ``dim``, else a DomainError
+        """``theta`` parsed as a float vector of length ``dim``, else a DomainError
         naming ``what``.  A non-finite theta is outside the domain, whatever
         ``in_domain`` answers."""
-        if (theta := _float_array(theta, what)).ndim == 0:
-            theta = theta.reshape(1)
-        if theta.shape != (self.dim,):
-            raise DomainError(
-                f"{self.name}: {what} has shape {theta.shape}, expected ({self.dim},)"
-            )
+        theta = _float_array(theta, what, (self.dim,))
         if not (np.isfinite(theta).all() and self.in_domain(theta)):
             raise DomainError(f"{self.name}: {what} {theta!r} outside the domain")
         return theta
@@ -93,21 +129,16 @@ class GeneratorSpec:
 def check_weights(weights: Optional[Sequence], n: int) -> np.ndarray:
     """Weights of an n-point set: uniform for None, else validated.
 
-    Given weights must have shape (n,), be finite and strictly positive, and
-    sum to 1 within 1e-12.  Every failure, and an empty set, raises
-    :class:`DomainError`.
+    Given weights are parsed with shape (n,) and, being a point of the open
+    simplex, must pass :func:`_check_simplex`.  Every failure, and an empty set,
+    raises :class:`DomainError`.
     """
     if n == 0:
         raise DomainError("empty set")
     if weights is None:
         return np.full(n, 1.0 / n)
-    w = _float_array(weights, "weights")
-    if w.shape != (n,):
-        raise DomainError(f"weights of shape {w.shape} for {n} points")
-    if not (np.isfinite(w).all() and (w > 0.0).all()):
-        raise DomainError("weights must be finite and strictly positive")
-    if abs(w.sum() - 1.0) > 1e-12:
-        raise DomainError(f"weights sum to {w.sum()!r}, expected 1")
+    w = _float_array(weights, "weights", (n,))
+    _check_simplex(w, "weights")
     return w
 
 
@@ -119,9 +150,7 @@ class WeightedParamSet:
     weights: Optional[np.ndarray]
 
     def __post_init__(self):
-        points = np.atleast_2d(_float_array(self.points, "points"))
-        if points.ndim != 2:
-            raise DomainError(f"points must be a 2-D array, got shape {points.shape}")
+        points = _float_array(self.points, "points", (None, None))
         object.__setattr__(self, "weights", check_weights(self.weights, points.shape[0]))
         object.__setattr__(self, "points", points)
 

@@ -55,11 +55,13 @@ class SPDMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = np.atleast_2d(_float_array(self.entries, "SPDMatrix entries"))
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-            raise DomainError(f"expected a non-empty square matrix, got shape {m.shape}")
+        m = _float_array(self.entries, "SPDMatrix entries", (None, None))
+        if m.shape[0] != m.shape[1] or m.shape[0] == 0:
+            raise DomainError(
+                f"SPDMatrix entries of shape {m.shape}: not a non-empty square matrix"
+            )
         if not np.isfinite(m).all():
-            raise DomainError("matrix entries must be finite")
+            raise DomainError("SPDMatrix entries must be finite")
         scale = max(float(np.abs(m).max()), _TINY)
         asym = float(np.abs(m - m.T).max()) / scale
         if asym > 1e-8:

@@ -127,9 +127,7 @@ def jfr_center_1d(
     [min theta_i, max theta_i].  With lo < hi the two centroids, m solves
     int_lo^m sqrt(f'') = (1/2) int_lo^hi sqrt(f'') by Newton on [lo, hi].
     """
-    ts = np.atleast_1d(_float_array(thetas, "thetas"))
-    if ts.ndim != 1:
-        raise DomainError(f"thetas must be one-dimensional, got shape {ts.shape}")
+    ts = _float_array(thetas, "thetas", (None,))
     w = check_weights(weights, ts.size)
     ts = [gen.require(t) for t in ts.tolist()]
     theta_bar = float(w @ ts)

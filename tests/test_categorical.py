@@ -125,11 +125,11 @@ class TestTypes:
 
     # Three bins each; the first entry, or the total mass, is what is wrong.
     BAD_SIMPLEX = {
-        "nan": ([np.nan, 0.5, 0.5], "non-finite or non-positive bin"),
-        "pos_inf": ([np.inf, 0.5, 0.5], "non-finite or non-positive bin"),
-        "neg_inf": ([-np.inf, 0.5, 0.5], "non-finite or non-positive bin"),
-        "zero": ([0.0, 0.5, 0.5], "non-finite or non-positive bin"),
-        "negative": ([-0.1, 0.6, 0.5], "non-finite or non-positive bin"),
+        "nan": ([np.nan, 0.5, 0.5], "non-finite or non-positive entry"),
+        "pos_inf": ([np.inf, 0.5, 0.5], "non-finite or non-positive entry"),
+        "neg_inf": ([-np.inf, 0.5, 0.5], "non-finite or non-positive entry"),
+        "zero": ([0.0, 0.5, 0.5], "non-finite or non-positive entry"),
+        "negative": ([-0.1, 0.6, 0.5], "non-finite or non-positive entry"),
         "mass": ([0.25 + 2e-12, 0.25, 0.5], "differs from 1"),
     }
 
@@ -146,8 +146,16 @@ class TestTypes:
         with pytest.raises(DomainError, match=f"^histogram row 1 .*{message}"):
             HistogramSet(rows, None)
 
+    @pytest.mark.parametrize(
+        "rows", [np.full((2, 2, 3), 1 / 3), np.ones((2, 1))], ids=["3-D", "one bin"]
+    )
+    def test_histogram_rows_of_the_wrong_shape(self, rows):
+        # were built as a set, and failed later in the centers and the loss
+        with pytest.raises(DomainError, match="^histogram rows"):
+            HistogramSet(rows, None)
+
     def test_histogram_rows_without_bins(self):
-        with pytest.raises(DomainError, match="histogram row 0 "):
+        with pytest.raises(DomainError, match="histogram rows need at least 2 bins, got 0"):
             HistogramSet(np.empty((3, 0)), None)
 
 
@@ -292,7 +300,7 @@ class TestCOfLambda:
     @pytest.mark.parametrize(
         "a, g, match",
         [
-            ([0.0, 1.0], [0.5, 0.5], "non-positive bin"),  # was [nan, 0.727]
+            ([0.0, 1.0], [0.5, 0.5], "non-positive entry"),  # was [nan, 0.727]
             ([0.5, 0.5], [0.5, np.inf], "non-finite"),
             ([0.5, 0.5], [0.2, 0.3, 0.5], "dimension mismatch"),
         ],

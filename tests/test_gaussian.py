@@ -213,6 +213,31 @@ class TestGenerator:
         theta[0] = bad
         assert mvn_generator(2).in_domain(theta) is False
 
+    @pytest.mark.parametrize(
+        "x", [[1.0, 1.0, 1.0, 0.0, 1.0], [np.nan] * 5], ids=["theta_M=I", "nan"]
+    )
+    def test_eval_F_outside_the_domain_is_a_domain_error(self, x):
+        # det(-2 theta_M) > 0 at even d with theta_M = I: eval_F returned 0.6447; an
+        # all-NaN point returned nan with a RuntimeWarning
+        with pytest.raises(DomainError, match="natural parameter .* outside the domain"):
+            mvn_generator(2).eval_F(np.array(x))
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_eval_F_is_the_log_normalizer(self, rng, d):
+        """F = mu^T Sigma^-1 mu / 2 + log det(2 pi Sigma) / 2, read off (mu, Sigma)."""
+        for _ in range(20):
+            p = random_gaussian(rng, d)
+            cov = p.cov.entries
+            _, logdet = np.linalg.slogdet(2.0 * np.pi * cov)
+            expect = 0.5 * p.mean @ np.linalg.solve(cov, p.mean) + 0.5 * logdet
+            got = mvn_generator(d).eval_F(mvn_to_natural(p))
+            assert got == pytest.approx(expect, rel=1e-12, abs=1e-12)
+
+    def test_singular_theta_M_is_a_domain_error(self):
+        # raised a raw LinAlgError from the inverse
+        with pytest.raises(DomainError, match="-theta_M is singular"):
+            mvn_generator(2).eval_grad(np.zeros(5))
+
 
     def test_one_spec_per_dimension(self):
         assert mvn_generator(3) is mvn_generator(3)

@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import jeffreys_centers as jc
 from jeffreys_centers import (
     DomainError,
     GaussianParam,
@@ -130,7 +131,7 @@ def test_valid_weights_accepted(entry):
 
 def test_points_that_are_not_a_2d_array_are_a_domain_error():
     """A 3-D stack of points used to pass and fail later in a raw einsum."""
-    with pytest.raises(DomainError, match="2-D array"):
+    with pytest.raises(DomainError, match=r"points has shape \(2, 1, 1\), expected \(\*, \*\)"):
         WeightedParamSet(np.ones((2, 1, 1)), None)
 
 
@@ -424,3 +425,204 @@ def test_non_finite_mean_exits_2(method, bad, tmp_path, capsys):
     code = main(["compute", "--family", "gaussian", "--method", method, "--input", str(path)])
     assert "mean entries must be finite" in capsys.readouterr().err
     assert code == 2
+
+
+# --- the parse contract ---------------------------------------------------------
+#
+# Every public entry point parses a caller's array with ``legendre._float_array``,
+# so each refuses the same malformed input with a DomainError naming the argument.
+
+def _with_first_leaf(x, leaf):
+    """A copy of the nested list ``x`` whose first leaf is ``leaf``."""
+    return [_with_first_leaf(x[0], leaf), *x[1:]] if isinstance(x, list) else leaf
+
+
+def _first_leaf(x):
+    return _first_leaf(x[0]) if isinstance(x, list) else x
+
+
+def _ragged(x):
+    """``x`` with its last leaf wrapped in a list."""
+    return [*x[:-1], _ragged(x[-1])] if isinstance(x, list) else [x]
+
+
+def _shorter(x):
+    """``x`` less the last entry along its last axis."""
+    return [_shorter(v) for v in x] if isinstance(x[0], list) else x[:-1]
+
+
+BAD_ARRAYS = {
+    "boolean leaf": lambda v: _with_first_leaf(v, True),
+    "numeric string leaf": lambda v: _with_first_leaf(v, str(_first_leaf(v))),
+    "ragged": _ragged,
+    "wrong ndim": lambda v: [v, v],
+    "wrong length": _shorter,
+    "nan": lambda v: _with_first_leaf(v, math.nan),
+}
+
+_HALVES = [0.5, 0.5]
+_SPD = [[2.0, 0.0], [0.0, 1.0]]
+_ROWS = [[0.5, 0.5], [0.2, 0.8]]
+_G = [jc.GaussianParam([0.0, 1.0], np.eye(2)), jc.GaussianParam([0.0, 1.0], 2.0 * np.eye(2))]
+_BURG = jc.burg_generator(2)
+_MVN = jc.mvn_generator(1)  # flat naturals (theta_v, theta_M), moments (mu, mu^2 + sigma^2)
+# Kinds an entry point takes by design: any length along a free axis, any shape, or a
+# non-finite value whose domain is checked by the caller of a generator callable.
+_ANY_LENGTH, _ANY_SHAPE, _NO_DOMAIN = {"wrong length"}, {"wrong ndim", "wrong length"}, {"nan"}
+
+# "entry.argument" -> (name the error carries, call on the array, a valid array, kinds it takes)
+PARSE_CONTRACT = {
+    "GaussianParam.mean": ("mean", lambda x: jc.GaussianParam(x, np.eye(2)), [0.0, 1.0], ()),
+    "GaussianParam.cov": ("SPDMatrix entries", lambda x: jc.GaussianParam([0.0, 1.0], x), _SPD, ()),
+    "SPDMatrix.entries": ("SPDMatrix entries", jc.SPDMatrix, _SPD, ()),
+    "check_weights.weights": ("weights", lambda x: jc.check_weights(x, 2), _HALVES, ()),
+    "WeightedParamSet.points": (
+        "points", lambda x: jc.WeightedParamSet(x, None), [[1.0], [2.0]], _ANY_LENGTH | _NO_DOMAIN
+    ),
+    "WeightedParamSet.weights": (
+        "weights", lambda x: jc.WeightedParamSet([[1.0], [2.0]], x), _HALVES, ()
+    ),
+    "SimplexPoint.probs": ("SimplexPoint", jc.SimplexPoint, _HALVES, ()),
+    "HistogramSet.rows": ("histogram row", lambda x: jc.HistogramSet(x, None), _ROWS, ()),
+    "HistogramSet.weights": ("weights", lambda x: jc.HistogramSet(_ROWS, x), _HALVES, ()),
+    "GeneratorSpec.require_domain": (
+        "theta", lambda x: _BURG.require_domain(x, "theta"), [1.0, 2.0], ()
+    ),
+    "bregman_div.theta1": (
+        "first argument", lambda x: jc.bregman_div(_BURG, x, [1.0, 1.0]), [1.0, 2.0], ()
+    ),
+    "symmetrized_bregman.theta2": (
+        "second argument", lambda x: jc.symmetrized_bregman(_BURG, [1.0, 1.0], x), [1.0, 2.0], ()
+    ),
+    "jeffreys_loss.theta": (
+        "query point",
+        lambda x: jc.jeffreys_loss(_BURG, jc.WeightedParamSet([[1.0, 1.0]], None), x),
+        [1.0, 2.0], (),
+    ),
+    "gb_step.theta_bar": (
+        "arithmetic iterate", lambda x: jc.gb_step(_BURG, x, [1.0, 1.0], [-1.0, -1.0]),
+        [1.0, 2.0], (),
+    ),
+    "gb_step.theta_under": (
+        "quasi-arithmetic iterate", lambda x: jc.gb_step(_BURG, [1.0, 1.0], x, [-1.0, -1.0]),
+        [1.0, 2.0], (),
+    ),
+    "gb_step.eta_under": (
+        "moment iterate", lambda x: jc.gb_step(_BURG, [1.0, 1.0], [1.0, 1.0], x),
+        [-1.0, -1.0], (),
+    ),
+    "mvn_from_natural.x": ("flat naturals", lambda x: jc.mvn_from_natural(x, 1), [0.0, -0.5], ()),
+    "mvn_generator.eval_F": ("natural parameter", _MVN.eval_F, [0.0, -0.5], ()),
+    "mvn_generator.eval_grad": ("natural parameter", _MVN.eval_grad, [0.0, -0.5], _NO_DOMAIN),
+    "mvn_generator.eval_grad_inv": ("moment parameter", _MVN.eval_grad_inv, [0.0, 1.0], ()),
+    "mvn_generator.in_domain": ("natural parameter", _MVN.in_domain, [0.0, -0.5], _NO_DOMAIN),
+    "lambert_w0.x": ("lambert_w0", jc.lambert_w0, [0.5, 1.0], _ANY_SHAPE),
+    "jfr_center_1d.thetas": (
+        "theta", lambda x: jc.jfr_center_1d(_SQUARED, x), [1.0, 2.0], _ANY_LENGTH
+    ),
+    "jfr_center_1d.weights": (
+        "weights", lambda x: jc.jfr_center_1d(_SQUARED, [1.0, 2.0], x), _HALVES, ()
+    ),
+    "sld_centroid.mats": ("SPDMatrix entries", lambda x: jc.sld_centroid([x, _SPD]), _SPD, ()),
+    "sld_centroid.weights": ("weights", lambda x: jc.sld_centroid([_SPD, _SPD], x), _HALVES, ()),
+    "geometric_mean.x": ("SPDMatrix entries", lambda x: jc.geometric_mean(x, _SPD), _SPD, ()),
+    "trace_metric_distance.p2": (
+        "SPDMatrix entries", lambda x: jc.trace_metric_distance(_SPD, x), _SPD, ()
+    ),
+    "logdet_div.x": ("SPDMatrix entries", lambda x: jc.logdet_div(x, _SPD), _SPD, ()),
+    "symmetrized_logdet.y": (
+        "SPDMatrix entries", lambda x: jc.symmetrized_logdet(_SPD, x), _SPD, ()
+    ),
+    "jeffreys_centroid_centered.covs": (
+        "SPDMatrix entries", lambda x: jc.jeffreys_centroid_centered([_SPD, x]), _SPD, ()
+    ),
+    "jeffreys_centroid_centered.weights": (
+        "weights", lambda x: jc.jeffreys_centroid_centered([_SPD, _SPD], x), _HALVES, ()
+    ),
+    "jeffreys_centroid_centered.mean": (
+        "mean", lambda x: jc.jeffreys_centroid_centered([_SPD, _SPD], mean=x), [0.0, 1.0], ()
+    ),
+    "sided_kl_centroids_mvn.weights": (
+        "weights", lambda x: jc.sided_kl_centroids_mvn(_G, x), _HALVES, ()
+    ),
+    "jfr_center_mvn.weights": ("weights", lambda x: jc.jfr_center_mvn(_G, x), _HALVES, ()),
+    "gb_center_mvn.weights": ("weights", lambda x: jc.gb_center_mvn(_G, x), _HALVES, ()),
+    "jeffreys_loss_mvn.weights": (
+        "weights", lambda x: jc.jeffreys_loss_mvn(_G, x, _G[0]), _HALVES, ()
+    ),
+}
+
+# Public callables whose arguments are library types, scalars or callables, never a caller's array.
+TAKES_NO_CALLER_ARRAYS = {
+    "DomainError", "NumericalError", "ToleranceConfig", "CenterDiagnostics", "ScalarGenerator",
+    "JeffreysCatResult", "burg_generator", "shannon_generator", "quasi_arithmetic_center",
+    "right_bregman_centroid", "gb_center", "arithmetic_mean", "normalized_geometric_mean",
+    "jeffreys_centroid_cat", "jfr_center_cat", "gb_center_cat", "unnormalized_center", "kl_cat",
+    "jeffreys_cat", "tv_cat", "jeffreys_loss_cat", "approximation_factor", "mvn_to_natural",
+    "kl_mvn", "jeffreys_mvn", "fisher_rao_midpoint_mvn",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_ARRAYS))
+@pytest.mark.parametrize("entry", sorted(PARSE_CONTRACT))
+def test_every_entry_point_refuses_a_malformed_array(entry, kind):
+    name, call, valid, takes = PARSE_CONTRACT[entry]
+    call(valid)
+    if kind in takes:
+        return
+    with pytest.raises(DomainError, match=name):
+        call(BAD_ARRAYS[kind](valid))
+
+
+def test_every_public_callable_is_held_to_the_parse_contract():
+    """A new public entry point joins PARSE_CONTRACT, or TAKES_NO_CALLER_ARRAYS if it takes
+    no array from its caller."""
+    public = {name for name in jc.__all__ if callable(getattr(jc, name))}
+    in_table = {entry.split(".")[0] for entry in PARSE_CONTRACT}
+    assert public - in_table - TAKES_NO_CALLER_ARRAYS == set()
+    assert in_table & TAKES_NO_CALLER_ARRAYS == set()
+    assert (in_table | TAKES_NO_CALLER_ARRAYS) - public == set()
+
+
+# numpy reads a list that mixes booleans and numbers as floats before any check sees it.
+MIXED_LEAVES = {
+    "GaussianParam": lambda: GaussianParam([True, 1.0], np.eye(2)),
+    "lambert_w0": lambda: lambert_w0([True, 1.0]),
+    "check_weights": lambda: check_weights(np.array(["0.5", "0.5"], dtype=object), 2),
+    "nested ndarray": lambda: SimplexPoint([np.array([True]), np.array([0.5])]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(MIXED_LEAVES))
+def test_a_boolean_or_string_beside_numbers_is_a_domain_error(entry):
+    with pytest.raises(DomainError, match="not an array of numbers"):
+        MIXED_LEAVES[entry]()
+
+
+def _weighted_gaussians(first_weight):
+    return [{"mean": [0.0], "cov": [[1.0]], "weight": first_weight},
+            {"mean": [0.0], "cov": [[2.0]], "weight": 0.5}]
+
+
+# case -> (family, input file contents, weights file contents or None)
+CLI_BAD_INPUTS = {
+    "boolean JSON weight": ("gaussian", _weighted_gaussians(True), None),
+    "string JSON weight": ("gaussian", _weighted_gaussians("0.5"), None),
+    "ragged CSV rows": ("categorical", "0.5,0.5\n0.2,0.3,0.5\n", None),
+    "wrong weights count": ("categorical", "0.5,0.5\n0.2,0.8\n", "0.2,0.3,0.5\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_BAD_INPUTS))
+def test_malformed_cli_input_exits_2_with_one_line(case, tmp_path, capsys):
+    family, data, weights = CLI_BAD_INPUTS[case]
+    path = tmp_path / ("in.json" if family == "gaussian" else "in.csv")
+    path.write_text(json.dumps(data) if family == "gaussian" else data)
+    args = ["compute", "--family", family, "--method", "arithmetic", "--input", str(path)]
+    if weights is not None:
+        (tmp_path / "w.csv").write_text(weights)
+        args += ["--weights", str(tmp_path / "w.csv")]
+    code = main(args)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("centers: ")
