@@ -201,7 +201,8 @@ def mvn_generator(dim: int) -> GeneratorSpec:
     reciprocal gradient inverts it.  The domain is the open cone -theta_M > 0;
     the reciprocal gradient's covariance must pass the SPD rule of :mod:`spd`.
     Each callable raises DomainError unless its argument has the flat shape, ``eval_F``
-    outside the domain too, and ``eval_grad`` and ``eval_grad_inv`` on a singular inverse.
+    outside the domain too, ``eval_grad_inv`` on a non-finite entry, and ``eval_grad`` and
+    ``eval_grad_inv`` on a singular inverse.
     Each dimension's spec is built once: it is frozen and its callables hold no state.
     """
     d = dim
@@ -235,7 +236,10 @@ def mvn_generator(dim: int) -> GeneratorSpec:
         return _flatten(mu, mu[:, None] * mu + cov)
 
     def eval_grad_inv(e: np.ndarray) -> np.ndarray:
-        ev, em = _unflatten(_float_array(e, moment, (flat_dim,)), d)
+        e = _float_array(e, moment, (flat_dim,))
+        if not np.isfinite(e).all():  # before em - ev ev^T meets inf - inf
+            raise DomainError(f"{moment} {e!r} outside the domain")
+        ev, em = _unflatten(e, d)
         cov = em - ev[:, None] * ev
         _check_spd(cov, "moment parameter covariance")
         return _source_to_natural(ev, cov)

@@ -39,12 +39,24 @@ def _has_non_number(x) -> bool:
     return isinstance(x, (bool, np.bool_, str, bytes))
 
 
+def _ragged_rows(x) -> Optional[str]:
+    """"row i has length m, row 0 has length n" for the first row of ``x`` whose
+    length differs from row 0's; None if ``x`` or a row has no length, or none differs."""
+    try:
+        lengths = [len(row) for row in x]
+    except TypeError:
+        return None
+    i = next((i for i, m in enumerate(lengths) if m != lengths[0]), None)
+    return None if i is None else f"row {i} has length {lengths[i]}, row 0 has length {lengths[0]}"
+
+
 def _float_array(x, what: str, shape: Optional[Tuple[Optional[int], ...]] = None) -> np.ndarray:
     """The one parse of a caller's array: ``x`` as a float64 ndarray of ``shape``.
 
     A boolean or string leaf at any depth, or a ragged or non-numeric ``x``, is a
     :class:`DomainError` "``what`` is not an array of numbers" (numpy alone reads True as
-    1.0 and "0.5" as 0.5); only lists, tuples and object arrays are scanned, and a float64
+    1.0 and "0.5" as 0.5), naming the first row of ``x`` whose length differs from row 0's
+    if there is one; only lists, tuples and object arrays are scanned, and a float64
     ndarray is returned as it is.  Input of fewer dimensions than ``shape`` gains leading
     axes of length 1, as ``np.atleast_2d`` adds them; any other mismatch of ``shape``, where
     None matches any length, is a DomainError "``what`` has shape ..., expected ...", and
@@ -57,7 +69,8 @@ def _float_array(x, what: str, shape: Optional[Tuple[Optional[int], ...]] = None
                 raise TypeError("boolean or string entries")
             x = np.asarray(x).astype(float, copy=False)
         except (TypeError, ValueError) as exc:
-            raise DomainError(f"{what} is not an array of numbers: {exc}") from None
+            why = isinstance(exc, ValueError) and _ragged_rows(x) or exc
+            raise DomainError(f"{what} is not an array of numbers: {why}") from None
     if shape is None or x.shape == shape:
         return x
     given = x.shape
@@ -76,9 +89,12 @@ def _check_simplex(p: np.ndarray, what: str) -> None:
 
     The valid path is two reductions and builds no temporary of p's size: the
     minimum is NaN if any entry is, and the mass is non-finite if any entry is
-    infinite.  The offending row is located only on the error path.
+    infinite.  A vector's one mass is tested as a Python float.  The offending
+    row is located only on the error path.
     """
-    if p.size and p.min() > 0.0 and np.abs(p.sum(-1) - 1.0).max() <= 1e-12:
+    if p.size and p.min() > 0.0 and (
+        abs(float(p.sum()) - 1.0) if p.ndim == 1 else np.abs(p.sum(-1) - 1.0).max()
+    ) <= 1e-12:
         return
     rows = np.atleast_2d(p)
     bad_entry = ~(np.isfinite(rows) & (rows > 0.0)).all(axis=-1)

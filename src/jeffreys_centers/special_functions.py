@@ -5,6 +5,11 @@ For x > 0, W0 solves w + log w = log x by Fritsch-Shafer-Crowley steps (CACM
 16(2), 1973, Alg. 443; Veberič, CPC 183, 2012) from Winitzki's start.  Nothing
 is exponentiated, so every finite x is covered.  For -1/e <= x <= 0, Halley's
 iteration on w e^w = x runs from a piecewise seed.
+
+A W known at x e^-dlam has residual dlam at x, and is shifted to x at the order
+dlam needs: one Newton step for |dlam| <= 1e-8 (relative error at most
+dlam^2 / 2 <= 5e-17), one FSC step for |dlam| <= 1e-4 (about 1.4 dlam^4), FSC
+steps for |dlam| <= 1, and a restart from Winitzki's start beyond.
 """
 
 from __future__ import annotations
@@ -25,6 +30,10 @@ _NEG_INV_E = -math.exp(-1.0)
 # the step taken from max|z| <= _FSC_LAST lands at rounding (1.4e-16): it is
 # the last one, and no further log is taken to confirm it.
 _FSC_LAST = 1e-4
+# A Newton step from residual z leaves a relative error of at most
+# z^2 / (2 (1 + w)^3) <= z^2 / 2 for w > 0, so from |z| <= _NEWTON_LAST it is
+# at most 5e-17, under half an ulp: a shift that small needs no FSC step.
+_NEWTON_LAST = 1e-8
 # Halley's residual test, relative to |x|, and the step cap of both W0 loops.
 _W0_REL_TOL = 1e-12
 _W0_MAX_STEPS = 100
@@ -78,35 +87,62 @@ def _w0_halley(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     raise NumericalError("lambert_w0 failed to converge")
 
 
-def _w0_fsc(x: np.ndarray, w: np.ndarray, z) -> np.ndarray:
+def _w0_fsc(x: np.ndarray, w: np.ndarray, z, wp1=None) -> np.ndarray:
     """W0 of x > 0 by FSC steps on w + log w = log x from ``w``, given its
-    residual ``z = log(x / w) - w``; no input check.  The ratio form of z keeps
-    the digits that log x - log w loses for small x."""
+    residual ``z = log(x / w) - w``, an array (which later residuals overwrite)
+    or one number for every entry, and ``wp1 = 1 + w`` if known; no input check.
+    The ratio form of z keeps the digits that log x - log w loses for small x.
+    The steps share three temporaries and apply the formula's operations in its
+    order, so each w is the formula's to the bit; ``w`` and ``wp1`` are not
+    written to."""
+    q, num, den = np.empty_like(x), np.empty_like(x), np.empty_like(x)
     for _ in range(_W0_MAX_STEPS):
-        last = np.abs(z).max(initial=0.0) <= _FSC_LAST
-        wp1 = 1.0 + w
-        q = 2.0 * wp1 * (wp1 + (2.0 / 3.0) * z)
-        w = w + w * z * (q - z) / (wp1 * (q - 2.0 * z))
+        scalar = not isinstance(z, np.ndarray)
+        last = (abs(z) if scalar else np.abs(z, out=den).max(initial=0.0)) <= _FSC_LAST
+        if wp1 is None:
+            wp1 = 1.0 + w
+        # q = 2 wp1 (wp1 + 2z/3);  w += w z (q - z) / (wp1 (q - 2z))
+        np.add(wp1, (2.0 / 3.0) * z if scalar else np.multiply(2.0 / 3.0, z, out=num), out=num)
+        np.multiply(np.multiply(2.0, wp1, out=q), num, out=q)
+        np.multiply(np.multiply(w, z, out=num), np.subtract(q, z, out=den), out=num)
+        np.subtract(q, 2.0 * z if scalar else np.multiply(2.0, z, out=den), out=den)
+        num /= np.multiply(wp1, den, out=den)
         if last:
-            return w
-        z = np.log(x / w) - w
+            return np.add(w, num, out=num)
+        w = w + num
+        if scalar:
+            z = np.empty_like(x)
+        np.log(np.divide(x, w, out=z), out=z)
+        z -= w
+        wp1 = None
     raise NumericalError("lambert_w0 failed to converge")
 
 
 def _w0_pos(x: np.ndarray) -> np.ndarray:
     """W0 of x > 0 from Winitzki's start, within 2% of W0 for every x > 0."""
-    l = np.log1p(x)
-    w = l * (1.0 - np.log1p(l) / (2.0 + l))
-    return _w0_fsc(x, w, np.log(x / w) - w)
+    w = np.log1p(x)  # l, then l (1 - log1p(l) / (2 + l)) in place
+    t = np.log1p(w)
+    t /= 2.0 + w
+    w *= np.subtract(1.0, t, out=t)
+    z = np.log(np.divide(x, w, out=t), out=t)
+    z -= w
+    return _w0_fsc(x, w, z)
 
 
-def _w0_shifted(x: np.ndarray, w: np.ndarray, dlam: float) -> np.ndarray:
-    """W0 of x > 0 given ``w = W0(x e^-dlam)``, whose residual at x is dlam.
+def _w0_shifted(x: np.ndarray, w: np.ndarray, wp1: np.ndarray, dlam: float) -> np.ndarray:
+    """W0 of x > 0 given ``w = W0(x e^-dlam)`` and ``wp1 = 1 + w``; w's residual
+    at x is dlam, and the shift takes the order dlam needs.
 
-    FSC steps from w converge for |dlam| <= 2.5 over w in [1e-12, 700], but
-    from w <= 1e-3 a jump of +3 takes the log of a negative number: a jump
-    larger than 1 starts from Winitzki's start instead."""
-    return _w0_fsc(x, w, dlam) if abs(dlam) <= 1.0 else _w0_pos(x)
+    Up to ``_NEWTON_LAST`` one Newton step w + dlam w / (1 + w) lands at
+    rounding, and up to ``_FSC_LAST`` one FSC step.  FSC steps from w converge
+    for |dlam| <= 2.5 over w in [1e-12, 700], but from w <= 1e-3 a jump of +3
+    takes the log of a negative number: a jump larger than 1 starts from
+    Winitzki's start instead.  ``w`` and ``wp1`` are not written to."""
+    if abs(dlam) <= _NEWTON_LAST:
+        step = np.multiply(dlam, w)
+        step /= wp1
+        return np.add(w, step, out=step)
+    return _w0_fsc(x, w, dlam, wp1) if abs(dlam) <= 1.0 else _w0_pos(x)
 
 
 def lambert_w0(x):

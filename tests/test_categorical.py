@@ -459,7 +459,8 @@ class TestNewtonSolve:
         lam_lo = float(np.max(a + np.log(g)) - 1.0)
         assert lam_lo < -7.0
         x = r * math.exp(lam_lo)
-        w = _w0_shifted(x, lambert_w0(r), lam_lo)
+        w0 = lambert_w0(r)
+        w = _w0_shifted(x, w0, 1.0 + w0, lam_lo)
         assert np.abs(w / polished_w0(x) - 1.0).max() <= 4.5e-16
 
     # Newton iterations of the solve from lambda = 0 (the cold reference) and
@@ -495,7 +496,8 @@ class TestNewtonSolve:
         # above (scale 0.5) or all below (scale 2) unit mass
         monkeypatch.setattr(categorical, "lambert_w0", lambda x: scale * lambert_w0(x))
         monkeypatch.setattr(
-            categorical, "_w0_shifted", lambda x, w, dlam: scale * _w0_shifted(x, w / scale, dlam)
+            categorical, "_w0_shifted",
+            lambda x, w, wp1, dlam: scale * _w0_shifted(x, w / scale, 1.0 + w / scale, dlam),
         )
         with pytest.raises(NumericalError, match="does not straddle unit mass"):
             jeffreys_centroid_cat(HistogramSet.uniform(TABLE2))

@@ -169,7 +169,7 @@ class TestCompute:
             capsys,
         )
         assert code == 2
-        assert "dimension" in err
+        assert "row 1 has length 3, row 0 has length 2" in err
 
     def test_gaussian_gb_equal_inputs(self, gaussian_json_file, capsys):
         code, out, _ = run(

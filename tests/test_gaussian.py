@@ -214,6 +214,17 @@ class TestGenerator:
         assert mvn_generator(2).in_domain(theta) is False
 
     @pytest.mark.parametrize(
+        "eta",
+        [np.full(5, np.inf), np.full(5, np.nan), [np.inf, 0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 1.0, np.inf, 1.0]],
+        ids=["all_inf", "all_nan", "inf_mean", "inf_second_moment"],
+    )
+    def test_non_finite_moment_is_a_domain_error(self, eta):
+        # an infinite moment used to meet inf - inf in eta_M - eta_v eta_v^T: a
+        # RuntimeWarning, which the suite's warning filter raises, before any rule
+        with pytest.raises(DomainError, match="moment parameter .* outside the domain"):
+            mvn_generator(2).eval_grad_inv(eta)
+
+    @pytest.mark.parametrize(
         "x", [[1.0, 1.0, 1.0, 0.0, 1.0], [np.nan] * 5], ids=["theta_M=I", "nan"]
     )
     def test_eval_F_outside_the_domain_is_a_domain_error(self, x):

@@ -14,8 +14,9 @@ from jeffreys_centers import (
     lambert_w0,
     shannon_generator,
 )
-from jeffreys_centers.special_functions import _bracketed_newton
+from jeffreys_centers.special_functions import _bracketed_newton, _w0_shifted
 
+from conftest import polished_w0
 from oracles import elliptic_k
 
 
@@ -53,6 +54,29 @@ def reference_w0(x: np.ndarray) -> np.ndarray:
             break
     w[at_branch] = -1.0
     return w
+
+
+def reference_fsc(x: np.ndarray, w: np.ndarray, z) -> np.ndarray:
+    """Reference for x > 0: lambert_w0's Fritsch-Shafer-Crowley loop on
+    w + log w = log x from w with residual z, written out as the textbook
+    formula, one new array per operation; the step taken from max|z| <= 1e-4
+    is the last."""
+    for _ in range(100):
+        last = np.abs(z).max(initial=0.0) <= 1e-4
+        wp1 = 1.0 + w
+        q = 2.0 * wp1 * (wp1 + (2.0 / 3.0) * z)
+        w = w + w * z * (q - z) / (wp1 * (q - 2.0 * z))
+        if last:
+            return w
+        z = np.log(x / w) - w
+    raise AssertionError("no convergence")
+
+
+def reference_w0_positive(x: np.ndarray) -> np.ndarray:
+    """The reference loop from Winitzki's start."""
+    l = np.log1p(x)
+    w = l * (1.0 - np.log1p(l) / (2.0 + l))
+    return reference_fsc(x, w, np.log(x / w) - w)
 
 
 # frozen from the bisection oracle before the main build
@@ -187,6 +211,13 @@ class TestLambertW:
         for x in xs[::7]:
             assert lambert_w0(float(x)) == reference_w0(np.array([x]))[0]
 
+    def test_positive_x_bit_identical_to_the_reference_loop(self):
+        # the kernels reuse their temporaries; every W must stay the formula's to the bit
+        xs = np.concatenate([[5e-324, 1e-300], np.geomspace(1e-250, 1e300, 3000), [np.finfo(float).max]])
+        assert np.array_equal(lambert_w0(xs), reference_w0_positive(xs))
+        for x in xs[::97]:
+            assert lambert_w0(float(x)) == reference_w0_positive(np.array([x]))[0]
+
     @pytest.mark.parametrize("x", [5e307, 1e308, np.finfo(float).max])
     def test_largest_inputs(self, x):
         # w e^w overflows here, but nothing is exponentiated for x > 0; a
@@ -220,6 +251,37 @@ class TestLambertW:
     def test_empty_input(self, x):
         w = lambert_w0(x)
         assert isinstance(w, np.ndarray) and w.shape == (0,)
+
+
+class TestShiftedW:
+    """W carried to x from W0(x e^-dlam), whose residual at x is dlam: one Newton
+    step up to |dlam| = 1e-8, one FSC step up to 1e-4, FSC steps up to 1."""
+
+    # x from 1e-12 to 1e300 spans W from 1e-12 to 684, the multiplier solve's range
+    X = np.geomspace(1e-12, 1e300, 4001)
+
+    @pytest.mark.parametrize(
+        "dlam", [s * m for m in (1e-16, 1e-12, 1e-9, 1e-8, 1.0001e-8, 1e-4) for s in (1.0, -1.0)]
+    )
+    def test_each_order_lands_at_rounding(self, dlam):
+        x = self.X * math.exp(dlam)
+        w = lambert_w0(self.X)
+        shifted = _w0_shifted(x, w, 1.0 + w, dlam)
+        assert np.abs(shifted / polished_w0(x) - 1.0).max() <= 1e-15
+
+    @pytest.mark.parametrize("dlam", [2e-8, -3e-5, 1e-4, 2e-4, -0.3, 1.0])
+    def test_fsc_shifts_bit_identical_to_the_reference_loop(self, dlam):
+        x = self.X * math.exp(dlam)
+        w = lambert_w0(self.X)
+        assert np.array_equal(_w0_shifted(x, w, 1.0 + w, dlam), reference_fsc(x, w, dlam))
+
+    def test_w_and_one_plus_w_are_not_written(self):
+        w = lambert_w0(self.X)
+        wp1 = 1.0 + w
+        before = w.copy(), wp1.copy()
+        for dlam in (1e-9, 1e-5, 0.5, 3.0):
+            _w0_shifted(self.X * math.exp(dlam), w, wp1, dlam)
+        assert np.array_equal(w, before[0]) and np.array_equal(wp1, before[1])
 
 
 class TestEllipticK:

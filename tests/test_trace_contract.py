@@ -27,6 +27,8 @@ def perfbench_modules(monkeypatch):
     "workload, family, sets",
     [
         ("hist-pairs", "categorical", [0]),
+        # d = 16384: the pins hold where per-entry work, not call overhead, dominates
+        ("hist-wide", "categorical", [0]),
         # d = 1, 2, 3: the fiber alignment runs from d = 2 on and never at d = 1
         ("mvn", "gaussian", [0, 1, 2]),
     ],

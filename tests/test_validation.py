@@ -151,6 +151,12 @@ def test_ragged_input_is_a_domain_error(entry):
         RAGGED[entry]()
 
 
+def test_ragged_rows_name_the_first_row_that_differs():
+    """numpy's own text names neither the row nor a length."""
+    with pytest.raises(DomainError, match="histogram rows .*: row 2 has length 3, row 0 has length 2$"):
+        HistogramSet([[0.5, 0.5], [0.2, 0.8], [0.2, 0.3, 0.5], [1.0]], None)
+
+
 # Inputs numpy converts to floats without complaint: True to 1.0, "0.5" to 0.5.
 NOT_NUMBERS = {
     "boolean weight": lambda: check_weights([True], 1),
