@@ -128,9 +128,10 @@ def _score_pair(rows: np.ndarray, epsilon: float):
     score the two proxies against the exact one.
 
     Each timed method gets its own HistogramSet: a set caches its sided means
-    on first use, so separate sets keep each time inclusive of the method's
-    own means, as when it runs alone.  Returns the reference time and, per
-    proxy, ``(info_eps, tv_eps, time_ns)``.
+    and the JFR center's bins on first use, so separate sets keep each time
+    inclusive of the method's own means and, for the exact and JFR centers, of
+    its own JFR bins, as when it runs alone.  Returns the reference time and,
+    per proxy, ``(info_eps, tv_eps, time_ns)``.
     """
     hset, h_jfr, h_gb = (HistogramSet.uniform(rows) for _ in range(3))
     ref, t_ref = _timed(lambda: jeffreys_centroid_cat(hset, epsilon))

@@ -82,10 +82,11 @@ class HistogramSet:
     """Rows of same-dimension simplex points with open-simplex weights.
 
     ``rows`` and ``weights`` are stored as read-only views, not copies, so the
-    set cannot be changed through them and :attr:`means` is computed once per
-    set and shared by every center.  The views share memory with the arrays
-    the caller passed, which stay writable; writing to those afterwards is not
-    supported.
+    set cannot be changed through them, and :attr:`means` and the JFR center's
+    bins :attr:`jfr_probs` are computed once per set and shared by every center;
+    both are read-only, as is the ``probs`` of :func:`jfr_center_cat`.  The views
+    share memory with the arrays the caller passed, which stay writable; writing
+    to those afterwards is not supported.
     """
 
     rows: np.ndarray
@@ -111,6 +112,15 @@ class HistogramSet:
             _read_only(arithmetic_mean(self).probs),
             _read_only(normalized_geometric_mean(self).probs),
         )
+
+    @cached_property
+    def jfr_probs(self) -> np.ndarray:
+        """The JFR center's bins, read-only, computed on first use.
+
+        :func:`jfr_center_cat` returns them, and :func:`jeffreys_centroid_cat`
+        seeds its multiplier from them.
+        """
+        return _read_only(_jfr_probs(*self.means))
 
     @classmethod
     def uniform(cls, rows) -> "HistogramSet":
@@ -190,7 +200,9 @@ def jeffreys_centroid_cat(
     s(lambda) = sum_j c_j(lambda) decreasing in lambda, whose unit-mass root
     lies in the bracket [max_j(a_j + log g_j) - 1, 0].  At the root
     lambda = -KL(c : g), so Newton starts at the multiplier the closed-form
-    JFR center implies, lambda_J = -KL(c_JFR : g), clamped into the bracket.
+    JFR center implies, lambda_J = -KL(c_JFR : g), clamped into the bracket;
+    c_JFR is read from the set's :attr:`HistogramSet.jfr_probs`, so a set
+    computes it once for this solve and :func:`jfr_center_cat`.
     The slope is
     s'(lambda) = -sum_j c_j / (1 + W_j), which is -sum_j c_j^2 / (c_j + a_j)
     since a_j = c_j W_j; the 1 + W it computes serves the next W's shift too.
@@ -214,7 +226,7 @@ def jeffreys_centroid_cat(
     a, g = hset.means
     r = (a / g) * math.e  # W_j's argument is r_j e^lambda
     lam_lo = float((a + np.log(g)).max() - 1.0)
-    c_jfr = _jfr_probs(a, g)
+    c_jfr = hset.jfr_probs
     lam = min(max(-float((c_jfr * np.log(c_jfr / g)).sum()), lam_lo), 0.0)
     # W, 1 + W, the candidate and its mass at the last point solved, each
     # candidate and 1 + W written over the last: the slope computes 1 + W, and
@@ -270,9 +282,10 @@ def jfr_center_cat(hset: HistogramSet) -> SimplexPoint:
     """Closed-form Jeffreys-Fisher-Rao center.
 
     c_j = (sqrt(a_j) + sqrt(g_j))^2 / (2 (1 + sum_l sqrt(a_l g_l))); the
-    denominator normalizes the numerator mass analytically.
+    denominator normalizes the numerator mass analytically.  The bins are the
+    set's read-only :attr:`HistogramSet.jfr_probs`.
     """
-    return SimplexPoint(_jfr_probs(*hset.means))
+    return SimplexPoint(hset.jfr_probs)
 
 
 def gb_center_cat(

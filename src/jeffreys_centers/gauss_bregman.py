@@ -2,9 +2,13 @@
 
 The double sequence alternates the arithmetic midpoint and the quasi-arithmetic
 (grad F) midpoint, started at the two sided Bregman centroids, and converges to
-a common limit for separable generators (dimension-wise gap halving).  For
-non-separable generators there is no convergence theorem; the iteration guards
-with ``max_iter`` and reports honestly.
+a common limit for separable generators (dimension-wise gap halving).  The
+paper (Nielsen, arXiv 2410.14326) states that the Gauss-Bregman center always
+converges, non-separable generators such as the Gaussian one included.  In
+floating point the loop can still stop at ``max_iter``: its stopping gap is
+absolute where |theta_bar| >= 1, so iterates with large natural parameters (a
+Gaussian set with small covariances) stall at a rounding gap above the target.
+The diagnostics ``status`` reports that as 'max_iter'.
 
 The arithmetic iterate theta_bar is averaged in natural coordinates theta and
 the quasi-arithmetic iterate theta_under in moment coordinates eta = grad F(theta),

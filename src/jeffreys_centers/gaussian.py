@@ -515,9 +515,11 @@ def gb_center_mvn(
 ) -> Tuple[GaussianParam, CenterDiagnostics]:
     """Gauss-Bregman inductive center under the normal cumulant generator.
 
-    The generator is non-separable, so there is no convergence theorem; the
-    diagnostics ``status`` field reports 'max_iter' when the gap target was
-    not met.
+    The paper states that the Gauss-Bregman center always converges, the
+    non-separable normal generator included.  The diagnostics ``status`` field
+    still reports 'max_iter' when the gap target was not met: the stopping gap
+    is absolute where |theta_bar| >= 1, so a set with small covariances, whose
+    precisions are large, can stall at a rounding gap above it.
     """
     d, w = _checked_set(gaussians, weights)
     pset = WeightedParamSet(np.array([mvn_to_natural(g) for g in gaussians]), w)

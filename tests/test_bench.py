@@ -32,8 +32,30 @@ def mean_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def jfr_calls(monkeypatch):
+    """Counts calls of categorical._jfr_probs, once per set's cached JFR bins."""
+    calls = []
+    original = categorical._jfr_probs
+
+    def counted(a, g):
+        calls.append(None)
+        return original(a, g)
+
+    monkeypatch.setattr(categorical, "_jfr_probs", counted)
+    return calls
+
+
+def assert_jfr_bins_in_exact_and_jfr_sets(mean_calls):
+    # mean_calls holds each trial's sets in timing order: exact, JFR, GB
+    for k in range(0, len(mean_calls), 3):
+        cached = ["jfr_probs" in vars(h) for h in mean_calls[k:k + 3]]
+        assert cached == [True, True, False]
+
+
 class TestOwnMeansPerTimedMethod:
-    """Each timed method gets its own set, so its time includes its own means."""
+    """Each timed method gets its own set, so its time includes its own means
+    and, for the exact and JFR centers, its own JFR bins."""
 
     def test_table1_three_means_per_trial(self, mean_calls):
         run_table1(RunConfig(seed=2, trials=5, dims=(4, 8)), timing=False)
@@ -44,6 +66,16 @@ class TestOwnMeansPerTimedMethod:
         run_table2([1e-1, 1e-2, 1e-3], timing=False)
         assert len(mean_calls) == 3 * 3
         assert len({id(h) for h in mean_calls}) == len(mean_calls)
+
+    def test_table1_two_jfr_bins_per_trial(self, mean_calls, jfr_calls):
+        run_table1(RunConfig(seed=2, trials=5, dims=(4, 8)), timing=False)
+        assert len(jfr_calls) == 2 * 5 * 2
+        assert_jfr_bins_in_exact_and_jfr_sets(mean_calls)
+
+    def test_table2_two_jfr_bins_per_alpha(self, mean_calls, jfr_calls):
+        run_table2([1e-1, 1e-2, 1e-3], timing=False)
+        assert len(jfr_calls) == 2 * 3
+        assert_jfr_bins_in_exact_and_jfr_sets(mean_calls)
 
 
 class TestSampling:

@@ -219,7 +219,8 @@ def _centers(hset, method):
 
 
 class TestCachedMeans:
-    """HistogramSet computes its sided means once and shares them across centers."""
+    """HistogramSet computes its sided means and the JFR center's bins once and
+    shares them across centers."""
 
     METHODS = ("exact", "jfr", "gb")
 
@@ -255,6 +256,39 @@ class TestCachedMeans:
         random_hset(rng, 16, 3).means
         assert calls == {"arithmetic_mean": 2, "normalized_geometric_mean": 2}
 
+    @pytest.mark.parametrize("order", list(itertools.permutations(METHODS)))
+    def test_jfr_bins_computed_once_per_set(self, rng, monkeypatch, order):
+        calls = []
+        original = categorical._jfr_probs
+
+        def counted(a, g):
+            calls.append((a, g))
+            return original(a, g)
+
+        monkeypatch.setattr(categorical, "_jfr_probs", counted)
+        hset = random_hset(rng, 16, 3)
+        for m in order:
+            _centers(hset, m)
+        unnormalized_center(hset)
+        assert len(calls) == 1
+        random_hset(rng, 16, 3).jfr_probs
+        assert len(calls) == 2
+
+    def test_jfr_bins_equal_a_fresh_computation(self, rng):
+        hset = random_hset(rng, 256, 5)
+        got = hset.jfr_probs
+        assert np.array_equal(got, categorical._jfr_probs(*hset.means))
+        assert np.shares_memory(jfr_center_cat(hset).probs, got)
+
+    def test_jfr_center_is_read_only(self, rng):
+        hset = random_hset(rng, 8, 3)
+        before = hset.jfr_probs.copy()
+        center = jfr_center_cat(hset)
+        with pytest.raises(ValueError):
+            center.probs[0] = 0.5
+        assert np.array_equal(hset.jfr_probs, before)
+        assert np.array_equal(jfr_center_cat(hset).probs, before)
+
     def test_means_equal_the_public_means(self, rng):
         hset = random_hset(rng, 8, 4)
         a, g = hset.means
@@ -263,7 +297,7 @@ class TestCachedMeans:
 
     def test_stored_arrays_are_read_only(self, rng):
         hset = random_hset(rng, 4, 3)
-        for arr in (hset.rows, hset.weights, *hset.means):
+        for arr in (hset.rows, hset.weights, *hset.means, hset.jfr_probs):
             with pytest.raises(ValueError):
                 arr[0] = 0.5
 

@@ -1,0 +1,43 @@
+"""The CI workflow runs what the repository documents and installs what it declares.
+
+The workflow is matched as text: PyYAML is not a declared dependency.
+"""
+
+import ast
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKFLOW = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+
+
+def run_commands():
+    return [m.strip() for m in re.findall(r"^\s*(?:-\s+)?run:\s*(.+)$", WORKFLOW, re.M)]
+
+
+def test_runs_the_tier1_command_and_the_selftest():
+    tier1 = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", (ROOT / "ROADMAP.md").read_text())
+    assert tier1 is not None, "ROADMAP.md names no tier-1 command"
+    commands = run_commands()
+    assert tier1.group(1) in commands
+    assert "python3 perfbench/selftest.py" in commands
+
+
+def test_runs_on_python_3_10_and_3_11():
+    versions = re.search(r"^\s*python-version:\s*(\[[^\]]*\])", WORKFLOW, re.M)
+    assert versions is not None, "the workflow has no python-version matrix"
+    assert ast.literal_eval(versions.group(1)) == ["3.10", "3.11"]
+    assert "python-version: ${{ matrix.python-version }}" in WORKFLOW
+
+
+def test_installs_every_declared_requirement():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = project["dependencies"] + project["optional-dependencies"]["test"]
+    installs = [c for c in run_commands() if "pip install" in c]
+    assert len(installs) == 1
+    installed = set(shlex.split(installs[0]))
+    assert [r for r in declared if r not in installed] == []
