@@ -146,8 +146,12 @@ class JeffreysCatResult:
 
 
 def arithmetic_mean(hset: HistogramSet) -> SimplexPoint:
-    """Weighted per-bin arithmetic mean."""
-    return SimplexPoint(hset.weights @ hset.rows)
+    """Weighted per-bin arithmetic mean.  A bin whose weighted terms all
+    underflow to 0 on valid rows is a :class:`NumericalError`."""
+    try:
+        return SimplexPoint(hset.weights @ hset.rows)
+    except DomainError as exc:
+        raise NumericalError(f"weighted arithmetic mean failed on valid input: {exc}") from exc
 
 
 def normalized_geometric_mean(hset: HistogramSet) -> SimplexPoint:

@@ -3,8 +3,7 @@ Newton that solves the histogram multiplier and both roots of the scalar JFR cen
 
 For x > 0, W0 solves w + log w = log x by Fritsch-Shafer-Crowley steps (CACM
 16(2), 1973, Alg. 443; Veberič, CPC 183, 2012) from Winitzki's start.  Nothing
-is exponentiated, so every finite x is covered.  For -1/e <= x <= 0, Halley's
-iteration on w e^w = x runs from a piecewise seed.
+is exponentiated, so every finite x > 0 is covered.
 
 A W known at x e^-dlam has residual dlam at x, and is shifted to x at the order
 dlam needs: one Newton step for |dlam| <= 1e-8 (relative error at most
@@ -24,8 +23,6 @@ from .legendre import _float_array
 
 __all__ = ["ToleranceConfig", "lambert_w0"]
 
-_NEG_INV_E = -math.exp(-1.0)
-
 # One FSC step from residual z leaves a relative error of about 1.4 z^4, so
 # the step taken from max|z| <= _FSC_LAST lands at rounding (1.4e-16): it is
 # the last one, and no further log is taken to confirm it.
@@ -34,8 +31,7 @@ _FSC_LAST = 1e-4
 # z^2 / (2 (1 + w)^3) <= z^2 / 2 for w > 0, so from |z| <= _NEWTON_LAST it is
 # at most 5e-17, under half an ulp: a shift that small needs no FSC step.
 _NEWTON_LAST = 1e-8
-# Halley's residual test, relative to |x|, and the step cap of both W0 loops.
-_W0_REL_TOL = 1e-12
+# The step cap of the FSC loop.
 _W0_MAX_STEPS = 100
 
 
@@ -56,35 +52,6 @@ class ToleranceConfig:
             raise DomainError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
         if self.max_iter < 1:
             raise DomainError(f"max_iter must be >= 1, got {self.max_iter}")
-
-
-def _w0_seed(x: np.ndarray) -> np.ndarray:
-    # Branch-point series for x near -1/e, log1p above; each branch is
-    # evaluated on the whole array with its argument clamped into range.
-    p = np.sqrt(np.maximum(2.0 * (math.e * np.minimum(x, -0.25) + 1.0), 0.0))
-    near = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0)))
-    return np.where(x < -0.25, near, np.log1p(x))
-
-
-def _w0_halley(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Halley iteration for ``w e^w = x`` on the W0 branch, from the start ``w``.
-
-    No input check: ``x`` must be a finite array in (-1/e, 0] and ``w`` a start
-    above -1 (past it Halley's step leaves the branch).  The step taken from
-    residuals that all pass ``|w e^w - x| <= _W0_REL_TOL * |x|`` is the last: the
-    test alone would leave dw = _W0_REL_TOL |x| / (e^w (1 + w)), and Halley's
-    cubic convergence takes that to rounding in one step.
-    """
-    target = _W0_REL_TOL * np.abs(x)
-    for _ in range(_W0_MAX_STEPS):
-        ew = np.exp(w)
-        f = w * ew - x
-        last = (np.abs(f) <= target).all()
-        wp1 = w + 1.0  # positive away from the branch point
-        w = w - f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
-        if last:
-            return w
-    raise NumericalError("lambert_w0 failed to converge")
 
 
 def _w0_fsc(x: np.ndarray, w: np.ndarray, z, wp1=None) -> np.ndarray:
@@ -148,8 +115,9 @@ def _w0_shifted(x: np.ndarray, w: np.ndarray, wp1: np.ndarray, dlam: float) -> n
 def lambert_w0(x):
     """Principal branch W0 of the Lambert W function.
 
-    Solves ``w * exp(w) = x`` for finite ``x >= -1/e``; accepts scalars or
-    arrays.  Every entry is solved to rounding, with W0(-1/e) = -1 exactly.
+    Solves ``w * exp(w) = x`` for finite ``x > 0``, the domain of the histogram
+    multiplier solve; accepts scalars or arrays.  Every entry is solved to
+    rounding.
     """
     arr = _float_array(x, "lambert_w0 input")
     scalar = arr.ndim == 0
@@ -158,23 +126,11 @@ def lambert_w0(x):
         return np.empty_like(arr)
     # two reductions check x: the minimum is NaN if any entry is, the maximum
     # infinite if any entry is +inf; the error path then names the fault
-    lo, hi = arr.min(), arr.max()
-    if not (lo >= _NEG_INV_E and hi < math.inf):
+    if not (arr.min() > 0.0 and arr.max() < math.inf):
         if not np.isfinite(arr).all():
             raise DomainError("lambert_w0 requires finite input")
-        raise DomainError(f"lambert_w0 requires x >= -1/e = {_NEG_INV_E!r}")
-    if lo > 0.0:
-        w = _w0_pos(arr)
-    else:
-        w = np.empty_like(arr)
-        pos = arr > 0.0
-        w[pos] = _w0_pos(arr[pos])
-        # Halley divides by w + 1 = 0 at x = -1/e: iterate on 0 there, pin -1 after
-        at_branch = arr[~pos] == _NEG_INV_E
-        xn = np.where(at_branch, 0.0, arr[~pos])
-        wn = _w0_halley(xn, _w0_seed(xn))
-        wn[at_branch] = -1.0
-        w[~pos] = wn
+        raise DomainError("lambert_w0 requires x > 0")
+    w = _w0_pos(arr)
     return float(w[0]) if scalar else w
 
 

@@ -68,13 +68,11 @@ def random_simplex(rng: np.random.Generator, d: int, floor: float = 1e-12) -> np
 
 
 def polished_w0(x) -> np.ndarray:
-    """W0(x) to rounding, away from the branch point: the lambert_w0 value and
-    one more Halley step on w e^w = x.
+    """W0(x) to rounding for x > 0: the lambert_w0 value and one more Halley
+    step on w e^w = x.
 
-    For x > 0 lambert_w0 is already at rounding, from Fritsch-Shafer-Crowley
-    steps on w + log w = log x, so the step is an independent check of it.  For
-    x < 0 the value meets only |w e^w - x| <= 1e-12 |x|, and the step polishes
-    it.
+    lambert_w0 is already at rounding, from Fritsch-Shafer-Crowley steps on
+    w + log w = log x, so the step is an independent check of it.
     """
     x = np.asarray(x, dtype=float)
     w = lambert_w0(x)

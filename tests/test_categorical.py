@@ -25,7 +25,7 @@ from jeffreys_centers import (
     tv_cat,
     unnormalized_center,
 )
-from jeffreys_centers import categorical, special_functions
+from jeffreys_centers import categorical
 from jeffreys_centers.bench import sample_histogram_pair
 from jeffreys_centers.special_functions import _w0_shifted, lambert_w0
 
@@ -592,17 +592,6 @@ class TestStartedW:
         res = jeffreys_centroid_cat(hset)
         assert res.diagnostics.status == "converged"
         assert np.abs(res.center.probs - bisect_lambda(hset)[1]).max() <= 1e-12
-
-    def test_the_seed_is_never_evaluated(self, monkeypatch):
-        # Halley's seed serves x <= 0 only; every x of the solve is positive
-        seeded = []
-        seed = special_functions._w0_seed
-        monkeypatch.setattr(
-            special_functions, "_w0_seed", lambda x: seeded.append(x.size) or seed(x)
-        )
-        for hset in self.DIRICHLET + self.TABLE2:
-            jeffreys_centroid_cat(hset)
-        assert seeded == []
 
     @pytest.mark.parametrize("family", ["DIRICHLET", "TABLE2", "TINY"])
     def test_every_w_is_exact(self, monkeypatch, family):

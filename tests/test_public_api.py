@@ -71,8 +71,8 @@ REMOVED = [
     "make_separable_generator",
     "mvn_flatten",
     "mvn_unflatten",
-    # the W0 loops' stopping constants, now special_functions._W0_REL_TOL and
-    # _W0_MAX_STEPS
+    # the W0 loops' stopping constants; the step cap is now
+    # special_functions._W0_MAX_STEPS
     "DEFAULT_TOL",
 ]
 

@@ -34,28 +34,6 @@ def bisect_w(x: float, tol: float = 1e-13) -> float:
     return 0.5 * (lo + hi)
 
 
-def reference_w0(x: np.ndarray) -> np.ndarray:
-    """Reference for x <= 0: lambert_w0's piecewise seed and Halley loop
-    written out in one function, at the default tolerance; the step taken from
-    residuals that all pass the test is the last."""
-    at_branch = x == -math.exp(-1.0)
-    arr = np.where(at_branch, 0.0, x)
-    p = np.sqrt(np.maximum(2.0 * (math.e * np.minimum(arr, -0.25) + 1.0), 0.0))
-    near = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0)))
-    w = np.where(arr < -0.25, near, np.log1p(arr))
-    target = 1e-12 * np.abs(arr)
-    for _ in range(100):
-        ew = np.exp(w)
-        f = w * ew - arr
-        last = (np.abs(f) <= target).all()
-        wp1 = w + 1.0
-        w = w - f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
-        if last:
-            break
-    w[at_branch] = -1.0
-    return w
-
-
 def reference_fsc(x: np.ndarray, w: np.ndarray, z) -> np.ndarray:
     """Reference for x > 0: lambert_w0's Fritsch-Shafer-Crowley loop on
     w + log w = log x from w with residual z, written out as the textbook
@@ -85,13 +63,6 @@ W_OF_ONE = 0.5671432904097838
 K_HALF = 1.685750354812596
 # (x, W0(x)) frozen from a 40-digit mpmath lambertw of each float x
 W0_PINNED = [
-    (-0.36, -0.8060843159708176),
-    (-0.3, -0.4894022271802149),
-    (-0.1, -0.11183255915896297),
-    (-0.001, -0.001001001502671886),
-    (-1e-08, -1.0000000100000002e-08),
-    (-1e-20, -1e-20),
-    (-1e-300, -1e-300),
     (5e-324, 5e-324),
     (1e-300, 1e-300),
     (1e-100, 1e-100),
@@ -109,37 +80,9 @@ W0_PINNED = [
     (1e308, 702.6413620341068),
     (1.7976931348623157e308, 703.2270331047702),
 ]
-# more (x, W0(x)) on [-0.36, -1e-8], frozen the same way: of 300 log-spaced x,
-# the one in each run of 15 that a single Halley solve stopped furthest from W0
-# while it returned once the residual test passed (up to 5710 ulps)
-W0_HALLEY_PINNED = [
-    (-1e-08, -1.0000000100000002e-08),
-    (-4.283491090849917e-08, -4.2834912743328875e-08),
-    (-5.730037201146247e-08, -5.7300375294795385e-08),
-    (-1.3716274322436584e-07, -1.3716276203798785e-07),
-    (-4.392122623768637e-07, -4.3921245528440226e-07),
-    (-8.829526885594049e-07, -8.829534681658876e-07),
-    (-3.1762856835650017e-06, -3.176295772403813e-06),
-    (-4.773346488333556e-06, -4.773369273333395e-06),
-    (-1.0780273176637436e-05, -1.0780389392806467e-05),
-    (-2.7351452952112076e-05, -2.7352201084784676e-05),
-    (-6.54725298700224e-05, -6.547681694322593e-05),
-    (-0.00015672484292100352, -0.0001567494113733739),
-    (-0.0003539522270975664, -0.0003540775758343771),
-    (-0.0019135075323351688, -0.0019171795887902565),
-    (-0.004580457911566007, -0.004601583841771621),
-    (-0.006494420206237221, -0.006537013382441897),
-    (-0.011621428976292857, -0.011758890704253467),
-    (-0.027818791093652814, -0.028626658217466436),
-    (-0.0890792491139249, -0.09827845945438027),
-    (-0.21323341793293102, -0.28297652731341555),
-]
 
 
 class TestLambertW:
-    def test_zero(self):
-        assert lambert_w0(0.0) == 0.0
-
     def test_at_e(self):
         assert lambert_w0(math.e) == pytest.approx(1.0, abs=1e-14)
 
@@ -147,13 +90,9 @@ class TestLambertW:
         assert bisect_w(1.0) == pytest.approx(W_OF_ONE, abs=1e-12)
         assert lambert_w0(1.0) == pytest.approx(W_OF_ONE, abs=1e-12)
 
-    def test_branch_point(self):
-        assert lambert_w0(-math.exp(-1.0)) == -1.0
-
     def test_residual_property(self, rng):
         xs = np.concatenate(
             [
-                rng.uniform(-math.exp(-1.0), 0.0, size=200),
                 rng.uniform(0.0, 10.0, size=200),
                 10.0 ** rng.uniform(1.0, 300.0, size=100),
             ]
@@ -161,16 +100,15 @@ class TestLambertW:
         w = lambert_w0(xs)
         resid = np.abs(w * np.exp(np.clip(w, None, 700)) - xs)
         assert np.all(resid <= 1e-12 * np.maximum(1.0, np.abs(xs)))
-        assert np.all(w >= -1.0)
+        assert np.all(w > 0.0)
 
     def test_strictly_increasing(self, rng):
-        xs = np.sort(rng.uniform(-math.exp(-1.0) + 1e-12, 50.0, size=300))
+        xs = np.sort(rng.uniform(0.0, 50.0, size=300))
         w = lambert_w0(xs)
         assert np.all(np.diff(w) > 0.0)
 
     def test_against_oracle_random(self, rng):
-        for x in rng.uniform(-0.35, 20.0, size=25):
-            x = max(x, -math.exp(-1.0) + 1e-9)
+        for x in rng.uniform(0.0, 20.0, size=25):
             assert lambert_w0(float(x)) == pytest.approx(bisect_w(float(x)), abs=1e-10)
 
     def test_domain_error(self):
@@ -182,34 +120,6 @@ class TestLambertW:
             lambert_w0(float("nan"))
         with pytest.raises(DomainError):
             lambert_w0(np.array([0.5, float("inf")]))
-
-    def test_mixed_array_every_seed_branch(self):
-        # the branch point, the series range (-1/e, -0.25), zero, the log1p
-        # range of Halley's seed and x > 0, in one array
-        xs = np.array(
-            [-math.exp(-1.0), -0.36, -0.3, -0.26, 0.0, 0.5, 1.0, 2.0, math.e, 3.0, 10.0]
-            + [50.0, 500.0]
-        )
-        w = lambert_w0(xs)
-        assert w[0] == -1.0 and w[4] == 0.0
-        scalar = np.array([lambert_w0(float(x)) for x in xs])
-        assert np.abs(w - scalar).max() <= 1e-12
-        oracle = np.array([bisect_w(float(x)) for x in xs])
-        assert np.abs(w - oracle).max() <= 1e-12
-
-    def test_bit_identical_to_the_reference_loop(self):
-        # both seed branches, from the branch point to -1e-300; each value is
-        # also evaluated alone, where the loop stops once that value converges
-        xs = np.concatenate(
-            [
-                [-math.exp(-1.0)],
-                np.linspace(-math.exp(-1.0), 0.0, 200)[1:],
-                -np.geomspace(1e-300, 0.25, 100),
-            ]
-        )
-        assert np.array_equal(lambert_w0(xs), reference_w0(xs))
-        for x in xs[::7]:
-            assert lambert_w0(float(x)) == reference_w0(np.array([x]))[0]
 
     def test_positive_x_bit_identical_to_the_reference_loop(self):
         # the kernels reuse their temporaries; every W must stay the formula's to the bit
@@ -224,28 +134,23 @@ class TestLambertW:
         # floating-point warning fails the test
         w = lambert_w0(x)
         assert abs(w + math.log(w) - math.log(x)) <= 1e-15 * math.log(x)
-        both = lambert_w0(np.array([x, -math.exp(-1.0), 1.0]))
-        assert both[0] == w and both[1] == -1.0 and both[2] == lambert_w0(1.0)
-
+        both = lambert_w0(np.array([x, 1.0]))
+        assert both[0] == w and both[1] == lambert_w0(1.0)
 
     def test_pinned_high_precision_values(self):
         # to rounding (two ulps) everywhere, as an array and one value at a time
-        xs, ws = (np.array(col) for col in zip(*W0_PINNED, *W0_HALLEY_PINNED))
+        xs, ws = (np.array(col) for col in zip(*W0_PINNED))
         for w in (lambert_w0(xs), np.array([lambert_w0(x) for x in xs])):
             assert np.all(np.abs(w / ws - 1.0) <= 4.5e-16)
 
     @pytest.mark.parametrize("x, message", [
         ([1.0, float("nan")], "finite input"), ([float("inf"), 1.0], "finite input"),
-        ([1.0, -float("inf")], "finite input"), ([1.0, -0.5], "x >= -1/e"),
-        ([-1.0, 1.0], "x >= -1/e"),
+        ([1.0, -float("inf")], "finite input"), ([1.0, -0.5], "x > 0"),
+        ([-1.0, 1.0], "x > 0"), ([0.0, 1.0], "x > 0"),
     ])
     def test_input_errors_keep_their_messages(self, x, message):
         with pytest.raises(DomainError, match=message):
             lambert_w0(np.array(x))
-
-    def test_branch_point_is_pinned_in_an_array(self):
-        w = lambert_w0(np.array([-math.exp(-1.0), 1.0, -0.2]))
-        assert w[0] == -1.0 and w[1] == W_OF_ONE and w[2] == lambert_w0(-0.2)
 
     @pytest.mark.parametrize("x", [np.array([]), []], ids=["array", "list"])
     def test_empty_input(self, x):

@@ -308,6 +308,26 @@ def test_far_apart_valid_set_exits_3(method, tmp_path, capsys):
     assert code == 3
 
 
+# Two valid rows whose first bins, 5e-324 each, halve to 0 in the weighted
+# arithmetic mean: a zero bin built from valid input.
+UNDERFLOW_ROWS = [[5e-324, 0.5, 0.5], [5e-324, 0.3, 0.7]]
+
+
+def test_an_underflowing_arithmetic_mean_is_a_numerical_error():
+    with pytest.raises(NumericalError, match="weighted arithmetic mean failed on valid input"):
+        jc.arithmetic_mean(HistogramSet(UNDERFLOW_ROWS, None))
+
+
+@pytest.mark.parametrize("method", ["arithmetic", "gb", "jeffreys", "jfr"])
+def test_an_underflowing_arithmetic_mean_exits_3(method, tmp_path, capsys):
+    path = tmp_path / "rows.csv"
+    path.write_text("".join(",".join(map(repr, row)) + "\n" for row in UNDERFLOW_ROWS))
+    code = main(["compute", "--family", "categorical", "--method", method, "--input", str(path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert len(err.splitlines()) == 1 and err.startswith("centers: numerical failure: ")
+
+
 # A valid set whose JFR center failed at covariance scales 1e-8 and 1e-6 (the
 # (2d+1) lift tripped the 1e12 condition guard, a DomainError) and 1e6 (the
 # fiber alignment stalled, a NumericalError) before whitening by p0.
@@ -578,6 +598,17 @@ def test_every_entry_point_refuses_a_malformed_array(entry, kind):
         return
     with pytest.raises(DomainError, match=name):
         call(BAD_ARRAYS[kind](valid))
+
+
+# lambert_w0 solves x > 0 only, the domain of the histogram multiplier solve.
+W0_REFUSED = [0.0, -0.0, -5e-324, -math.exp(-1.0), -0.5]
+
+
+@pytest.mark.parametrize("x", W0_REFUSED, ids=repr)
+def test_lambert_w0_refuses_x_at_or_below_zero(x):
+    for arg in (x, [0.5, x]):
+        with pytest.raises(DomainError, match="x > 0"):
+            jc.lambert_w0(arg)
 
 
 def test_every_public_callable_is_held_to_the_parse_contract():
