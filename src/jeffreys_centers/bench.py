@@ -33,7 +33,6 @@ from .errors import DomainError
 
 __all__ = [
     "BenchRecord",
-    "RunConfig",
     "Table2Row",
     "DEFAULT_ALPHAS",
     "sample_histogram_pair",
@@ -48,8 +47,6 @@ TABLE2_HEADER = "alpha,method,info_eps,tv_eps,time_ns,speedup,flagged"
 
 DEFAULT_ALPHAS = tuple(10.0**-k for k in range(1, 17))
 
-_METHODS = ("jeffreys", "jfr", "gb", "arithmetic", "geometric", "unnormalized")
-
 
 @dataclass(frozen=True)
 class BenchRecord:
@@ -63,30 +60,6 @@ class BenchRecord:
     max_tv: float
     avg_time_ns: int
     speedup_vs_jeffreys: float
-
-    def __post_init__(self):
-        if self.method not in _METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.max_info_eps < self.avg_info_eps or self.max_tv < self.avg_tv:
-            raise ValueError("max column below avg column")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parameters of a randomized benchmark run."""
-
-    seed: int = 0
-    trials: int = 1000
-    dims: Sequence[int] = (16,)
-    epsilon: float = 1e-10
-
-    def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if any(d < 2 for d in self.dims):
-            raise ValueError("every dimension must be >= 2")
-        if not self.epsilon > 0.0:
-            raise ValueError("epsilon must be positive")
 
 
 @dataclass(frozen=True)
@@ -144,20 +117,28 @@ def _score_pair(rows: np.ndarray, epsilon: float):
     return t_ref, scores
 
 
-def run_table1(config: RunConfig, timing: bool = True) -> List[BenchRecord]:
-    """Score JFR and GB against the numerical Jeffreys centroid per dimension."""
+def run_table1(
+    dims: Sequence[int] = (16,), trials: int = 1000, seed: int = 0, epsilon: float = 1e-10,
+    timing: bool = True,
+) -> List[BenchRecord]:
+    """Score JFR and GB against the numerical Jeffreys centroid per dimension; fewer
+    than 1 trial or a dimension below 2 is a DomainError, and the reference checks epsilon."""
+    if trials < 1:
+        raise DomainError(f"trials must be >= 1, got {trials!r}")
+    if any(d < 2 for d in dims):
+        raise DomainError(f"every dimension must be >= 2, got {list(dims)!r}")
     records: List[BenchRecord] = []
-    for dim in config.dims:
-        trials = [
-            _score_pair(sample_histogram_pair(config.seed, dim, trial), config.epsilon)
-            for trial in range(config.trials)
+    for dim in dims:
+        scored = [
+            _score_pair(sample_histogram_pair(seed, dim, trial), epsilon)
+            for trial in range(trials)
         ]
-        t_ref = sum(t for t, _ in trials)
+        t_ref = sum(t for t, _ in scored)
         for method in ("jfr", "gb"):
-            eps, tv, times = map(np.array, zip(*(scores[method] for _, scores in trials)))
+            eps, tv, times = map(np.array, zip(*(scores[method] for _, scores in scored)))
             if timing:
                 total = int(times.sum())
-                avg_ns = int(round(total / config.trials))
+                avg_ns = int(round(total / trials))
                 speedup = t_ref / max(total, 1)
             else:
                 avg_ns, speedup = 0, 0.0

@@ -25,7 +25,6 @@ import numpy as np
 from . import __version__
 from .bench import (
     DEFAULT_ALPHAS,
-    RunConfig,
     _info_eps,
     _sci,
     run_table1,
@@ -290,14 +289,9 @@ def _parse_list(text: str, cast, what: str):
 
 def cmd_bench_table1(args) -> int:
     dims = _parse_list(args.dims, int, "dims")
-    try:
-        config = RunConfig(
-            seed=args.seed, trials=args.trials, dims=dims, epsilon=args.epsilon
-        )
-    except ValueError as exc:
-        raise CliError(str(exc))
     log.info("table1: dims=%s trials=%d seed=%d", dims, args.trials, args.seed)
-    records = run_table1(config, timing=not args.no_timing)
+    records = run_table1(dims, trials=args.trials, seed=args.seed, epsilon=args.epsilon,
+                         timing=not args.no_timing)
     _write(table1_csv(records), args.output)
     return EXIT_OK
 

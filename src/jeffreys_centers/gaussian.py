@@ -327,12 +327,9 @@ def sided_kl_centroids_mvn(
     means = np.array([g.mean for g in gaussians])
     covs = np.array([g.cov.entries for g in gaussians])
     with _internal_failure("sided KL centroids"):
-        try:
-            precs = np.linalg.inv(covs)
-            prec = _weighted_sum(w, precs)
-            cov_r = _sym_inv(0.5 * (prec + prec.T), "the precision mean")
-        except np.linalg.LinAlgError as exc:
-            raise DomainError(f"the precision mean is singular: {exc}") from exc
+        precs = np.linalg.inv(covs)
+        prec = _weighted_sum(w, precs)
+        cov_r = _sym_inv(0.5 * (prec + prec.T), "the precision mean")
         mean_r = cov_r @ np.einsum("i,ijk,ik->j", w, precs, means)
         mean_l = w @ means
         dev = means - mean_l
@@ -481,31 +478,30 @@ def fisher_rao_midpoint_mvn(p0: GaussianParam, p1: GaussianParam) -> GaussianPar
     power of the separation in p0's standard deviations, so an aligned lift past
     the condition bound of the SPD rule of :mod:`spd` raises NumericalError.  The
     rule reads the eigenvalues the alignment returns with the lift, so the
-    lift is not decomposed again for it.
+    lift is not decomposed again for it.  Both normals are valid, so any other
+    value that leaves the domain on the way is a NumericalError too.
     """
     if p0.dim != p1.dim:
         raise DomainError("dimension mismatch")
     d = p0.dim
-    L = np.linalg.cholesky(p0.cov.entries)
-    mean_w = np.linalg.solve(L, p1.mean - p0.mean)
-    cov_w = np.linalg.solve(L, np.linalg.solve(L, p1.cov.entries).T)  # L^-1 Sigma1 L^-T
-    G1, eigenvalues = _align_fiber(_embed_array(mean_w, 0.5 * (cov_w + cov_w.T)), d)
     with _internal_failure("Fisher-Rao midpoint"):
+        L = np.linalg.cholesky(p0.cov.entries)
+        mean_w = np.linalg.solve(L, p1.mean - p0.mean)
+        cov_w = np.linalg.solve(L, np.linalg.solve(L, p1.cov.entries).T)  # L^-1 Sigma1 L^-T
+        G1, eigenvalues = _align_fiber(_embed_array(mean_w, 0.5 * (cov_w + cov_w.T)), d)
         lift = _computed_spd(G1, "whitened lift", eigenvalues)
-    n = 2 * d + 1
-    G = geometric_mean(_computed_spd(np.eye(n), "identity", np.ones(n)), lift).entries
-    S = _sym_inv(G[:d, :d])
-    cov = L @ S @ L.T
-    return _computed_gaussian(p0.mean + L @ (S @ G[:d, d]), 0.5 * (cov + cov.T), "midpoint")
+        n = 2 * d + 1
+        G = geometric_mean(_computed_spd(np.eye(n), "identity", np.ones(n)), lift).entries
+        S = _sym_inv(G[:d, :d])
+        cov = L @ S @ L.T
+        return _computed_gaussian(p0.mean + L @ (S @ G[:d, d]), 0.5 * (cov + cov.T), "midpoint")
 
 
 def jfr_center_mvn(
     gaussians: Sequence[GaussianParam], weights: Optional[Sequence] = None
 ) -> GaussianParam:
     """Jeffreys-Fisher-Rao center: Fisher-Rao midpoint of the sided KL centroids."""
-    right, left = sided_kl_centroids_mvn(gaussians, weights)
-    with _internal_failure("JFR center"):
-        return fisher_rao_midpoint_mvn(right, left)
+    return fisher_rao_midpoint_mvn(*sided_kl_centroids_mvn(gaussians, weights))
 
 
 def gb_center_mvn(

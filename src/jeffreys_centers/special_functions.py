@@ -39,9 +39,10 @@ _W0_MAX_STEPS = 100
 class ToleranceConfig:
     """Stopping control for iterative routines.
 
-    ``rel_tol`` is the precision parameter of the double-sequence algorithms
-    and ``max_iter`` caps their loops.  The histogram multiplier's Newton
-    solve takes its own ``epsilon`` and ``max_iter``.
+    ``rel_tol`` is the precision parameter of the generic double sequence and
+    ``max_iter`` caps its loop: it controls ``gb_center`` and ``gb_center_mvn``
+    only.  ``gb_center_cat`` and the histogram multiplier's Newton solve take
+    their own ``epsilon`` and ``max_iter``.
     """
 
     rel_tol: float = 1e-12

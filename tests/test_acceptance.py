@@ -38,7 +38,7 @@ from jeffreys_centers import (
     symmetrized_logdet,
     trace_metric_distance,
 )
-from jeffreys_centers.bench import RunConfig, run_table1, run_table2
+from jeffreys_centers.bench import run_table1, run_table2
 
 from conftest import ah_limit, embedded_equidistance_residual, random_simplex, random_spd_unit
 from oracles import cat_to_natural, elliptic_k, energy_grad_residual, g_invariance_residual
@@ -114,7 +114,7 @@ def test_criterion_3_table1_envelope():
     t0 = time.perf_counter()
     recs = {
         r.method: r
-        for r in run_table1(RunConfig(seed=0, trials=1000, dims=(16,)), timing=False)
+        for r in run_table1(dims=(16,), trials=1000, seed=0, timing=False)
     }
     elapsed = time.perf_counter() - t0
     jfr, gb = recs["jfr"].avg_info_eps, recs["gb"].avg_info_eps

@@ -5,8 +5,6 @@ import pytest
 
 from jeffreys_centers import categorical
 from jeffreys_centers.bench import (
-    BenchRecord,
-    RunConfig,
     run_table1,
     run_table2,
     sample_histogram_pair,
@@ -58,7 +56,7 @@ class TestOwnMeansPerTimedMethod:
     and, for the exact and JFR centers, its own JFR bins."""
 
     def test_table1_three_means_per_trial(self, mean_calls):
-        run_table1(RunConfig(seed=2, trials=5, dims=(4, 8)), timing=False)
+        run_table1(dims=(4, 8), trials=5, seed=2, timing=False)
         assert len(mean_calls) == 3 * 5 * 2
         assert len({id(h) for h in mean_calls}) == len(mean_calls)
 
@@ -68,7 +66,7 @@ class TestOwnMeansPerTimedMethod:
         assert len({id(h) for h in mean_calls}) == len(mean_calls)
 
     def test_table1_two_jfr_bins_per_trial(self, mean_calls, jfr_calls):
-        run_table1(RunConfig(seed=2, trials=5, dims=(4, 8)), timing=False)
+        run_table1(dims=(4, 8), trials=5, seed=2, timing=False)
         assert len(jfr_calls) == 2 * 5 * 2
         assert_jfr_bins_in_exact_and_jfr_sets(mean_calls)
 
@@ -97,47 +95,36 @@ class TestSampling:
 
 
 class TestRecords:
-    def test_max_below_avg_rejected(self):
-        with pytest.raises(ValueError):
-            BenchRecord(2, "jfr", 1.0, 0.5, 0.0, 0.0, 0, 1.0)
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            BenchRecord(2, "nope", 0.0, 0.0, 0.0, 0.0, 0, 1.0)
-
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            RunConfig(trials=0)
-        with pytest.raises(ValueError):
-            RunConfig(dims=[1])
-        with pytest.raises(ValueError):
-            RunConfig(epsilon=0.0)
+        with pytest.raises(DomainError, match="trials"):
+            run_table1(trials=0)
+        with pytest.raises(DomainError, match="dimension"):
+            run_table1(dims=[1])
+        with pytest.raises(DomainError, match="epsilon"):
+            run_table1(dims=(4,), trials=1, epsilon=0.0)
 
 
 class TestTable1:
     def test_determinism_without_timing(self):
-        config = RunConfig(seed=11, trials=20, dims=(4,))
-        a = table1_csv(run_table1(config, timing=False))
-        b = table1_csv(run_table1(config, timing=False))
+        config = dict(dims=(4,), trials=20, seed=11)
+        a = table1_csv(run_table1(**config, timing=False))
+        b = table1_csv(run_table1(**config, timing=False))
         assert a == b
         assert a.splitlines()[0] == TABLE1_HEADER
 
     def test_single_trial_max_equals_avg(self):
-        config = RunConfig(seed=3, trials=1, dims=(4,))
-        for rec in run_table1(config, timing=False):
+        for rec in run_table1(dims=(4,), trials=1, seed=3, timing=False):
             assert rec.max_info_eps == rec.avg_info_eps
             assert rec.max_tv == rec.avg_tv
 
     def test_info_eps_nonnegative(self):
-        config = RunConfig(seed=5, trials=30, dims=(4, 8))
-        for rec in run_table1(config):
+        for rec in run_table1(dims=(4, 8), trials=30, seed=5):
             assert rec.avg_info_eps >= -1e-12
             assert rec.max_info_eps >= rec.avg_info_eps
             assert rec.speedup_vs_jeffreys > 0.0
 
     def test_methods_and_dims_layout(self):
-        config = RunConfig(seed=5, trials=2, dims=(2, 4))
-        recs = run_table1(config, timing=False)
+        recs = run_table1(dims=(2, 4), trials=2, seed=5, timing=False)
         assert [(r.dim, r.method) for r in recs] == [
             (2, "jfr"), (2, "gb"), (4, "jfr"), (4, "gb"),
         ]
@@ -188,8 +175,8 @@ class TestGoldenCsv:
     exp, log or reductions round differently can still move one of them."""
 
     def test_table1(self):
-        config = RunConfig(seed=0, trials=100, dims=(2, 4, 8, 16, 32, 64, 128, 256))
-        text = table1_csv(run_table1(config, timing=False))
+        dims = (2, 4, 8, 16, 32, 64, 128, 256)
+        text = table1_csv(run_table1(dims=dims, trials=100, seed=0, timing=False))
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "9e8ed8998f3599bcfbf5963e2699461ad15eee1a461623f8a33ba145cd5db86a"
         )

@@ -55,6 +55,17 @@ def run(args, capsys):
     return code, captured.out, captured.err
 
 
+def run_in_a_process(args) -> subprocess.CompletedProcess:
+    """``centers`` in a fresh interpreter, so its own logging setup runs (CENTERS_LOG=warn)."""
+    return subprocess.run(
+        [sys.executable, "-m", "jeffreys_centers.cli", *args],
+        env=dict(os.environ, PYTHONPATH=str(SRC), CENTERS_LOG="warn"),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
 class TestRenderReport:
     def test_floats_scientific(self):
         text = render_report({"x": 0.5, "n": 3, "name": "y", "ok": True})
@@ -385,13 +396,8 @@ class TestCompute:
     def test_parse_error_is_printed_once(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("0.5,0.5\n0.5,oops\n")
-        proc = subprocess.run(
-            [sys.executable, "-m", "jeffreys_centers.cli", "compute", "--family",
-             "categorical", "--method", "jfr", "--input", str(path)],
-            env=dict(os.environ, PYTHONPATH=str(SRC), CENTERS_LOG="warn"),
-            capture_output=True,
-            text=True,
-            timeout=60,
+        proc = run_in_a_process(
+            ["compute", "--family", "categorical", "--method", "jfr", "--input", str(path)]
         )
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == [
@@ -426,10 +432,61 @@ class TestBenchCli:
         assert code == 2
 
     def test_table1_bad_dims(self, capsys):
-        code, _, _ = run(
+        code, _, err = run(
             ["bench", "table1", "--dims", "1", "--trials", "2"], capsys
         )
         assert code == 2
+        assert err == "centers: invalid input: every dimension must be >= 2, got [1]\n"
+
+    def test_table1_no_trials(self, capsys):
+        code, out, err = run(["bench", "table1", "--dims", "4", "--trials", "0"], capsys)
+        assert code == 2 and out == ""
+        assert err == "centers: invalid input: trials must be >= 1, got 0\n"
+
+    def test_table2_warns_once_per_indistinguishable_alpha(self):
+        proc = run_in_a_process(["bench", "table2", "--alphas", "1e-16,1e-1", "--no-timing"])
+        assert proc.returncode == 0
+        warned = [ln for ln in proc.stderr.splitlines() if "loses distinguishability" in ln]
+        assert len(warned) == 1 and "alpha=1.000e-16" in warned[0]
+
+
+def _file(directory, name: str, text: str) -> str:
+    path = directory / name
+    path.write_text(text)
+    return str(path)
+
+
+def _compute(family: str, path: str, *extra: str) -> list:
+    return ["compute", "--family", family, "--method", "arithmetic", "--input", path, *extra]
+
+
+# case -> the arguments of a command, given a directory to write its input files in
+CLI_ERRORS = {
+    "missing CSV input": lambda d: _compute("categorical", str(d / "missing.csv")),
+    "missing JSON input": lambda d: _compute("gaussian", str(d / "missing.json")),
+    "invalid JSON": lambda d: _compute("gaussian", _file(d, "in.json", "[{")),
+    "empty JSON list": lambda d: _compute("gaussian", _file(d, "in.json", "[]")),
+    "entry without cov": lambda d: _compute(
+        "gaussian", _file(d, "in.json", json.dumps([{"mean": [0.0]}]))
+    ),
+    "weights with a gaussian input": lambda d: _compute(
+        "gaussian", _file(d, "in.json", json.dumps([{"mean": [0.0], "cov": [[1.0]]}])),
+        "--weights", _file(d, "w.csv", "1.0\n"),
+    ),
+    "two-row weights CSV": lambda d: _compute(
+        "categorical", _file(d, "in.csv", "0.5,0.5\n0.2,0.8\n"),
+        "--weights", _file(d, "w.csv", "0.5,0.5\n0.5,0.5\n"),
+    ),
+    "unparsable dims": lambda d: ["bench", "table1", "--dims", "4,x"],
+    "unparsable alphas": lambda d: ["bench", "table2", "--alphas", "0.1,y"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_ERRORS))
+def test_cli_error_exits_2_with_one_line(case, tmp_path, capsys):
+    code, out, err = run(CLI_ERRORS[case](tmp_path), capsys)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("centers: error: ")
 
 
 # A NaN tolerance is invalid input like 0, but it passes an `epsilon <= 0`

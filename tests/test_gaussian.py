@@ -254,6 +254,10 @@ class TestGenerator:
         assert mvn_generator(3) is mvn_generator(3)
         assert mvn_generator(3) is not mvn_generator(4)
 
+    def test_dimension_zero_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="dimension must be >= 1, got 0"):
+            mvn_generator(0)
+
 
 class TestConeTest:
     """in_domain decides the open cone -theta_M > 0 by a Cholesky factorization."""

@@ -212,6 +212,13 @@ class TestCenters:
         pset = WeightedParamSet.of([theta, theta, theta])
         assert np.abs(quasi_arithmetic_center(gen, pset) - theta).max() < 1e-12
 
+    def test_quasi_arithmetic_singleton_is_the_member(self):
+        theta = np.array([0.3, 1.7, 2.9])
+        pset = WeightedParamSet.of([theta])
+        center = quasi_arithmetic_center(shannon_generator(3), pset)
+        assert center.tobytes() == theta.tobytes()
+        assert not np.shares_memory(center, pset.points)
+
     def test_burg_harmonic_mean(self):
         pset = WeightedParamSet.of([[1.0], [4.0]])
         assert quasi_arithmetic_center(burg_generator(1), pset)[0] == pytest.approx(1.6)

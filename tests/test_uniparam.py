@@ -303,6 +303,12 @@ class TestJFRCenter1d:
         with pytest.raises(NumericalError, match=r"returned inf at theta="):
             jfr_center_1d(gen, [1.0, 2.0])
 
+    def test_a_negative_f_second_is_a_numerical_error(self):
+        # a generator whose f'' is negative is not convex: a NumericalError, as for inf
+        gen = ScalarGenerator(f_prime=lambda t: t**3, f_second=lambda t: -1.0, domain=(-10, 10))
+        with pytest.raises(NumericalError, match=r"f'' is -1\.0 < 0"):
+            jfr_center_1d(gen, [1.0, 2.0])
+
 
 def oracle_center(gen: AnchoredGenerator, ts, w) -> float:
     """h^{-1}((h(theta_bar) + h(theta_under)) / 2) with both h by scipy quad
