@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
@@ -77,16 +76,35 @@ def _read_only(x: np.ndarray) -> np.ndarray:
     return view
 
 
+def _frozen(x: np.ndarray) -> np.ndarray:
+    """``x`` itself, made read-only in place: only for an array the library made."""
+    x.setflags(write=False)
+    return x
+
+
+class _lazy:
+    """``functools.cached_property`` without the lock it takes before Python 3.12: the
+    first value stored in the instance ``__dict__`` shadows this non-data descriptor."""
+
+    def __init__(self, fn):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        return obj.__dict__.setdefault(self.name, self.fn(obj))
+
+
 @dataclass(frozen=True)
 class HistogramSet:
     """Rows of same-dimension simplex points with open-simplex weights.
 
-    ``rows`` and ``weights`` are stored as read-only views, not copies, so the
-    set cannot be changed through them, and :attr:`means` and the JFR center's
-    bins :attr:`jfr_probs` are computed once per set and shared by every center;
-    both are read-only, as is the ``probs`` of :func:`jfr_center_cat`.  The views
-    share memory with the arrays the caller passed, which stay writable; writing
-    to those afterwards is not supported.
+    ``rows`` and ``weights`` are stored as read-only views, not copies, of the
+    caller's arrays, which stay writable; writing to those afterwards is not
+    supported.  :attr:`means` and the JFR center's bins :attr:`jfr_probs` are
+    computed once per set, on first use and without a lock, and shared by every
+    center: they are the library's own arrays made read-only in place, and
+    :attr:`jfr_probs` is the ``probs`` of :func:`jfr_center_cat`.
     """
 
     rows: np.ndarray
@@ -101,7 +119,7 @@ class HistogramSet:
         object.__setattr__(self, "rows", _read_only(rows))
         object.__setattr__(self, "weights", _read_only(weights))
 
-    @cached_property
+    @_lazy
     def means(self) -> Tuple[np.ndarray, np.ndarray]:
         """The sided KL centroids (a, g), read-only, computed on first use.
 
@@ -109,18 +127,18 @@ class HistogramSet:
         the exact, JFR and GB centers all start from this pair.
         """
         return (
-            _read_only(arithmetic_mean(self).probs),
-            _read_only(normalized_geometric_mean(self).probs),
+            _frozen(arithmetic_mean(self).probs),
+            _frozen(normalized_geometric_mean(self).probs),
         )
 
-    @cached_property
+    @_lazy
     def jfr_probs(self) -> np.ndarray:
         """The JFR center's bins, read-only, computed on first use.
 
         :func:`jfr_center_cat` returns them, and :func:`jeffreys_centroid_cat`
         seeds its multiplier from them.
         """
-        return _read_only(_jfr_probs(*self.means))
+        return _frozen(_jfr_probs(*self.means))
 
     @classmethod
     def uniform(cls, rows) -> "HistogramSet":
@@ -202,9 +220,11 @@ def jeffreys_centroid_cat(
 
     The candidate c_j(lambda) = a_j / W0((a_j/g_j) e^{1+lambda}) has a mass
     s(lambda) = sum_j c_j(lambda) decreasing in lambda, whose unit-mass root
-    lies in the bracket [max_j(a_j + log g_j) - 1, 0].  At the root
-    lambda = -KL(c : g), so Newton starts at the multiplier the closed-form
-    JFR center implies, lambda_J = -KL(c_JFR : g), clamped into the bracket;
+    lies in the bracket [a_k + log g_k - 1, 0] for any bin k, here k = argmax_j g_j
+    (no log pass over g): there W0's argument in bin k is a_k e^{a_k}, so
+    W_k = a_k, c_k = 1 and s >= 1, the other bins' candidates being positive.
+    At the root lambda = -KL(c : g), so Newton starts at the multiplier the
+    closed-form JFR center implies, lambda_J = -KL(c_JFR : g), clamped into the bracket;
     c_JFR is read from the set's :attr:`HistogramSet.jfr_probs`, so a set
     computes it once for this solve and :func:`jfr_center_cat`.
     The slope is
@@ -229,7 +249,8 @@ def jeffreys_centroid_cat(
     t0 = time.perf_counter_ns()
     a, g = hset.means
     r = (a / g) * math.e  # W_j's argument is r_j e^lambda
-    lam_lo = float((a + np.log(g)).max() - 1.0)
+    k = g.argmax()
+    lam_lo = float(a[k] + math.log(g[k]) - 1.0)
     c_jfr = hset.jfr_probs
     lam = min(max(-float((c_jfr * np.log(c_jfr / g)).sum()), lam_lo), 0.0)
     # W, 1 + W, the candidate and its mass at the last point solved, each
@@ -310,7 +331,8 @@ def gb_center_cat(
         lambda: hset.means, _gb_step_cat, lambda p, q: 0.5 * float(np.abs(p - q).sum()),
         epsilon, max_iter, min(epsilon, _DEGENERATE_GAP),
     )
-    return SimplexPoint(a), diag
+    # with no step taken, a is the set's cached mean: the center gets its own copy
+    return SimplexPoint(a if diag.iterations else a.copy()), diag
 
 
 def _gb_step_cat(a: np.ndarray, g: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

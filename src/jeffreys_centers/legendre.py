@@ -89,11 +89,13 @@ def _check_simplex(p: np.ndarray, what: str) -> None:
 
     The valid path is two reductions and builds no temporary of p's size: the
     minimum is NaN if any entry is, and the mass is non-finite if any entry is
-    infinite.  A vector's one mass is tested as a Python float.  The offending
+    infinite; the ufuncs reduce directly, skipping ``min``'s and ``sum``'s method
+    wrappers.  A vector's one mass is tested as a Python float.  The offending
     row is located only on the error path.
     """
-    if p.size and p.min() > 0.0 and (
-        abs(float(p.sum()) - 1.0) if p.ndim == 1 else np.abs(p.sum(-1) - 1.0).max()
+    if p.size and np.minimum.reduce(p, axis=None) > 0.0 and (
+        abs(float(np.add.reduce(p)) - 1.0) if p.ndim == 1
+        else np.abs(np.add.reduce(p, -1) - 1.0).max()
     ) <= 1e-12:
         return
     rows = np.atleast_2d(p)

@@ -27,7 +27,7 @@ from jeffreys_centers import (
 )
 from jeffreys_centers import categorical
 from jeffreys_centers.bench import sample_histogram_pair
-from jeffreys_centers.special_functions import _w0_shifted, lambert_w0
+from jeffreys_centers.special_functions import _bracketed_newton, _w0_shifted, lambert_w0
 
 from conftest import polished_w0, random_simplex
 from oracles import c_of_lambda, cat_from_natural, cat_generator, cat_to_natural
@@ -59,12 +59,17 @@ def bisect_lambda(hset, tol=1e-14):
     return lam, c / c.sum()
 
 
+def bracket_low(a, g):
+    """The solve's lower multiplier end a_k + log g_k - 1, at k = argmax g."""
+    k = int(np.argmax(g))
+    return float(a[k] + math.log(g[k]) - 1.0)
+
+
 def jfr_seed(hset):
     """The multiplier the seeded solve starts from: lambda_J = -KL(c_JFR : g),
-    clamped into the bracket [max_j(a_j + log g_j) - 1, 0]."""
+    clamped into the bracket [bracket_low(a, g), 0]."""
     a, g = hset.means
-    lo = float(np.max(a + np.log(g)) - 1.0)
-    return min(max(-kl_cat(jfr_center_cat(hset), SimplexPoint(g)), lo), 0.0)
+    return min(max(-kl_cat(jfr_center_cat(hset), SimplexPoint(g)), bracket_low(a, g)), 0.0)
 
 
 def cold_newton_iterations(hset, start, epsilon=1e-10, max_iter=200):
@@ -72,7 +77,7 @@ def cold_newton_iterations(hset, start, epsilon=1e-10, max_iter=200):
     with every candidate evaluated cold by c_of_lambda; returns the number of
     Newton iterations."""
     a, g = hset.means
-    lo, hi, lam = float(np.max(a + np.log(g)) - 1.0), 0.0, start
+    lo, hi, lam = bracket_low(a, g), 0.0, start
     c = c_of_lambda(a, g, lam)
     s = float(c.sum())
     iterations, gap = 0, hi - lo
@@ -301,6 +306,19 @@ class TestCachedMeans:
             with pytest.raises(ValueError):
                 arr[0] = 0.5
 
+    @pytest.mark.parametrize("order", list(itertools.permutations(METHODS)))
+    def test_cached_arrays_are_frozen_in_place(self, rng, order):
+        # the cache holds the arrays the library computed, read-only, not views;
+        # the caller's rows and weights keep their flags
+        rows = np.array([random_simplex(rng, 16) for _ in range(3)])
+        weights = np.array([0.2, 0.3, 0.5])
+        hset = HistogramSet(rows, weights)
+        for m in order:
+            _centers(hset, m)
+        for arr in (*hset.means, hset.jfr_probs):
+            assert arr.base is None and not arr.flags.writeable
+        assert rows.flags.writeable and weights.flags.writeable
+
     def test_caller_arrays_stay_writable_and_uncopied(self, rng):
         rows = np.array([random_simplex(rng, 4) for _ in range(3)])
         weights = np.array([0.2, 0.3, 0.5])
@@ -436,6 +454,32 @@ class TestNewtonSolve:
         assert 1.0 in masses
         assert res.diagnostics.iterations <= 6
         assert res.diagnostics.status == "converged"
+
+    @pytest.mark.parametrize(
+        "kind, value", [("alpha", k) for k in range(1, 17)] + [("d", d) for d in (2, 16, 256, 4096)]
+    )
+    def test_bracket_low_end_has_unit_mass_in_one_bin(self, monkeypatch, kind, value):
+        # lam_lo = a_k + log g_k - 1 at k = argmax g makes W0's argument in bin k
+        # a_k e^{a_k}, so W_k = a_k, c_k = 1 and s(lam_lo) >= 1
+        if kind == "alpha":
+            sets = [table2_hset(10.0**-value)]
+        else:
+            sets = [HistogramSet.uniform(sample_histogram_pair(303, value, t)) for t in range(4)]
+        low_ends = []
+
+        def recording(fun, slope, lo, *rest):
+            low_ends.append(lo)
+            return _bracketed_newton(fun, slope, lo, *rest)
+
+        monkeypatch.setattr(categorical, "_bracketed_newton", recording)
+        for hset in sets:
+            jeffreys_centroid_cat(hset)
+            a, g = hset.means
+            k = int(np.argmax(g))
+            assert low_ends[-1] == bracket_low(a, g)
+            w = lambert_w0((a / g) * math.e * math.exp(low_ends[-1]))
+            assert float((a / w).sum()) >= 1.0 - 1e-12
+            assert w[k] == pytest.approx(a[k], rel=1e-14, abs=0.0)
 
     @staticmethod
     def check_warm_start(hset):
@@ -690,6 +734,16 @@ class TestGBCenterCat:
         center, diag = gb_center_cat(HistogramSet.uniform([p, p]))
         assert diag.iterations == 0
         assert np.abs(center.probs - p).max() < 1e-12
+
+    @pytest.mark.parametrize("equal_rows", [True, False])
+    def test_center_does_not_share_the_cached_means(self, rng, equal_rows):
+        # equal rows take no step, where the last iterate is the cached mean a
+        p = random_simplex(rng, 4)
+        hset = HistogramSet.uniform([p, p if equal_rows else random_simplex(rng, 4)])
+        center, diag = gb_center_cat(hset)
+        assert (diag.iterations == 0) == equal_rows
+        assert center.probs.flags.writeable
+        assert not any(np.shares_memory(center.probs, m) for m in hset.means)
 
     def test_symmetric_pair(self):
         center, _ = gb_center_cat(HistogramSet.uniform([[0.8, 0.2], [0.2, 0.8]]), 1e-10)
