@@ -24,7 +24,7 @@ from jeffreys_centers import (
 )
 
 x, y = 1.0, 4.0
-pair = WeightedParamSet.of([[x], [y]])
+pair = WeightedParamSet([[x], [y]])
 tight = ToleranceConfig(rel_tol=1e-13, max_iter=200)
 
 print(f"two positive reals: x = {x}, y = {y}")
@@ -54,9 +54,9 @@ agm, _ = gb_center(shannon_generator(1), pair, tight)
 a0, g0 = (x + y) / 2, math.sqrt(x * y)
 # The AGM is invariant under (x, y) -> (a0, g0): started from {a0, g0}, the
 # sequence reaches the same limit.
-agm_of_means, _ = gb_center(shannon_generator(1), WeightedParamSet.of([[a0], [g0]]), tight)
+agm_of_means, _ = gb_center(shannon_generator(1), WeightedParamSet([[a0], [g0]]), tight)
 # Gauss's constant: AGM(1, sqrt 2) = 1.19814023473559220744...
-gauss, _ = gb_center(shannon_generator(1), WeightedParamSet.of([[1.0], [math.sqrt(2.0)]]), tight)
+gauss, _ = gb_center(shannon_generator(1), WeightedParamSet([[1.0], [math.sqrt(2.0)]]), tight)
 print("\narithmetic-geometric double sequence (Shannon generator):")
 print(f"  starts at the sided centroids a0={a0}, g0={g0}")
 print(f"  limit from {{x, y}}      {agm[0]:.15f}")

@@ -22,7 +22,7 @@ from jeffreys_centers import (
 )
 
 alpha = 1e-1
-hset = HistogramSet.uniform(
+hset = HistogramSet(
     np.array([[1 / 3, 1 / 3, 1 / 3], [1 - alpha, alpha / 2, alpha / 2]])
 )
 print("inputs:")
@@ -61,7 +61,7 @@ for d in (4, 16, 64, 256):
         rows = rng.dirichlet(np.ones(d), size=2)
         while rows.min() < 1e-12:
             rows = rng.dirichlet(np.ones(d), size=2)
-        h = HistogramSet.uniform(rows)
+        h = HistogramSet(rows)
         r = jeffreys_centroid_cat(h, 1e-10).center
         infos["jfr"].append(approximation_factor(h, jfr_center_cat(h), r))
         infos["gb"].append(approximation_factor(h, gb_center_cat(h)[0], r))

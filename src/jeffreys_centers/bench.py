@@ -82,10 +82,12 @@ def sample_histogram_pair(seed: int, dim: int, trial: int) -> np.ndarray:
     return rows
 
 
-def _timed(fn):
-    t0 = time.perf_counter_ns()
+def _timed(fn, timing: bool):
+    """``fn()`` and its wall time in ns, read as 0 when ``timing`` is off."""
+    clock = time.perf_counter_ns if timing else lambda: 0
+    t0 = clock()
     out = fn()
-    return out, time.perf_counter_ns() - t0
+    return out, clock() - t0
 
 
 def _info_eps(hset: HistogramSet, center, reference) -> float:
@@ -96,9 +98,9 @@ def _info_eps(hset: HistogramSet, center, reference) -> float:
     return approximation_factor(hset, center, reference)
 
 
-def _score_pair(rows: np.ndarray, epsilon: float):
-    """Time the exact, JFR and GB centers of a uniform set of ``rows`` and
-    score the two proxies against the exact one.
+def _score_pair(rows: np.ndarray, epsilon: float, timing: bool):
+    """Time the exact, JFR and GB centers of a uniform set of ``rows`` (every
+    time 0 when ``timing`` is off) and score the two proxies against the exact one.
 
     Each timed method gets its own HistogramSet: a set caches its sided means
     and the JFR center's bins on first use, so separate sets keep each time
@@ -106,10 +108,10 @@ def _score_pair(rows: np.ndarray, epsilon: float):
     its own JFR bins, as when it runs alone.  Returns the reference time and,
     per proxy, ``(info_eps, tv_eps, time_ns)``.
     """
-    hset, h_jfr, h_gb = (HistogramSet.uniform(rows) for _ in range(3))
-    ref, t_ref = _timed(lambda: jeffreys_centroid_cat(hset, epsilon))
-    jfr, t_jfr = _timed(lambda: jfr_center_cat(h_jfr))
-    (gb, _), t_gb = _timed(lambda: gb_center_cat(h_gb, GB_CAT_EPSILON))
+    hset, h_jfr, h_gb = (HistogramSet(rows) for _ in range(3))
+    ref, t_ref = _timed(lambda: jeffreys_centroid_cat(hset, epsilon), timing)
+    jfr, t_jfr = _timed(lambda: jfr_center_cat(h_jfr), timing)
+    (gb, _), t_gb = _timed(lambda: gb_center_cat(h_gb, GB_CAT_EPSILON), timing)
     scores = {
         method: (_info_eps(hset, center, ref.center), tv_cat(center, ref.center), t)
         for method, center, t in (("jfr", jfr, t_jfr), ("gb", gb, t_gb))
@@ -130,18 +132,13 @@ def run_table1(
     records: List[BenchRecord] = []
     for dim in dims:
         scored = [
-            _score_pair(sample_histogram_pair(seed, dim, trial), epsilon)
+            _score_pair(sample_histogram_pair(seed, dim, trial), epsilon, timing)
             for trial in range(trials)
         ]
         t_ref = sum(t for t, _ in scored)
         for method in ("jfr", "gb"):
             eps, tv, times = map(np.array, zip(*(scores[method] for _, scores in scored)))
-            if timing:
-                total = int(times.sum())
-                avg_ns = int(round(total / trials))
-                speedup = t_ref / max(total, 1)
-            else:
-                avg_ns, speedup = 0, 0.0
+            total = int(times.sum())
             records.append(
                 BenchRecord(
                     dim=dim,
@@ -150,8 +147,8 @@ def run_table1(
                     max_info_eps=float(eps.max()),
                     avg_tv=float(tv.mean()),
                     max_tv=float(tv.max()),
-                    avg_time_ns=avg_ns,
-                    speedup_vs_jeffreys=float(speedup),
+                    avg_time_ns=int(round(total / trials)),
+                    speedup_vs_jeffreys=t_ref / max(total, 1),
                 )
             )
     return records
@@ -175,9 +172,8 @@ def run_table2(
         if not (0.0 < alpha < 1.0):
             raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
         flagged = _alpha_flagged(alpha)
-        t_ref, scores = _score_pair(
-            np.array([[1 / 3, 1 / 3, 1 / 3], [1.0 - alpha, alpha / 2, alpha / 2]]), epsilon
-        )
+        pair = np.array([[1 / 3, 1 / 3, 1 / 3], [1.0 - alpha, alpha / 2, alpha / 2]])
+        t_ref, scores = _score_pair(pair, epsilon, timing)
         for method, (info_eps, tv_eps, t) in scores.items():
             rows.append(
                 Table2Row(
@@ -185,8 +181,8 @@ def run_table2(
                     method=method,
                     info_eps=info_eps,
                     tv_eps=tv_eps,
-                    time_ns=t if timing else 0,
-                    speedup_vs_jeffreys=(t_ref / max(t, 1)) if timing else 0.0,
+                    time_ns=t,
+                    speedup_vs_jeffreys=t_ref / max(t, 1),
                     flagged=flagged,
                 )
             )

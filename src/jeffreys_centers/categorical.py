@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .gauss_bregman import _double_sequence
+from .gauss_bregman import _check_stopping, _double_sequence
 from .legendre import CenterDiagnostics, _check_simplex, _float_array, check_weights
 from .special_functions import _bracketed_newton, _w0_shifted, lambert_w0
 
@@ -97,7 +97,8 @@ class _lazy:
 
 @dataclass(frozen=True)
 class HistogramSet:
-    """Rows of same-dimension simplex points with open-simplex weights.
+    """Rows of same-dimension simplex points with open-simplex weights, uniform
+    when ``weights`` is None.
 
     ``rows`` and ``weights`` are stored as read-only views, not copies, of the
     caller's arrays, which stay writable; writing to those afterwards is not
@@ -108,7 +109,7 @@ class HistogramSet:
     """
 
     rows: np.ndarray
-    weights: Optional[np.ndarray]
+    weights: Optional[np.ndarray] = None
 
     def __post_init__(self):
         rows = _float_array(self.rows, "histogram rows", (None, None))
@@ -139,10 +140,6 @@ class HistogramSet:
         seeds its multiplier from them.
         """
         return _frozen(_jfr_probs(*self.means))
-
-    @classmethod
-    def uniform(cls, rows) -> "HistogramSet":
-        return cls(rows, None)
 
     @property
     def n(self) -> int:
@@ -245,7 +242,7 @@ def jeffreys_centroid_cat(
     to 1e-4 (about 1.4 dlambda^4 <= 1.4e-16), FSC steps up to 1, and a cold
     start beyond.  Every W is at rounding.
     """
-    _check_stopping(epsilon, max_iter)
+    _check_stopping(epsilon, max_iter, "epsilon")
     t0 = time.perf_counter_ns()
     a, g = hset.means
     r = (a / g) * math.e  # W_j's argument is r_j e^lambda
@@ -290,13 +287,6 @@ def jeffreys_centroid_cat(
     )
 
 
-def _check_stopping(epsilon: float, max_iter: int) -> None:
-    if not epsilon > 0.0:
-        raise DomainError("epsilon must be positive")
-    if max_iter < 1:
-        raise DomainError(f"max_iter must be >= 1, got {max_iter}")
-
-
 def _jfr_probs(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     """The JFR center's bins from the sided means: see :func:`jfr_center_cat`."""
     num = (np.sqrt(a) + np.sqrt(g)) ** 2
@@ -326,7 +316,7 @@ def gb_center_cat(
     taken, and the last arithmetic iterate is returned.  The status is
     "max_iter" when the gap target was not met.
     """
-    _check_stopping(epsilon, max_iter)
+    _check_stopping(epsilon, max_iter, "epsilon")
     (a, _), diag = _double_sequence(
         lambda: hset.means, _gb_step_cat, lambda p, q: 0.5 * float(np.abs(p - q).sum()),
         epsilon, max_iter, min(epsilon, _DEGENERATE_GAP),

@@ -4,7 +4,7 @@
 input and writes a JSON report; ``centers bench table1`` and ``centers bench
 table2`` reproduce the approximation-quality experiment protocols as CSV.
 
-Exit codes: 0 success, 2 parse/validation error, 3 numerical failure.
+Exit codes: 0 success, 2 invalid input (DomainError), 3 numerical failure (NumericalError).
 The CENTERS_LOG environment variable (error|warn|info|debug) controls
 diagnostics on standard error.  Numeric report fields use lowercase
 scientific notation with 6 significant digits.
@@ -69,10 +69,6 @@ _ROW_SUM_SLACK = 1e-6
 _EPSILON_METHODS = {("categorical", "jeffreys"), ("categorical", "gb"), ("gaussian", "gb")}
 
 
-class CliError(Exception):
-    """Input parsing or validation failure (exit code 2)."""
-
-
 # --- JSON rendering with scientific-notation floats --------------------------
 
 def _render(obj, indent: int = 0) -> str:
@@ -104,7 +100,7 @@ def render_report(report: dict) -> str:
 def _renormalize(row: np.ndarray, row_index: int, kind: str) -> np.ndarray:
     total = row.sum()
     if abs(total - 1.0) > _ROW_SUM_SLACK:
-        raise CliError(
+        raise DomainError(
             f"{kind} row {row_index}: mass {total!r} deviates from 1 by more than {_ROW_SUM_SLACK}"
         )
     return row / total
@@ -117,7 +113,7 @@ def _read_csv(path: str, kind: str) -> List[np.ndarray]:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln for ln in (l.strip() for l in fh) if ln]
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}")
+        raise DomainError(f"cannot read {path}: {exc}")
     rows = []
     for i, line in enumerate(lines):
         values = []
@@ -125,7 +121,7 @@ def _read_csv(path: str, kind: str) -> List[np.ndarray]:
             try:
                 values.append(float(token))
             except ValueError:
-                raise CliError(
+                raise DomainError(
                     f"{kind} row {i}, column {col}: cannot parse {token!r} as a number"
                 )
         rows.append(_renormalize(np.array(values), i, kind))
@@ -135,7 +131,7 @@ def _read_csv(path: str, kind: str) -> List[np.ndarray]:
 def read_weights(path: str) -> np.ndarray:
     rows = _read_csv(path, "weights")
     if len(rows) != 1:
-        raise CliError(f"{path}: weights file must contain exactly one CSV row")
+        raise DomainError(f"{path}: weights file must contain exactly one CSV row")
     return rows[0]
 
 
@@ -144,25 +140,25 @@ def read_gaussians(path: str) -> Tuple[List[GaussianParam], Optional[np.ndarray]
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}")
+        raise DomainError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
-        raise CliError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}")
+        raise DomainError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}")
     if not isinstance(data, list) or not data:
-        raise CliError(f"{path}: expected a non-empty JSON list of Gaussian objects")
+        raise DomainError(f"{path}: expected a non-empty JSON list of Gaussian objects")
     gaussians: List[GaussianParam] = []
     weights: List[Optional[np.ndarray]] = []
     for i, obj in enumerate(data):
         if not isinstance(obj, dict) or "mean" not in obj or "cov" not in obj:
-            raise CliError(f"gaussian entry {i}: expected an object with 'mean' and 'cov'")
+            raise DomainError(f"gaussian entry {i}: expected an object with 'mean' and 'cov'")
         try:
             gaussians.append(GaussianParam(obj["mean"], obj["cov"]))
             weights.append(_float_array(obj["weight"], "weight", ()) if "weight" in obj else None)
         except DomainError as exc:
-            raise CliError(f"gaussian entry {i}: {exc}")
+            raise DomainError(f"gaussian entry {i}: {exc}")
     if all(w is None for w in weights):
         return gaussians, None
     if any(w is None for w in weights):
-        raise CliError("either every Gaussian carries a 'weight' or none does")
+        raise DomainError("either every Gaussian carries a 'weight' or none does")
     return gaussians, _renormalize(np.array(weights), 0, "weights")
 
 
@@ -187,7 +183,7 @@ def _read_categorical(args) -> Tuple[HistogramSet, int, int]:
 def _read_gaussian(args) -> Tuple[tuple, int, int]:
     gaussians, weights = read_gaussians(args.input)
     if args.weights:
-        raise CliError("gaussian inputs carry weights in the JSON objects")
+        raise DomainError("gaussian inputs carry weights in the JSON objects")
     return (gaussians, weights), len(gaussians), gaussians[0].dim
 
 
@@ -229,7 +225,7 @@ def _gaussian_jeffreys(gw, _) -> tuple:
     mu0 = gaussians[0].mean
     if any((g.mean - mu0) @ np.linalg.solve(g.cov.entries, g.mean - mu0) > 1e-24
            for g in gaussians):
-        raise CliError("exact Jeffreys centroid is only available for same-mean Gaussian sets")
+        raise DomainError("exact Jeffreys centroid is only available for same-mean Gaussian sets")
     return _exact(jeffreys_centroid_centered([g.cov for g in gaussians], weights, mean=mu0))
 
 
@@ -255,13 +251,13 @@ _METHODS = {
 
 def cmd_compute(args) -> int:
     if args.epsilon is not None and (args.family, args.method) not in _EPSILON_METHODS:
-        raise CliError("--epsilon applies to categorical jeffreys and gb, and gaussian gb only")
+        raise DomainError("--epsilon applies to categorical jeffreys and gb, and gaussian gb only")
     if args.reference and args.family != "categorical":
-        raise CliError("--reference requires --family categorical")
+        raise DomainError("--reference requires --family categorical")
     read, loss, report_center = _FAMILIES[args.family]
     data, n, dim = read(args)
     if args.method not in _METHODS[args.family]:
-        raise CliError(f"method {args.method!r} applies to the categorical family only")
+        raise DomainError(f"method {args.method!r} applies to the categorical family only")
     eps = {} if args.epsilon is None else {"epsilon": args.epsilon}
     center, diag, fields = _METHODS[args.family][args.method](data, eps)
     report = {"schema_version": 1, "family": args.family, "method": args.method,
@@ -284,7 +280,7 @@ def _parse_list(text: str, cast, what: str):
     try:
         return [cast(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise CliError(f"cannot parse {what} list {text!r}")
+        raise DomainError(f"cannot parse {what} list {text!r}")
 
 
 def cmd_bench_table1(args) -> int:
@@ -378,9 +374,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as exc:
-        print(f"centers: error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except DomainError as exc:
         print(f"centers: invalid input: {exc}", file=sys.stderr)
         return EXIT_PARSE

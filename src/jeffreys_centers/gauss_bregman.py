@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import time
+from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -44,11 +45,33 @@ from .legendre import (
     quasi_arithmetic_center,
     right_bregman_centroid,
 )
-from .special_functions import ToleranceConfig
 
-__all__ = ["GB_TOL", "gb_step", "gb_center"]
+__all__ = ["ToleranceConfig", "GB_TOL", "gb_step", "gb_center"]
 
-GB_TOL = ToleranceConfig(rel_tol=1e-8, max_iter=200)
+
+def _check_stopping(tol: float, max_iter: int, name: str) -> None:
+    """The iterative centers' one stopping rule: 0 < tol < 1 (NaN and inf fail), max_iter >= 1."""
+    if not 0.0 < tol < 1.0:
+        raise DomainError(f"{name} must lie in (0, 1), got {tol}")
+    if max_iter < 1:
+        raise DomainError(f"max_iter must be >= 1, got {max_iter}")
+
+
+@dataclass(frozen=True)
+class ToleranceConfig:
+    """Stopping control of :func:`gb_center` and ``gb_center_mvn``: the double
+    sequence's precision ``rel_tol`` in (0, 1) and its step cap ``max_iter`` >= 1,
+    by default :data:`GB_TOL`'s.  The histogram centers' ``epsilon`` and
+    ``max_iter`` follow the same rule."""
+
+    rel_tol: float = 1e-8
+    max_iter: int = 200
+
+    def __post_init__(self):
+        _check_stopping(self.rel_tol, self.max_iter, "rel_tol")
+
+
+GB_TOL = ToleranceConfig()
 
 
 def gb_step(

@@ -26,7 +26,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .gauss_bregman import GB_TOL, gb_center
+from .gauss_bregman import GB_TOL, ToleranceConfig, gb_center
 from .legendre import (
     CenterDiagnostics,
     GeneratorSpec,
@@ -34,7 +34,6 @@ from .legendre import (
     _float_array,
     check_weights,
 )
-from .special_functions import ToleranceConfig
 from .spd import (
     SPDMatrix,
     _as_spd,

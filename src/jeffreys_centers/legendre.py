@@ -162,20 +162,16 @@ def check_weights(weights: Optional[Sequence], n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WeightedParamSet:
-    """Parameter vectors with strictly positive weights summing to one."""
+    """Parameter vectors with strictly positive weights summing to one;
+    uniform weights when none are given."""
 
     points: np.ndarray
-    weights: Optional[np.ndarray]
+    weights: Optional[np.ndarray] = None
 
     def __post_init__(self):
         points = _float_array(self.points, "points", (None, None))
         object.__setattr__(self, "weights", check_weights(self.weights, points.shape[0]))
         object.__setattr__(self, "points", points)
-
-    @classmethod
-    def of(cls, points: Sequence, weights: Optional[Sequence] = None) -> "WeightedParamSet":
-        """Build a set; uniform weights when none are given."""
-        return cls(points, weights)
 
     @property
     def n(self) -> int:

@@ -18,6 +18,7 @@ formed; it and X#Y share one congruence (A U) diag(s) (A U)^T of an SVD.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -38,6 +39,7 @@ __all__ = [
 _MAX_CONDITION = 1e12
 # Floor of the asymmetry test's scale, so that an all-zero matrix divides by it.
 _TINY = float(np.finfo(float).tiny)
+_MAX = float(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,8 @@ class SPDMatrix:
         asym = float(np.abs(m - m.T).max()) / scale
         if asym > 1e-8:
             raise DomainError(f"matrix asymmetry {asym:.3g} exceeds 1e-8")
-        sym = 0.5 * (m + m.T)
+        half = 0.5 * m  # halving first: m + m^T overflows past half the float max
+        sym = half + half.T
         _check_spd(sym)
         object.__setattr__(self, "entries", sym)
 
@@ -211,20 +214,25 @@ def logdet_div(x: SPDMatrix, y: SPDMatrix) -> float:
     t - log(s^2) with t = (s - 1)(s + 1) over the singular values s of B^{-1} A,
     X = A A^T, Y = B B^T: non-negative terms of order t^2 near X = Y, where the traces cancel.
     The log is log1p(t) there, and 2 log(s) for s^2 < 1/2, where 1 + t loses the digits
-    of s^2 (all of them below 1.1e-16, where t rounds to -1)."""
+    of s^2 (all of them below 1.1e-16, where t rounds to -1).  Past the float max it is +inf."""
     a, b = _factor_pair(x, y)
     s = _svd(np.linalg.solve(b, a))
+    if s[0] > math.sqrt(_MAX):  # t = (s - 1)(s + 1) would overflow
+        return math.inf
     t = (s - 1.0) * (s + 1.0)
     log_s2 = np.where(t > -0.5, np.log1p(np.maximum(t, -0.5)), 2.0 * np.log(s))
-    return float(np.sum(t - log_s2))
+    with np.errstate(over="ignore"):
+        return float(np.sum(t - log_s2))
 
 
 def symmetrized_logdet(x: SPDMatrix, y: SPDMatrix) -> float:
     """Symmetrized log-det divergence tr(X^{-1} Y + Y^{-1} X - 2 I), as the sum of squares
-    |C - C^{-T}|_F^2 with C = A^{-1} B, X = A A^T, Y = B B^T: no cancellation near X = Y."""
+    |C - C^{-T}|_F^2 with C = A^{-1} B, X = A A^T, Y = B B^T: no cancellation near X = Y.
+    Past the float max it is +inf."""
     a, b = _factor_pair(x, y)
     diff = np.linalg.solve(a, b) - np.linalg.solve(b, a).T
-    return float(np.sum(diff * diff))
+    with np.errstate(over="ignore"):
+        return float(np.sum(diff * diff))
 
 
 def _same_dim_stack(mats: Sequence[SPDMatrix]) -> np.ndarray:

@@ -14,14 +14,13 @@ steps for |dlam| <= 1, and a restart from Winitzki's start beyond.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NumericalError
 from .legendre import _float_array
 
-__all__ = ["ToleranceConfig", "lambert_w0"]
+__all__ = ["lambert_w0"]
 
 # One FSC step from residual z leaves a relative error of about 1.4 z^4, so
 # the step taken from max|z| <= _FSC_LAST lands at rounding (1.4e-16): it is
@@ -33,26 +32,6 @@ _FSC_LAST = 1e-4
 _NEWTON_LAST = 1e-8
 # The step cap of the FSC loop.
 _W0_MAX_STEPS = 100
-
-
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Stopping control for iterative routines.
-
-    ``rel_tol`` is the precision parameter of the generic double sequence and
-    ``max_iter`` caps its loop: it controls ``gb_center`` and ``gb_center_mvn``
-    only.  ``gb_center_cat`` and the histogram multiplier's Newton solve take
-    their own ``epsilon`` and ``max_iter``.
-    """
-
-    rel_tol: float = 1e-12
-    max_iter: int = 100
-
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol < 1.0):
-            raise DomainError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
-        if self.max_iter < 1:
-            raise DomainError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 def _w0_fsc(x: np.ndarray, w: np.ndarray, z, wp1=None) -> np.ndarray:

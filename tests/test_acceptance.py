@@ -184,7 +184,7 @@ def test_criterion_5_optimality_ordering(instances):
     details = []
     for _ in range(3):
         rows = np.array([random_simplex(rng, 3, 1e-6) for _ in range(3)])
-        hset = HistogramSet.uniform(rows)
+        hset = HistogramSet(rows)
         ref = jeffreys_centroid_cat(hset, 1e-10).center
         loss_ref = jeffreys_loss_cat(hset, ref)
         gmin = grid_min_loss(hset)
@@ -205,7 +205,7 @@ def test_criterion_6_scalar_inductive_means(gb_steps):
     worst_geo, worst_agm, worst_quad = 0.0, 0.0, 0.0
     for _ in range(100):
         x, y = rng.uniform(0.1, 10.0, size=2)
-        pair = WeightedParamSet.of([[x], [y]])
+        pair = WeightedParamSet([[x], [y]])
         gb_steps.clear()
         center, diag = gb_center(burg, pair, ToleranceConfig(1e-13, 300))
         assert len(gb_steps) == diag.iterations

@@ -401,7 +401,7 @@ class TestCompute:
         )
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == [
-            "centers: error: histogram row 1, column 1: cannot parse 'oops' as a number"
+            "centers: invalid input: histogram row 1, column 1: cannot parse 'oops' as a number"
         ]
 
 
@@ -486,26 +486,31 @@ CLI_ERRORS = {
 def test_cli_error_exits_2_with_one_line(case, tmp_path, capsys):
     code, out, err = run(CLI_ERRORS[case](tmp_path), capsys)
     assert code == 2 and out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("centers: error: ")
+    assert len(err.splitlines()) == 1 and err.startswith("centers: invalid input: ")
 
 
-# A NaN tolerance is invalid input like 0, but it passes an `epsilon <= 0`
-# test: each command would report a center after no iteration.
+# A NaN, infinite or unit tolerance is invalid input like 0, but NaN passes an
+# `epsilon <= 0` test and inf an `epsilon > 0` one: each command would report a
+# center after no iteration.
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "1"])
 @pytest.mark.parametrize(
     "command",
     [
         ["compute", "--family", "categorical", "--method", "jeffreys"],
         ["compute", "--family", "categorical", "--method", "gb"],
+        ["compute", "--family", "gaussian", "--method", "gb"],
         ["bench", "table1", "--dims", "4", "--trials", "2"],
         ["bench", "table2", "--alphas", "1e-1"],
     ],
-    ids=["compute-jeffreys", "compute-gb", "table1", "table2"],
+    ids=["compute-jeffreys", "compute-gb", "compute-gaussian-gb", "table1", "table2"],
 )
-def test_nan_epsilon_exits_2(command, table2_csv_file, capsys):
-    inputs = ["--input", str(table2_csv_file)] if command[0] == "compute" else []
-    code, out, _ = run(command + inputs + ["--epsilon", "nan"], capsys)
-    assert code == 2
-    assert out == ""
+def test_nan_epsilon_exits_2(command, epsilon, request, capsys):
+    inputs = []
+    if command[0] == "compute":
+        inputs = ["--input", str(request.getfixturevalue(FAMILY_INPUT[command[2]]))]
+    code, out, err = run(command + inputs + ["--epsilon", epsilon], capsys)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("centers: invalid input: ")
 
 
 # Report keys in order: the common head, each method's own fields, then the center,
@@ -533,7 +538,7 @@ def test_every_family_and_method_pair(family, method, request, capsys):
     if (family, method) == ("gaussian", "unnormalized"):
         assert code == 2 and out == ""
         assert err == (
-            "centers: error: method 'unnormalized' applies to the categorical family only\n"
+            "centers: invalid input: method 'unnormalized' applies to the categorical family only\n"
         )
         return
     assert code == 0
@@ -551,7 +556,7 @@ def test_unnormalized_reference_scores_the_renormalized_center(table2_csv_file, 
     assert list(report)[-3:] == REFERENCE_KEYS
     assert report["info_eps"] >= 0.0
     # the raw candidate is reported, the scores read its renormalization
-    hset = HistogramSet.uniform([[1 / 3, 1 / 3, 1 / 3], [0.9, 0.05, 0.05]])
+    hset = HistogramSet([[1 / 3, 1 / 3, 1 / 3], [0.9, 0.05, 0.05]])
     raw, mass = unnormalized_center(hset)
     ref = jeffreys_centroid_cat(hset, 1e-10).center
     center = SimplexPoint(raw / mass)

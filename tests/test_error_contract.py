@@ -3,9 +3,9 @@
 Each module's AST is walked.  Every ``raise`` names ``DomainError`` (the
 caller's input is invalid, CLI exit code 2) or ``NumericalError`` (an internal
 failure, CLI exit code 3), so no raw ``ValueError`` or ``LinAlgError`` reaches
-a caller.  Two exceptions are allowed: ``CliError`` in ``cli.py``, which the
-CLI prints and exits 2 on, and the ``TypeError`` that ``legendre._float_array``
-raises and catches itself.
+a caller.  One exception is allowed: the ``TypeError`` that
+``legendre._float_array`` raises and catches itself.  The CLI's ``main`` catches
+exactly these two classes, one per exit code.
 """
 
 import ast
@@ -15,7 +15,9 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "jeffreys_centers"
 
 CONTRACT = {"DomainError", "NumericalError"}
 # (module, innermost function or None for any, class) raised outside the contract
-ALLOWED = {("cli.py", None, "CliError"), ("legendre.py", "_float_array", "TypeError")}
+ALLOWED = {("legendre.py", "_float_array", "TypeError")}
+# (class, returned exit code) of each handler of the try in cli.main, in order
+EXIT_HANDLERS = [("DomainError", "EXIT_PARSE"), ("NumericalError", "EXIT_NUMERIC")]
 
 
 def _raised(node: ast.Raise) -> str:
@@ -59,6 +61,19 @@ def _outside_the_contract(sources: dict) -> list:
     return sorted(found)
 
 
+def _exit_handlers(source: str) -> list:
+    """(class, returned expression) of each handler of the one ``try`` in ``main``."""
+    main = next(node for node in ast.parse(source).body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    (block,) = [node for node in ast.walk(main) if isinstance(node, ast.Try)]
+    return [
+        (ast.unparse(handler.type),
+         next((ast.unparse(node.value) for node in ast.walk(handler)
+               if isinstance(node, ast.Return)), None))
+        for handler in block.handlers
+    ]
+
+
 def test_every_raise_is_a_domain_or_numerical_error():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert _outside_the_contract(sources) == []
@@ -77,7 +92,23 @@ def test_a_raise_outside_the_contract_is_caught():
     }
     assert _outside_the_contract(sources) == [
         "bench.py:3 run raises ValueError",
+        "cli.py:2 parse raises CliError",
         "gaussian.py:2 solve raises CliError",
         "legendre.py:4 other raises TypeError",
         "spd.py:5 kernel raises <bare raise>",
     ]
+
+
+def test_main_catches_one_class_per_exit_code():
+    assert _exit_handlers((SRC / "cli.py").read_text()) == EXIT_HANDLERS
+
+
+def test_a_third_handler_in_main_is_caught():
+    source = (
+        "def main(argv=None):\n"
+        "    try:\n        return run(argv)\n"
+        "    except DomainError as exc:\n        return EXIT_PARSE\n"
+        "    except NumericalError as exc:\n        return EXIT_NUMERIC\n"
+        "    except CliError as exc:\n        return EXIT_PARSE\n"
+    )
+    assert _exit_handlers(source) == EXIT_HANDLERS + [("CliError", "EXIT_PARSE")]

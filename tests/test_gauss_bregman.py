@@ -37,11 +37,11 @@ def gb_invariance_check(
     """
     t1 = gen.require_domain(theta1, "first point")
     t2 = gen.require_domain(theta2, "second point")
-    pair = WeightedParamSet.of([t1, t2])
+    pair = WeightedParamSet([t1, t2])
     lhs, _ = gb_center(gen, pair, tol)
     mid_arith = 0.5 * (t1 + t2)
     mid_quasi = quasi_arithmetic_center(gen, pair)
-    stepped = WeightedParamSet.of([mid_arith, mid_quasi])
+    stepped = WeightedParamSet([mid_arith, mid_quasi])
     rhs, _ = gb_center(gen, stepped, tol)
     return float(np.linalg.norm(lhs - rhs))
 
@@ -49,6 +49,12 @@ def gb_invariance_check(
 def _step(gen, theta_bar, theta_under):
     """gb_step from a pair, its moment iterate evaluated here."""
     return gb_step(gen, theta_bar, theta_under, gen.eval_grad(np.atleast_1d(theta_under)))
+
+
+class TestToleranceConfig:
+    def test_defaults(self):
+        assert ToleranceConfig() == GB_TOL
+        assert GB_TOL.rel_tol == 1e-8 and GB_TOL.max_iter == 200
 
 
 class TestGBStep:
@@ -143,7 +149,7 @@ class TestDualSequence:
         gen = burg_generator(3)
         for _ in range(20):
             gb_steps.clear()
-            pset = WeightedParamSet.of(np.exp(rng.uniform(-4.0, 4.0, size=(3, 3))))
+            pset = WeightedParamSet(np.exp(rng.uniform(-4.0, 4.0, size=(3, 3))))
             a0, h0 = right_bregman_centroid(pset), quasi_arithmetic_center(gen, pset)
             center, diag = gb_center(gen, pset, TIGHT)
             assert diag.status == "converged" and len(gb_steps) == diag.iterations > 0
@@ -156,17 +162,17 @@ class TestGBCenter:
     def test_all_equal_zero_iterations(self, rng):
         gen = shannon_generator(3)
         theta = rng.uniform(0.5, 2.0, size=3)
-        center, diag = gb_center(gen, WeightedParamSet.of([theta, theta]))
+        center, diag = gb_center(gen, WeightedParamSet([theta, theta]))
         assert diag.status == "converged"
         assert diag.iterations == 0
         assert np.allclose(center, theta)
 
     def test_burg_pair_geometric_mean(self):
-        center, _ = gb_center(burg_generator(1), WeightedParamSet.of([[1.0], [4.0]]), TIGHT)
+        center, _ = gb_center(burg_generator(1), WeightedParamSet([[1.0], [4.0]]), TIGHT)
         assert center[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_shannon_pair_is_agm_of_initial_centroids(self):
-        center, _ = gb_center(shannon_generator(1), WeightedParamSet.of([[1.0], [4.0]]), TIGHT)
+        center, _ = gb_center(shannon_generator(1), WeightedParamSet([[1.0], [4.0]]), TIGHT)
         a0, g0 = 2.5, 2.0
         expect = (math.pi / 4.0) * (a0 + g0) / elliptic_k((a0 - g0) / (a0 + g0))
         assert center[0] == pytest.approx(expect, rel=1e-12)
@@ -174,7 +180,7 @@ class TestGBCenter:
     def test_scalar_gap_halving(self, rng, gb_steps):
         gen = shannon_generator(1)
         pts = rng.uniform(0.1, 10.0, size=(2, 1))
-        gb_center(gen, WeightedParamSet.of(pts), TIGHT)
+        gb_center(gen, WeightedParamSet(pts), TIGHT)
         assert gb_steps
         for (tb, tu), (nb, nu) in gb_steps:
             assert abs(nb[0] - nu[0]) <= 0.5 * abs(tb[0] - tu[0]) + 1e-15
@@ -189,7 +195,7 @@ class TestGBCenter:
             name="shannon3",
         )
         pts = rng.uniform(0.2, 5.0, size=(4, 3))
-        _, diag = gb_center(gen, WeightedParamSet.of(pts), TIGHT)
+        _, diag = gb_center(gen, WeightedParamSet(pts), TIGHT)
         assert diag.status == "converged"
         assert gb_steps
         for (tb0, tu0), (tb1, tu1) in gb_steps:
@@ -197,14 +203,14 @@ class TestGBCenter:
 
     def test_trace_length_matches_iterations(self, rng, gb_steps):
         gen = burg_generator(1)
-        _, diag = gb_center(gen, WeightedParamSet.of([[0.5], [7.0]]))
+        _, diag = gb_center(gen, WeightedParamSet([[0.5], [7.0]]))
         assert diag.iterations > 0
         assert len(gb_steps) == diag.iterations
 
     def test_gap_strictly_decreasing(self, rng, gb_steps):
         gen = shannon_generator(2)
         pts = rng.uniform(0.2, 5.0, size=(3, 2))
-        gb_center(gen, WeightedParamSet.of(pts), TIGHT)
+        gb_center(gen, WeightedParamSet(pts), TIGHT)
         assert gb_steps
         for (tb, tu), (nb, nu) in gb_steps:
             g0, g1 = np.linalg.norm(tb - tu), np.linalg.norm(nb - nu)
@@ -223,7 +229,7 @@ class TestGBCenter:
             in_domain_scalar=lambda t: (t > 0) & (np.abs(t - 2.25) > 0.005),
             name="gapped",
         )
-        pair = WeightedParamSet.of([[1.0], [4.0]])
+        pair = WeightedParamSet([[1.0], [4.0]])
         with pytest.raises(DomainError, match="^gapped: arithmetic iterate"):
             gb_center(gen, pair)
         with pytest.raises(DomainError, match="^gapped: final arithmetic iterate"):
@@ -251,23 +257,23 @@ class TestGBCenter:
             return gen.in_domain(theta)
 
         counted = dataclasses.replace(gen, in_domain=in_domain)
-        _, diag = gb_center(counted, WeightedParamSet.of(points), tol)
+        _, diag = gb_center(counted, WeightedParamSet(points), tol)
         k = diag.iterations
         assert diag.status == status and (k > 0) == (points[0] != points[1])
         assert len(calls) == len(points) + 2 + 2 * k
 
     def test_nonconvergence_reported(self):
         gen = shannon_generator(1)
-        _, diag = gb_center(gen, WeightedParamSet.of([[0.1], [9.0]]), ToleranceConfig(1e-12, 2))
+        _, diag = gb_center(gen, WeightedParamSet([[0.1], [9.0]]), ToleranceConfig(1e-12, 2))
         assert diag.status == "max_iter"
         assert diag.final_gap > 1e-12
 
     def test_small_pair_reaches_the_agm(self, gb_steps):
         # Below |theta_bar| = 1 the gap is relative: an absolute 1e-8 gap
         # would stop {1e-12, 4e-12} at once, at its arithmetic mean, 11% off.
-        unit, _ = gb_center(shannon_generator(1), WeightedParamSet.of([[1.0], [4.0]]), TIGHT)
+        unit, _ = gb_center(shannon_generator(1), WeightedParamSet([[1.0], [4.0]]), TIGHT)
         gb_steps.clear()
-        small, diag = gb_center(shannon_generator(1), WeightedParamSet.of([[1e-12], [4e-12]]))
+        small, diag = gb_center(shannon_generator(1), WeightedParamSet([[1e-12], [4e-12]]))
         assert diag.status == "converged" and diag.iterations > 0
         assert small[0] == pytest.approx(1e-12 * unit[0], rel=GB_TOL.rel_tol)
         _, (nb, nu) = gb_steps[-1]
@@ -278,7 +284,7 @@ class TestGBCenter:
             1, f=np.exp, f_prime=np.exp, f_prime_inv=np.log,
             in_domain_scalar=np.isfinite, name="exp",
         )
-        center, diag = gb_center(gen, WeightedParamSet.of([[-1.0], [1.0]]), ToleranceConfig(0.5, 10))
+        center, diag = gb_center(gen, WeightedParamSet([[-1.0], [1.0]]), ToleranceConfig(0.5, 10))
         # theta_bar = 0 and theta_under = log(cosh 1): no division by |theta_bar|
         assert center[0] == 0.0 and diag.iterations == 0
         assert diag.final_gap == pytest.approx(math.log(math.cosh(1.0)), rel=1e-15)

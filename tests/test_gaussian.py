@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -375,6 +376,12 @@ class TestDivergences:
                 mvn_to_natural(q),
             )
             assert jeffreys_mvn(p, q) == pytest.approx(sb, rel=1e-9, abs=1e-9)
+
+    def test_past_the_float_max_is_inf(self):
+        wide, narrow = GaussianParam([0.0], [[1e300]]), GaussianParam([0.0], [[1e-300]])
+        assert kl_mvn(wide, narrow) == math.inf
+        assert jeffreys_mvn(wide, narrow) == math.inf
+        assert kl_mvn(narrow, wide) == pytest.approx(690.2755278982137, rel=1e-12)
 
     def test_jeffreys_is_kl_plus_kl(self, rng):
         p, q = random_gaussian(rng, 2), random_gaussian(rng, 2)
@@ -1081,14 +1088,14 @@ class TestCenteredClosedForm:
         center = jeffreys_centroid_centered(covs)
         theta = mvn_to_natural(center)
         thetas = np.array([mvn_to_natural(g) for g in gs])
-        pset = WeightedParamSet.of(thetas)
+        pset = WeightedParamSet(thetas)
         assert energy_grad_residual(gen, pset, theta) <= 1e-8
 
     def test_proxies_have_positive_gradient_when_means_differ(self, rng):
         gs = [random_gaussian(rng, 2), random_gaussian(rng, 2)]
         gen = mvn_generator(2)
         thetas = np.array([mvn_to_natural(g) for g in gs])
-        pset = WeightedParamSet.of(thetas)
+        pset = WeightedParamSet(thetas)
         for center in (jfr_center_mvn(gs), gb_center_mvn(gs, tol=TIGHT)[0]):
             resid = energy_grad_residual(gen, pset, mvn_to_natural(center))
             assert resid > 1e-6

@@ -25,7 +25,7 @@ HISTOGRAM_PROBE = """
 import sys
 import numpy as np
 import jeffreys_centers as jc
-jc.jeffreys_centroid_cat(jc.HistogramSet.uniform(np.array([[0.2, 0.8], [0.6, 0.4]])))
+jc.jeffreys_centroid_cat(jc.HistogramSet(np.array([[0.2, 0.8], [0.6, 0.4]])))
 """ + REPORT
 
 # d = 3 runs the fiber alignment; the means differ so its solve takes steps
@@ -54,7 +54,7 @@ from jeffreys_centers.cli import main
 from oracles import c_of_lambda, squared_generator
 
 rows = np.array([[0.2, 0.3, 0.5], [0.6, 0.3, 0.1]])
-hset = jc.HistogramSet.uniform(rows)
+hset = jc.HistogramSet(rows)
 jc.jeffreys_centroid_cat(hset)
 jc.jfr_center_cat(hset)
 jc.gb_center_cat(hset)
@@ -69,10 +69,10 @@ jc.fisher_rao_midpoint_mvn(*gs)
 jc.jeffreys_centroid_centered([g.cov for g in gs])
 jc.sld_centroid([g.cov for g in gs])
 
-pair = jc.WeightedParamSet.of([[1.0], [4.0]])
+pair = jc.WeightedParamSet([[1.0], [4.0]])
 for gen in (jc.burg_generator(1), jc.shannon_generator(1), squared_generator(1)):
     jc.gb_center(gen, pair)
-jc.gb_center(jc.mvn_generator(2), jc.WeightedParamSet.of([jc.mvn_to_natural(g) for g in gs]))
+jc.gb_center(jc.mvn_generator(2), jc.WeightedParamSet([jc.mvn_to_natural(g) for g in gs]))
 
 p, q = (jc.SimplexPoint(r) for r in rows)
 for div in (jc.kl_cat, jc.jeffreys_cat, jc.tv_cat):

@@ -209,34 +209,34 @@ class TestCenters:
     def test_quasi_arithmetic_reflexive(self, rng):
         gen = shannon_generator(3)
         theta = rng.uniform(0.5, 2.0, size=3)
-        pset = WeightedParamSet.of([theta, theta, theta])
+        pset = WeightedParamSet([theta, theta, theta])
         assert np.abs(quasi_arithmetic_center(gen, pset) - theta).max() < 1e-12
 
     def test_quasi_arithmetic_singleton_is_the_member(self):
         theta = np.array([0.3, 1.7, 2.9])
-        pset = WeightedParamSet.of([theta])
+        pset = WeightedParamSet([theta])
         center = quasi_arithmetic_center(shannon_generator(3), pset)
         assert center.tobytes() == theta.tobytes()
         assert not np.shares_memory(center, pset.points)
 
     def test_burg_harmonic_mean(self):
-        pset = WeightedParamSet.of([[1.0], [4.0]])
+        pset = WeightedParamSet([[1.0], [4.0]])
         assert quasi_arithmetic_center(burg_generator(1), pset)[0] == pytest.approx(1.6)
 
     def test_shannon_geometric_mean(self):
-        pset = WeightedParamSet.of([[1.0], [4.0]])
+        pset = WeightedParamSet([[1.0], [4.0]])
         assert quasi_arithmetic_center(shannon_generator(1), pset)[0] == pytest.approx(2.0)
 
     def test_scalar_betweenness(self, rng):
         gen = shannon_generator(1)
         for _ in range(20):
             pts = rng.uniform(0.1, 10.0, size=(4, 1))
-            c = quasi_arithmetic_center(gen, WeightedParamSet.of(pts))[0]
+            c = quasi_arithmetic_center(gen, WeightedParamSet(pts))[0]
             assert pts.min() - 1e-12 <= c <= pts.max() + 1e-12
 
     def test_right_centroid(self):
-        assert right_bregman_centroid(WeightedParamSet.of([[2.0, 3.0]]))[0] == 2.0
-        c = right_bregman_centroid(WeightedParamSet.of([[0.0, 0.0], [2.0, 2.0]]))
+        assert right_bregman_centroid(WeightedParamSet([[2.0, 3.0]]))[0] == 2.0
+        c = right_bregman_centroid(WeightedParamSet([[0.0, 0.0], [2.0, 2.0]]))
         assert np.allclose(c, [1.0, 1.0])
         c = right_bregman_centroid(WeightedParamSet([[1.0], [4.0]], [0.25, 0.75]))
         assert c[0] == pytest.approx(3.25)
@@ -259,13 +259,13 @@ class TestJeffreysLossAndResidual:
     def test_zero_at_singleton(self, rng):
         gen = shannon_generator(2)
         theta = rng.uniform(0.5, 2.0, size=2)
-        pset = WeightedParamSet.of([theta])
+        pset = WeightedParamSet([theta])
         assert jeffreys_loss(gen, pset, theta) == pytest.approx(0.0, abs=1e-14)
         assert energy_grad_residual(gen, pset, theta) < 1e-8
 
     def test_center_beats_endpoint(self):
         gen = shannon_generator(1)
-        pset = WeightedParamSet.of([[1.0], [4.0]])
+        pset = WeightedParamSet([[1.0], [4.0]])
         center = quasi_arithmetic_center(gen, pset)
         assert jeffreys_loss(gen, pset, center) < jeffreys_loss(gen, pset, [1.0])
 
@@ -275,7 +275,7 @@ class TestJeffreysLossAndResidual:
         a, g = 2.5, 2.0
         c = a / lambert_w0((a / g) * math.e)
         gen = shannon_generator(1)
-        pset = WeightedParamSet.of([[1.0], [4.0]])
+        pset = WeightedParamSet([[1.0], [4.0]])
         assert energy_grad_residual(gen, pset, [c]) < 1e-6
         assert energy_grad_residual(gen, pset, [c + 0.3]) > 1e-3
 
@@ -295,11 +295,11 @@ class TestSetMembers:
     )
     def test_non_finite_member_rejected(self, call):
         with pytest.raises(DomainError, match="point 0"):
-            call(positive_burg(), WeightedParamSet.of([[np.inf], [1.0]]))
+            call(positive_burg(), WeightedParamSet([[np.inf], [1.0]]))
 
     def test_member_of_the_wrong_dimension_rejected(self):
         with pytest.raises(DomainError, match=r"point 0 has shape \(1,\), expected \(2,\)"):
-            quasi_arithmetic_center(burg_generator(2), WeightedParamSet.of([[1.0], [2.0]]))
+            quasi_arithmetic_center(burg_generator(2), WeightedParamSet([[1.0], [2.0]]))
 
     def test_jeffreys_loss_checks_each_point_once(self):
         gen = burg_generator(1)
@@ -338,6 +338,6 @@ class TestWeightedParamSet:
             WeightedParamSet([[1.0], [2.0]], [1.0])
 
     def test_uniform_default(self):
-        pset = WeightedParamSet.of([[1.0], [2.0], [3.0]])
+        pset = WeightedParamSet([[1.0], [2.0], [3.0]])
         assert np.allclose(pset.weights, 1.0 / 3.0)
         assert pset.n == 3 and pset.dim == 1

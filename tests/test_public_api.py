@@ -120,6 +120,28 @@ def test_removed_parameter_is_gone(module, function, parameter):
     assert parameter not in inspect.signature(fn).parameters
 
 
+# (module, class or None for the module, attribute) of second copies deleted
+REMOVED_ATTRIBUTES = [
+    # HistogramSet(rows) and WeightedParamSet(points) default to uniform weights
+    ("jeffreys_centers.categorical", "HistogramSet", "uniform"),
+    ("jeffreys_centers.legendre", "WeightedParamSet", "of"),
+    # DomainError is the command's one exit-2 class
+    ("jeffreys_centers.cli", None, "CliError"),
+    # the stopping control lives beside GB_TOL in gauss_bregman
+    ("jeffreys_centers.special_functions", None, "ToleranceConfig"),
+]
+
+
+@pytest.mark.parametrize("module, owner, attribute", REMOVED_ATTRIBUTES)
+def test_removed_attribute_is_gone(module, owner, attribute):
+    mod = importlib.import_module(module)
+    assert not hasattr(getattr(mod, owner) if owner else mod, attribute)
+
+
+def test_special_functions_exports_lambert_w0_alone():
+    assert importlib.import_module("jeffreys_centers.special_functions").__all__ == ["lambert_w0"]
+
+
 def test_package_exports_its_names_not_its_submodules():
     public = {name for name in dir(jeffreys_centers) if not name.startswith("_")}
     submodules = {

@@ -66,6 +66,13 @@ class TestSPDMatrix:
         with pytest.raises(DomainError):
             SPDMatrix(np.diag([1e13, 0.5]))
 
+    @pytest.mark.parametrize("m", [
+        [[1e308, 0.0], [0.0, 1e308]], [[1.3e308]], [[1.5e308, 1e307], [1e307, 1e308]],
+    ])
+    def test_entries_near_the_float_max_are_parsed(self, m):
+        """(M + M^T)/2 overflows past half the float max; the parse halves first."""
+        assert np.array_equal(SPDMatrix(m).entries, m)
+
 
 class TestNaN:
     """NaN fails every comparison, so a test written as `bad > limit` lets it through."""
@@ -89,6 +96,17 @@ class TestNaN:
                 fn(eye, bad)
             with pytest.raises(DomainError, match="finite"):
                 fn(bad, eye)
+
+    @pytest.mark.parametrize("x, y", [
+        ([[1e160]], [[1e-160]]),
+        # each term is finite, their sum is not
+        (1.5e154 * np.eye(2), 1e-154 * np.eye(2)),
+    ], ids=["t-overflows", "sum-overflows"])
+    def test_divergences_past_the_float_max_are_inf(self, x, y):
+        """t = s^2 - 1 overflowed for s > 1.34e154 and t - log1p(t) was inf - inf."""
+        assert logdet_div(x, y) == math.inf
+        assert symmetrized_logdet(x, y) == math.inf
+        assert math.isfinite(logdet_div(y, x))
 
     def test_valid_pair_near_the_condition_bound_never_warns(self):
         """X^{-1/2} Y X^{-1/2} can lose definiteness in rounding when X and Y
