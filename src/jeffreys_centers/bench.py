@@ -14,13 +14,14 @@ only nondeterministic fields and can be zeroed.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import List, Sequence
 
 import numpy as np
 
 from .categorical import (
     GB_CAT_EPSILON,
+    JEFFREYS_CAT_EPSILON,
     HistogramSet,
     approximation_factor,
     gb_center_cat,
@@ -120,8 +121,8 @@ def _score_pair(rows: np.ndarray, epsilon: float, timing: bool):
 
 
 def run_table1(
-    dims: Sequence[int] = (16,), trials: int = 1000, seed: int = 0, epsilon: float = 1e-10,
-    timing: bool = True,
+    dims: Sequence[int] = (16,), trials: int = 1000, seed: int = 0,
+    epsilon: float = JEFFREYS_CAT_EPSILON, timing: bool = True,
 ) -> List[BenchRecord]:
     """Score JFR and GB against the numerical Jeffreys centroid per dimension; fewer
     than 1 trial or a dimension below 2 is a DomainError, and the reference checks epsilon."""
@@ -164,7 +165,8 @@ def _alpha_flagged(alpha: float) -> bool:
 
 
 def run_table2(
-    alphas: Sequence[float] = DEFAULT_ALPHAS, epsilon: float = 1e-10, timing: bool = True
+    alphas: Sequence[float] = DEFAULT_ALPHAS, epsilon: float = JEFFREYS_CAT_EPSILON,
+    timing: bool = True,
 ) -> List[Table2Row]:
     """Deterministic two-histogram benchmark over a list of alphas."""
     rows: List[Table2Row] = []
@@ -193,21 +195,22 @@ def _sci(x: float) -> str:
     return f"{x:.5e}"
 
 
-def table1_csv(records: Sequence[BenchRecord]) -> str:
-    lines = [TABLE1_HEADER]
-    for r in records:
-        lines.append(
-            f"{r.dim},{r.method},{_sci(r.avg_info_eps)},{_sci(r.max_info_eps)},"
-            f"{_sci(r.avg_tv)},{_sci(r.max_tv)},{r.avg_time_ns},{_sci(r.speedup_vs_jeffreys)}"
-        )
+def _field(x) -> str:
+    if isinstance(x, bool):
+        return str(int(x))
+    return _sci(x) if isinstance(x, float) else str(x)
+
+
+def _csv(header: str, rows) -> str:
+    """``header`` and one line per dataclass row, its fields in order: floats
+    through :func:`_sci`, bools as 0/1, the rest (ints, method names) as ``str``."""
+    lines = [header] + [",".join(map(_field, astuple(r))) for r in rows]
     return "\n".join(lines) + "\n"
+
+
+def table1_csv(records: Sequence[BenchRecord]) -> str:
+    return _csv(TABLE1_HEADER, records)
 
 
 def table2_csv(rows: Sequence[Table2Row]) -> str:
-    lines = [TABLE2_HEADER]
-    for r in rows:
-        lines.append(
-            f"{_sci(r.alpha)},{r.method},{_sci(r.info_eps)},{_sci(r.tv_eps)},"
-            f"{r.time_ns},{_sci(r.speedup_vs_jeffreys)},{int(r.flagged)}"
-        )
-    return "\n".join(lines) + "\n"
+    return _csv(TABLE2_HEADER, rows)

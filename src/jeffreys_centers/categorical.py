@@ -39,12 +39,16 @@ __all__ = [
     "jeffreys_loss_cat",
     "approximation_factor",
     "GB_CAT_EPSILON",
+    "JEFFREYS_CAT_EPSILON",
 ]
 
 # Effective stopping tolerance of the reference experiments' Gauss-Bregman
 # runs (see decisions ledger): the double sequence performs at least one step
 # and stops once the total-variation gap falls below this value.
 GB_CAT_EPSILON = 0.1
+
+# Default tolerance of the exact solve's multiplier, Table 1's and Table 2's reference.
+JEFFREYS_CAT_EPSILON = 1e-10
 
 # Initial TV gap below which the double sequence is treated as already
 # converged (all-rows-equal inputs).
@@ -211,7 +215,7 @@ def jeffreys_loss_cat(hset: HistogramSet, c: SimplexPoint) -> float:
 
 
 def jeffreys_centroid_cat(
-    hset: HistogramSet, epsilon: float = 1e-10, max_iter: int = 200
+    hset: HistogramSet, epsilon: float = JEFFREYS_CAT_EPSILON, max_iter: int = 200
 ) -> JeffreysCatResult:
     """Numerical Jeffreys centroid via bracketed Newton on the multiplier lambda.
 

@@ -33,6 +33,7 @@ from .bench import (
     table2_csv,
 )
 from .categorical import (
+    JEFFREYS_CAT_EPSILON,
     HistogramSet,
     SimplexPoint,
     arithmetic_mean,
@@ -266,7 +267,7 @@ def cmd_compute(args) -> int:
     report["jeffreys_loss"] = loss(data, center)
     report["diagnostics"] = asdict(diag)
     if args.reference and args.method != "jeffreys":
-        ref = jeffreys_centroid_cat(data, 1e-10)
+        ref = jeffreys_centroid_cat(data, JEFFREYS_CAT_EPSILON)
         report["reference_center"] = list(ref.center.probs)
         report["info_eps"] = _info_eps(data, center, ref.center)
         report["tv_eps"] = tv_cat(center, ref.center)
@@ -338,14 +339,16 @@ def build_parser() -> argparse.ArgumentParser:
     t1.add_argument("--dims", default="2,4,8,16,32,64,128,256")
     t1.add_argument("--trials", type=int, default=1000)
     t1.add_argument("--seed", type=int, default=0)
-    t1.add_argument("--epsilon", type=float, default=1e-10, help="reference multiplier tolerance")
+    t1.add_argument("--epsilon", type=float, default=JEFFREYS_CAT_EPSILON,
+                    help="reference multiplier tolerance")
     t1.add_argument("--no-timing", action="store_true", help="zero timing columns")
     t1.add_argument("--output", help="CSV path (stdout when omitted)")
     t1.set_defaults(fn=cmd_bench_table1)
 
     t2 = bench_sub.add_parser("table2", help="deterministic 3-bin family")
     t2.add_argument("--alphas", help="comma-separated list in (0,1)")
-    t2.add_argument("--epsilon", type=float, default=1e-10, help="reference multiplier tolerance")
+    t2.add_argument("--epsilon", type=float, default=JEFFREYS_CAT_EPSILON,
+                    help="reference multiplier tolerance")
     t2.add_argument("--no-timing", action="store_true", help="zero timing columns")
     t2.add_argument("--output", help="CSV path (stdout when omitted)")
     t2.set_defaults(fn=cmd_bench_table2)

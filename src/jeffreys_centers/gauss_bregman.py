@@ -97,6 +97,19 @@ def gb_step(
     return 0.5 * (tb + tu), np.asarray(gen.eval_grad_inv(eta), dtype=float), eta
 
 
+def _norm(v: np.ndarray) -> float:
+    """|v| of a 1-D float vector: sqrt(v . v), np.linalg.norm's arithmetic, where that sum is
+    finite and above 1e-200 (a square that underflows is then below its rounding), else that of
+    v / max |v_i|.  ``np.vdot`` is ``ndarray.dot``'s BLAS sum without its overflow warning."""
+    s = float(np.vdot(v, v))
+    if 1e-200 < s < math.inf:
+        return math.sqrt(s)
+    top = float(np.abs(v).max())
+    if not 0.0 < top < math.inf:  # 0, inf or NaN
+        return top
+    return top * math.sqrt(np.vdot(v / top, v / top))
+
+
 def _gap(theta_bar: np.ndarray, theta_under: np.ndarray) -> float:
     """|theta_bar - theta_under| / min(1, |theta_bar|), the stopping gap.
 
@@ -104,10 +117,8 @@ def _gap(theta_bar: np.ndarray, theta_under: np.ndarray) -> float:
     alone stops too early on small parameters (a scalar pair near 1e-12, or
     normals with large covariances).  At theta_bar = 0 it is the absolute gap.
     """
-    # sqrt(v.dot(v)) is np.linalg.norm's arithmetic for a 1-D float vector
-    diff = theta_bar - theta_under
-    gap = math.sqrt(diff.dot(diff))
-    scale = min(1.0, math.sqrt(theta_bar.dot(theta_bar)))
+    gap = _norm(theta_bar - theta_under)
+    scale = min(1.0, _norm(theta_bar))
     return gap / scale if scale > 0.0 else gap
 
 

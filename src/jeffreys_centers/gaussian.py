@@ -39,8 +39,7 @@ from .spd import (
     _as_spd,
     _check_spd,
     _computed_spd,
-    _eigh,
-    _eigvalsh,
+    _lapack,
     _log_divided_differences,
     _log_eigs,
     _weighted_sum,
@@ -438,12 +437,12 @@ def _align_fiber(G1: np.ndarray, d: int) -> Tuple[np.ndarray, np.ndarray]:
     """
     nk = d * (d - 1) // 2
     if nk == 0:
-        return G1, _eigvalsh(G1)
+        return G1, _lapack(np.linalg.eigvalsh, G1)
     a, b = _index_tables(d).strict_upper
 
     def residual(k: np.ndarray):
         X = _fiber_move(G1, k, d)
-        w, V = _eigh(X)
+        w, V = _lapack(np.linalg.eigh, X)
         res = 0.5 * ((V[a] * V[d + 1 + b] - V[b] * V[d + 1 + a]) @ _log_eigs(w))
         if np.abs(res).max() <= _ALIGN_ZERO:
             res = np.zeros(nk)

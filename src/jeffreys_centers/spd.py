@@ -6,9 +6,8 @@ symmetrized log-det centroid A#H.  The arithmetic-harmonic double sequence
 converging to X#Y is the Gaussian Gauss-Bregman center of the centered pair
 N(0, X), N(0, Y).
 
-One symmetric-eigendecomposition kernel, which turns a failed decomposition
-into a NumericalError, serves the one SPD rule and the matrix logarithm's
-eigenvalues.  Caller input is parsed into an :class:`SPDMatrix`; a matrix the
+One LAPACK boundary, :func:`_lapack`, turns a failed decomposition into a
+NumericalError.  Caller input is parsed into an :class:`SPDMatrix`; a matrix the
 library computed is wrapped by :func:`_computed_spd`, which applies the rule
 alone.  X#Y and the two-matrix divergences, the Gaussian ones' log-det part,
 read one Cholesky quotient A^{-1} B of X = A A^T, Y = B B^T.  A#H is read from
@@ -88,7 +87,7 @@ def _computed_spd(sym: np.ndarray, what: str, w: Optional[np.ndarray] = None) ->
     """
     if not np.isfinite(sym).all():
         raise DomainError(f"{what} entries must be finite")
-    _check_spectrum(_eigvalsh(sym) if w is None else w, what)
+    _check_spectrum(_lapack(np.linalg.eigvalsh, sym) if w is None else w, what)
     out = object.__new__(SPDMatrix)
     object.__setattr__(out, "entries", sym)
     return out
@@ -104,23 +103,13 @@ def _check_same_dim(x: np.ndarray, y: np.ndarray) -> None:
         raise DomainError(f"dimension mismatch: {x.shape} vs {y.shape}")
 
 
-def _eigh(m: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors of a symmetric matrix.
-
-    A failed decomposition (e.g. non-finite entries) is a NumericalError.
-    """
+def _lapack(routine, *args, **kwargs):
+    """``routine(*args, **kwargs)``, a ``numpy.linalg`` routine on matrices the library computed
+    or validated: its LinAlgError (e.g. on non-finite entries) is a NumericalError naming it."""
     try:
-        return np.linalg.eigh(m)
+        return routine(*args, **kwargs)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-
-
-def _eigvalsh(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues (ascending) of a symmetric matrix; a failure as in :func:`_eigh`."""
-    try:
-        return np.linalg.eigvalsh(m)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
+        raise NumericalError(f"numpy.linalg.{routine.__name__} failed: {exc}") from exc
 
 
 def _check_spectrum(w: np.ndarray, what: str = "matrix") -> None:
@@ -135,17 +124,15 @@ def _check_spectrum(w: np.ndarray, what: str = "matrix") -> None:
 
 def _check_spd(m: np.ndarray, what: str = "matrix") -> None:
     """The SPD rule of :func:`_check_spectrum` on the symmetric matrix ``m``."""
-    _check_spectrum(_eigvalsh(m), what)
-
-
-def _positive(w: np.ndarray) -> np.ndarray:
-    if not w[0] > 0.0:
-        raise NumericalError("matrix function of a non-positive-definite argument")
-    return w
+    _check_spectrum(_lapack(np.linalg.eigvalsh, m), what)
 
 
 def _log_eigs(w: np.ndarray) -> np.ndarray:
-    return np.log(_positive(w))
+    """log of the ascending eigenvalues ``w`` of a matrix logarithm's argument; a least
+    eigenvalue that is not positive, NaN included, is a NumericalError."""
+    if not w[0] > 0.0:
+        raise NumericalError("matrix function of a non-positive-definite argument")
+    return np.log(w)
 
 
 def _log_divided_differences(w: np.ndarray) -> np.ndarray:
@@ -172,15 +159,6 @@ def _factor_pair(x: SPDMatrix, y: SPDMatrix) -> Tuple[np.ndarray, np.ndarray]:
     return np.linalg.cholesky(xa), np.linalg.cholesky(ya)
 
 
-def _svd(m: np.ndarray, compute_uv: bool = False):
-    """Singular values (descending) of ``m``, or U, s, V^T if ``compute_uv``;
-    a failure as in :func:`_eigh`."""
-    try:
-        return np.linalg.svd(m, compute_uv=compute_uv)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"singular value decomposition failed: {exc}") from exc
-
-
 def _congruence(a: np.ndarray, u: np.ndarray, s: np.ndarray) -> np.ndarray:
     """(A U) diag(s) (A U)^T, symmetrized: the one X # Y kernel, for X = A A^T and
     U diag(s) U^T = A^{-1} (X # Y) A^{-T} read off an SVD, so that no matrix of the
@@ -198,7 +176,7 @@ def geometric_mean(x: SPDMatrix, y: SPDMatrix) -> SPDMatrix:
     A^{-1} Y A^{-T} = U diag(s^2) U^T, so X # Y = (A U) diag(s) (A U)^T.
     """
     a, b = _factor_pair(x, y)
-    u, s, _ = _svd(np.linalg.solve(a, b), compute_uv=True)
+    u, s, _ = _lapack(np.linalg.svd, np.linalg.solve(a, b))
     return _computed_spd(_congruence(a, u, s), "geometric mean")
 
 
@@ -206,7 +184,8 @@ def trace_metric_distance(p1: SPDMatrix, p2: SPDMatrix) -> float:
     """Affine-invariant geodesic distance ||log(P1^{-1/2} P2 P1^{-1/2})||_F, as 2 ||log s||
     over the singular values s of A^{-1} B with P1 = A A^T, P2 = B B^T."""
     a, b = _factor_pair(p1, p2)
-    return 2.0 * float(np.sqrt(np.sum(np.log(_svd(np.linalg.solve(a, b))) ** 2)))
+    s = _lapack(np.linalg.svd, np.linalg.solve(a, b), compute_uv=False)
+    return 2.0 * float(np.sqrt(np.sum(np.log(s) ** 2)))
 
 
 def logdet_div(x: SPDMatrix, y: SPDMatrix) -> float:
@@ -216,7 +195,7 @@ def logdet_div(x: SPDMatrix, y: SPDMatrix) -> float:
     The log is log1p(t) there, and 2 log(s) for s^2 < 1/2, where 1 + t loses the digits
     of s^2 (all of them below 1.1e-16, where t rounds to -1).  Past the float max it is +inf."""
     a, b = _factor_pair(x, y)
-    s = _svd(np.linalg.solve(b, a))
+    s = _lapack(np.linalg.svd, np.linalg.solve(b, a), compute_uv=False)
     if s[0] > math.sqrt(_MAX):  # t = (s - 1)(s + 1) would overflow
         return math.inf
     t = (s - 1.0) * (s + 1.0)
@@ -259,13 +238,10 @@ def sld_centroid(mats: Sequence[SPDMatrix], weights: Optional[Sequence] = None) 
     """
     w = check_weights(weights, len(mats))
     stack = _same_dim_stack(mats)
-    try:
-        prec = _weighted_sum(w, np.linalg.inv(stack))
-        l = np.linalg.cholesky(_weighted_sum(w, stack))
-        # Computed inverses are not exactly symmetric, and cholesky reads one
-        # triangle: near the 1e12 bound, P's lower triangle alone put A # H 42% off.
-        r = np.linalg.cholesky(0.5 * (prec + prec.T))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"A#H centroid: {exc}") from exc
-    u, s, _ = _svd(l.T @ r, compute_uv=True)
+    prec = _weighted_sum(w, _lapack(np.linalg.inv, stack))
+    l = _lapack(np.linalg.cholesky, _weighted_sum(w, stack))
+    # Computed inverses are not exactly symmetric, and cholesky reads one
+    # triangle: near the 1e12 bound, P's lower triangle alone put A # H 42% off.
+    r = _lapack(np.linalg.cholesky, 0.5 * (prec + prec.T))
+    u, s, _ = _lapack(np.linalg.svd, l.T @ r)
     return _computed_spd(_congruence(l, u, 1.0 / s), "A#H centroid")

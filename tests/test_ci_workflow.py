@@ -56,6 +56,15 @@ def test_runs_every_workload_untraced_and_checks_its_last_line():
         assert (code == 0) == passes, last
 
 
+def test_the_job_has_a_timeout():
+    # without one, a hung run holds its runner for GitHub's 6-hour default
+    job = re.search(r"^  tests:\n((?:    .*\n|[ \t]*\n)*)", WORKFLOW, re.M)
+    assert job is not None, "the workflow has no tests job"
+    minutes = re.search(r"^    timeout-minutes:\s*(\d+)\s*$", job.group(1), re.M)
+    assert minutes is not None, "the tests job sets no timeout-minutes"
+    assert 0 < int(minutes.group(1)) <= 60
+
+
 def test_runs_on_python_3_10_and_3_11():
     versions = re.search(r"^\s*python-version:\s*(\[[^\]]*\])", WORKFLOW, re.M)
     assert versions is not None, "the workflow has no python-version matrix"

@@ -6,6 +6,10 @@ failure, CLI exit code 3), so no raw ``ValueError`` or ``LinAlgError`` reaches
 a caller.  One exception is allowed: the ``TypeError`` that
 ``legendre._float_array`` raises and catches itself.  The CLI's ``main`` catches
 exactly these two classes, one per exit code.
+
+A failed ``numpy.linalg`` routine (its ``LinAlgError``) is classified as a
+``NumericalError`` at one boundary, ``spd._lapack``; the three other handlers of
+``LinAlgError`` classify it differently on purpose.
 """
 
 import ast
@@ -18,6 +22,17 @@ CONTRACT = {"DomainError", "NumericalError"}
 ALLOWED = {("legendre.py", "_float_array", "TypeError")}
 # (class, returned exit code) of each handler of the try in cli.main, in order
 EXIT_HANDLERS = [("DomainError", "EXIT_PARSE"), ("NumericalError", "EXIT_NUMERIC")]
+# (module, innermost function, class raised or None) of each handler of LinAlgError
+LINALG_HANDLERS = [
+    # a singular inverse of a generator argument is invalid input
+    ("gaussian.py", "_sym_inv", "DomainError"),
+    # a failed Cholesky factor is the cone's domain test: None outside it
+    ("gaussian.py", "cone_factor", None),
+    # a singular Jacobian stops Newton
+    ("gaussian.py", "root", None),
+    # the one LAPACK boundary
+    ("spd.py", "_lapack", "NumericalError"),
+]
 
 
 def _raised(node: ast.Raise) -> str:
@@ -28,8 +43,8 @@ def _raised(node: ast.Raise) -> str:
     return ast.unparse(exc)
 
 
-class _RaiseFinder(ast.NodeVisitor):
-    """Every ``raise`` of a module, with its innermost enclosing function."""
+class _FunctionStack(ast.NodeVisitor):
+    """A visitor that knows the innermost function enclosing each node."""
 
     def __init__(self):
         self.stack, self.found = ["<module>"], []
@@ -41,8 +56,23 @@ class _RaiseFinder(ast.NodeVisitor):
 
     visit_AsyncFunctionDef = visit_FunctionDef
 
+
+class _RaiseFinder(_FunctionStack):
+    """Every ``raise`` of a module, with its innermost enclosing function."""
+
     def visit_Raise(self, node):
         self.found.append((self.stack[-1], _raised(node), node.lineno))
+        self.generic_visit(node)
+
+
+class _LinAlgHandlerFinder(_FunctionStack):
+    """Every ``except`` clause of a module that names ``LinAlgError``, alone or in a
+    tuple, with its innermost enclosing function and the class of its first ``raise``."""
+
+    def visit_ExceptHandler(self, node):
+        if node.type is not None and "LinAlgError" in ast.unparse(node.type):
+            raises = [n for n in ast.walk(node) if isinstance(n, ast.Raise)]
+            self.found.append((self.stack[-1], _raised(raises[0]) if raises else None))
         self.generic_visit(node)
 
 
@@ -59,6 +89,15 @@ def _outside_the_contract(sources: dict) -> list:
             and (module, function, name) not in ALLOWED
         ]
     return sorted(found)
+
+
+def _linalg_handlers(sources: dict) -> list:
+    found = []
+    for module, source in sources.items():
+        finder = _LinAlgHandlerFinder()
+        finder.visit(ast.parse(source))
+        found += [(module, *handler) for handler in finder.found]
+    return sorted(found, key=str)
 
 
 def _exit_handlers(source: str) -> list:
@@ -112,3 +151,31 @@ def test_a_third_handler_in_main_is_caught():
         "    except CliError as exc:\n        return EXIT_PARSE\n"
     )
     assert _exit_handlers(source) == EXIT_HANDLERS + [("CliError", "EXIT_PARSE")]
+
+
+def test_one_lapack_boundary():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert _linalg_handlers(sources) == LINALG_HANDLERS
+
+
+def test_a_second_lapack_wrapper_is_caught():
+    boundary = (
+        "def _lapack(routine, *args):\n    try:\n        return routine(*args)\n"
+        "    except np.linalg.LinAlgError as exc:\n        raise NumericalError(str(exc)) from exc\n"
+    )
+    sources = {
+        "spd.py": boundary + (
+            "def _eigh(m):\n    try:\n        return np.linalg.eigh(m)\n"
+            "    except np.linalg.LinAlgError as exc:\n        raise NumericalError(str(exc)) from exc\n"
+        ),
+        "categorical.py": (
+            "from numpy.linalg import LinAlgError\n"
+            "def solve(a, b):\n    try:\n        return np.linalg.solve(a, b)\n"
+            "    except (ValueError, LinAlgError):\n        return None\n"
+        ),
+    }
+    assert _linalg_handlers(sources) == [
+        ("categorical.py", "solve", None),
+        ("spd.py", "_eigh", "NumericalError"),
+        ("spd.py", "_lapack", "NumericalError"),
+    ]

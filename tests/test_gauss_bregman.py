@@ -12,6 +12,7 @@ from jeffreys_centers import (
     WeightedParamSet,
     burg_generator,
     gb_center,
+    gb_center_mvn,
     gb_step,
     mvn_generator,
     mvn_to_natural,
@@ -19,7 +20,7 @@ from jeffreys_centers import (
     right_bregman_centroid,
     shannon_generator,
 )
-from jeffreys_centers.gauss_bregman import GB_TOL
+from jeffreys_centers.gauss_bregman import GB_TOL, _norm
 from jeffreys_centers.generators import _separable
 
 from conftest import positive_burg, random_spd
@@ -278,6 +279,40 @@ class TestGBCenter:
         assert small[0] == pytest.approx(1e-12 * unit[0], rel=GB_TOL.rel_tol)
         _, (nb, nu) = gb_steps[-1]
         assert diag.final_gap == abs(nb[0] - nu[0]) / abs(nb[0])
+
+    def test_gap_spans_the_float_range(self):
+        # Run under the suite's filterwarnings = error.  Squared, the gap of [1e-300], [1e300]
+        # overflowed with a warning on each of its 200 steps, and the gap 5e-201 of
+        # [1e-200], [3e-200] underflowed to 0 and stopped it at once, 15% off.
+        _, diag = gb_center(burg_generator(1), WeightedParamSet([[1e-300], [1e300]]))
+        assert diag.status == "max_iter" and math.isfinite(diag.final_gap)
+        for scale in (1e-200, 1e200):
+            center, diag = gb_center(burg_generator(1), WeightedParamSet([[scale], [3 * scale]]))
+            assert diag.status == "converged" and diag.iterations > 0
+            assert center[0] == pytest.approx(math.sqrt(3.0) * scale, rel=1e-8)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    def test_centered_pair_far_from_unit_covariance(self, scale):
+        # the GB center of N(0, c), N(0, 2c) is N(0, sqrt(2) c); natural parameters near
+        # 1e300 overflowed the squared gap, near 1e-300 underflowed it to 0
+        pair = [GaussianParam([0.0], [[scale]]), GaussianParam([0.0], [[2.0 * scale]])]
+        center, diag = gb_center_mvn(pair)
+        assert diag.status == "converged" and diag.iterations > 0
+        assert center.cov.entries[0, 0] == pytest.approx(math.sqrt(2.0) * scale, rel=1e-8)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-120, 1e-80, 1.0, 1e80, 1e120, 1e300])
+    def test_norm_is_scale_free(self, scale):
+        assert _norm(np.array([3.0, -4.0]) * scale) == pytest.approx(5.0 * scale, rel=1e-15)
+
+    def test_norm_is_the_sum_of_squares_in_the_normal_range(self, rng):
+        for _ in range(200):
+            v = rng.normal(size=rng.integers(1, 45)) * 10.0 ** rng.uniform(-90, 90)
+            assert _norm(v) == math.sqrt(v.dot(v))
+
+    def test_norm_of_zero_and_non_finite_vectors(self):
+        assert _norm(np.zeros(3)) == 0.0
+        assert _norm(np.array([np.inf, 1.0])) == math.inf
+        assert math.isnan(_norm(np.array([np.nan, 1.0])))
 
     def test_zero_arithmetic_iterate_reports_the_absolute_gap(self):
         gen = _separable(

@@ -41,7 +41,7 @@ from jeffreys_centers import (
 )
 from jeffreys_centers.cli import main
 from jeffreys_centers.gaussian import fisher_rao_midpoint_mvn, sided_kl_centroids_mvn
-from jeffreys_centers.spd import _eigh
+from jeffreys_centers.spd import _lapack
 
 from conftest import embedded_equidistance_residual
 
@@ -191,7 +191,7 @@ def test_object_arrays_of_numbers_are_read():
 
 def test_spectral_kernel_classifies_nan_matrix():
     with pytest.raises(NumericalError):
-        _eigh(np.full((3, 3), np.nan))
+        _lapack(np.linalg.eigh, np.full((3, 3), np.nan))
 
 
 def test_empty_matrix_is_a_domain_error():
